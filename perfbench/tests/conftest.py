@@ -1,0 +1,6 @@
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(PERFBENCH.parent / "src"))
+sys.path.insert(0, str(PERFBENCH))
