@@ -88,7 +88,7 @@ class RunConfig:
     mia_rank: int = 4
     mia_epochs: int = 5
     mia_batch_size: int = 4
-    mia_lr: float = 0.01
+    mia_lr: float = 0.002  # at 0.01 the probe training diverges on about 4% of seeds
     mia_dataset_size: int = 8
     mia_input_scale: float = 10.0
 

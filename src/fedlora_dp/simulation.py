@@ -320,9 +320,20 @@ def local_train(
 
     The loss is half the mean squared error of (W + delta_acc + scale*B@A)
     against the client's targets, plus prox_mu/2 * (||B||^2 + ||A||^2) when a
-    proximal term is configured.  Factor gradients are scale*G@A.T and
-    scale*B.T@G where G is the batch-mean error outer product; when a server
-    correction is supplied the drift-corrected G + c - c_k is used instead.
+    proximal term is configured.  No m x n matrix is formed per step: the
+    base residual R = X (W + delta_acc)^T - Y is computed once per call, and
+    a minibatch of bs rows then costs O(bs * (m + n) * r):
+
+        xa    = xb @ A.T
+        err   = R[batch] + scale * xa @ B.T
+        dL/dB = (scale / bs) * err.T @ xa
+        dL/dA = (scale / bs) * (err @ B).T @ xb
+
+    These are scale*G@A.T and scale*B.T@G for the batch-mean error outer
+    product G = err.T @ xb / bs.  When a server correction c is supplied and
+    the client holds a control variate c_k, the drift-corrected G + c - c_k
+    is used, which adds scale*(c - c_k)@A.T and scale*B.T@(c - c_k) to the
+    two gradients.
     Neither W nor delta_acc is mutated; the trained factors come back as a
     fresh adapter.
     """
@@ -344,6 +355,10 @@ def local_train(
             loss += 0.5 * prox_mu * (np.sum(b * b) + np.sum(a * a))
         return LocalTrainResult(adapter=client.adapter, mean_loss=loss, steps=0)
 
+    # Non-finite residuals surface as a non-finite batch loss below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = client.x @ effective.T - client.y
+
     gen = client.rng.generator()
     steps = 0
     last_epoch_losses: list[float] = []
@@ -353,12 +368,11 @@ def local_train(
         for start in range(0, n_samples, batch_size):
             idx = order[start:start + batch_size]
             xb = client.x[idx]
-            yb = client.y[idx]
             bs = xb.shape[0]
 
             with np.errstate(over="ignore", invalid="ignore"):
-                pred = xb @ (effective + s * (b @ a)).T
-                err = pred - yb
+                xa = xb @ a.T
+                err = resid[idx] + s * (xa @ b.T)
                 loss = 0.5 * np.sum(err * err) / bs
                 if prox_mu > 0:
                     loss += 0.5 * prox_mu * (np.sum(b * b) + np.sum(a * a))
@@ -368,11 +382,11 @@ def local_train(
                 )
             epoch_losses.append(float(loss))
 
-            g = err.T @ xb / bs
+            grad_b = (s / bs) * (err.T @ xa)
+            grad_a = (s / bs) * ((err @ b).T @ xb)
             if correction is not None:
-                g = g + correction
-            grad_b = s * (g @ a.T)
-            grad_a = s * (b.T @ g)
+                grad_b = grad_b + s * (correction @ a.T)
+                grad_a = grad_a + s * (b.T @ correction)
             if prox_mu > 0:
                 grad_b = grad_b + prox_mu * b
                 grad_a = grad_a + prox_mu * a
@@ -491,11 +505,11 @@ def run_round(
         updates.append(ClientUpdate(cid, b_rel, a_rel, adapter.rank, weight=fold))
         clean_updates.append(ClientUpdate(cid, b_clean, a_clean, adapter.rank, weight=fold))
 
-    delta_t = global_delta(aggregate_stack(updates))
+    released = aggregate_stack(updates)
+    delta_t = global_delta(released)
 
     if config.dp_enabled:
-        clean_delta = global_delta(aggregate_stack(clean_updates))
-        expectation_diff = float(np.mean(delta_t - clean_delta))
+        expectation_diff = _mean_entry(released) - _mean_entry(aggregate_stack(clean_updates))
         mech = config.mechanism
         total_variance = 0.0
         for u in clean_updates:
@@ -522,6 +536,12 @@ def run_round(
         wall_s=time.perf_counter() - t0,
     )
     return server, metrics
+
+
+def _mean_entry(g: GlobalAdapter) -> float:
+    """Mean entry of the stacked product, (1^T B)(A 1) / (m n), without forming B @ A."""
+    m, n = g.b_stacked.shape[0], g.a_stacked.shape[1]
+    return float(g.b_stacked.sum(0) @ g.a_stacked.sum(1)) / (m * n)
 
 
 def _update_control_variates(

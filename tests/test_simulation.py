@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fedlora_dp.adapters import FrozenBase, LoraAdapter, adapter_delta, init_adapter
+from fedlora_dp import simulation
+from fedlora_dp.adapters import FrozenBase, LoraAdapter, adapter_delta, global_delta, init_adapter
 from fedlora_dp.linalg import RngStream
 from fedlora_dp.privacy import MechanismParams
 from fedlora_dp.simulation import (
@@ -100,6 +101,46 @@ def _loss_at(base, delta_acc, adapter, x, y, prox_mu=0.0):
     return loss
 
 
+def _dense_reference_train(client, base, delta_acc, config, lr, server_c=None):
+    """Oracle for local_train: every step forms the dense model and the dense gradient G."""
+    effective = base.w + delta_acc
+    b = client.adapter.b.copy()
+    a = client.adapter.a.copy()
+    s = client.adapter.scale
+    prox_mu = client.prox_mu
+    correction = None
+    if server_c is not None and client.control_variate is not None:
+        correction = server_c - client.control_variate
+    n_samples = client.x.shape[0]
+    batch_size = min(config.batch_size, n_samples)
+    gen = client.rng.generator()
+    steps = 0
+    for _ in range(config.local_epochs):
+        order = gen.permutation(n_samples)
+        epoch_losses = []
+        for start in range(0, n_samples, batch_size):
+            idx = order[start:start + batch_size]
+            xb, yb = client.x[idx], client.y[idx]
+            bs = xb.shape[0]
+            err = xb @ (effective + s * (b @ a)).T - yb
+            loss = 0.5 * np.sum(err * err) / bs
+            if prox_mu > 0:
+                loss += 0.5 * prox_mu * (np.sum(b * b) + np.sum(a * a))
+            epoch_losses.append(float(loss))
+            g = err.T @ xb / bs
+            if correction is not None:
+                g = g + correction
+            grad_b = s * (g @ a.T)
+            grad_a = s * (b.T @ g)
+            if prox_mu > 0:
+                grad_b = grad_b + prox_mu * b
+                grad_a = grad_a + prox_mu * a
+            b = b - lr * grad_b
+            a = a - lr * grad_a
+            steps += 1
+    return b, a, float(np.mean(epoch_losses)), steps
+
+
 class TestLocalTrain:
     def test_zero_epochs_is_noop(self):
         task = small_task()
@@ -157,6 +198,30 @@ class TestLocalTrain:
 
             assert np.abs(grad_b - fd_b).max() <= 1e-6
             assert np.abs(grad_a - fd_a).max() <= 1e-6
+
+    @pytest.mark.parametrize("case", ["plain", "prox", "scaffold", "epochs", "ragged_batch"])
+    def test_matches_dense_reference(self, case):
+        gen = np.random.default_rng(23)
+        task = small_task(seed=3, sigma_obs=0.1)
+        rank = 3
+        adapter = LoraAdapter(b=0.3 * gen.standard_normal((task.m, rank)),
+                              a=gen.standard_normal((rank, task.n)), rank=rank, lora_scale=6.0)
+        delta_acc = 0.2 * gen.standard_normal((task.m, task.n))
+        client = ClientState(4, task.client_x[1], task.client_y[1], adapter, RngStream(9, (2,)),
+                             prox_mu=0.05 if case == "prox" else 0.0,
+                             control_variate=0.1 * gen.standard_normal((task.m, task.n)))
+        server_c = 0.1 * gen.standard_normal((task.m, task.n)) if case == "scaffold" else None
+        # 20 samples: batches of 5 divide them, batches of 7 leave a last batch of 6
+        cfg = small_config(local_epochs=6 if case == "epochs" else 2,
+                           batch_size=7 if case == "ragged_batch" else 5, rank=rank)
+        lr = 0.05
+
+        b, a, loss, steps = _dense_reference_train(client, task.base, delta_acc, cfg, lr, server_c)
+        result = local_train(client, task.base, delta_acc, cfg, lr, server_c=server_c)
+        assert result.steps == steps
+        np.testing.assert_allclose(result.adapter.b, b, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(result.adapter.a, a, rtol=1e-10, atol=0)
+        assert result.mean_loss == pytest.approx(loss, rel=1e-10)
 
     def test_single_client_converges_to_optimum(self):
         task = small_task(n_clients=1, samples_per_client=60)
@@ -340,6 +405,29 @@ class TestRunExperiment:
         for metrics in result.rounds:
             assert metrics.total_variance > 0.0
             assert np.isfinite(metrics.expectation_diff)
+
+    def test_expectation_diff_matches_dense_formula(self, monkeypatch):
+        # run_round takes the mean of delta_t - clean_delta from the factors; the
+        # dense products of the two stacked pairs are the reference.
+        stacks = []
+        original = simulation.aggregate_stack
+
+        def recording_stack(updates):
+            stacked = original(updates)
+            stacks.append(stacked)
+            return stacked
+
+        monkeypatch.setattr(simulation, "aggregate_stack", recording_stack)
+        task = small_task()
+        mech = MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.2, sigma_a=0.3)
+        cfg = small_config(rounds=3, sampled_per_round=3, dp_enabled=True, mechanism=mech,
+                           epsilon_b=1.0, epsilon_a=1.0, delta=1e-5)
+        result = _run(cfg, task, seed=8)
+        assert len(stacks) == 2 * cfg.rounds  # released then clean, each round
+        for metrics, released, clean in zip(result.rounds, stacks[::2], stacks[1::2]):
+            dense = np.mean(global_delta(released) - global_delta(clean))
+            assert metrics.expectation_diff != 0.0
+            assert metrics.expectation_diff == pytest.approx(dense, rel=1e-9)
 
 
 class TestConfigValidation:
