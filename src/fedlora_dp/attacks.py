@@ -5,10 +5,11 @@ replaced) against each other: a fair coin picks one, a client trains a
 low-rank adapter on it, the factors are clipped and noised, and an attacker
 with worst-case knowledge scores the release by projecting it onto the
 difference of the two un-noised mean updates.  This linear score is the
-likelihood-ratio statistic under isotropic Gaussian noise, so the resulting
-ROC is the strongest threshold attack available; its curve is checked against
-the two-sided (eps, delta) region: tpr <= e^eps * fpr + delta and
-1 - fpr <= e^eps * (1 - tpr) + delta.
+likelihood-ratio statistic only when both factors carry the same noise scale
+(sigma_b == sigma_a); with unequal scales the unweighted projection is a
+weaker attack than the likelihood ratio, whose score weights each factor's
+block by 1/sigma^2.  The ROC is checked against the two-sided (eps, delta)
+region: tpr <= e^eps * fpr + delta and 1 - fpr <= e^eps * (1 - tpr) + delta.
 
 Training randomness is keyed by the game configuration, not the trial, so
 each dataset maps to one deterministic mean update and trial scores are exact
@@ -238,41 +239,16 @@ def score_update(update: ClientUpdate, reference: ScoreReference) -> float:
     return float(flat @ reference.unit_direction)
 
 
-def _noisy_trials(
-    means: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-    mechanism: MechanismParams,
-    rank: int,
-    trials: int,
-    rng: RngStream,
-    reference: ScoreReference,
-) -> list[AttackTrial]:
-    out = []
-    for t in range(trials):
-        bit = int(rng.child(t, 0).generator().integers(0, 2))
-        b_mean, a_mean = means[bit]
-        b_rel = privatize(b_mean, mechanism.clip_b, mechanism.sigma_b, rng.child(t, 1))
-        a_rel = privatize(a_mean, mechanism.clip_a, mechanism.sigma_a, rng.child(t, 2))
-        update = ClientUpdate(client_id=0, b_tilde=b_rel, a_tilde=a_rel, rank=rank)
-        out.append(AttackTrial(true_bit=bit, score=score_update(update, reference)))
-    return out
-
-
 def run_game(pair: NeighborPair, cfg: GameConfig, trials: int, rng: RngStream) -> list[AttackTrial]:
-    """Play the distinguishing game.
+    """Play the distinguishing game on a neighbor pair.
 
     Training is deterministic per dataset (the training stream is fixed by the
     config), so each trial reduces to privatizing the corresponding clipped
-    update with fresh per-trial noise and scoring the release.
+    update with fresh per-trial noise and scoring the release; that is
+    ``run_direct_game`` on the two clipped updates.
     """
-    if trials < 100:
-        raise ValueError(f"need at least 100 trials, got {trials}")
-    mean0 = clipped_update(pair.d, cfg)
-    mean1 = clipped_update(pair.d_prime, cfg)
-    reference = ScoreReference(
-        mu0=np.concatenate([mean0[0].ravel(), mean0[1].ravel()]),
-        mu1=np.concatenate([mean1[0].ravel(), mean1[1].ravel()]),
-    )
-    return _noisy_trials((mean0, mean1), cfg.mechanism, cfg.rank, trials, rng, reference)
+    return run_direct_game(clipped_update(pair.d, cfg), clipped_update(pair.d_prime, cfg),
+                           cfg.mechanism, trials, rng)
 
 
 def run_direct_game(
@@ -282,23 +258,26 @@ def run_direct_game(
     trials: int,
     rng: RngStream,
 ) -> list[AttackTrial]:
-    """Distinguishing game on two explicit factor pairs, bypassing training.
+    """Distinguishing game on two factor pairs, clipped, then noised per trial.
 
-    Useful for exercising the bound check against synthetic worst-case pairs,
-    e.g. antipodal updates on the clip sphere.
+    ``run_game`` plays it on trained updates; called directly it exercises the
+    bound check against synthetic pairs such as antipodes on the clip sphere.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
-    b0 = clip_frobenius(np.asarray(mean0[0], dtype=float), mechanism.clip_b)
-    a0 = clip_frobenius(np.asarray(mean0[1], dtype=float), mechanism.clip_a)
-    b1 = clip_frobenius(np.asarray(mean1[0], dtype=float), mechanism.clip_b)
-    a1 = clip_frobenius(np.asarray(mean1[1], dtype=float), mechanism.clip_a)
-    reference = ScoreReference(
-        mu0=np.concatenate([b0.ravel(), a0.ravel()]),
-        mu1=np.concatenate([b1.ravel(), a1.ravel()]),
-    )
-    rank = b0.shape[1]
-    return _noisy_trials(((b0, a0), (b1, a1)), mechanism, rank, trials, rng, reference)
+    means = [(clip_frobenius(b, mechanism.clip_b), clip_frobenius(a, mechanism.clip_a))
+             for b, a in (mean0, mean1)]
+    reference = ScoreReference(*(np.concatenate([b.ravel(), a.ravel()]) for b, a in means))
+    rank = means[0][0].shape[1]
+    out = []
+    for t in range(trials):
+        bit = int(rng.child(t, 0).generator().integers(0, 2))
+        b_mean, a_mean = means[bit]
+        b_rel = privatize(b_mean, mechanism.clip_b, mechanism.sigma_b, rng.child(t, 1))
+        a_rel = privatize(a_mean, mechanism.clip_a, mechanism.sigma_a, rng.child(t, 2))
+        update = ClientUpdate(client_id=0, b_tilde=b_rel, a_tilde=a_rel, rank=rank)
+        out.append(AttackTrial(true_bit=bit, score=score_update(update, reference)))
+    return out
 
 
 def roc_curve(trials: list[AttackTrial]) -> RocCurve:

@@ -10,10 +10,11 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .simulation import STRATEGIES
+
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_text", "MODES"]
 
 MODES = ("run", "verify", "sweep_epsilon", "sweep_clip", "sweep_rank", "sweep_size", "mia", "report")
-STRATEGY_NAMES = ("fedavg", "fedprox", "scaffold", "fedavgm", "fedadagrad", "fedyogi", "fedadam")
 CLIP_MODES = ("calibrated", "absolute")
 
 
@@ -220,7 +221,7 @@ def _choice(name, options):
 
 _VALIDATORS = {
     "mode": _choice("mode", MODES),
-    "strategy": _choice("strategy", STRATEGY_NAMES),
+    "strategy": _choice("strategy", STRATEGIES),
     "clip_mode": _choice("clip_mode", CLIP_MODES),
     "seed": _non_negative("seed"),
     "rounds": _non_negative("rounds"),

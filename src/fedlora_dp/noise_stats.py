@@ -22,14 +22,12 @@ from .linalg import RngStream, as_matrix
 __all__ = [
     "NoiseModel",
     "NoiseStats",
-    "VarianceReport",
     "SweepRow",
     "noise_product_stats",
     "mc_expectation_diff",
     "mc_total_variance",
     "exact_total_variance",
     "variance_bound",
-    "variance_report",
     "rank_sweep",
     "size_sweep",
 ]
@@ -57,19 +55,6 @@ class NoiseStats:
     std_error: float
     total_variance: float
     n_draws: int
-
-
-@dataclass(frozen=True)
-class VarianceReport:
-    """Monte Carlo estimate next to the exact formula and the reported bound."""
-
-    mc_estimate: float
-    exact_formula: float
-    bound: float
-    m: int
-    n: int
-    r: int
-    model: NoiseModel
 
 
 @dataclass(frozen=True)
@@ -183,19 +168,26 @@ def mc_total_variance(
     return noise_product_stats(b, a, model, n_draws, rng).total_variance
 
 
-def exact_total_variance(b: np.ndarray, a: np.ndarray, model: NoiseModel) -> float:
-    """Closed-form total elementwise variance of the perturbed product."""
+def _three_term_variance(b: np.ndarray, a: np.ndarray, model: NoiseModel,
+                         exchanged: bool) -> float:
+    """c_b*sa^2*||B||^2 + c_a*sb^2*||A||^2 + m*n*r*sb^2*sa^2, (c_b, c_a) = (n, m) or (m, n)."""
     b = as_matrix(b, "b factor")
     a = as_matrix(a, "a factor")
     if b.shape[1] != a.shape[0]:
         raise ValueError(f"factor shapes {b.shape} and {a.shape} do not chain")
     m, r = b.shape
     n = a.shape[1]
+    coef_b, coef_a = (m, n) if exchanged else (n, m)
     sb2 = model.sigma_beta**2
     sa2 = model.sigma_alpha**2
     norm_b2 = float(np.sum(b * b))
     norm_a2 = float(np.sum(a * a))
-    return n * sa2 * norm_b2 + m * sb2 * norm_a2 + m * n * r * sb2 * sa2
+    return coef_b * sa2 * norm_b2 + coef_a * sb2 * norm_a2 + m * n * r * sb2 * sa2
+
+
+def exact_total_variance(b: np.ndarray, a: np.ndarray, model: NoiseModel) -> float:
+    """Closed-form total elementwise variance of the perturbed product."""
+    return _three_term_variance(b, a, model, exchanged=False)
 
 
 def variance_bound(b: np.ndarray, a: np.ndarray, model: NoiseModel) -> float:
@@ -204,36 +196,7 @@ def variance_bound(b: np.ndarray, a: np.ndarray, model: NoiseModel) -> float:
     Evaluates m*sa^2*||B||^2 + n*sb^2*||A||^2 + m*n*r*sb^2*sa^2.  Reported
     alongside the exact value; equal to it when m == n.
     """
-    b = as_matrix(b, "b factor")
-    a = as_matrix(a, "a factor")
-    if b.shape[1] != a.shape[0]:
-        raise ValueError(f"factor shapes {b.shape} and {a.shape} do not chain")
-    m, r = b.shape
-    n = a.shape[1]
-    sb2 = model.sigma_beta**2
-    sa2 = model.sigma_alpha**2
-    norm_b2 = float(np.sum(b * b))
-    norm_a2 = float(np.sum(a * a))
-    return m * sa2 * norm_b2 + n * sb2 * norm_a2 + m * n * r * sb2 * sa2
-
-
-def variance_report(
-    b: np.ndarray,
-    a: np.ndarray,
-    model: NoiseModel,
-    n_draws: int,
-    rng: RngStream,
-) -> VarianceReport:
-    """Bundle the Monte Carlo estimate with both closed forms."""
-    return VarianceReport(
-        mc_estimate=mc_total_variance(b, a, model, n_draws, rng),
-        exact_formula=exact_total_variance(b, a, model),
-        bound=variance_bound(b, a, model),
-        m=b.shape[0],
-        n=a.shape[1],
-        r=b.shape[1],
-        model=model,
-    )
+    return _three_term_variance(b, a, model, exchanged=True)
 
 
 def _scaled_factors(

@@ -15,7 +15,7 @@ which makes runs bit-reproducible regardless of client scheduling.
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +51,6 @@ __all__ = [
     "sample_clients",
     "run_round",
     "run_experiment",
-    "observe_update_norms",
 ]
 
 STRATEGIES = ("fedavg", "fedprox", "scaffold", "fedavgm", "fedadagrad", "fedyogi", "fedadam")
@@ -203,6 +202,7 @@ class RoundMetrics:
     round_index: int
     mean_train_loss: float
     client_losses: tuple[tuple[int, float], ...]
+    client_norms: tuple[tuple[int, float, float], ...]  # (cid, ||B||_F, ||A||_F) before clipping
     global_delta_norm: float
     expectation_diff: float
     total_variance: float
@@ -526,10 +526,15 @@ def run_round(
     server.round_index += 1
 
     client_losses = tuple((cid, results[cid].mean_loss) for cid in sampled)
+    client_norms = tuple(
+        (cid, frobenius_norm(results[cid].adapter.b), frobenius_norm(results[cid].adapter.a))
+        for cid in sampled
+    )
     metrics = RoundMetrics(
         round_index=round_index,
         mean_train_loss=float(np.mean([results[cid].mean_loss for cid in sampled])),
         client_losses=client_losses,
+        client_norms=client_norms,
         global_delta_norm=frobenius_norm(delta_t),
         expectation_diff=expectation_diff,
         total_variance=total_variance,
@@ -615,35 +620,3 @@ def run_experiment(config: TrainConfig, task: SyntheticTask, root: RngStream) ->
         naive_epsilon=naive_epsilon,
         wall_s=time.perf_counter() - t0,
     )
-
-
-def observe_update_norms(
-    task: SyntheticTask,
-    config: TrainConfig,
-    n_rounds: int,
-    root: RngStream,
-) -> tuple[list[float], list[float]]:
-    """Unclipped factor norms from a short non-private dry run.
-
-    Used to calibrate clip thresholds as a quantile of realistic update norms.
-    """
-    dry = replace(config, rounds=max(1, n_rounds), dp_enabled=False, mechanism=None)
-    server = ServerState.fresh(task.base, dry.strategy, dry.hyper)
-    clients = _make_clients(task, dry, root)
-    b_norms: list[float] = []
-    a_norms: list[float] = []
-    for _ in range(dry.rounds):
-        round_index = server.round_index
-        sampled = sample_clients(len(clients), dry.sampled_per_round,
-                                 root.child(round_index, _KIND_SAMPLE))
-        lr = cosine_lr(dry.lr_start, dry.lr_end, round_index, dry.rounds)
-        by_id = {c.client_id: c for c in clients}
-        for cid in sampled:
-            _, res = _train_one(by_id[cid], server.base, server.delta_acc, dry, lr,
-                                round_index, root, None)
-            b_norms.append(frobenius_norm(res.adapter.b))
-            a_norms.append(frobenius_norm(res.adapter.a))
-            weight = 1.0 / len(sampled)
-            server.delta_acc = server.delta_acc + weight * adapter_delta(res.adapter)
-        server.round_index += 1
-    return b_norms, a_norms

@@ -1,8 +1,13 @@
-"""Command line: exit codes, metrics output, byte-stable reruns, seed precedence."""
+"""Command line: every mode on a tiny config, exit codes, byte-stable reruns, seed precedence."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from fedlora_dp import cli
+from fedlora_dp import cli, runner, simulation
+from fedlora_dp.config import RunConfig, parse_text
+from fedlora_dp.linalg import RngStream, frobenius_norm
 
 TINY = """\
 experiment_name = tiny
@@ -111,3 +116,116 @@ class TestMia:
         assert run_cli("mia", config, tmp_path / "out", "--seed", str(seed)) == 0
         trials = (tmp_path / "out" / "mia" / "trials_sigma_calibrated.csv").read_text()
         assert len(trials.splitlines()) == 1 + 200
+
+
+class TestVerify:
+    def test_fast_verify_passes_the_four_oracles(self, tmp_path):
+        config = write_config(tmp_path, TINY + "verify_fast = true\n")
+        assert run_cli("verify", config, tmp_path / "out") == 0
+        rows = (tmp_path / "out" / "tiny" / "verify_report.csv").read_text().splitlines()
+        assert rows[0] == "check,passed,detail"
+        assert [row.split(",")[:2] for row in rows[1:]] == [
+            ["unbiasedness", "true"],
+            ["variance_oracle", "true"],
+            ["rank_linearity", "true"],
+            ["dp_bound", "true"],
+        ]
+
+    def test_quartered_noise_fails_dp_bound_with_exit_3(self, tmp_path):
+        config = replace(parse_text(TINY + "verify_fast = true\n"), mode="verify")
+        assert runner.cmd_verify(config, str(tmp_path / "out"), sigma_scale=0.25) == 3
+        rows = (tmp_path / "out" / "tiny" / "verify_report.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows if ",false," in row] == ["dp_bound"]
+
+
+SWEEPS = {
+    "sweep_epsilon": ("sweep_epsilons = 5,25\n", ["5", "25"]),
+    "sweep_clip": ("sweep_clips = 0.1,1\n", ["0.10000000000000001", "1"]),
+}
+
+
+class TestSweeps:
+    @pytest.mark.parametrize("mode", sorted(SWEEPS))
+    def test_one_row_per_point_and_byte_stable(self, tmp_path, mode):
+        extra, values = SWEEPS[mode]
+        config = write_config(tmp_path, TINY + extra)
+        assert run_cli(mode, config, tmp_path / "first") == 0
+        assert run_cli(mode, config, tmp_path / "second") == 0
+        first = (tmp_path / "first" / "tiny" / "sweep.csv").read_bytes()
+        assert first == (tmp_path / "second" / "tiny" / "sweep.csv").read_bytes()
+        rows = first.decode().splitlines()
+        assert rows[0] == "sweep_key,sweep_value,final_loss,final_mean_train_loss"
+        assert [row.split(",")[1] for row in rows[1:]] == values
+
+    @pytest.mark.parametrize("mode,calls", [("sweep_clip", 0), ("sweep_epsilon", 1)])
+    def test_calibration_dry_run_only_where_its_clips_are_used(self, tmp_path, monkeypatch,
+                                                               mode, calls):
+        seen = []
+        resolve = runner.resolve_clips
+
+        def counting_resolve(*args):
+            seen.append(args)
+            return resolve(*args)
+
+        monkeypatch.setattr(runner, "resolve_clips", counting_resolve)
+        text = TINY.replace("clip_mode = absolute", "clip_mode = calibrated") + SWEEPS[mode][0]
+        assert run_cli(mode, write_config(tmp_path, text), tmp_path / "out") == 0
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("mode,extra,values", [
+        ("sweep_rank", "sweep_ranks = 1,2,4\n", ["1", "2", "4"]),
+        ("sweep_size", "sweep_sizes = 3x2,4x4\n", ["3x2", "4x4"]),
+    ])
+    def test_noise_sweep_one_row_per_point(self, tmp_path, mode, extra, values):
+        config = write_config(tmp_path, TINY + "noise_draws = 200\n" + extra)
+        assert run_cli(mode, config, tmp_path / "out") == 0
+        rows = (tmp_path / "out" / "tiny" / "noise_stats.csv").read_text().splitlines()
+        assert rows[0] == runner.NOISE_HEADER
+        assert [row.split(",")[1] for row in rows[1:]] == values
+
+
+class TestReport:
+    def test_report_over_finished_run(self, tmp_path):
+        config = write_config(tmp_path)
+        assert run_cli("run", config, tmp_path / "out") == 0
+        assert run_cli("report", config, tmp_path / "out") == 0
+        rows = (tmp_path / "out" / "tiny" / "report" / "loss_vs_round.csv").read_text().splitlines()
+        assert rows[0] == "run,round,strategy,dp_enabled,mean_loss"
+        assert [row.split(",")[1] for row in rows[1:]] == ["0", "1", "2", "3"]
+
+    def test_missing_run_directory_exits_1(self, tmp_path, capsys):
+        assert run_cli("report", write_config(tmp_path), tmp_path / "absent") == 1
+        assert "run directory not found" in capsys.readouterr().err
+
+
+class TestSnapshot:
+    @pytest.mark.parametrize("config", [
+        RunConfig(),
+        RunConfig(sweep_epsilons=(0.5, 3.25), sweep_clips=(0.01,), sweep_ranks=(2, 3, 7),
+                  sweep_sizes=((3, 5), (8, 2))),
+    ])
+    def test_round_trip(self, config):
+        assert parse_text(config.snapshot()) == config
+
+
+class TestResolveClips:
+    def test_dry_run_trains_each_client_against_the_broadcast_delta(self):
+        text = TINY.replace("clip_mode = absolute", "clip_mode = calibrated").replace(
+            "clients = 3", "clients = 2")
+        config = parse_text(text + "calibration_rounds = 1\n")
+        root = RngStream(config.seed)
+        task = runner.build_task(config, root)
+        lowest = runner.resolve_clips(replace(config, clip_quantile=0.0), task, root)
+        highest = runner.resolve_clips(replace(config, clip_quantile=1.0), task, root)
+
+        # Reference: each sampled client trains alone from the zero delta of round 0.
+        dry = replace(runner._base_train_config(config, dp=False, mechanism=None), rounds=1)
+        stream = root.child(runner._STREAM_CALIBRATE)
+        norms = []
+        for client in simulation._make_clients(task, dry, stream):
+            _, res = simulation._train_one(client, task.base, np.zeros((task.m, task.n)), dry,
+                                           dry.lr_start, 0, stream, None)
+            norms.append((frobenius_norm(res.adapter.b), frobenius_norm(res.adapter.a)))
+        b_norms, a_norms = zip(*norms)
+        assert lowest == (min(b_norms), min(a_norms))
+        assert highest == (max(b_norms), max(a_norms))

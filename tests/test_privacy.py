@@ -50,8 +50,8 @@ class TestClipFrobenius:
             clip_frobenius(np.ones((1, 1)), 0.0)
 
     @given(
-        st.integers(1, 6),
-        st.integers(1, 6),
+        st.integers(1, 8),
+        st.integers(1, 8),
         st.floats(0.05, 8.0),
         st.floats(0.1, 20.0),
         st.integers(0, 2**32 - 1),
@@ -75,6 +75,18 @@ class TestClipFrobenius:
         assert np.array_equal(clip_frobenius(clipped, c), clipped)
 
 
+def random_calibrations(seed: int, count: int = 100) -> list[tuple[float, PrivacyBudget]]:
+    """Thresholds c ~ U[0.01, 10] with budgets eps ~ U[0.1, 30], delta = 10^U(-8, -2)."""
+    gen = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        c = float(gen.uniform(0.01, 10.0))
+        eps = float(gen.uniform(0.1, 30.0))
+        delta = float(10.0 ** gen.uniform(-8, -2))
+        out.append((c, PrivacyBudget(eps, delta)))
+    return out
+
+
 class TestCalibrateSigma:
     def test_reference_value(self):
         value = calibrate_sigma(1.0, PrivacyBudget(1.0, 1e-5))
@@ -83,11 +95,18 @@ class TestCalibrateSigma:
     def test_linear_in_threshold(self):
         budget = PrivacyBudget(1.0, 1e-5)
         assert calibrate_sigma(2.0, budget) == 2.0 * calibrate_sigma(1.0, budget)
+        for c, budget in random_calibrations(seed=4):
+            base = calibrate_sigma(c, budget)
+            assert abs(calibrate_sigma(2 * c, budget) - 2 * base) <= 1e-15 * 2 * base
 
     def test_inverse_in_epsilon(self):
         assert calibrate_sigma(1.0, PrivacyBudget(2.0, 1e-5)) == pytest.approx(
             calibrate_sigma(1.0, PrivacyBudget(1.0, 1e-5)) / 2.0, rel=1e-15
         )
+        for c, budget in random_calibrations(seed=5):
+            base = calibrate_sigma(c, budget)
+            halved = calibrate_sigma(c, PrivacyBudget(2 * budget.epsilon, budget.delta))
+            assert abs(halved - base / 2) <= 1e-15 * base
 
     def test_monotonicity(self):
         gen = np.random.default_rng(3)

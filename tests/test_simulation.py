@@ -7,7 +7,7 @@ import pytest
 
 from fedlora_dp import simulation
 from fedlora_dp.adapters import FrozenBase, LoraAdapter, adapter_delta, global_delta, init_adapter
-from fedlora_dp.linalg import RngStream
+from fedlora_dp.linalg import RngStream, frobenius_norm
 from fedlora_dp.privacy import MechanismParams
 from fedlora_dp.simulation import (
     STRATEGIES,
@@ -305,6 +305,9 @@ class TestRunRound:
         server, metrics = run_round(server, clients, cfg, root)
         expected = adapter_delta(result.adapter)
         assert np.allclose(server.delta_acc, expected, rtol=1e-12, atol=1e-15)
+        assert metrics.client_norms == (
+            (0, frobenius_norm(result.adapter.b), frobenius_norm(result.adapter.a)),
+        )
 
     def test_zero_epoch_round_keeps_delta(self):
         task = small_task()
