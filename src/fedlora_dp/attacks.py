@@ -14,6 +14,13 @@ region: tpr <= e^eps * fpr + delta and 1 - fpr <= e^eps * (1 - tpr) + delta.
 Training randomness is keyed by the game configuration, not the trial, so
 each dataset maps to one deterministic mean update and trial scores are exact
 Gaussian mean shifts.
+
+Trials are played in blocks of a fixed size set by the factor shapes
+(``_block_size``).  Under the game's stream, block k draws its coin flips
+from child (k, 0), the B noise of its releases with bit ``bit`` from child
+(k, 1, bit) and their A noise from child (k, 2, bit).  Within a block the
+releases with one bit are one stacked draw, in trial order, so the first
+such trial gets the same noise as a single ``privatize`` call on that child.
 """
 
 import math
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import ClientUpdate, FrozenBase, init_adapter
+from .adapters import FrozenBase, init_adapter
 from .linalg import RngStream
 from .privacy import MechanismParams, clip_frobenius, privatize
 from .simulation import ClientState, TrainConfig, local_train
@@ -37,7 +44,6 @@ __all__ = [
     "make_neighbors",
     "clipped_update",
     "mechanism_mean",
-    "score_update",
     "run_game",
     "run_direct_game",
     "roc_curve",
@@ -229,16 +235,6 @@ def mechanism_mean(dataset: tuple[Record, ...], cfg: GameConfig) -> np.ndarray:
     return np.concatenate([b.ravel(), a.ravel()])
 
 
-def score_update(update: ClientUpdate, reference: ScoreReference) -> float:
-    """Projection of the flattened released pair onto the mean-difference direction."""
-    flat = np.concatenate([update.b_tilde.ravel(), update.a_tilde.ravel()])
-    if flat.shape != reference.unit_direction.shape:
-        raise ValueError(
-            f"update has {flat.shape[0]} entries, reference expects {reference.unit_direction.shape[0]}"
-        )
-    return float(flat @ reference.unit_direction)
-
-
 def run_game(pair: NeighborPair, cfg: GameConfig, trials: int, rng: RngStream) -> list[AttackTrial]:
     """Play the distinguishing game on a neighbor pair.
 
@@ -249,6 +245,11 @@ def run_game(pair: NeighborPair, cfg: GameConfig, trials: int, rng: RngStream) -
     """
     return run_direct_game(clipped_update(pair.d, cfg), clipped_update(pair.d_prime, cfg),
                            cfg.mechanism, trials, rng)
+
+
+def _block_size(b_size: int, a_size: int) -> int:
+    """Trials per block: the largest noise draw of a block stays within 64k floats."""
+    return max(1, 65_536 // max(b_size, a_size))
 
 
 def run_direct_game(
@@ -262,26 +263,49 @@ def run_direct_game(
 
     ``run_game`` plays it on trained updates; called directly it exercises the
     bound check against synthetic pairs such as antipodes on the clip sphere.
+
+    The two pairs are clipped and validated once.  Trials run in blocks of
+    ``_block_size`` (the last block may be shorter); block k draws its bits
+    from ``rng.child(k, 0)``, and for each bit one ``privatize`` call per
+    factor draws all of that bit's releases, B from ``rng.child(k, 1, bit)``
+    and A from ``rng.child(k, 2, bit)``.  Each release is scored by its
+    projection onto the unit mean difference (b entries then a entries).
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
     means = [(clip_frobenius(b, mechanism.clip_b), clip_frobenius(a, mechanism.clip_a))
              for b, a in (mean0, mean1)]
+    shapes = sorted({(b.shape, a.shape) for b, a in means})
+    if len(shapes) != 1 or shapes[0][0][1] != shapes[0][1][0]:
+        raise ValueError(f"factor pairs must share one (m x r, r x n) shape, got {shapes}")
     reference = ScoreReference(*(np.concatenate([b.ravel(), a.ravel()]) for b, a in means))
-    rank = means[0][0].shape[1]
+    split = means[0][0].size
+    factors = ((mechanism.clip_b, mechanism.sigma_b, reference.unit_direction[:split]),
+               (mechanism.clip_a, mechanism.sigma_a, reference.unit_direction[split:]))
+    block = _block_size(means[0][0].size, means[0][1].size)
     out = []
-    for t in range(trials):
-        bit = int(rng.child(t, 0).generator().integers(0, 2))
-        b_mean, a_mean = means[bit]
-        b_rel = privatize(b_mean, mechanism.clip_b, mechanism.sigma_b, rng.child(t, 1))
-        a_rel = privatize(a_mean, mechanism.clip_a, mechanism.sigma_a, rng.child(t, 2))
-        update = ClientUpdate(client_id=0, b_tilde=b_rel, a_tilde=a_rel, rank=rank)
-        out.append(AttackTrial(true_bit=bit, score=score_update(update, reference)))
+    for k, start in enumerate(range(0, trials, block)):
+        bits = rng.child(k, 0).generator().integers(0, 2, size=min(block, trials - start))
+        scores = np.zeros(bits.size)
+        for bit in (0, 1):
+            rows = np.flatnonzero(bits == bit)
+            if rows.size == 0:
+                continue
+            for f, (clip, sigma, unit) in enumerate(factors):
+                releases = privatize(means[bit][f], clip, sigma, rng.child(k, f + 1, bit),
+                                     count=rows.size)
+                scores[rows] += releases.reshape(rows.size, -1) @ unit
+        out.extend(AttackTrial(true_bit=bit, score=score)
+                   for bit, score in zip(bits.tolist(), scores.tolist()))
     return out
 
 
 def roc_curve(trials: list[AttackTrial]) -> RocCurve:
-    """Threshold sweep over scores, high scores predicting the replaced dataset."""
+    """Threshold sweep over scores, high scores predicting the replaced dataset.
+
+    One point per distinct score, from the highest down: the point counts
+    every trial scoring at or above it, so tied trials enter together.
+    """
     if not trials:
         raise ValueError("cannot build a curve from zero trials")
     scores = np.array([t.score for t in trials])
@@ -291,29 +315,13 @@ def roc_curve(trials: list[AttackTrial]) -> RocCurve:
     if n_pos == 0 or n_neg == 0:
         raise ValueError("need trials from both classes to build a curve")
 
-    order = np.argsort(-scores, kind="stable")
-    scores = scores[order]
-    labels = labels[order]
-
-    thresholds = [math.inf]
-    fpr = [0.0]
-    tpr = [0.0]
-    tp = fp = 0
-    i = 0
-    while i < len(scores):
-        j = i
-        while j < len(scores) and scores[j] == scores[i]:
-            tp += int(labels[j])
-            fp += 1 - int(labels[j])
-            j += 1
-        thresholds.append(float(scores[i]))
-        fpr.append(fp / n_neg)
-        tpr.append(tp / n_pos)
-        i = j
+    distinct, group = np.unique(scores, return_inverse=True)
+    tp = np.cumsum(np.bincount(group[labels == 1], minlength=distinct.size)[::-1])
+    fp = np.cumsum(np.bincount(group[labels == 0], minlength=distinct.size)[::-1])
     return RocCurve(
-        thresholds=tuple(thresholds),
-        fpr=tuple(fpr),
-        tpr=tuple(tpr),
+        thresholds=(math.inf, *distinct[::-1].tolist()),
+        fpr=(0.0, *(fp / n_neg).tolist()),
+        tpr=(0.0, *(tp / n_pos).tolist()),
         n_negative=n_neg,
         n_positive=n_pos,
     )

@@ -44,7 +44,7 @@ class RunConfig:
     lr_start: float = 5e-5
     lr_end: float = 1e-6
     strategy: str = "fedavg"
-    max_workers: int = 1
+    max_workers: int = 1  # accepted for existing configs; has no effect
 
     dp_enabled: bool = False
     epsilon: float = 25.0

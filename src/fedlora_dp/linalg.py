@@ -104,12 +104,20 @@ def stack_v(parts) -> np.ndarray:
     return np.ascontiguousarray(np.vstack(arrays))
 
 
-def sample_gaussian(rows: int, cols: int, sigma: float, rng: RngStream) -> np.ndarray:
-    """i.i.d. N(0, sigma^2) matrix; sigma == 0 returns an exact zero matrix."""
+def sample_gaussian(rows: int, cols: int, sigma: float, rng: RngStream,
+                    count: int | None = None) -> np.ndarray:
+    """i.i.d. N(0, sigma^2) matrix; sigma == 0 returns an exact zero matrix.
+
+    With ``count``, one draw of ``count`` such matrices stacked as
+    (count, rows, cols); the first equals the matrix drawn without ``count``.
+    """
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix shape must be positive, got {rows}x{cols}")
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
+    shape = (rows, cols) if count is None else (count, rows, cols)
     if sigma == 0:
-        return np.zeros((rows, cols))
-    return sigma * rng.generator().standard_normal((rows, cols))
+        return np.zeros(shape)
+    out = rng.generator().standard_normal(shape)
+    out *= sigma
+    return out

@@ -99,13 +99,23 @@ def calibrate_sigma(c: float, budget: PrivacyBudget) -> float:
     return c * math.sqrt(2.0 * math.log(1.25 / budget.delta)) / budget.epsilon
 
 
-def privatize(m: np.ndarray, c: float, sigma: float, rng: RngStream) -> np.ndarray:
-    """Clip to ``c`` then add N(0, sigma^2) noise; sigma == 0 returns the clipped matrix."""
+def privatize(m: np.ndarray, c: float, sigma: float, rng: RngStream,
+              count: int | None = None) -> np.ndarray:
+    """Clip to ``c`` then add N(0, sigma^2) noise; sigma == 0 returns the clipped matrix.
+
+    With ``count``, returns ``count`` independent releases of ``m`` stacked as
+    (count, rows, cols): ``m`` is clipped once and all the noise comes from
+    one draw of ``rng``.  Release 0 equals the single release on the same
+    stream bit for bit, since the draw fills entries in the same order.
+    """
+    if count is not None and count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     clipped = clip_frobenius(m, c)
     if sigma == 0:
-        return clipped
-    noise = sample_gaussian(clipped.shape[0], clipped.shape[1], sigma, rng)
-    return clipped + noise
+        return clipped if count is None else np.repeat(clipped[np.newaxis], count, axis=0)
+    releases = sample_gaussian(clipped.shape[0], clipped.shape[1], sigma, rng, count=count)
+    releases += clipped
+    return releases
 
 
 def compose_budget(eps_b: float, eps_a: float, rounds: int) -> float:

@@ -14,7 +14,6 @@ which makes runs bit-reproducible regardless of client scheduling.
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,7 +169,7 @@ class TrainConfig:
     delta: float | None = None
     prox_mu: float = 0.0
     hyper: ServerHyper = field(default_factory=ServerHyper)
-    max_workers: int = 1
+    max_workers: int = 1  # accepted and validated, but has no effect: clients train in turn
 
     def __post_init__(self):
         if self.rounds < 0:
@@ -471,15 +470,8 @@ def run_round(
     by_id = {c.client_id: c for c in clients}
     server_c = server.server_c if server.strategy == "scaffold" else None
 
-    def job(cid: int) -> tuple[int, LocalTrainResult]:
-        return _train_one(by_id[cid], server.base, server.delta_acc, config, lr,
-                          round_index, rng, server_c)
-
-    if config.max_workers > 1 and len(sampled) > 1:
-        with ThreadPoolExecutor(max_workers=config.max_workers) as pool:
-            results = dict(pool.map(job, sampled))
-    else:
-        results = dict(job(cid) for cid in sampled)
+    results = dict(_train_one(by_id[cid], server.base, server.delta_acc, config, lr,
+                              round_index, rng, server_c) for cid in sampled)
 
     sizes = {cid: by_id[cid].x.shape[0] for cid in sampled}
     total = sum(sizes.values())

@@ -20,11 +20,16 @@ from fedlora_dp.attacks import (
     roc_curve,
     run_direct_game,
     run_game,
-    score_update,
 )
 from fedlora_dp.adapters import ClientUpdate, FrozenBase
 from fedlora_dp.linalg import RngStream
-from fedlora_dp.privacy import MechanismParams, PrivacyBudget, calibrate_sigma
+from fedlora_dp.privacy import (
+    MechanismParams,
+    PrivacyBudget,
+    calibrate_sigma,
+    clip_frobenius,
+    privatize,
+)
 
 
 def _record(gen, n=3, m=2):
@@ -48,6 +53,37 @@ def _game_config(seed=0, m=2, n=3, sigma=0.5, clip=1.0, epochs=2):
         mechanism=MechanismParams(clip_b=clip, clip_a=clip, sigma_b=sigma, sigma_a=sigma),
         train_stream=RngStream(seed, (50,)),
     )
+
+
+def score_update(update: ClientUpdate, reference: ScoreReference) -> float:
+    """Per-release oracle: projection of the flattened pair onto the mean difference."""
+    flat = np.concatenate([update.b_tilde.ravel(), update.a_tilde.ravel()])
+    return float(flat @ reference.unit_direction)
+
+
+def roc_curve_loop(trials: list[AttackTrial]) -> RocCurve:
+    """Reference threshold sweep: walk the scores from the highest down, one tie group at a time."""
+    scores = np.array([t.score for t in trials])
+    labels = np.array([t.true_bit for t in trials])
+    n_pos = int(labels.sum())
+    n_neg = len(trials) - n_pos
+    order = np.argsort(-scores, kind="stable")
+    scores = scores[order]
+    labels = labels[order]
+    thresholds, fpr, tpr = [math.inf], [0.0], [0.0]
+    tp = fp = 0
+    i = 0
+    while i < len(scores):
+        j = i
+        while j < len(scores) and scores[j] == scores[i]:
+            tp += int(labels[j])
+            fp += 1 - int(labels[j])
+            j += 1
+        thresholds.append(float(scores[i]))
+        fpr.append(fp / n_neg)
+        tpr.append(tp / n_pos)
+        i = j
+    return RocCurve(tuple(thresholds), tuple(fpr), tuple(tpr), n_neg, n_pos)
 
 
 class TestMakeNeighbors:
@@ -180,6 +216,17 @@ class TestRocCurve:
         with pytest.raises(ValueError, match="both classes"):
             roc_curve([AttackTrial(1, 0.5)] * 10)
 
+    def test_matches_loop_oracle_with_ties(self):
+        for seed in range(5):
+            gen = np.random.default_rng(seed)
+            size = int(gen.integers(2, 2000))
+            # scores on a coarse grid so most of them tie
+            scores = gen.integers(-40, 40, size=size) / 8.0
+            bits = gen.integers(0, 2, size=size)
+            bits[:2] = (0, 1)
+            trials = [AttackTrial(int(b), float(x)) for b, x in zip(bits, scores)]
+            assert roc_curve(trials) == roc_curve_loop(trials)
+
 
 class TestCheckDpBound:
     def test_diagonal_curve_passes_any_epsilon(self):
@@ -290,6 +337,74 @@ class TestDirectGame:
             accs.append(attack_accuracy(trials, ref))
         se = 2 * math.sqrt(0.25 / 1000)
         assert accs[0] >= accs[1] - se >= accs[2] - 2 * se
+
+
+class TestBlockLayout:
+    """Trials run in blocks of ``attacks._block_size``, one stacked draw per bit and factor."""
+
+    clip = 1.0
+    gen = np.random.default_rng(21)
+    # 16x4 and 4x16 factors: 64-entry blocks, so a few hundred trials span several blocks
+    mean0 = (gen.standard_normal((16, 4)), gen.standard_normal((4, 16)))
+    mean1 = (gen.standard_normal((16, 4)), gen.standard_normal((4, 16)))
+    mech = MechanismParams(clip_b=clip, clip_a=2 * clip, sigma_b=0.3, sigma_a=0.7)
+
+    def block(self):
+        return attacks._block_size(self.mean0[0].size, self.mean0[1].size)
+
+    def test_block_size_fixed_by_shapes(self):
+        assert self.block() == 65_536 // 64
+
+    def test_partial_last_block(self):
+        trials = 3 * self.block() + 37
+        out = run_direct_game(self.mean0, self.mean1, self.mech, trials, RngStream(22))
+        assert len(out) == trials
+        assert {t.true_bit for t in out[-37:]} == {0, 1}
+
+    def test_first_trial_of_each_block_matches_single_releases(self):
+        block = self.block()
+        trials = 2 * block + 100
+        rng = RngStream(23, (4,))
+        out = run_direct_game(self.mean0, self.mean1, self.mech, trials, rng)
+        means = [(clip_frobenius(b, self.mech.clip_b), clip_frobenius(a, self.mech.clip_a))
+                 for b, a in (self.mean0, self.mean1)]
+        reference = ScoreReference(*(np.concatenate([b.ravel(), a.ravel()]) for b, a in means))
+        for k, start in enumerate(range(0, trials, block)):
+            chunk = out[start:start + block]
+            for bit in (0, 1):
+                first = next(t for t in chunk if t.true_bit == bit)
+                b_mean, a_mean = means[bit]
+                release = ClientUpdate(
+                    0,
+                    privatize(b_mean, self.mech.clip_b, self.mech.sigma_b, rng.child(k, 1, bit)),
+                    privatize(a_mean, self.mech.clip_a, self.mech.sigma_a, rng.child(k, 2, bit)),
+                    rank=4,
+                )
+                expected = score_update(release, reference)
+                assert first.score == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_generators_per_block(self, monkeypatch):
+        calls = []
+        original = RngStream.generator
+
+        def counting(stream):
+            calls.append(stream.stream_path)
+            return original(stream)
+
+        monkeypatch.setattr(RngStream, "generator", counting)
+        block = self.block()
+        trials = 5 * block + 1
+        out = run_direct_game(self.mean0, self.mean1, self.mech, trials, RngStream(24))
+        # per block: one for the bits, then one each for B and A per bit present
+        expected = sum(1 + 2 * len({t.true_bit for t in out[start:start + block]})
+                       for start in range(0, trials, block))
+        assert len(calls) == expected <= 5 * math.ceil(trials / block)
+        assert len(set(calls)) == len(calls)
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            run_direct_game(self.mean0, (self.mean1[0][:8], self.mean1[1]), self.mech, 100,
+                            RngStream(0))
 
 
 class TestAttackTrial:

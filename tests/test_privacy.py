@@ -149,6 +149,45 @@ class TestPrivatize:
         assert np.array_equal(a, b)
 
 
+class TestPrivatizeCount:
+    m = np.array([[3.0, -4.0, 1.0], [0.5, 2.0, -1.5]])
+
+    def test_shape(self):
+        out = privatize(self.m, 1.0, 0.7, RngStream(3), count=5)
+        assert out.shape == (5, 2, 3)
+
+    def test_first_release_equals_single_release(self):
+        for seed in range(10):
+            stream = RngStream(seed, (2, seed))
+            single = privatize(self.m, 1.0, 0.7, stream)
+            stacked = privatize(self.m, 1.0, 0.7, stream, count=7)
+            # the single release is still clip, then add sigma * one standard-normal draw
+            formula = clip_frobenius(self.m, 1.0) + 0.7 * stream.generator().standard_normal((2, 3))
+            assert np.array_equal(single, formula)
+            assert np.array_equal(stacked[0], single)
+            assert not np.array_equal(stacked[1], single)
+
+    def test_sigma_zero_repeats_clipped(self):
+        clipped = clip_frobenius(self.m, 1.0)
+        out = privatize(self.m, 1.0, 0.0, RngStream(0), count=4)
+        assert out.shape == (4, 2, 3)
+        for release in out:
+            assert np.array_equal(release, clipped)
+
+    def test_moments_match_clipped_and_sigma(self):
+        sigma, count = 0.7, 20_000
+        clipped = clip_frobenius(self.m, 1.0)
+        out = privatize(self.m, 1.0, sigma, RngStream(8, (1,)), count=count)
+        mean_se = sigma / np.sqrt(count)
+        var_se = sigma**2 * np.sqrt(2.0 / (count - 1))
+        assert np.all(np.abs(out.mean(axis=0) - clipped) <= 5 * mean_se)
+        assert np.all(np.abs(out.var(axis=0, ddof=1) - sigma**2) <= 5 * var_se)
+
+    def test_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match="count"):
+            privatize(self.m, 1.0, 0.7, RngStream(0), count=0)
+
+
 class TestComposeBudget:
     def test_single_round(self):
         assert compose_budget(1.0, 1.0, 1) == 2.0
