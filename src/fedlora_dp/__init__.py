@@ -2,7 +2,7 @@
 
 Library layout:
 
-- ``linalg``: dense matrix primitives and keyed random streams
+- ``linalg``: keyed random streams, Gaussian draws, and the entry check on arrays
 - ``privacy``: norm clipping, Gaussian noise calibration, privatization
 - ``adapters``: low-rank factor pairs and the stacking aggregation
 - ``simulation``: synthetic tasks, local training, the federated round loop
@@ -18,17 +18,13 @@ from .adapters import (
     LoraAdapter,
     adapter_delta,
     aggregate_stack,
-    forward,
     global_delta,
     init_adapter,
-    stacking_equivalence_residual,
 )
-from .linalg import RngStream, frobenius_norm, matmul, sample_gaussian, stack_h, stack_v
+from .linalg import RngStream, frobenius_norm, sample_gaussian
 from .noise_stats import (
     NoiseModel,
     exact_total_variance,
-    mc_expectation_diff,
-    mc_total_variance,
     rank_sweep,
     size_sweep,
     variance_bound,
@@ -57,9 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "RngStream",
     "frobenius_norm",
-    "matmul",
-    "stack_h",
-    "stack_v",
     "sample_gaussian",
     "PrivacyBudget",
     "MechanismParams",
@@ -72,14 +65,10 @@ __all__ = [
     "GlobalAdapter",
     "FrozenBase",
     "adapter_delta",
-    "forward",
     "aggregate_stack",
     "global_delta",
-    "stacking_equivalence_residual",
     "init_adapter",
     "NoiseModel",
-    "mc_expectation_diff",
-    "mc_total_variance",
     "exact_total_variance",
     "variance_bound",
     "rank_sweep",

@@ -1,4 +1,4 @@
-"""Low-rank adapter pairs, the adapted forward pass, and stacking aggregation.
+"""Low-rank adapter pairs and stacking aggregation.
 
 A trainable update to a frozen base matrix W is factored as the product of a
 tall factor ``b`` (m x r) and a wide factor ``a`` (r x n), scaled by
@@ -6,13 +6,18 @@ tall factor ``b`` (m x r) and a wide factor ``a`` (r x n), scaled by
 different ranks by concatenating the ``b`` factors horizontally and the ``a``
 factors vertically; the stacked product equals the weighted sum of per-client
 products.
+
+Only ``FrozenBase`` checks its entries (2-D, non-empty, finite).  The factor
+pairs come from training, which raises ``NumericError`` on a non-finite
+number, so ``LoraAdapter``, ``ClientUpdate`` and ``GlobalAdapter`` check only
+shapes, ranks, weights and spans.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import RngStream, as_matrix, frobenius_norm, matmul, stack_h, stack_v
+from .linalg import RngStream, as_matrix
 
 __all__ = [
     "LoraAdapter",
@@ -20,10 +25,8 @@ __all__ = [
     "GlobalAdapter",
     "FrozenBase",
     "adapter_delta",
-    "forward",
     "aggregate_stack",
     "global_delta",
-    "stacking_equivalence_residual",
     "init_adapter",
 ]
 
@@ -58,18 +61,14 @@ class LoraAdapter:
     lora_scale: float
 
     def __post_init__(self):
-        b = as_matrix(self.b, "b factor")
-        a = as_matrix(self.a, "a factor")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if b.shape[1] != self.rank or a.shape[0] != self.rank:
+        if self.b.shape[1] != self.rank or self.a.shape[0] != self.rank:
             raise ValueError(
-                f"factor shapes {b.shape} and {a.shape} do not match rank {self.rank}"
+                f"factor shapes {self.b.shape} and {self.a.shape} do not match rank {self.rank}"
             )
         if not self.lora_scale > 0:
             raise ValueError(f"lora_scale must be > 0, got {self.lora_scale}")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "a", a)
 
     @property
     def scale(self) -> float:
@@ -90,8 +89,7 @@ class ClientUpdate:
     weight: float = 1.0
 
     def __post_init__(self):
-        b = as_matrix(self.b_tilde, f"client {self.client_id} b factor")
-        a = as_matrix(self.a_tilde, f"client {self.client_id} a factor")
+        b, a = self.b_tilde, self.a_tilde
         if b.shape[1] != self.rank or a.shape[0] != self.rank:
             raise ValueError(
                 f"client {self.client_id}: factor shapes {b.shape} and {a.shape} "
@@ -99,8 +97,6 @@ class ClientUpdate:
             )
         if self.weight < 0:
             raise ValueError(f"client {self.client_id}: weight must be >= 0, got {self.weight}")
-        object.__setattr__(self, "b_tilde", b)
-        object.__setattr__(self, "a_tilde", a)
 
 
 @dataclass(frozen=True)
@@ -116,8 +112,7 @@ class GlobalAdapter:
     spans: tuple[tuple[int, int, int], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        b = as_matrix(self.b_stacked, "stacked b")
-        a = as_matrix(self.a_stacked, "stacked a")
+        b, a = self.b_stacked, self.a_stacked
         if b.shape[1] != a.shape[0]:
             raise ValueError(f"stacked shapes {b.shape} and {a.shape} do not chain")
         offset = 0
@@ -127,8 +122,6 @@ class GlobalAdapter:
             offset += rank
         if self.spans and offset != b.shape[1]:
             raise ValueError(f"spans cover {offset} columns, stacked rank is {b.shape[1]}")
-        object.__setattr__(self, "b_stacked", b)
-        object.__setattr__(self, "a_stacked", a)
 
     @property
     def total_rank(self) -> int:
@@ -137,15 +130,7 @@ class GlobalAdapter:
 
 def adapter_delta(ad: LoraAdapter) -> np.ndarray:
     """Dense update (lora_scale / rank) * b @ a."""
-    return ad.scale * matmul(ad.b, ad.a)
-
-
-def forward(base: FrozenBase, ad: LoraAdapter, x: np.ndarray) -> np.ndarray:
-    """Adapted forward pass W x + scale * b (a x), factored for cost."""
-    x = as_matrix(x, "input")
-    if x.shape[0] != base.w.shape[1]:
-        raise ValueError(f"input has {x.shape[0]} rows, base expects {base.w.shape[1]}")
-    return base.w @ x + ad.scale * (ad.b @ (ad.a @ x))
+    return ad.scale * (ad.b @ ad.a)
 
 
 def aggregate_stack(updates: list[ClientUpdate]) -> GlobalAdapter:
@@ -159,11 +144,10 @@ def aggregate_stack(updates: list[ClientUpdate]) -> GlobalAdapter:
     m = updates[0].b_tilde.shape[0]
     n = updates[0].a_tilde.shape[1]
     for u in updates:
-        if u.b_tilde.shape[0] != m or u.a_tilde.shape[1] != n:
-            raise ValueError(
-                f"client {u.client_id} has outer shape "
-                f"({u.b_tilde.shape[0]}, {u.a_tilde.shape[1]}), expected ({m}, {n})"
-            )
+        if u.b_tilde.shape[0] != m:
+            raise ValueError(f"client {u.client_id}: b has {u.b_tilde.shape[0]} rows, expected {m}")
+        if u.a_tilde.shape[1] != n:
+            raise ValueError(f"client {u.client_id}: a has {u.a_tilde.shape[1]} cols, expected {n}")
     b_parts = [u.weight * u.b_tilde for u in updates]
     a_parts = [u.a_tilde for u in updates]
     spans = []
@@ -172,28 +156,15 @@ def aggregate_stack(updates: list[ClientUpdate]) -> GlobalAdapter:
         spans.append((u.client_id, offset, u.rank))
         offset += u.rank
     return GlobalAdapter(
-        b_stacked=stack_h(b_parts),
-        a_stacked=stack_v(a_parts),
+        b_stacked=np.hstack(b_parts),
+        a_stacked=np.vstack(a_parts),
         spans=tuple(spans),
     )
 
 
 def global_delta(g: GlobalAdapter) -> np.ndarray:
     """Dense update of the stacked pair."""
-    return matmul(g.b_stacked, g.a_stacked)
-
-
-def stacking_equivalence_residual(updates: list[ClientUpdate]) -> float:
-    """Relative gap between the stacked product and the per-client sum of products.
-
-    The reference sum is accumulated client by client, independently of the
-    stacked path, and the residual is normalised by 1 + its norm.
-    """
-    stacked = global_delta(aggregate_stack(updates))
-    reference = np.zeros_like(stacked)
-    for u in updates:
-        reference = reference + u.weight * matmul(u.b_tilde, u.a_tilde)
-    return frobenius_norm(stacked - reference) / (1.0 + frobenius_norm(reference))
+    return g.b_stacked @ g.a_stacked
 
 
 def init_adapter(m: int, n: int, rank: int, lora_scale: float, rng: RngStream) -> LoraAdapter:

@@ -12,8 +12,8 @@ block by 1/sigma^2.  The ROC is checked against the two-sided (eps, delta)
 region: tpr <= e^eps * fpr + delta and 1 - fpr <= e^eps * (1 - tpr) + delta.
 
 Training randomness is keyed by the game configuration, not the trial, so
-each dataset maps to one deterministic mean update and trial scores are exact
-Gaussian mean shifts.
+each dataset maps to one deterministic mean update (``clipped_update``),
+trained once per game, and trial scores are exact Gaussian mean shifts.
 
 Trials are played in blocks of a fixed size set by the factor shapes
 (``_block_size``).  Under the game's stream, block k draws its coin flips
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapters import FrozenBase, init_adapter
-from .linalg import RngStream
+from .linalg import RngStream, as_matrix
 from .privacy import MechanismParams, clip_frobenius, privatize
 from .simulation import ClientState, TrainConfig, local_train
 
@@ -43,9 +43,7 @@ __all__ = [
     "ScoreReference",
     "make_neighbors",
     "clipped_update",
-    "mechanism_mean",
     "run_game",
-    "run_direct_game",
     "roc_curve",
     "check_dp_bound",
     "attack_accuracy",
@@ -229,30 +227,12 @@ def clipped_update(dataset: tuple[Record, ...], cfg: GameConfig) -> tuple[np.nda
     return b, a
 
 
-def mechanism_mean(dataset: tuple[Record, ...], cfg: GameConfig) -> np.ndarray:
-    """Flattened clipped update (b then a) the mechanism releases in expectation."""
-    b, a = clipped_update(dataset, cfg)
-    return np.concatenate([b.ravel(), a.ravel()])
-
-
-def run_game(pair: NeighborPair, cfg: GameConfig, trials: int, rng: RngStream) -> list[AttackTrial]:
-    """Play the distinguishing game on a neighbor pair.
-
-    Training is deterministic per dataset (the training stream is fixed by the
-    config), so each trial reduces to privatizing the corresponding clipped
-    update with fresh per-trial noise and scoring the release; that is
-    ``run_direct_game`` on the two clipped updates.
-    """
-    return run_direct_game(clipped_update(pair.d, cfg), clipped_update(pair.d_prime, cfg),
-                           cfg.mechanism, trials, rng)
-
-
 def _block_size(b_size: int, a_size: int) -> int:
     """Trials per block: the largest noise draw of a block stays within 64k floats."""
     return max(1, 65_536 // max(b_size, a_size))
 
 
-def run_direct_game(
+def run_game(
     mean0: tuple[np.ndarray, np.ndarray],
     mean1: tuple[np.ndarray, np.ndarray],
     mechanism: MechanismParams,
@@ -261,19 +241,20 @@ def run_direct_game(
 ) -> list[AttackTrial]:
     """Distinguishing game on two factor pairs, clipped, then noised per trial.
 
-    ``run_game`` plays it on trained updates; called directly it exercises the
-    bound check against synthetic pairs such as antipodes on the clip sphere.
-
-    The two pairs are clipped and validated once.  Trials run in blocks of
-    ``_block_size`` (the last block may be shorter); block k draws its bits
-    from ``rng.child(k, 0)``, and for each bit one ``privatize`` call per
-    factor draws all of that bit's releases, B from ``rng.child(k, 1, bit)``
-    and A from ``rng.child(k, 2, bit)``.  Each release is scored by its
-    projection onto the unit mean difference (b entries then a entries).
+    The pairs are the un-noised mean updates of the two datasets: trained
+    ones (``clipped_update``), or synthetic ones such as antipodes on the clip
+    sphere.  They are checked (``as_matrix``) and clipped once per game.
+    Trials run in blocks of ``_block_size`` (the last block may be shorter);
+    block k draws its bits from ``rng.child(k, 0)``, and for each bit one
+    ``privatize`` call per factor draws all of that bit's releases, B from
+    ``rng.child(k, 1, bit)`` and A from ``rng.child(k, 2, bit)``.  Each
+    release is scored by its projection onto the unit mean difference (b
+    entries then a entries).
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
-    means = [(clip_frobenius(b, mechanism.clip_b), clip_frobenius(a, mechanism.clip_a))
+    means = [(clip_frobenius(as_matrix(b, "mean b"), mechanism.clip_b),
+              clip_frobenius(as_matrix(a, "mean a"), mechanism.clip_a))
              for b, a in (mean0, mean1)]
     shapes = sorted({(b.shape, a.shape) for b, a in means})
     if len(shapes) != 1 or shapes[0][0][1] != shapes[0][1][0]:

@@ -44,7 +44,6 @@ class RunConfig:
     lr_start: float = 5e-5
     lr_end: float = 1e-6
     strategy: str = "fedavg"
-    max_workers: int = 1  # accepted for existing configs; has no effect
 
     dp_enabled: bool = False
     epsilon: float = 25.0
@@ -231,7 +230,6 @@ _VALIDATORS = {
     "batch_size": _positive("batch_size"),
     "lr_start": _positive("lr_start"),
     "lr_end": _positive("lr_end"),
-    "max_workers": _positive("max_workers"),
     "epsilon": _positive("epsilon"),
     "epsilon_b": _non_negative("epsilon_b"),
     "epsilon_a": _non_negative("epsilon_a"),

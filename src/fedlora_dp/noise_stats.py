@@ -24,8 +24,6 @@ __all__ = [
     "NoiseStats",
     "SweepRow",
     "noise_product_stats",
-    "mc_expectation_diff",
-    "mc_total_variance",
     "exact_total_variance",
     "variance_bound",
     "rank_sweep",
@@ -141,38 +139,9 @@ def noise_product_stats(
     )
 
 
-def mc_expectation_diff(
-    b: np.ndarray,
-    a: np.ndarray,
-    model: NoiseModel,
-    n_draws: int,
-    rng: RngStream,
-) -> tuple[float, float]:
-    """Entry-averaged Monte Carlo mean of the perturbed-minus-clean product, with its SE."""
-    if n_draws < 100:
-        raise ValueError(f"need at least 100 draws, got {n_draws}")
-    stats = noise_product_stats(b, a, model, n_draws, rng)
-    return stats.mean_diff, stats.std_error
-
-
-def mc_total_variance(
-    b: np.ndarray,
-    a: np.ndarray,
-    model: NoiseModel,
-    n_draws: int,
-    rng: RngStream,
-) -> float:
-    """Unbiased per-entry sample variance of the perturbed product, summed over entries."""
-    if n_draws < 1000:
-        raise ValueError(f"need at least 1000 draws, got {n_draws}")
-    return noise_product_stats(b, a, model, n_draws, rng).total_variance
-
-
 def _three_term_variance(b: np.ndarray, a: np.ndarray, model: NoiseModel,
                          exchanged: bool) -> float:
     """c_b*sa^2*||B||^2 + c_a*sb^2*||A||^2 + m*n*r*sb^2*sa^2, (c_b, c_a) = (n, m) or (m, n)."""
-    b = as_matrix(b, "b factor")
-    a = as_matrix(a, "a factor")
     if b.shape[1] != a.shape[0]:
         raise ValueError(f"factor shapes {b.shape} and {a.shape} do not chain")
     m, r = b.shape

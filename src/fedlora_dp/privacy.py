@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RngStream, as_matrix, frobenius_norm, sample_gaussian
+from .linalg import RngStream, frobenius_norm, sample_gaussian
 
 __all__ = [
     "PrivacyBudget",
@@ -76,7 +76,6 @@ def clip_frobenius(m: np.ndarray, c: float) -> np.ndarray:
     or below ``c``; that makes clipping idempotent at the bit level.
     """
     _check_clip(c)
-    m = as_matrix(m)
     norm = frobenius_norm(m)
     if norm <= c:
         return m

@@ -116,7 +116,6 @@ def _base_train_config(config: RunConfig, dp: bool, mechanism: MechanismParams |
             tau=config.tau,
             momentum_beta=config.momentum,
         ),
-        max_workers=config.max_workers,
     )
 
 
@@ -257,7 +256,8 @@ def _check_unbiasedness(root: RngStream, instances: int, draws: int) -> VerifyCh
         b = gen.standard_normal((m, r))
         a = gen.standard_normal((r, n))
         model = noise_stats.NoiseModel(float(gen.uniform(0.1, 2.0)), float(gen.uniform(0.1, 2.0)))
-        mean_diff, se = noise_stats.mc_expectation_diff(b, a, model, draws, root.child(1, i))
+        stats = noise_stats.noise_product_stats(b, a, model, draws, root.child(1, i))
+        mean_diff, se = stats.mean_diff, stats.std_error
         ratio = abs(mean_diff) / (5 * se)
         worst_ratio = max(worst_ratio, ratio)
         if ratio > 1.0:
@@ -278,7 +278,7 @@ def _check_variance_oracle(root: RngStream, instances: int, draws: int) -> Verif
         a = gen.standard_normal((r, n))
         model = noise_stats.NoiseModel(float(gen.uniform(0.1, 2.0)), float(gen.uniform(0.1, 2.0)))
         exact = noise_stats.exact_total_variance(b, a, model)
-        mc = noise_stats.mc_total_variance(b, a, model, draws, root.child(1, i))
+        mc = noise_stats.noise_product_stats(b, a, model, draws, root.child(1, i)).total_variance
         rel = abs(mc - exact) / exact
         worst = max(worst, rel)
         if rel > 0.03:
@@ -318,12 +318,16 @@ def _linear_fit_r_squared(xs, ys) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def build_adversarial_game(config: RunConfig, root: RngStream,
-                           epsilon: float | None = None) -> tuple[attacks.NeighborPair, GameConfig]:
-    """Neighbor pair with one input-scaled record, and the game configuration.
+FactorPair = tuple[np.ndarray, np.ndarray]
 
-    The clip thresholds are set to the larger of the two datasets' un-noised
-    factor norms, so clipping is honest but mild and the pair's separation
+
+def build_adversarial_game(config: RunConfig, root: RngStream, epsilon: float | None = None
+                           ) -> tuple[FactorPair, FactorPair, MechanismParams]:
+    """Trained means of a neighbor pair with one input-scaled record, and the mechanism.
+
+    Each dataset is trained once, on one training stream.  The clip thresholds
+    are the larger of the two datasets' un-noised factor norms, so clipping is
+    honest but mild, leaves both means unchanged, and the pair's separation
     stays well inside the worst case.
     """
     eps = epsilon if epsilon is not None else config.mia_epsilon
@@ -354,27 +358,15 @@ def build_adversarial_game(config: RunConfig, root: RngStream,
         mechanism=MechanismParams(clip_b=1e6, clip_a=1e6, sigma_b=0.0, sigma_a=0.0),
         train_stream=stream.child(1),
     )
-    b0, a0 = attacks.clipped_update(pair.d, probe)
-    b1, a1 = attacks.clipped_update(pair.d_prime, probe)
-    clip_b = max(frobenius_norm(b0), frobenius_norm(b1))
-    clip_a = max(frobenius_norm(a0), frobenius_norm(a1))
+    mean0 = attacks.clipped_update(pair.d, probe)
+    mean1 = attacks.clipped_update(pair.d_prime, probe)
     mechanism = MechanismParams.calibrated(
-        clip_b=clip_b,
-        clip_a=clip_a,
+        clip_b=max(frobenius_norm(mean0[0]), frobenius_norm(mean1[0])),
+        clip_a=max(frobenius_norm(mean0[1]), frobenius_norm(mean1[1])),
         budget_b=PrivacyBudget(eps, config.delta),
         budget_a=PrivacyBudget(eps, config.delta),
     )
-    game = GameConfig(
-        base=task.base,
-        rank=config.mia_rank,
-        lora_scale=float(config.mia_rank),
-        local_epochs=config.mia_epochs,
-        batch_size=config.mia_batch_size,
-        lr=config.mia_lr,
-        mechanism=mechanism,
-        train_stream=stream.child(1),
-    )
-    return pair, game
+    return mean0, mean1, mechanism
 
 
 def _check_dp_bound(config: RunConfig, root: RngStream, trials: int,
@@ -387,18 +379,9 @@ def _check_dp_bound(config: RunConfig, root: RngStream, trials: int,
     an under-calibrated noise scale.
     """
     eps = 0.5
-    pair, game = build_adversarial_game(config, root, epsilon=eps)
-    mech = game.mechanism
-    if sigma_scale != 1.0:
-        mech = MechanismParams(
-            clip_b=mech.clip_b,
-            clip_a=mech.clip_a,
-            sigma_b=mech.sigma_b * sigma_scale,
-            sigma_a=mech.sigma_a * sigma_scale,
-        )
-        game = replace(game, mechanism=mech)
-
-    trained = attacks.run_game(pair, game, trials, root.child(_STREAM_VERIFY, 0))
+    mean0, mean1, mech = build_adversarial_game(config, root, epsilon=eps)
+    mech = replace(mech, sigma_b=mech.sigma_b * sigma_scale, sigma_a=mech.sigma_a * sigma_scale)
+    trained = attacks.run_game(mean0, mean1, mech, trials, root.child(_STREAM_VERIFY, 0))
     check1 = attacks.check_dp_bound(attacks.roc_curve(trained), eps, config.delta, trials)
 
     m, n, r = config.task_m, config.task_n, config.mia_rank
@@ -406,7 +389,7 @@ def _check_dp_bound(config: RunConfig, root: RngStream, trials: int,
     direction_a = np.ones((r, n)) / math.sqrt(r * n)
     worst0 = (mech.clip_b * direction_b, mech.clip_a * direction_a)
     worst1 = (-mech.clip_b * direction_b, mech.clip_a * direction_a)
-    direct = attacks.run_direct_game(worst0, worst1, mech, trials, root.child(_STREAM_VERIFY, 1))
+    direct = attacks.run_game(worst0, worst1, mech, trials, root.child(_STREAM_VERIFY, 1))
     check2 = attacks.check_dp_bound(attacks.roc_curve(direct), eps, config.delta, trials)
 
     passed = check1.passed and check2.passed
@@ -559,23 +542,15 @@ def cmd_mia(config: RunConfig, out_override: str | None = None) -> int:
     out_dir = _ensure_dir(run_directory(config, out_override))
     root = RngStream(config.seed)
     _write(out_dir / "config.snapshot", config.snapshot().splitlines())
-    pair, game = build_adversarial_game(config, root)
+    mean0, mean1, mech = build_adversarial_game(config, root)
+    reference = attacks.ScoreReference(
+        *(np.concatenate([b.ravel(), a.ravel()]) for b, a in (mean0, mean1)))
 
     summary = []
-    mech = game.mechanism
     for tag, scale in (("sigma_0", 0.0), ("sigma_calibrated", 1.0), ("sigma_10x", 10.0)):
-        scaled = MechanismParams(
-            clip_b=mech.clip_b,
-            clip_a=mech.clip_a,
-            sigma_b=mech.sigma_b * scale,
-            sigma_a=mech.sigma_a * scale,
-        )
-        scaled_game = replace(game, mechanism=scaled)
-        trials = attacks.run_game(pair, scaled_game, config.mia_trials,
+        scaled = replace(mech, sigma_b=mech.sigma_b * scale, sigma_a=mech.sigma_a * scale)
+        trials = attacks.run_game(mean0, mean1, scaled, config.mia_trials,
                                   root.child(_STREAM_MIA, 9, int(scale * 10)))
-        mean0 = attacks.mechanism_mean(pair.d, scaled_game)
-        mean1 = attacks.mechanism_mean(pair.d_prime, scaled_game)
-        reference = attacks.ScoreReference(mean0, mean1)
         accuracy = attacks.attack_accuracy(trials, reference)
         curve = attacks.roc_curve(trials)
         check = attacks.check_dp_bound(curve, config.mia_epsilon, config.delta, config.mia_trials)

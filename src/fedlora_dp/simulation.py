@@ -63,7 +63,7 @@ _KIND_NOISE_A = 4
 
 
 class NumericError(RuntimeError):
-    """Raised when training produces a non-finite loss."""
+    """Raised when training produces a non-finite loss or factor."""
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,6 @@ class TrainConfig:
     delta: float | None = None
     prox_mu: float = 0.0
     hyper: ServerHyper = field(default_factory=ServerHyper)
-    max_workers: int = 1  # accepted and validated, but has no effect: clients train in turn
 
     def __post_init__(self):
         if self.rounds < 0:
@@ -190,8 +189,6 @@ class TrainConfig:
             raise ValueError(f"local_epochs must be >= 0, got {self.local_epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
 
 
 @dataclass(frozen=True)
@@ -334,7 +331,9 @@ def local_train(
     is used, which adds scale*(c - c_k)@A.T and scale*B.T@(c - c_k) to the
     two gradients.
     Neither W nor delta_acc is mutated; the trained factors come back as a
-    fresh adapter.
+    fresh adapter.  A non-finite batch loss, or a non-finite factor after the
+    last step, raises ``NumericError``; this is the only finiteness check
+    between the task and the server step.
     """
     effective = base.w + delta_acc
     b = client.adapter.b.copy()
@@ -354,45 +353,47 @@ def local_train(
             loss += 0.5 * prox_mu * (np.sum(b * b) + np.sum(a * a))
         return LocalTrainResult(adapter=client.adapter, mean_loss=loss, steps=0)
 
-    # Non-finite residuals surface as a non-finite batch loss below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        resid = client.x @ effective.T - client.y
-
     gen = client.rng.generator()
     steps = 0
     last_epoch_losses: list[float] = []
-    for epoch in range(config.local_epochs):
-        order = gen.permutation(n_samples)
-        epoch_losses = []
-        for start in range(0, n_samples, batch_size):
-            idx = order[start:start + batch_size]
-            xb = client.x[idx]
-            bs = xb.shape[0]
+    # Overflow is not trapped per operation: a non-finite residual or step
+    # shows as a non-finite batch loss, and a last step that leaves a
+    # non-finite factor is caught after the loop.
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = client.x @ effective.T - client.y
+        for epoch in range(config.local_epochs):
+            order = gen.permutation(n_samples)
+            epoch_losses = []
+            for start in range(0, n_samples, batch_size):
+                idx = order[start:start + batch_size]
+                xb = client.x[idx]
+                bs = xb.shape[0]
 
-            with np.errstate(over="ignore", invalid="ignore"):
                 xa = xb @ a.T
                 err = resid[idx] + s * (xa @ b.T)
                 loss = 0.5 * np.sum(err * err) / bs
                 if prox_mu > 0:
                     loss += 0.5 * prox_mu * (np.sum(b * b) + np.sum(a * a))
-            if not np.isfinite(loss):
-                raise NumericError(
-                    f"client {client.client_id}: non-finite loss at epoch {epoch}"
-                )
-            epoch_losses.append(float(loss))
+                if not np.isfinite(loss):
+                    raise NumericError(
+                        f"client {client.client_id}: non-finite loss at epoch {epoch}"
+                    )
+                epoch_losses.append(float(loss))
 
-            grad_b = (s / bs) * (err.T @ xa)
-            grad_a = (s / bs) * ((err @ b).T @ xb)
-            if correction is not None:
-                grad_b = grad_b + s * (correction @ a.T)
-                grad_a = grad_a + s * (b.T @ correction)
-            if prox_mu > 0:
-                grad_b = grad_b + prox_mu * b
-                grad_a = grad_a + prox_mu * a
-            b = b - lr * grad_b
-            a = a - lr * grad_a
-            steps += 1
-        last_epoch_losses = epoch_losses
+                grad_b = (s / bs) * (err.T @ xa)
+                grad_a = (s / bs) * ((err @ b).T @ xb)
+                if correction is not None:
+                    grad_b = grad_b + s * (correction @ a.T)
+                    grad_a = grad_a + s * (b.T @ correction)
+                if prox_mu > 0:
+                    grad_b = grad_b + prox_mu * b
+                    grad_a = grad_a + prox_mu * a
+                b = b - lr * grad_b
+                a = a - lr * grad_a
+                steps += 1
+            last_epoch_losses = epoch_losses
+    if not (np.isfinite(b).all() and np.isfinite(a).all()):
+        raise NumericError(f"client {client.client_id}: non-finite factors after training")
 
     return LocalTrainResult(
         adapter=client.adapter.with_factors(b, a),

@@ -16,9 +16,9 @@ from fedlora_dp.attacks import (
     ScoreReference,
     attack_accuracy,
     check_dp_bound,
+    clipped_update,
     make_neighbors,
     roc_curve,
-    run_direct_game,
     run_game,
 )
 from fedlora_dp.adapters import ClientUpdate, FrozenBase
@@ -53,6 +53,16 @@ def _game_config(seed=0, m=2, n=3, sigma=0.5, clip=1.0, epochs=2):
         mechanism=MechanismParams(clip_b=clip, clip_a=clip, sigma_b=sigma, sigma_a=sigma),
         train_stream=RngStream(seed, (50,)),
     )
+
+
+def trained_means(pair: NeighborPair, cfg: GameConfig):
+    """The two un-noised mean updates the game is played on."""
+    return clipped_update(pair.d, cfg), clipped_update(pair.d_prime, cfg)
+
+
+def flat(mean) -> np.ndarray:
+    b, a = mean
+    return np.concatenate([b.ravel(), a.ravel()])
 
 
 def score_update(update: ClientUpdate, reference: ScoreReference) -> float:
@@ -147,39 +157,34 @@ class TestRunGame:
     def test_deterministic_given_seed(self):
         pair = make_neighbors(_dataset(3), 0, _record(np.random.default_rng(4)))
         cfg = _game_config(3)
-        t1 = run_game(pair, cfg, 200, RngStream(5, (1,)))
-        t2 = run_game(pair, cfg, 200, RngStream(5, (1,)))
+        t1 = run_game(*trained_means(pair, cfg), cfg.mechanism, 200, RngStream(5, (1,)))
+        t2 = run_game(*trained_means(pair, cfg), cfg.mechanism, 200, RngStream(5, (1,)))
         assert [(t.true_bit, t.score) for t in t1] == [(t.true_bit, t.score) for t in t2]
 
     def test_huge_noise_near_chance(self):
         pair = make_neighbors(_dataset(6), 0, _record(np.random.default_rng(7)))
         cfg = _game_config(6, sigma=1e6)
-        trials = run_game(pair, cfg, 2000, RngStream(8, (1,)))
-        ref = ScoreReference(
-            attacks.mechanism_mean(pair.d, cfg), attacks.mechanism_mean(pair.d_prime, cfg)
-        )
-        acc = attack_accuracy(trials, ref)
+        mean0, mean1 = trained_means(pair, cfg)
+        trials = run_game(mean0, mean1, cfg.mechanism, 2000, RngStream(8, (1,)))
+        acc = attack_accuracy(trials, ScoreReference(flat(mean0), flat(mean1)))
         assert abs(acc - 0.5) <= 3 / math.sqrt(len(trials))
 
     def test_no_noise_perfect_separation(self):
         pair = make_neighbors(_dataset(9), 0,
                               (np.array([10.0, -8.0, 6.0]), np.array([4.0, -4.0])))
         cfg = _game_config(9, sigma=0.0)
-        trials = run_game(pair, cfg, 1000, RngStream(10, (1,)))
-        ref = ScoreReference(
-            attacks.mechanism_mean(pair.d, cfg), attacks.mechanism_mean(pair.d_prime, cfg)
-        )
-        assert attack_accuracy(trials, ref) >= 0.99
+        mean0, mean1 = trained_means(pair, cfg)
+        trials = run_game(mean0, mean1, cfg.mechanism, 1000, RngStream(10, (1,)))
+        assert attack_accuracy(trials, ScoreReference(flat(mean0), flat(mean1))) >= 0.99
 
     def test_score_distributions_gaussian_mean_gap(self):
         # two-sample moment check: equal variances, mean gap = ||mu1 - mu0||
         pair = make_neighbors(_dataset(11), 0,
                               (np.array([5.0, 5.0, -5.0]), np.array([2.0, -2.0])))
         cfg = _game_config(11, sigma=0.3)
-        trials = run_game(pair, cfg, 4000, RngStream(12, (1,)))
-        mu0 = attacks.mechanism_mean(pair.d, cfg)
-        mu1 = attacks.mechanism_mean(pair.d_prime, cfg)
-        gap = float(np.linalg.norm(mu1 - mu0))
+        mean0, mean1 = trained_means(pair, cfg)
+        trials = run_game(mean0, mean1, cfg.mechanism, 4000, RngStream(12, (1,)))
+        gap = float(np.linalg.norm(flat(mean1) - flat(mean0)))
         s0 = np.array([t.score for t in trials if t.true_bit == 0])
         s1 = np.array([t.score for t in trials if t.true_bit == 1])
         observed_gap = s1.mean() - s0.mean()
@@ -190,8 +195,9 @@ class TestRunGame:
 
     def test_minimum_trials(self):
         pair = make_neighbors(_dataset(1), 0, _record(np.random.default_rng(2)))
+        cfg = _game_config(1)
         with pytest.raises(ValueError, match="trials"):
-            run_game(pair, _game_config(1), 10, RngStream(0))
+            run_game(*trained_means(pair, cfg), cfg.mechanism, 10, RngStream(0))
 
 
 class TestRocCurve:
@@ -305,7 +311,7 @@ class TestDirectGame:
         mech = MechanismParams(clip_b=clip, clip_a=clip, sigma_b=sigma, sigma_a=sigma)
         u = np.ones((2, 1)) / math.sqrt(2)
         v = np.ones((1, 2)) / math.sqrt(2)
-        trials = run_direct_game((u, v), (-u, v), mech, 10_000, RngStream(13, (1,)))
+        trials = run_game((u, v), (-u, v), mech, 10_000, RngStream(13, (1,)))
         check = check_dp_bound(roc_curve(trials), eps, delta, 10_000)
         assert check.passed
 
@@ -316,7 +322,7 @@ class TestDirectGame:
         mech = MechanismParams(clip_b=clip, clip_a=clip, sigma_b=sigma, sigma_a=sigma)
         u = np.ones((2, 1)) / math.sqrt(2)
         v = np.ones((1, 2)) / math.sqrt(2)
-        trials = run_direct_game((u, v), (-u, v), mech, 10_000, RngStream(14, (1,)))
+        trials = run_game((u, v), (-u, v), mech, 10_000, RngStream(14, (1,)))
         check = check_dp_bound(roc_curve(trials), eps, delta, 10_000)
         assert not check.passed
 
@@ -329,7 +335,7 @@ class TestDirectGame:
         for i, scale in enumerate((0.0, 1.0, 10.0)):
             mech = MechanismParams(clip_b=clip, clip_a=clip,
                                    sigma_b=sigma_star * scale, sigma_a=sigma_star * scale)
-            trials = run_direct_game((u, v), (-u, v), mech, 1000, RngStream(15, (i,)))
+            trials = run_game((u, v), (-u, v), mech, 1000, RngStream(15, (i,)))
             ref = ScoreReference(
                 np.concatenate([u.ravel(), v.ravel()]),
                 np.concatenate([(-u).ravel(), v.ravel()]),
@@ -357,7 +363,7 @@ class TestBlockLayout:
 
     def test_partial_last_block(self):
         trials = 3 * self.block() + 37
-        out = run_direct_game(self.mean0, self.mean1, self.mech, trials, RngStream(22))
+        out = run_game(self.mean0, self.mean1, self.mech, trials, RngStream(22))
         assert len(out) == trials
         assert {t.true_bit for t in out[-37:]} == {0, 1}
 
@@ -365,7 +371,7 @@ class TestBlockLayout:
         block = self.block()
         trials = 2 * block + 100
         rng = RngStream(23, (4,))
-        out = run_direct_game(self.mean0, self.mean1, self.mech, trials, rng)
+        out = run_game(self.mean0, self.mean1, self.mech, trials, rng)
         means = [(clip_frobenius(b, self.mech.clip_b), clip_frobenius(a, self.mech.clip_a))
                  for b, a in (self.mean0, self.mean1)]
         reference = ScoreReference(*(np.concatenate([b.ravel(), a.ravel()]) for b, a in means))
@@ -394,7 +400,7 @@ class TestBlockLayout:
         monkeypatch.setattr(RngStream, "generator", counting)
         block = self.block()
         trials = 5 * block + 1
-        out = run_direct_game(self.mean0, self.mean1, self.mech, trials, RngStream(24))
+        out = run_game(self.mean0, self.mean1, self.mech, trials, RngStream(24))
         # per block: one for the bits, then one each for B and A per bit present
         expected = sum(1 + 2 * len({t.true_bit for t in out[start:start + block]})
                        for start in range(0, trials, block))
@@ -403,7 +409,7 @@ class TestBlockLayout:
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError, match="shape"):
-            run_direct_game(self.mean0, (self.mean1[0][:8], self.mean1[1]), self.mech, 100,
+            run_game(self.mean0, (self.mean1[0][:8], self.mean1[1]), self.mech, 100,
                             RngStream(0))
 
 

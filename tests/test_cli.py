@@ -76,7 +76,7 @@ class TestRun:
 
 class TestConfigErrors:
     @pytest.mark.parametrize("bad_line", ["rounds 4", "no_such_key = 1", "rounds = four",
-                                          "rounds = -1"])
+                                          "rounds = -1", "max_workers = 2"])
     def test_malformed_config_exits_1(self, tmp_path, capsys, bad_line):
         config = write_config(tmp_path, TINY.replace("rounds = 4", bad_line))
         assert run_cli("run", config, tmp_path / "out") == 1

@@ -1,18 +1,30 @@
-"""Matrix primitive contracts: norms, products, stacking, seeded sampling."""
+"""Matrix contracts: norms, products and stacking of factor pairs, seeded sampling.
+
+The product and the stacking are numpy's ``@``, ``np.hstack`` and
+``np.vstack``; they are tested where the package uses them, in
+``global_delta`` and ``aggregate_stack``.
+"""
+
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedlora_dp.linalg import (
-    RngStream,
-    frobenius_norm,
-    matmul,
-    sample_gaussian,
-    stack_h,
-    stack_v,
+from fedlora_dp import linalg
+from fedlora_dp.adapters import (
+    ClientUpdate,
+    FrozenBase,
+    GlobalAdapter,
+    aggregate_stack,
+    global_delta,
 )
+from fedlora_dp.attacks import run_game
+from fedlora_dp.linalg import RngStream, frobenius_norm, sample_gaussian
+from fedlora_dp.noise_stats import NoiseModel, noise_product_stats
+from fedlora_dp.privacy import MechanismParams
+from fedlora_dp.simulation import TrainConfig, generate_task, run_experiment
 
 # Frozen on first run: seed 42, path (1, 2, 3), sigma 1, shape 1x1.
 GOLDEN_DRAW = 0.3637030706620304
@@ -35,29 +47,29 @@ class TestFrobeniusNorm:
         m = np.array([[1.0, -2.0], [0.5, 3.0]])
         assert frobenius_norm(c * m) == pytest.approx(abs(c) * frobenius_norm(m), rel=1e-12, abs=1e-12)
 
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            frobenius_norm(np.array([[np.nan, 0.0]]))
+
+def product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    return global_delta(GlobalAdapter(left, right))
 
 
 class TestMatmul:
     def test_identity_left(self):
         r = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        assert np.array_equal(matmul(np.eye(2), r), r)
+        assert np.array_equal(product(np.eye(2), r), r)
 
     def test_zero_left(self):
-        out = matmul(np.zeros((3, 2)), np.ones((2, 4)))
+        out = product(np.zeros((3, 2)), np.ones((2, 4)))
         assert out.shape == (3, 4)
         assert np.all(out == 0.0)
 
     def test_outer_product(self):
         # oracle: hand-computed outer product
-        out = matmul(np.array([[1.0], [2.0]]), np.array([[3.0, 4.0]]))
+        out = product(np.array([[1.0], [2.0]]), np.array([[3.0, 4.0]]))
         assert np.array_equal(out, np.array([[3.0, 4.0], [6.0, 8.0]]))
 
     def test_mismatch_reports_both_shapes(self):
-        with pytest.raises(ValueError, match=r"2x3.*4x2"):
-            matmul(np.ones((2, 3)), np.ones((4, 2)))
+        with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 2\)"):
+            product(np.ones((2, 3)), np.ones((4, 2)))
 
     def test_associativity(self):
         gen = np.random.default_rng(7)
@@ -65,41 +77,50 @@ class TestMatmul:
             a = gen.standard_normal((4, 3))
             b = gen.standard_normal((3, 5))
             c = gen.standard_normal((5, 2))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
+            left = product(product(a, b), c)
+            right = product(a, product(b, c))
             rel = frobenius_norm(left - right) / max(frobenius_norm(left), 1e-300)
             assert rel <= 1e-12
 
 
+def stack(b_parts: list[np.ndarray], a_parts: list[np.ndarray]) -> GlobalAdapter:
+    """Stack unit-weight updates: b parts side by side, a parts one above another."""
+    return aggregate_stack([ClientUpdate(i, b, a, rank=b.shape[1])
+                            for i, (b, a) in enumerate(zip(b_parts, a_parts))])
+
+
 class TestStacking:
     def test_single_part_unchanged(self):
-        m = np.array([[1.0, 2.0]])
-        assert np.array_equal(stack_h([m]), m)
-        assert np.array_equal(stack_v([m]), m)
+        b = np.array([[1.0, 2.0]])
+        a = np.array([[3.0], [4.0]])
+        g = stack([b], [a])
+        assert np.array_equal(g.b_stacked, b)
+        assert np.array_equal(g.a_stacked, a)
 
     def test_shapes_add_up(self):
-        assert stack_h([np.ones((3, 1)), np.ones((3, 2))]).shape == (3, 3)
-        assert stack_v([np.ones((1, 4)), np.ones((2, 4))]).shape == (3, 4)
+        g = stack([np.ones((3, 1)), np.ones((3, 2))], [np.ones((1, 4)), np.ones((2, 4))])
+        assert g.b_stacked.shape == (3, 3)
+        assert g.a_stacked.shape == (3, 4)
 
     def test_column_concatenation(self):
-        out = stack_h([np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]])])
-        assert np.array_equal(out, np.array([[1.0, 3.0], [2.0, 4.0]]))
+        g = stack([np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]])],
+                  [np.ones((1, 1)), np.ones((1, 1))])
+        assert np.array_equal(g.b_stacked, np.array([[1.0, 3.0], [2.0, 4.0]]))
 
     def test_row_concatenation(self):
-        out = stack_v([np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])])
-        assert np.array_equal(out, np.array([[1.0, 2.0], [3.0, 4.0]]))
+        g = stack([np.ones((1, 1)), np.ones((1, 1))],
+                  [np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])])
+        assert np.array_equal(g.a_stacked, np.array([[1.0, 2.0], [3.0, 4.0]]))
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            stack_h([])
-        with pytest.raises(ValueError, match="at least one"):
-            stack_v([])
+            stack([], [])
 
     def test_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rows"):
-            stack_h([np.ones((2, 1)), np.ones((3, 1))])
+            stack([np.ones((2, 1)), np.ones((3, 1))], [np.ones((1, 2)), np.ones((1, 2))])
         with pytest.raises(ValueError, match="cols"):
-            stack_v([np.ones((1, 2)), np.ones((1, 3))])
+            stack([np.ones((2, 1)), np.ones((2, 1))], [np.ones((1, 2)), np.ones((1, 3))])
 
     @given(st.integers(1, 5), st.lists(st.integers(1, 4), min_size=1, max_size=5),
            st.integers(0, 2**32 - 1))
@@ -107,19 +128,11 @@ class TestStacking:
     def test_slicing_recovers_parts_bit_exact(self, rows, widths, seed):
         gen = np.random.default_rng(seed)
         parts = [gen.standard_normal((rows, w)) for w in widths]
-        stacked = stack_h(parts)
-        offset = 0
-        for part in parts:
-            w = part.shape[1]
-            assert np.array_equal(stacked[:, offset:offset + w], part)
-            offset += w
         tall = [p.T.copy() for p in parts]
-        vstacked = stack_v(tall)
-        offset = 0
-        for part in tall:
-            h = part.shape[0]
-            assert np.array_equal(vstacked[offset:offset + h, :], part)
-            offset += h
+        g = stack(parts, tall)
+        for (_, offset, w), part, part_t in zip(g.spans, parts, tall):
+            assert np.array_equal(g.b_stacked[:, offset:offset + w], part)
+            assert np.array_equal(g.a_stacked[offset:offset + w, :], part_t)
 
 
 class TestRngStream:
@@ -163,3 +176,42 @@ class TestSampleGaussian:
         b = sample_gaussian(n, 1, 1.0, RngStream(55, (1,))).ravel()
         rho = float(np.corrcoef(a, b)[0, 1])
         assert abs(rho) < 5 / np.sqrt(n)
+
+
+class TestEntryCheck:
+    """Arrays are checked where they enter the program, and not in the round loop."""
+
+    def test_nan_rejected_where_arrays_enter(self):
+        bad = np.array([[1.0, np.nan], [0.0, 1.0]])
+        good = np.eye(2)
+        with pytest.raises(ValueError, match="non-finite"):
+            FrozenBase(bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            noise_product_stats(bad, good, NoiseModel(1.0, 1.0), 100, RngStream(0))
+        mech = MechanismParams(clip_b=1.0, clip_a=1.0, sigma_b=1.0, sigma_a=1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            run_game((good, good), (good, bad), mech, 100, RngStream(0))
+
+    def test_round_loop_count_independent_of_rounds(self, monkeypatch):
+        calls = []
+        original = linalg.as_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fedlora_dp") and getattr(module, "as_matrix", None) is original:
+                monkeypatch.setattr(module, "as_matrix", counting)
+        task = generate_task(8, 6, 2, 4, 20, 0.0, 0.0, RngStream(3, (0,)))
+        mech = MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.2, sigma_a=0.3)
+        counts = []
+        for rounds in (2, 6):
+            config = TrainConfig(rounds=rounds, clients=4, sampled_per_round=2, local_epochs=2,
+                                 batch_size=8, lr_start=0.05, lr_end=0.01, rank=2,
+                                 lora_scale=2.0, seed=3, dp_enabled=True, mechanism=mech,
+                                 epsilon_b=1.0, epsilon_a=1.0, delta=1e-5)
+            calls.clear()
+            run_experiment(config, task, RngStream(3, (1,)))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]

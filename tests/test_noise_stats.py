@@ -7,8 +7,6 @@ from fedlora_dp.linalg import RngStream
 from fedlora_dp.noise_stats import (
     NoiseModel,
     exact_total_variance,
-    mc_expectation_diff,
-    mc_total_variance,
     noise_product_stats,
     rank_sweep,
     size_sweep,
@@ -22,58 +20,60 @@ A_ZERO = np.zeros((1, 3))
 
 class TestExpectationDiff:
     def test_no_noise_exact_zero(self):
-        mean, se = mc_expectation_diff(
+        stats = noise_product_stats(
             np.ones((2, 2)), np.ones((2, 2)), NoiseModel(0.0, 0.0), 1000, RngStream(0)
         )
-        assert mean == 0.0 and se == 0.0
+        assert stats.mean_diff == 0.0 and stats.std_error == 0.0
 
     def test_zero_factors_pure_noise_product(self):
         # beta @ alpha has zero mean by independence
-        mean, se = mc_expectation_diff(
+        stats = noise_product_stats(
             np.zeros((2, 2)), np.zeros((2, 2)), NoiseModel(1.0, 1.0), 100_000, RngStream(1)
         )
-        assert abs(mean) <= 5 * se
+        assert abs(stats.mean_diff) <= 5 * stats.std_error
 
     def test_random_instance_unbiased(self):
         gen = np.random.default_rng(2)
         b = gen.standard_normal((4, 2))
         a = gen.standard_normal((2, 3))
-        mean, se = mc_expectation_diff(b, a, NoiseModel(0.8, 1.3), 100_000, RngStream(3))
-        assert abs(mean) <= 5 * se
+        stats = noise_product_stats(b, a, NoiseModel(0.8, 1.3), 100_000, RngStream(3))
+        assert abs(stats.mean_diff) <= 5 * stats.std_error
 
     def test_minimum_draws_enforced(self):
+        # the standard error of the mean needs two draws
         with pytest.raises(ValueError, match="draws"):
-            mc_expectation_diff(np.ones((1, 1)), np.ones((1, 1)), NoiseModel(1, 1), 50, RngStream(0))
+            noise_product_stats(np.ones((1, 1)), np.ones((1, 1)), NoiseModel(1, 1), 1, RngStream(0))
 
 
 class TestTotalVariance:
     def test_deterministic_product_zero(self):
-        assert mc_total_variance(
+        assert noise_product_stats(
             np.ones((2, 3)), np.ones((3, 2)), NoiseModel(0.0, 0.0), 2000, RngStream(0)
-        ) == 0.0
+        ).total_variance == 0.0
 
     def test_wide_noise_only(self):
         # Var[(B alpha)_ij] = sa^2 * sum_k B_ik^2, summed over entries:
         # n * sa^2 * ||B||_F^2 = 3 * 1 * 1 = 3
-        mc = mc_total_variance(B_UNIT, A_ZERO, NoiseModel(0.0, 1.0), 100_000, RngStream(4))
-        assert abs(mc - 3.0) <= 0.03 * 3.0
+        stats = noise_product_stats(B_UNIT, A_ZERO, NoiseModel(0.0, 1.0), 100_000, RngStream(4))
+        assert abs(stats.total_variance - 3.0) <= 0.03 * 3.0
 
     def test_all_terms(self):
         # n*sa^2*||B||^2 + m*sb^2*||A||^2 + m*n*r*sb^2*sa^2 = 3 + 2 + 6 = 11
         a_unit = np.array([[0.0, 0.6, 0.8]])
-        mc = mc_total_variance(B_UNIT, a_unit, NoiseModel(1.0, 1.0), 100_000, RngStream(5))
-        assert abs(mc - 11.0) <= 0.03 * 11.0
+        stats = noise_product_stats(B_UNIT, a_unit, NoiseModel(1.0, 1.0), 100_000, RngStream(5))
+        assert abs(stats.total_variance - 11.0) <= 0.03 * 11.0
 
     def test_minimum_draws_enforced(self):
+        # the unbiased variance needs two draws, even where zero noise makes it exactly 0
         with pytest.raises(ValueError, match="draws"):
-            mc_total_variance(np.ones((1, 1)), np.ones((1, 1)), NoiseModel(1, 1), 500, RngStream(0))
+            noise_product_stats(np.ones((1, 1)), np.ones((1, 1)), NoiseModel(0, 0), 1, RngStream(0))
 
     def test_deterministic_given_stream(self):
         b = np.ones((2, 2))
         a = np.ones((2, 2))
-        v1 = mc_total_variance(b, a, NoiseModel(1.0, 0.5), 5000, RngStream(6, (1,)))
-        v2 = mc_total_variance(b, a, NoiseModel(1.0, 0.5), 5000, RngStream(6, (1,)))
-        assert v1 == v2
+        v1 = noise_product_stats(b, a, NoiseModel(1.0, 0.5), 5000, RngStream(6, (1,)))
+        v2 = noise_product_stats(b, a, NoiseModel(1.0, 0.5), 5000, RngStream(6, (1,)))
+        assert v1.total_variance == v2.total_variance
 
 
 class TestExactTotalVariance:
@@ -107,7 +107,7 @@ class TestExactTotalVariance:
             a = gen.standard_normal((r, n))
             model = NoiseModel(float(gen.uniform(0.2, 1.5)), float(gen.uniform(0.2, 1.5)))
             exact = exact_total_variance(b, a, model)
-            mc = mc_total_variance(b, a, model, 100_000, root.child(i))
+            mc = noise_product_stats(b, a, model, 100_000, root.child(i)).total_variance
             assert abs(mc - exact) <= 0.03 * exact
 
 
@@ -177,15 +177,21 @@ class TestSizeSweep:
 
 class TestEngine:
     def test_single_pass_consistency(self):
+        # one chunk: the same draws, reduced in two passes, give the same statistics
         b = np.array([[0.3, -0.7], [1.1, 0.2]])
         a = np.array([[0.5, 0.1], [-0.4, 0.9]])
         model = NoiseModel(0.6, 1.2)
-        stats = noise_product_stats(b, a, model, 30_000, RngStream(17))
-        mean, se = mc_expectation_diff(b, a, model, 30_000, RngStream(17))
-        var = mc_total_variance(b, a, model, 30_000, RngStream(17))
-        assert stats.mean_diff == mean
-        assert stats.std_error == se
-        assert stats.total_variance == var
+        draws = 3_000
+        rng = RngStream(17)
+        stats = noise_product_stats(b, a, model, draws, rng)
+        gen = rng.child(0).generator()
+        beta = model.sigma_beta * gen.standard_normal((draws, 2, 2))
+        alpha = model.sigma_alpha * gen.standard_normal((draws, 2, 2))
+        prods = (b + beta) @ (a + alpha)
+        per_draw = (prods - b @ a).mean(axis=(1, 2))
+        assert stats.mean_diff == pytest.approx(per_draw.mean(), rel=1e-9, abs=1e-15)
+        assert stats.std_error == pytest.approx(per_draw.std(ddof=1) / np.sqrt(draws), rel=1e-9)
+        assert stats.total_variance == pytest.approx(prods.var(axis=0, ddof=1).sum(), rel=1e-9)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="chain"):

@@ -261,6 +261,15 @@ class TestLocalTrain:
             local_train(client, task.base, np.zeros((task.m, task.n)),
                         small_config(local_epochs=2), lr=0.1)
 
+    def test_non_finite_factor_after_last_step_aborts(self):
+        # one full-batch step: the loss before it is finite, the step overflows b
+        task = small_task()
+        adapter = init_adapter(task.m, task.n, 2, 200.0, RngStream(4, (0,)))
+        client = ClientState(6, task.client_x[0], task.client_y[0], adapter, RngStream(4, (1,)))
+        cfg = small_config(local_epochs=1, batch_size=len(task.client_x[0]), lora_scale=200.0)
+        with pytest.raises(NumericError, match="client 6"):
+            local_train(client, task.base, np.zeros((task.m, task.n)), cfg, lr=1e308)
+
 
 class TestSampleClients:
     def test_ascending_unique(self):
@@ -378,18 +387,6 @@ class TestRunExperiment:
             assert m1.expectation_diff == m2.expectation_diff == 0.0
             assert m1.total_variance == m2.total_variance == 0.0
         assert plain.final_loss == dp.final_loss
-
-    def test_parallel_equals_sequential(self):
-        task = small_task(n_clients=6)
-        seq_cfg = small_config(rounds=4, clients=6, sampled_per_round=4, max_workers=1)
-        par_cfg = small_config(rounds=4, clients=6, sampled_per_round=4, max_workers=4)
-        seq = _run(seq_cfg, task, seed=5)
-        par = _run(par_cfg, task, seed=5)
-        assert seq.final_loss == par.final_loss
-        for m1, m2 in zip(seq.rounds, par.rounds):
-            assert m1.mean_train_loss == m2.mean_train_loss
-            assert m1.client_losses == m2.client_losses
-            assert m1.global_delta_norm == m2.global_delta_norm
 
     def test_naive_epsilon_reported(self):
         task = small_task()
