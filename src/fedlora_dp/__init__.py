@@ -5,10 +5,11 @@ Library layout:
 - ``linalg``: keyed random streams, Gaussian draws, and the entry check on arrays
 - ``privacy``: norm clipping, Gaussian noise calibration, privatization
 - ``adapters``: low-rank factor pairs and the stacking aggregation
+- ``config``: ``RunConfig``, the one record of a run's settings, checked where parsed
 - ``simulation``: synthetic tasks, local training, the federated round loop
 - ``noise_stats``: expectation/variance analysis of noisy factor products
-- ``attacks``: membership-inference game and the privacy-bound check
-- ``config`` / ``runner`` / ``cli``: experiment configuration and orchestration
+- ``attacks``: trained updates, the membership-inference game, the privacy-bound check
+- ``runner`` / ``cli``: experiment orchestration and the command line
 """
 
 from .adapters import (
@@ -21,6 +22,7 @@ from .adapters import (
     global_delta,
     init_adapter,
 )
+from .config import STRATEGIES, RunConfig
 from .linalg import RngStream, frobenius_norm, sample_gaussian
 from .noise_stats import (
     NoiseModel,
@@ -38,10 +40,8 @@ from .privacy import (
     privatize,
 )
 from .simulation import (
-    STRATEGIES,
     ExperimentResult,
     SyntheticTask,
-    TrainConfig,
     generate_task,
     local_train,
     run_experiment,
@@ -74,7 +74,7 @@ __all__ = [
     "rank_sweep",
     "size_sweep",
     "STRATEGIES",
-    "TrainConfig",
+    "RunConfig",
     "SyntheticTask",
     "ExperimentResult",
     "generate_task",

@@ -11,9 +11,11 @@ weaker attack than the likelihood ratio, whose score weights each factor's
 block by 1/sigma^2.  The ROC is checked against the two-sided (eps, delta)
 region: tpr <= e^eps * fpr + delta and 1 - fpr <= e^eps * (1 - tpr) + delta.
 
-Training randomness is keyed by the game configuration, not the trial, so
-each dataset maps to one deterministic mean update (``clipped_update``),
-trained once per game, and trial scores are exact Gaussian mean shifts.
+Training randomness is keyed by the caller's stream, not the trial, so
+each dataset maps to one deterministic mean update (``trained_update``: the
+un-noised factor pair one client trains under the config's ``mia_*`` keys),
+trained once per game; ``run_game`` clips both means, so trial scores are
+exact Gaussian mean shifts.
 
 Trials are played in blocks of a fixed size set by the factor shapes
 (``_block_size``).  Under the game's stream, block k draws its coin flips
@@ -29,9 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapters import FrozenBase, init_adapter
+from .config import RunConfig
 from .linalg import RngStream, as_matrix
 from .privacy import MechanismParams, clip_frobenius, privatize
-from .simulation import ClientState, TrainConfig, local_train
+from .simulation import ClientState, local_train
 
 __all__ = [
     "Record",
@@ -39,10 +42,9 @@ __all__ = [
     "AttackTrial",
     "RocCurve",
     "DpBoundCheck",
-    "GameConfig",
     "ScoreReference",
     "make_neighbors",
-    "clipped_update",
+    "trained_update",
     "run_game",
     "roc_curve",
     "check_dp_bound",
@@ -149,20 +151,6 @@ class DpBoundCheck:
 
 
 @dataclass(frozen=True)
-class GameConfig:
-    """Mechanism under attack: one client's local training plus privatization."""
-
-    base: FrozenBase
-    rank: int
-    lora_scale: float
-    local_epochs: int
-    batch_size: int
-    lr: float
-    mechanism: MechanismParams
-    train_stream: RngStream
-
-
-@dataclass(frozen=True)
 class ScoreReference:
     """Attacker knowledge: flattened un-noised mean updates for both datasets."""
 
@@ -196,35 +184,25 @@ def make_neighbors(dataset: list[Record], index: int, replacement: Record) -> Ne
     return NeighborPair(d=records, d_prime=tuple(prime), differing_index=index)
 
 
-def clipped_update(dataset: tuple[Record, ...], cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic un-noised mechanism output (clipped factor pair) for a dataset."""
+def trained_update(dataset: tuple[Record, ...], base: FrozenBase, config: RunConfig,
+                   stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Un-noised, unclipped factor pair one client trains on a dataset.
+
+    The adapter has rank ``mia_rank`` and LoRA scale ``mia_rank`` (so the
+    product enters unscaled), is drawn from ``stream.child(0)``, and trains
+    for ``mia_epochs`` at ``mia_batch_size`` and ``mia_lr`` against the frozen
+    base, shuffled by ``stream.child(1)``.  The same stream for both datasets
+    of a pair keeps their difference down to the replaced record.
+    """
     x = np.stack([r[0] for r in dataset])
     y = np.stack([r[1] for r in dataset])
-    m, n = cfg.base.shape
-    adapter = init_adapter(m, n, cfg.rank, cfg.lora_scale, cfg.train_stream.child(0))
-    client = ClientState(
-        client_id=0,
-        x=x,
-        y=y,
-        adapter=adapter,
-        rng=cfg.train_stream.child(1),
-    )
-    train_cfg = TrainConfig(
-        rounds=1,
-        clients=1,
-        sampled_per_round=1,
-        local_epochs=cfg.local_epochs,
-        batch_size=cfg.batch_size,
-        lr_start=cfg.lr,
-        lr_end=cfg.lr,
-        rank=cfg.rank,
-        lora_scale=cfg.lora_scale,
-        seed=cfg.train_stream.root_seed,
-    )
-    result = local_train(client, cfg.base, np.zeros((m, n)), train_cfg, cfg.lr)
-    b = clip_frobenius(result.adapter.b, cfg.mechanism.clip_b)
-    a = clip_frobenius(result.adapter.a, cfg.mechanism.clip_a)
-    return b, a
+    m, n = base.shape
+    rank = config.mia_rank
+    adapter = init_adapter(m, n, rank, float(rank), stream.child(0))
+    result = local_train(ClientState(client_id=0, x=x, y=y), adapter, base.w, stream.child(1),
+                         epochs=config.mia_epochs, batch_size=config.mia_batch_size,
+                         lr=config.mia_lr)
+    return result.adapter.b, result.adapter.a
 
 
 def _block_size(b_size: int, a_size: int) -> int:
@@ -242,7 +220,7 @@ def run_game(
     """Distinguishing game on two factor pairs, clipped, then noised per trial.
 
     The pairs are the un-noised mean updates of the two datasets: trained
-    ones (``clipped_update``), or synthetic ones such as antipodes on the clip
+    ones (``trained_update``), or synthetic ones such as antipodes on the clip
     sphere.  They are checked (``as_matrix``) and clipped once per game.
     Trials run in blocks of ``_block_size`` (the last block may be shorter);
     block k draws its bits from ``rng.child(k, 0)``, and for each bit one

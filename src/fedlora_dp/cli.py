@@ -10,7 +10,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import MODES, ConfigError, RunConfig, parse_config
+from .config import MODES, ConfigError, RunConfig, check_private_scaffold, parse_config
 from .runner import cmd_mia, cmd_report, cmd_run, cmd_sweep, cmd_verify
 from .simulation import NumericError
 
@@ -44,7 +44,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         seed = args.seed
-    return replace(config, mode=args.mode, seed=seed)
+    config = replace(config, mode=args.mode, seed=seed)
+    check_private_scaffold(config)
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:

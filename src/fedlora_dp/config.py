@@ -4,17 +4,25 @@ The format is line-based: blank lines and ``#`` comments are ignored, every
 other line must be ``key = value``.  Unknown keys and out-of-range values are
 errors that carry the offending line number.  ``snapshot()`` serialises a
 config canonically so that re-parsing reproduces an equal value.
+
+A config is checked once, where it enters: ``parse_text`` checks every key's
+type and range and the conditions between keys, and ``check_private_scaffold``
+runs again once the command line has set the mode.  ``RunConfig`` is then the
+one record of a run's settings.  The round loop (``simulation``), the attack
+(``attacks``) and the runner read it directly and check none of its values
+again.
 """
 
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .simulation import STRATEGIES
-
-__all__ = ["ConfigError", "RunConfig", "parse_config", "parse_text", "MODES"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "parse_text", "check_private_scaffold",
+           "MODES", "STRATEGIES"]
 
 MODES = ("run", "verify", "sweep_epsilon", "sweep_clip", "sweep_rank", "sweep_size", "mia", "report")
+PRIVATE_MODES = ("sweep_epsilon", "sweep_clip")  # every point of these sweeps runs with DP
+STRATEGIES = ("fedavg", "fedprox", "scaffold", "fedavgm", "fedadagrad", "fedyogi", "fedadam")
 CLIP_MODES = ("calibrated", "absolute")
 
 
@@ -333,6 +341,20 @@ def _validate(config: RunConfig, lines_seen: dict[str, int]) -> None:
         if m < 1 or n < 1:
             raise ConfigError(f"sweep_sizes entries must be positive, got {m}x{n}",
                               lines_seen.get("sweep_sizes"))
+    check_private_scaffold(config, lines_seen.get("strategy"))
+
+
+def check_private_scaffold(config: RunConfig, line: int | None = None) -> None:
+    """Reject SCAFFOLD in a private run (``dp_enabled``, or a mode in ``PRIVATE_MODES``).
+
+    Its control variates are built from each client's clean adapter, so a
+    private run would send un-noised updates to the server.
+    """
+    if config.strategy == "scaffold" and (config.dp_enabled or config.mode in PRIVATE_MODES):
+        raise ConfigError(
+            "strategy scaffold cannot run with DP: its control variates use un-noised updates",
+            line,
+        )
 
 
 def parse_config(path: str | Path) -> RunConfig:

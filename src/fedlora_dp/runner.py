@@ -19,18 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import attacks, noise_stats
-from .attacks import GameConfig, make_neighbors
+from .attacks import make_neighbors
 from .config import RunConfig
 from .linalg import RngStream, frobenius_norm
-from .privacy import MechanismParams, PrivacyBudget
-from .simulation import (
-    ExperimentResult,
-    SyntheticTask,
-    TrainConfig,
-    ServerHyper,
-    generate_task,
-    run_experiment,
-)
+from .privacy import MechanismParams, PrivacyBudget, compose_budget
+from .simulation import ExperimentResult, SyntheticTask, generate_task, run_experiment
 
 __all__ = [
     "METRICS_HEADER",
@@ -90,35 +83,6 @@ def build_task(config: RunConfig, root: RngStream) -> SyntheticTask:
     )
 
 
-def _base_train_config(config: RunConfig, dp: bool, mechanism: MechanismParams | None) -> TrainConfig:
-    return TrainConfig(
-        rounds=config.rounds,
-        clients=config.clients,
-        sampled_per_round=config.sampled_per_round,
-        local_epochs=config.local_epochs,
-        batch_size=config.batch_size,
-        lr_start=config.lr_start,
-        lr_end=config.lr_end,
-        rank=config.rank,
-        lora_scale=config.lora_scale,
-        seed=config.seed,
-        strategy=config.strategy,
-        dp_enabled=dp,
-        mechanism=mechanism,
-        epsilon_b=config.resolved_epsilon_b() if dp else None,
-        epsilon_a=config.resolved_epsilon_a() if dp else None,
-        delta=config.delta if dp else None,
-        prox_mu=config.prox_mu,
-        hyper=ServerHyper(
-            server_lr=config.server_lr,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            tau=config.tau,
-            momentum_beta=config.momentum,
-        ),
-    )
-
-
 def resolve_clips(config: RunConfig, task: SyntheticTask, root: RngStream) -> tuple[float, float]:
     """Clip thresholds: fixed values, or a norm quantile from a short dry run.
 
@@ -128,8 +92,7 @@ def resolve_clips(config: RunConfig, task: SyntheticTask, root: RngStream) -> tu
     """
     if config.clip_mode == "absolute":
         return config.clip_value, config.clip_value
-    dry = replace(_base_train_config(config, dp=False, mechanism=None),
-                  rounds=config.calibration_rounds)
+    dry = replace(config, rounds=config.calibration_rounds)
     result = run_experiment(dry, task, root.child(_STREAM_CALIBRATE))
     _, b_norms, a_norms = zip(*(norms for r in result.rounds for norms in r.client_norms))
     clip_b = float(np.quantile(b_norms, config.clip_quantile))
@@ -138,8 +101,8 @@ def resolve_clips(config: RunConfig, task: SyntheticTask, root: RngStream) -> tu
     return max(clip_b, floor), max(clip_a, floor)
 
 
-def build_mechanism(config: RunConfig, task: SyntheticTask, root: RngStream) -> MechanismParams:
-    clip_b, clip_a = resolve_clips(config, task, root)
+def _calibrated(config: RunConfig, clip_b: float, clip_a: float) -> MechanismParams:
+    """Mechanism at the given clips, each factor's sigma calibrated to the config's budget."""
     return MechanismParams.calibrated(
         clip_b=clip_b,
         clip_a=clip_a,
@@ -148,12 +111,16 @@ def build_mechanism(config: RunConfig, task: SyntheticTask, root: RngStream) -> 
     )
 
 
+def build_mechanism(config: RunConfig, task: SyntheticTask, root: RngStream) -> MechanismParams:
+    return _calibrated(config, *resolve_clips(config, task, root))
+
+
 def _metrics_rows(config: RunConfig, result: ExperimentResult,
                   mechanism: MechanismParams | None) -> list[str]:
     rows = [METRICS_HEADER]
-    dp = "true" if result.config.dp_enabled else "false"
-    epsilon = config.resolved_epsilon_b() if result.config.dp_enabled else 0.0
-    clip = mechanism.clip_b if (mechanism and result.config.dp_enabled) else 0.0
+    dp = "true" if mechanism else "false"
+    epsilon = config.resolved_epsilon_b() if mechanism else 0.0
+    clip = mechanism.clip_b if mechanism else 0.0
     for r in result.rounds:
         # wall_ms is pinned to 0 in the CSV so repeated runs are byte-identical;
         # real timings live in summary.txt.
@@ -161,7 +128,7 @@ def _metrics_rows(config: RunConfig, result: ExperimentResult,
             ",".join(
                 [
                     str(r.round_index),
-                    result.config.strategy,
+                    config.strategy,
                     dp,
                     fmt(epsilon),
                     fmt(clip),
@@ -200,15 +167,15 @@ def _persist_run(
     summary = [
         f"experiment: {config.experiment_name}",
         f"config_hash: {_config_hash(config)}",
-        f"strategy: {result.config.strategy}",
-        f"dp_enabled: {'true' if result.config.dp_enabled else 'false'}",
+        f"strategy: {config.strategy}",
+        f"dp_enabled: {'true' if mechanism else 'false'}",
         f"rounds: {len(result.rounds)}",
         f"initial_loss: {fmt(result.initial_loss)}",
         f"final_loss: {fmt(result.final_loss)}",
     ]
     if result.rounds:
         summary.append(f"final_mean_train_loss: {fmt(result.rounds[-1].mean_train_loss)}")
-    if mechanism and result.config.dp_enabled:
+    if mechanism:
         summary.extend(
             [
                 f"clip_b: {fmt(mechanism.clip_b)}",
@@ -217,8 +184,10 @@ def _persist_run(
                 f"sigma_a: {fmt(mechanism.sigma_a)}",
             ]
         )
-    if result.naive_epsilon is not None:
-        summary.append(f"naive_composed_epsilon: {fmt(result.naive_epsilon)}")
+        if config.rounds > 0:
+            naive = compose_budget(config.resolved_epsilon_b(), config.resolved_epsilon_a(),
+                                   config.rounds)
+            summary.append(f"naive_composed_epsilon: {fmt(naive)}")
     summary.append(f"wall_time_s: {result.wall_s:.3f}")
     if extra_summary:
         summary.extend(extra_summary)
@@ -230,8 +199,7 @@ def cmd_run(config: RunConfig, out_override: str | None = None) -> int:
     root = RngStream(config.seed)
     task = build_task(config, root)
     mechanism = build_mechanism(config, task, root) if config.dp_enabled else None
-    train_cfg = _base_train_config(config, config.dp_enabled, mechanism)
-    result = run_experiment(train_cfg, task, root.child(_STREAM_EXPERIMENT))
+    result = run_experiment(config, task, root.child(_STREAM_EXPERIMENT), mechanism)
     _persist_run(run_directory(config, out_override), config, result, mechanism)
     return 0
 
@@ -348,18 +316,8 @@ def build_adversarial_game(config: RunConfig, root: RngStream, epsilon: float | 
     replacement = (scaled_x, signal @ scaled_x)
     pair = make_neighbors(records, 0, replacement)
 
-    probe = GameConfig(
-        base=task.base,
-        rank=config.mia_rank,
-        lora_scale=float(config.mia_rank),
-        local_epochs=config.mia_epochs,
-        batch_size=config.mia_batch_size,
-        lr=config.mia_lr,
-        mechanism=MechanismParams(clip_b=1e6, clip_a=1e6, sigma_b=0.0, sigma_a=0.0),
-        train_stream=stream.child(1),
-    )
-    mean0 = attacks.clipped_update(pair.d, probe)
-    mean1 = attacks.clipped_update(pair.d_prime, probe)
+    mean0 = attacks.trained_update(pair.d, task.base, config, stream.child(1))
+    mean1 = attacks.trained_update(pair.d_prime, task.base, config, stream.child(1))
     mechanism = MechanismParams.calibrated(
         clip_b=max(frobenius_norm(mean0[0]), frobenius_norm(mean1[0])),
         clip_a=max(frobenius_norm(mean0[1]), frobenius_norm(mean1[1])),
@@ -490,40 +448,30 @@ def cmd_sweep(config: RunConfig, out_override: str | None = None) -> int:
 
     task = build_task(config, root)
     combined = ["sweep_key,sweep_value,final_loss,final_mean_train_loss"]
+    # (label, swept value, point settings, clip_b, clip_a); every point runs with DP.
+    # Only sweep_epsilon overrides the per-factor budgets; sweep_clip keeps the
+    # config's, and its sigma is recalibrated at each absolute threshold.
     if config.mode == "sweep_epsilon":
         clip_b, clip_a = resolve_clips(config, task, root)
-        points = [(eps, clip_b, clip_a) for eps in config.sweep_epsilons]
-        labels = [f"eps_{_label(eps)}" for eps in config.sweep_epsilons]
         key = "epsilon"
-    else:  # sweep_clip: absolute thresholds, sigma recalibrated per point
-        points = [(config.epsilon, c, c) for c in config.sweep_clips]
-        labels = [f"clip_{_label(c)}" for c in config.sweep_clips]
+        points = [(f"eps_{_label(eps)}", eps,
+                   replace(config, epsilon=eps, epsilon_b=0.0, epsilon_a=0.0), clip_b, clip_a)
+                  for eps in config.sweep_epsilons]
+    else:
         key = "clip"
+        points = [(f"clip_{_label(c)}", c, config, c, c) for c in config.sweep_clips]
 
-    for label, (eps, cb, ca) in zip(labels, points):
-        mechanism = MechanismParams.calibrated(
-            clip_b=cb,
-            clip_a=ca,
-            budget_b=PrivacyBudget(eps if key == "epsilon" else config.resolved_epsilon_b(), config.delta),
-            budget_a=PrivacyBudget(eps if key == "epsilon" else config.resolved_epsilon_a(), config.delta),
-        )
-        point_config = replace(
-            config,
-            experiment_name=f"{config.experiment_name}/{label}",
-            epsilon=eps if key == "epsilon" else config.epsilon,
-            epsilon_b=0.0,
-            epsilon_a=0.0,
-            dp_enabled=True,
-        )
-        train_cfg = _base_train_config(point_config, True, mechanism)
-        result = run_experiment(train_cfg, task, root.child(_STREAM_EXPERIMENT))
+    for label, value, point, cb, ca in points:
+        point_config = replace(point, experiment_name=f"{config.experiment_name}/{label}",
+                               dp_enabled=True)
+        mechanism = _calibrated(point_config, cb, ca)
+        result = run_experiment(point_config, task, root.child(_STREAM_EXPERIMENT), mechanism)
         _persist_run(out_dir / label, point_config, result, mechanism)
-        value = eps if key == "epsilon" else cb
         final_train = result.rounds[-1].mean_train_loss if result.rounds else result.initial_loss
         combined.append(f"{key},{fmt(value)},{fmt(result.final_loss)},{fmt(final_train)}")
 
     _write(out_dir / "sweep.csv", combined)
-    _write(out_dir / "summary.txt", [f"{config.mode}: {len(labels)} points", *combined])
+    _write(out_dir / "summary.txt", [f"{config.mode}: {len(points)} points", *combined])
     return 0
 
 

@@ -10,11 +10,14 @@ per-round shapes never grow.
 
 All randomness flows through streams keyed by (round, client, draw kind),
 which makes runs bit-reproducible regardless of client scheduling.
+
+The loop reads its settings from the parsed ``RunConfig``, whose values
+``config`` has already checked, and checks none of them again.
 """
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,18 +31,16 @@ from .adapters import (
     global_delta,
     init_adapter,
 )
+from .config import RunConfig
 from .linalg import RngStream, frobenius_norm
 from .noise_stats import NoiseModel, exact_total_variance
-from .privacy import MechanismParams, clip_frobenius, compose_budget, privatize
+from .privacy import MechanismParams, clip_frobenius, privatize
 
 __all__ = [
-    "STRATEGIES",
     "NumericError",
     "SyntheticTask",
     "ClientState",
-    "ServerHyper",
     "ServerState",
-    "TrainConfig",
     "RoundMetrics",
     "LocalTrainResult",
     "ExperimentResult",
@@ -51,8 +52,6 @@ __all__ = [
     "run_round",
     "run_experiment",
 ]
-
-STRATEGIES = ("fedavg", "fedprox", "scaffold", "fedavgm", "fedadagrad", "fedyogi", "fedadam")
 
 # Draw-kind tags for stream paths.
 _KIND_SAMPLE = 0
@@ -75,8 +74,6 @@ class SyntheticTask:
     client_x: tuple[np.ndarray, ...]
     client_y: tuple[np.ndarray, ...]
     r_star: int
-    sigma_obs: float
-    heterogeneity: float
 
     @property
     def m(self) -> int:
@@ -90,32 +87,16 @@ class SyntheticTask:
     def n_clients(self) -> int:
         return len(self.client_x)
 
-    def client_sizes(self) -> list[int]:
-        return [x.shape[0] for x in self.client_x]
-
 
 @dataclass
 class ClientState:
-    """Mutable per-client state: dataset, current adapter, corrections, stream."""
+    """What a client keeps across rounds: data, proximal weight, SCAFFOLD control variate."""
 
     client_id: int
     x: np.ndarray
     y: np.ndarray
-    adapter: LoraAdapter
-    rng: RngStream
     prox_mu: float = 0.0
     control_variate: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class ServerHyper:
-    """Server optimiser hyperparameters shared by the momentum/adaptive strategies."""
-
-    server_lr: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.99
-    tau: float = 1e-3
-    momentum_beta: float = 0.9
 
 
 @dataclass
@@ -123,72 +104,22 @@ class ServerState:
     """Server-side accumulators; all matrices are m x n."""
 
     base: FrozenBase
-    strategy: str
     delta_acc: np.ndarray
     momentum: np.ndarray
     second_moment: np.ndarray
     server_c: np.ndarray
     round_index: int = 0
-    hyper: ServerHyper = field(default_factory=ServerHyper)
 
     @classmethod
-    def fresh(cls, base: FrozenBase, strategy: str, hyper: ServerHyper | None = None) -> "ServerState":
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+    def fresh(cls, base: FrozenBase) -> "ServerState":
         shape = base.shape
         return cls(
             base=base,
-            strategy=strategy,
             delta_acc=np.zeros(shape),
             momentum=np.zeros(shape),
             second_moment=np.zeros(shape),
             server_c=np.zeros(shape),
-            hyper=hyper or ServerHyper(),
         )
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Knobs of one federated experiment."""
-
-    rounds: int
-    clients: int
-    sampled_per_round: int
-    local_epochs: int
-    batch_size: int
-    lr_start: float
-    lr_end: float
-    rank: int
-    lora_scale: float
-    seed: int
-    strategy: str = "fedavg"
-    dp_enabled: bool = False
-    mechanism: MechanismParams | None = None
-    epsilon_b: float | None = None
-    epsilon_a: float | None = None
-    delta: float | None = None
-    prox_mu: float = 0.0
-    hyper: ServerHyper = field(default_factory=ServerHyper)
-
-    def __post_init__(self):
-        if self.rounds < 0:
-            raise ValueError(f"rounds must be >= 0, got {self.rounds}")
-        if not 1 <= self.sampled_per_round <= self.clients:
-            raise ValueError(
-                f"sampled_per_round must lie in [1, {self.clients}], got {self.sampled_per_round}"
-            )
-        if not (self.lr_start >= self.lr_end > 0):
-            raise ValueError(
-                f"need lr_start >= lr_end > 0, got lr_start={self.lr_start}, lr_end={self.lr_end}"
-            )
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
-        if self.dp_enabled and self.mechanism is None:
-            raise ValueError("dp_enabled requires mechanism parameters")
-        if self.local_epochs < 0:
-            raise ValueError(f"local_epochs must be >= 0, got {self.local_epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -214,11 +145,9 @@ class LocalTrainResult:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    config: TrainConfig
     rounds: tuple[RoundMetrics, ...]
     initial_loss: float
     final_loss: float
-    naive_epsilon: float | None
     wall_s: float
 
 
@@ -285,8 +214,6 @@ def generate_task(
         client_x=tuple(xs),
         client_y=tuple(ys),
         r_star=r_star,
-        sigma_obs=sigma_obs,
-        heterogeneity=heterogeneity,
     )
 
 
@@ -306,19 +233,24 @@ def cosine_lr(lr_start: float, lr_end: float, round_index: int, rounds: int) -> 
 
 def local_train(
     client: ClientState,
-    base: FrozenBase,
-    delta_acc: np.ndarray,
-    config: TrainConfig,
+    adapter: LoraAdapter,
+    effective: np.ndarray,
+    rng: RngStream,
+    *,
+    epochs: int,
+    batch_size: int,
     lr: float,
     server_c: np.ndarray | None = None,
 ) -> LocalTrainResult:
-    """Mini-batch gradient descent on the client's adapter factors.
+    """Mini-batch gradient descent on ``adapter``'s factors over the client's data.
 
-    The loss is half the mean squared error of (W + delta_acc + scale*B@A)
-    against the client's targets, plus prox_mu/2 * (||B||^2 + ||A||^2) when a
-    proximal term is configured.  No m x n matrix is formed per step: the
-    base residual R = X (W + delta_acc)^T - Y is computed once per call, and
-    a minibatch of bs rows then costs O(bs * (m + n) * r):
+    ``effective`` is the m x n effective base W + delta_acc, formed once per
+    round by the caller; ``rng`` shuffles the minibatches.  The loss is half
+    the mean squared error of (effective + scale*B@A) against the client's
+    targets, plus prox_mu/2 * (||B||^2 + ||A||^2) when a proximal term is
+    configured.  No m x n matrix is formed per step: the base residual
+    R = X effective^T - Y is computed once per call, and a minibatch of bs
+    rows then costs O(bs * (m + n) * r):
 
         xa    = xb @ A.T
         err   = R[batch] + scale * xa @ B.T
@@ -330,30 +262,29 @@ def local_train(
     the client holds a control variate c_k, the drift-corrected G + c - c_k
     is used, which adds scale*(c - c_k)@A.T and scale*B.T@(c - c_k) to the
     two gradients.
-    Neither W nor delta_acc is mutated; the trained factors come back as a
-    fresh adapter.  A non-finite batch loss, or a non-finite factor after the
-    last step, raises ``NumericError``; this is the only finiteness check
-    between the task and the server step.
+    Neither ``effective`` nor ``adapter`` is mutated; the trained factors
+    come back as a fresh adapter.  A non-finite batch loss, or a non-finite
+    factor after the last step, raises ``NumericError``; this is the only
+    finiteness check between the task and the server step.
     """
-    effective = base.w + delta_acc
-    b = client.adapter.b.copy()
-    a = client.adapter.a.copy()
-    s = client.adapter.scale
+    b = adapter.b.copy()
+    a = adapter.a.copy()
+    s = adapter.scale
     prox_mu = client.prox_mu
     correction = None
     if server_c is not None and client.control_variate is not None:
         correction = server_c - client.control_variate
 
     n_samples = client.x.shape[0]
-    batch_size = min(config.batch_size, n_samples)
+    batch_size = min(batch_size, n_samples)
 
-    if config.local_epochs == 0:
+    if epochs == 0:
         loss = dataset_loss(effective + s * (b @ a), client.x, client.y)
         if prox_mu > 0:
             loss += 0.5 * prox_mu * (np.sum(b * b) + np.sum(a * a))
-        return LocalTrainResult(adapter=client.adapter, mean_loss=loss, steps=0)
+        return LocalTrainResult(adapter=adapter, mean_loss=loss, steps=0)
 
-    gen = client.rng.generator()
+    gen = rng.generator()
     steps = 0
     last_epoch_losses: list[float] = []
     # Overflow is not trapped per operation: a non-finite residual or step
@@ -361,7 +292,7 @@ def local_train(
     # non-finite factor is caught after the loop.
     with np.errstate(over="ignore", invalid="ignore"):
         resid = client.x @ effective.T - client.y
-        for epoch in range(config.local_epochs):
+        for epoch in range(epochs):
             order = gen.permutation(n_samples)
             epoch_losses = []
             for start in range(0, n_samples, batch_size):
@@ -396,7 +327,7 @@ def local_train(
         raise NumericError(f"client {client.client_id}: non-finite factors after training")
 
     return LocalTrainResult(
-        adapter=client.adapter.with_factors(b, a),
+        adapter=adapter.with_factors(b, a),
         mean_loss=float(np.mean(last_epoch_losses)),
         steps=steps,
     )
@@ -410,69 +341,62 @@ def sample_clients(n_clients: int, k: int, rng: RngStream) -> list[int]:
     return sorted(int(i) for i in gen.choice(n_clients, size=k, replace=False))
 
 
-def _train_one(
-    client: ClientState,
-    base: FrozenBase,
-    delta_acc: np.ndarray,
-    config: TrainConfig,
-    lr: float,
-    round_index: int,
-    root: RngStream,
-    server_c: np.ndarray | None,
-) -> tuple[int, LocalTrainResult]:
-    client.adapter = init_adapter(
-        base.shape[0],
-        base.shape[1],
-        client.adapter.rank,
-        client.adapter.lora_scale,
-        root.child(round_index, client.client_id, _KIND_INIT),
-    )
-    client.rng = root.child(round_index, client.client_id, _KIND_TRAIN)
-    result = local_train(client, base, delta_acc, config, lr, server_c=server_c)
-    return client.client_id, result
-
-
-def _apply_strategy(server: ServerState, delta_t: np.ndarray) -> None:
-    hyper = server.hyper
-    if server.strategy in ("fedavg", "fedprox", "scaffold"):
+def _apply_strategy(server: ServerState, config: RunConfig, delta_t: np.ndarray) -> None:
+    strategy = config.strategy
+    if strategy in ("fedavg", "fedprox", "scaffold"):
         server.delta_acc = server.delta_acc + delta_t
-    elif server.strategy == "fedavgm":
-        server.momentum = hyper.momentum_beta * server.momentum + delta_t
-        server.delta_acc = server.delta_acc + hyper.server_lr * server.momentum
+    elif strategy == "fedavgm":
+        server.momentum = config.momentum * server.momentum + delta_t
+        server.delta_acc = server.delta_acc + config.server_lr * server.momentum
     else:
-        server.momentum = hyper.beta1 * server.momentum + (1.0 - hyper.beta1) * delta_t
+        server.momentum = config.beta1 * server.momentum + (1.0 - config.beta1) * delta_t
         sq = delta_t * delta_t
-        if server.strategy == "fedadagrad":
+        if strategy == "fedadagrad":
             server.second_moment = server.second_moment + sq
-        elif server.strategy == "fedyogi":
-            server.second_moment = server.second_moment - (1.0 - hyper.beta2) * sq * np.sign(
+        elif strategy == "fedyogi":
+            server.second_moment = server.second_moment - (1.0 - config.beta2) * sq * np.sign(
                 server.second_moment - sq
             )
-        elif server.strategy == "fedadam":
-            server.second_moment = hyper.beta2 * server.second_moment + (1.0 - hyper.beta2) * sq
+        elif strategy == "fedadam":
+            server.second_moment = config.beta2 * server.second_moment + (1.0 - config.beta2) * sq
         else:
-            raise ValueError(f"unknown strategy {server.strategy!r}")
-        server.delta_acc = server.delta_acc + hyper.server_lr * server.momentum / (
-            np.sqrt(server.second_moment) + hyper.tau
+            raise ValueError(f"unknown strategy {strategy!r}")
+        server.delta_acc = server.delta_acc + config.server_lr * server.momentum / (
+            np.sqrt(server.second_moment) + config.tau
         )
 
 
 def run_round(
     server: ServerState,
     clients: list[ClientState],
-    config: TrainConfig,
+    config: RunConfig,
     rng: RngStream,
+    mechanism: MechanismParams | None = None,
 ) -> tuple[ServerState, RoundMetrics]:
-    """One communication round: sample, train, privatize, stack, apply, fold."""
+    """One communication round: sample, train, privatize, stack, apply, fold.
+
+    Every sampled client trains a fresh adapter (drawn from its round's
+    stream) against the effective base W + delta_acc, which is formed once
+    for the round.  The round is private exactly when ``mechanism`` is given:
+    each factor is then clipped and noised before stacking.
+    """
     t0 = time.perf_counter()
     round_index = server.round_index
     sampled = sample_clients(len(clients), config.sampled_per_round, rng.child(round_index, _KIND_SAMPLE))
     lr = cosine_lr(config.lr_start, config.lr_end, round_index, config.rounds)
     by_id = {c.client_id: c for c in clients}
-    server_c = server.server_c if server.strategy == "scaffold" else None
+    server_c = server.server_c if config.strategy == "scaffold" else None
+    m, n = server.base.shape
+    effective = server.base.w + server.delta_acc
 
-    results = dict(_train_one(by_id[cid], server.base, server.delta_acc, config, lr,
-                              round_index, rng, server_c) for cid in sampled)
+    results = {}
+    for cid in sampled:
+        adapter = init_adapter(m, n, config.rank, config.lora_scale,
+                               rng.child(round_index, cid, _KIND_INIT))
+        results[cid] = local_train(by_id[cid], adapter, effective,
+                                   rng.child(round_index, cid, _KIND_TRAIN),
+                                   epochs=config.local_epochs, batch_size=config.batch_size,
+                                   lr=lr, server_c=server_c)
 
     sizes = {cid: by_id[cid].x.shape[0] for cid in sampled}
     total = sum(sizes.values())
@@ -484,13 +408,12 @@ def run_round(
         adapter = res.adapter
         data_weight = sizes[cid] / total
         fold = data_weight * adapter.scale
-        if config.dp_enabled:
-            mech = config.mechanism
-            b_clean = clip_frobenius(adapter.b, mech.clip_b)
-            a_clean = clip_frobenius(adapter.a, mech.clip_a)
-            b_rel = privatize(adapter.b, mech.clip_b, mech.sigma_b,
+        if mechanism is not None:
+            b_clean = clip_frobenius(adapter.b, mechanism.clip_b)
+            a_clean = clip_frobenius(adapter.a, mechanism.clip_a)
+            b_rel = privatize(adapter.b, mechanism.clip_b, mechanism.sigma_b,
                               rng.child(round_index, cid, _KIND_NOISE_B))
-            a_rel = privatize(adapter.a, mech.clip_a, mech.sigma_a,
+            a_rel = privatize(adapter.a, mechanism.clip_a, mechanism.sigma_a,
                               rng.child(round_index, cid, _KIND_NOISE_A))
         else:
             b_clean, a_clean = adapter.b, adapter.a
@@ -501,21 +424,20 @@ def run_round(
     released = aggregate_stack(updates)
     delta_t = global_delta(released)
 
-    if config.dp_enabled:
+    if mechanism is not None:
         expectation_diff = _mean_entry(released) - _mean_entry(aggregate_stack(clean_updates))
-        mech = config.mechanism
         total_variance = 0.0
         for u in clean_updates:
-            model = NoiseModel(sigma_beta=mech.sigma_b, sigma_alpha=mech.sigma_a)
+            model = NoiseModel(sigma_beta=mechanism.sigma_b, sigma_alpha=mechanism.sigma_a)
             total_variance += u.weight**2 * exact_total_variance(u.b_tilde, u.a_tilde, model)
     else:
         expectation_diff = 0.0
         total_variance = 0.0
 
-    if server.strategy == "scaffold":
+    if config.strategy == "scaffold":
         _update_control_variates(server, by_id, results, sampled, lr, len(clients))
 
-    _apply_strategy(server, delta_t)
+    _apply_strategy(server, config, delta_t)
     server.round_index += 1
 
     client_losses = tuple((cid, results[cid].mean_loss) for cid in sampled)
@@ -565,23 +487,13 @@ def _update_control_variates(
         server.server_c = server.server_c + sum(shifts) / n_clients
 
 
-def _make_clients(task: SyntheticTask, config: TrainConfig, root: RngStream) -> list[ClientState]:
-    clients = []
-    for k in range(task.n_clients):
-        adapter = init_adapter(task.m, task.n, config.rank, config.lora_scale,
-                               root.child(0, k, _KIND_INIT))
-        clients.append(
-            ClientState(
-                client_id=k,
-                x=task.client_x[k],
-                y=task.client_y[k],
-                adapter=adapter,
-                rng=root.child(0, k, _KIND_TRAIN),
-                prox_mu=config.prox_mu if config.strategy == "fedprox" else 0.0,
-                control_variate=np.zeros((task.m, task.n)),
-            )
-        )
-    return clients
+def _make_clients(task: SyntheticTask, config: RunConfig) -> list[ClientState]:
+    prox_mu = config.prox_mu if config.strategy == "fedprox" else 0.0
+    return [
+        ClientState(client_id=k, x=task.client_x[k], y=task.client_y[k], prox_mu=prox_mu,
+                    control_variate=np.zeros((task.m, task.n)))
+        for k in range(task.n_clients)
+    ]
 
 
 def _global_loss(task: SyntheticTask, delta_acc: np.ndarray) -> float:
@@ -591,25 +503,21 @@ def _global_loss(task: SyntheticTask, delta_acc: np.ndarray) -> float:
     return dataset_loss(model, x, y)
 
 
-def run_experiment(config: TrainConfig, task: SyntheticTask, root: RngStream) -> ExperimentResult:
-    """Run the full horizon and collect per-round metrics plus a final summary."""
+def run_experiment(config: RunConfig, task: SyntheticTask, root: RngStream,
+                   mechanism: MechanismParams | None = None) -> ExperimentResult:
+    """Run ``config.rounds`` rounds, private exactly when ``mechanism`` is given."""
     t0 = time.perf_counter()
-    server = ServerState.fresh(task.base, config.strategy, config.hyper)
-    clients = _make_clients(task, config, root)
+    server = ServerState.fresh(task.base)
+    clients = _make_clients(task, config)
     rounds = []
     for _ in range(config.rounds):
-        server, metrics = run_round(server, clients, config, root)
+        server, metrics = run_round(server, clients, config, root, mechanism)
         rounds.append(metrics)
     initial_loss = _global_loss(task, np.zeros((task.m, task.n)))
     final_loss = _global_loss(task, server.delta_acc)
-    naive_epsilon = None
-    if config.dp_enabled and config.epsilon_b and config.epsilon_a and config.rounds > 0:
-        naive_epsilon = compose_budget(config.epsilon_b, config.epsilon_a, config.rounds)
     return ExperimentResult(
-        config=config,
         rounds=tuple(rounds),
         initial_loss=initial_loss,
         final_loss=final_loss,
-        naive_epsilon=naive_epsilon,
         wall_s=time.perf_counter() - t0,
     )

@@ -10,18 +10,18 @@ from fedlora_dp import attacks
 from fedlora_dp.attacks import (
     AttackTrial,
     DpBoundCheck,
-    GameConfig,
     NeighborPair,
     RocCurve,
     ScoreReference,
     attack_accuracy,
     check_dp_bound,
-    clipped_update,
     make_neighbors,
     roc_curve,
     run_game,
+    trained_update,
 )
 from fedlora_dp.adapters import ClientUpdate, FrozenBase
+from fedlora_dp.config import RunConfig
 from fedlora_dp.linalg import RngStream
 from fedlora_dp.privacy import (
     MechanismParams,
@@ -41,23 +41,34 @@ def _dataset(seed=0, size=4, n=3, m=2):
     return [_record(gen, n, m) for _ in range(size)]
 
 
-def _game_config(seed=0, m=2, n=3, sigma=0.5, clip=1.0, epochs=2):
+@dataclasses.dataclass(frozen=True)
+class Game:
+    """One client's training (base, ``mia_*`` keys, stream) and the mechanism under attack."""
+
+    base: FrozenBase
+    config: RunConfig
+    mechanism: MechanismParams
+    stream: RngStream
+
+
+def _game_config(seed=0, m=2, n=3, sigma=0.5, clip=1.0, epochs=2) -> Game:
     gen = np.random.default_rng(seed + 100)
-    return GameConfig(
+    return Game(
         base=FrozenBase(gen.standard_normal((m, n))),
-        rank=1,
-        lora_scale=1.0,
-        local_epochs=epochs,
-        batch_size=4,
-        lr=0.01,
+        config=RunConfig(mia_rank=1, mia_epochs=epochs, mia_batch_size=4, mia_lr=0.01),
         mechanism=MechanismParams(clip_b=clip, clip_a=clip, sigma_b=sigma, sigma_a=sigma),
-        train_stream=RngStream(seed, (50,)),
+        stream=RngStream(seed, (50,)),
     )
 
 
-def trained_means(pair: NeighborPair, cfg: GameConfig):
-    """The two un-noised mean updates the game is played on."""
-    return clipped_update(pair.d, cfg), clipped_update(pair.d_prime, cfg)
+def trained_means(pair: NeighborPair, game: Game):
+    """The two un-noised mean updates the game is played on, clipped with the game's clip."""
+    mech = game.mechanism
+    return tuple(
+        (clip_frobenius(b, mech.clip_b), clip_frobenius(a, mech.clip_a))
+        for b, a in (trained_update(d, game.base, game.config, game.stream)
+                     for d in (pair.d, pair.d_prime))
+    )
 
 
 def flat(mean) -> np.ndarray:

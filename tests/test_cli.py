@@ -2,12 +2,14 @@
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from fedlora_dp import cli, runner, simulation
+from fedlora_dp import cli, runner
+from fedlora_dp.adapters import init_adapter
 from fedlora_dp.config import RunConfig, parse_text
 from fedlora_dp.linalg import RngStream, frobenius_norm
+from fedlora_dp.privacy import PrivacyBudget, calibrate_sigma
+from fedlora_dp.simulation import ClientState, local_train
 
 TINY = """\
 experiment_name = tiny
@@ -86,6 +88,32 @@ class TestConfigErrors:
     def test_missing_config_exits_1(self, tmp_path):
         assert run_cli("run", str(tmp_path / "absent.cfg"), tmp_path / "out") == 1
 
+    @pytest.mark.parametrize("mode,dp", [
+        ("run", "true"),  # private by config: parse_text names the strategy line
+        ("sweep_clip", "false"),  # private by mode, which is set after parsing
+        ("sweep_epsilon", "false"),
+    ])
+    def test_scaffold_with_dp_exits_1_before_training(self, tmp_path, monkeypatch, capsys,
+                                                      mode, dp):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the config was rejected")
+
+        monkeypatch.setattr(runner, "run_experiment", no_training)
+        config = write_config(tmp_path, TINY.replace("dp_enabled = true", f"dp_enabled = {dp}")
+                              + "strategy = scaffold\n")
+        assert run_cli(mode, config, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert "config error: " in err and "scaffold cannot run with DP" in err
+        assert ("line 18:" in err) == (mode == "run")
+        assert not (tmp_path / "out").exists()
+
+    def test_scaffold_without_dp_runs(self, tmp_path):
+        config = write_config(tmp_path, TINY.replace("dp_enabled = true", "dp_enabled = false")
+                              + "strategy = scaffold\n")
+        assert run_cli("run", config, tmp_path / "out") == 0
+        rows = (tmp_path / "out" / "tiny" / "metrics.csv").read_text().splitlines()
+        assert [row.split(",")[1:3] for row in rows[1:]] == [["scaffold", "false"]] * 4
+
 
 class TestSeedPrecedence:
     def test_config_then_env_then_flag(self, tmp_path, monkeypatch):
@@ -157,6 +185,23 @@ class TestSweeps:
         assert rows[0] == "sweep_key,sweep_value,final_loss,final_mean_train_loss"
         assert [row.split(",")[1] for row in rows[1:]] == values
 
+    def test_sweep_clip_keeps_the_per_factor_budgets(self, tmp_path):
+        # sigma is calibrated at epsilon_b = 5 and epsilon_a = 2, so every output
+        # reports those budgets, not the fallback epsilon = 25.
+        text = TINY.replace("rounds = 4", "rounds = 3") + (
+            "epsilon = 25\nepsilon_b = 5\nepsilon_a = 2\nsweep_clips = 0.5\n")
+        assert run_cli("sweep_clip", write_config(tmp_path, text), tmp_path / "out") == 0
+        point = tmp_path / "out" / "tiny" / "clip_0p5"
+        rows = (point / "metrics.csv").read_text().splitlines()
+        assert {row.split(",")[3] for row in rows[1:]} == {"5"}
+        summary = (point / "summary.txt").read_text().splitlines()
+        assert "naive_composed_epsilon: 21" in summary  # 3 rounds * (5 + 2)
+        for factor, eps in (("b", 5.0), ("a", 2.0)):
+            sigma = calibrate_sigma(0.5, PrivacyBudget(eps, 1e-5))
+            assert f"sigma_{factor}: {runner.fmt(sigma)}" in summary
+        snapshot = (point / "config.snapshot").read_text().splitlines()
+        assert {"epsilon = 25", "epsilon_b = 5", "epsilon_a = 2"} <= set(snapshot)
+
     @pytest.mark.parametrize("mode,calls", [("sweep_clip", 0), ("sweep_epsilon", 1)])
     def test_calibration_dry_run_only_where_its_clips_are_used(self, tmp_path, monkeypatch,
                                                                mode, calls):
@@ -218,13 +263,16 @@ class TestResolveClips:
         lowest = runner.resolve_clips(replace(config, clip_quantile=0.0), task, root)
         highest = runner.resolve_clips(replace(config, clip_quantile=1.0), task, root)
 
-        # Reference: each sampled client trains alone from the zero delta of round 0.
-        dry = replace(runner._base_train_config(config, dp=False, mechanism=None), rounds=1)
+        # Reference: each sampled client trains alone from the zero delta of round 0,
+        # its adapter and shuffle drawn from draw kinds 1 and 2 of the calibration stream.
         stream = root.child(runner._STREAM_CALIBRATE)
         norms = []
-        for client in simulation._make_clients(task, dry, stream):
-            _, res = simulation._train_one(client, task.base, np.zeros((task.m, task.n)), dry,
-                                           dry.lr_start, 0, stream, None)
+        for k in range(task.n_clients):
+            adapter = init_adapter(task.m, task.n, config.rank, config.lora_scale,
+                                   stream.child(0, k, 1))
+            res = local_train(ClientState(k, task.client_x[k], task.client_y[k]), adapter,
+                              task.base.w, stream.child(0, k, 2), epochs=config.local_epochs,
+                              batch_size=config.batch_size, lr=config.lr_start)
             norms.append((frobenius_norm(res.adapter.b), frobenius_norm(res.adapter.a)))
         b_norms, a_norms = zip(*norms)
         assert lowest == (min(b_norms), min(a_norms))

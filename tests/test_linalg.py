@@ -24,7 +24,8 @@ from fedlora_dp.attacks import run_game
 from fedlora_dp.linalg import RngStream, frobenius_norm, sample_gaussian
 from fedlora_dp.noise_stats import NoiseModel, noise_product_stats
 from fedlora_dp.privacy import MechanismParams
-from fedlora_dp.simulation import TrainConfig, generate_task, run_experiment
+from fedlora_dp.config import RunConfig
+from fedlora_dp.simulation import generate_task, run_experiment
 
 # Frozen on first run: seed 42, path (1, 2, 3), sigma 1, shape 1x1.
 GOLDEN_DRAW = 0.3637030706620304
@@ -207,11 +208,9 @@ class TestEntryCheck:
         mech = MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.2, sigma_a=0.3)
         counts = []
         for rounds in (2, 6):
-            config = TrainConfig(rounds=rounds, clients=4, sampled_per_round=2, local_epochs=2,
-                                 batch_size=8, lr_start=0.05, lr_end=0.01, rank=2,
-                                 lora_scale=2.0, seed=3, dp_enabled=True, mechanism=mech,
-                                 epsilon_b=1.0, epsilon_a=1.0, delta=1e-5)
+            config = RunConfig(rounds=rounds, clients=4, sampled_per_round=2, local_epochs=2,
+                               batch_size=8, lr_start=0.05, lr_end=0.01, rank=2, lora_scale=2.0)
             calls.clear()
-            run_experiment(config, task, RngStream(3, (1,)))
+            run_experiment(config, task, RngStream(3, (1,)), mech)
             counts.append(len(calls))
         assert counts[0] == counts[1]

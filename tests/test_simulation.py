@@ -1,20 +1,17 @@
 """Federated loop: training gradients, strategies, determinism, sampling."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from fedlora_dp import simulation
+from fedlora_dp import runner, simulation
 from fedlora_dp.adapters import FrozenBase, LoraAdapter, adapter_delta, global_delta, init_adapter
+from fedlora_dp.config import STRATEGIES, ConfigError, RunConfig, parse_text
 from fedlora_dp.linalg import RngStream, frobenius_norm
 from fedlora_dp.privacy import MechanismParams
 from fedlora_dp.simulation import (
-    STRATEGIES,
     ClientState,
     NumericError,
     ServerState,
-    TrainConfig,
     cosine_lr,
     dataset_loss,
     generate_task,
@@ -25,7 +22,7 @@ from fedlora_dp.simulation import (
 )
 
 
-def small_config(**overrides) -> TrainConfig:
+def small_config(**overrides) -> RunConfig:
     defaults = dict(
         rounds=5,
         clients=4,
@@ -39,7 +36,7 @@ def small_config(**overrides) -> TrainConfig:
         seed=0,
     )
     defaults.update(overrides)
-    return TrainConfig(**defaults)
+    return RunConfig(**defaults)
 
 
 def small_task(seed=0, **overrides):
@@ -101,21 +98,21 @@ def _loss_at(base, delta_acc, adapter, x, y, prox_mu=0.0):
     return loss
 
 
-def _dense_reference_train(client, base, delta_acc, config, lr, server_c=None):
+def _dense_reference_train(client, adapter, effective, rng, epochs, batch_size, lr,
+                           server_c=None):
     """Oracle for local_train: every step forms the dense model and the dense gradient G."""
-    effective = base.w + delta_acc
-    b = client.adapter.b.copy()
-    a = client.adapter.a.copy()
-    s = client.adapter.scale
+    b = adapter.b.copy()
+    a = adapter.a.copy()
+    s = adapter.scale
     prox_mu = client.prox_mu
     correction = None
     if server_c is not None and client.control_variate is not None:
         correction = server_c - client.control_variate
     n_samples = client.x.shape[0]
-    batch_size = min(config.batch_size, n_samples)
-    gen = client.rng.generator()
+    batch_size = min(batch_size, n_samples)
+    gen = rng.generator()
     steps = 0
-    for _ in range(config.local_epochs):
+    for _ in range(epochs):
         order = gen.permutation(n_samples)
         epoch_losses = []
         for start in range(0, n_samples, batch_size):
@@ -145,9 +142,9 @@ class TestLocalTrain:
     def test_zero_epochs_is_noop(self):
         task = small_task()
         adapter = init_adapter(task.m, task.n, 2, 2.0, RngStream(1, (0,)))
-        client = ClientState(0, task.client_x[0], task.client_y[0], adapter, RngStream(1, (1,)))
-        result = local_train(client, task.base, np.zeros((task.m, task.n)),
-                             small_config(local_epochs=0), lr=0.1)
+        client = ClientState(0, task.client_x[0], task.client_y[0])
+        result = local_train(client, adapter, task.base.w, RngStream(1, (1,)), epochs=0,
+                             batch_size=8, lr=0.1)
         assert result.adapter is adapter
         assert result.steps == 0
         assert np.all(adapter_delta(result.adapter) == 0.0)
@@ -167,11 +164,10 @@ class TestLocalTrain:
             adapter = LoraAdapter(b=b0, a=a0, rank=r, lora_scale=scale * r)
             x = gen.standard_normal((6, n))
             y = gen.standard_normal((6, m))
-            client = ClientState(0, x, y, adapter, RngStream(trial, (2,)), prox_mu=prox)
+            client = ClientState(0, x, y, prox_mu=prox)
             lr = 0.01
-            cfg = small_config(local_epochs=1, batch_size=6, lr_start=lr, lr_end=lr,
-                               rank=r, lora_scale=scale * r)
-            result = local_train(client, base, delta_acc, cfg, lr)
+            result = local_train(client, adapter, base.w + delta_acc, RngStream(trial, (2,)),
+                                 epochs=1, batch_size=6, lr=lr)
             grad_b = (b0 - result.adapter.b) / lr
             grad_a = (a0 - result.adapter.a) / lr
 
@@ -207,17 +203,20 @@ class TestLocalTrain:
         adapter = LoraAdapter(b=0.3 * gen.standard_normal((task.m, rank)),
                               a=gen.standard_normal((rank, task.n)), rank=rank, lora_scale=6.0)
         delta_acc = 0.2 * gen.standard_normal((task.m, task.n))
-        client = ClientState(4, task.client_x[1], task.client_y[1], adapter, RngStream(9, (2,)),
+        client = ClientState(4, task.client_x[1], task.client_y[1],
                              prox_mu=0.05 if case == "prox" else 0.0,
                              control_variate=0.1 * gen.standard_normal((task.m, task.n)))
         server_c = 0.1 * gen.standard_normal((task.m, task.n)) if case == "scaffold" else None
         # 20 samples: batches of 5 divide them, batches of 7 leave a last batch of 6
-        cfg = small_config(local_epochs=6 if case == "epochs" else 2,
-                           batch_size=7 if case == "ragged_batch" else 5, rank=rank)
+        epochs = 6 if case == "epochs" else 2
+        batch_size = 7 if case == "ragged_batch" else 5
         lr = 0.05
+        effective = task.base.w + delta_acc
 
-        b, a, loss, steps = _dense_reference_train(client, task.base, delta_acc, cfg, lr, server_c)
-        result = local_train(client, task.base, delta_acc, cfg, lr, server_c=server_c)
+        b, a, loss, steps = _dense_reference_train(client, adapter, effective, RngStream(9, (2,)),
+                                                   epochs, batch_size, lr, server_c)
+        result = local_train(client, adapter, effective, RngStream(9, (2,)), epochs=epochs,
+                             batch_size=batch_size, lr=lr, server_c=server_c)
         assert result.steps == steps
         np.testing.assert_allclose(result.adapter.b, b, rtol=1e-10, atol=0)
         np.testing.assert_allclose(result.adapter.a, a, rtol=1e-10, atol=0)
@@ -226,10 +225,9 @@ class TestLocalTrain:
     def test_single_client_converges_to_optimum(self):
         task = small_task(n_clients=1, samples_per_client=60)
         adapter = init_adapter(task.m, task.n, task.r_star, float(task.r_star), RngStream(2, (0,)))
-        client = ClientState(0, task.client_x[0], task.client_y[0], adapter, RngStream(2, (1,)))
-        cfg = small_config(local_epochs=300, batch_size=60, lr_start=0.2, lr_end=0.2,
-                           rank=task.r_star, lora_scale=float(task.r_star))
-        result = local_train(client, task.base, np.zeros((task.m, task.n)), cfg, lr=0.2)
+        client = ClientState(0, task.client_x[0], task.client_y[0])
+        result = local_train(client, adapter, task.base.w, RngStream(2, (1,)), epochs=300,
+                             batch_size=60, lr=0.2)
         assert result.mean_loss <= 1e-3
 
     def test_scaffold_correction_enters_gradient(self):
@@ -238,15 +236,14 @@ class TestLocalTrain:
         a0 = RngStream(3, (0,)).generator().standard_normal((2, task.n))
         adapter = LoraAdapter(b=b0, a=a0, rank=2, lora_scale=2.0)
         correction_c = np.ones((task.m, task.n)) * 0.3
-        client = ClientState(0, task.client_x[0], task.client_y[0], adapter,
-                             RngStream(3, (1,)), control_variate=np.zeros((task.m, task.n)))
+        client = ClientState(0, task.client_x[0], task.client_y[0],
+                             control_variate=np.zeros((task.m, task.n)))
         lr = 0.05
-        cfg = small_config(local_epochs=1, batch_size=len(task.client_x[0]),
-                           lr_start=lr, lr_end=lr)
-        plain = local_train(client, task.base, np.zeros((task.m, task.n)), cfg, lr)
-        client.adapter = adapter
-        corrected = local_train(client, task.base, np.zeros((task.m, task.n)), cfg, lr,
-                                server_c=correction_c)
+        batch = len(task.client_x[0])
+        plain = local_train(client, adapter, task.base.w, RngStream(3, (1,)), epochs=1,
+                            batch_size=batch, lr=lr)
+        corrected = local_train(client, adapter, task.base.w, RngStream(3, (1,)), epochs=1,
+                                batch_size=batch, lr=lr, server_c=correction_c)
         # G shifts by +c, so the b update shifts by -lr * s * c @ a0.T
         expected_shift = -lr * adapter.scale * (correction_c @ a0.T)
         observed_shift = corrected.adapter.b - plain.adapter.b
@@ -255,20 +252,19 @@ class TestLocalTrain:
     def test_nan_loss_aborts_with_diagnostic(self):
         task = small_task()
         adapter = init_adapter(task.m, task.n, 2, 2.0, RngStream(4, (0,)))
-        client = ClientState(5, task.client_x[0] * 1e150, task.client_y[0], adapter,
-                             RngStream(4, (1,)))
+        client = ClientState(5, task.client_x[0] * 1e150, task.client_y[0])
         with pytest.raises(NumericError, match="client 5"):
-            local_train(client, task.base, np.zeros((task.m, task.n)),
-                        small_config(local_epochs=2), lr=0.1)
+            local_train(client, adapter, task.base.w, RngStream(4, (1,)), epochs=2,
+                        batch_size=8, lr=0.1)
 
     def test_non_finite_factor_after_last_step_aborts(self):
         # one full-batch step: the loss before it is finite, the step overflows b
         task = small_task()
         adapter = init_adapter(task.m, task.n, 2, 200.0, RngStream(4, (0,)))
-        client = ClientState(6, task.client_x[0], task.client_y[0], adapter, RngStream(4, (1,)))
-        cfg = small_config(local_epochs=1, batch_size=len(task.client_x[0]), lora_scale=200.0)
+        client = ClientState(6, task.client_x[0], task.client_y[0])
         with pytest.raises(NumericError, match="client 6"):
-            local_train(client, task.base, np.zeros((task.m, task.n)), cfg, lr=1e308)
+            local_train(client, adapter, task.base.w, RngStream(4, (1,)), epochs=1,
+                        batch_size=len(task.client_x[0]), lr=1e308)
 
 
 class TestSampleClients:
@@ -291,26 +287,22 @@ class TestSampleClients:
         assert np.all(np.abs(freq - 0.1) <= 0.005)
 
 
-def _run(config, task, seed=0):
-    return run_experiment(config, task, RngStream(seed, (7,)))
+def _run(config, task, seed=0, mechanism=None):
+    return run_experiment(config, task, RngStream(seed, (7,)), mechanism)
 
 
 class TestRunRound:
     def test_single_client_identity(self):
         task = small_task(n_clients=1)
         cfg = small_config(clients=1, sampled_per_round=1, rounds=1)
-        server = ServerState.fresh(task.base, "fedavg")
-        adapter = init_adapter(task.m, task.n, cfg.rank, cfg.lora_scale,
-                               RngStream(0, (7,)).child(0, 0, 1))
-        clients = [ClientState(0, task.client_x[0], task.client_y[0], adapter,
-                               RngStream(0, (7,)).child(0, 0, 2),
-                               control_variate=np.zeros((task.m, task.n)))]
+        server = ServerState.fresh(task.base)
         root = RngStream(0, (7,))
-        client_copy = ClientState(0, task.client_x[0], task.client_y[0], adapter,
-                                  root.child(0, 0, 2),
-                                  control_variate=np.zeros((task.m, task.n)))
-        result = local_train(client_copy, task.base, np.zeros((task.m, task.n)), cfg,
-                             cosine_lr(cfg.lr_start, cfg.lr_end, 0, cfg.rounds))
+        adapter = init_adapter(task.m, task.n, cfg.rank, cfg.lora_scale, root.child(0, 0, 1))
+        clients = [ClientState(0, task.client_x[0], task.client_y[0],
+                               control_variate=np.zeros((task.m, task.n)))]
+        result = local_train(clients[0], adapter, task.base.w, root.child(0, 0, 2),
+                             epochs=cfg.local_epochs, batch_size=cfg.batch_size,
+                             lr=cosine_lr(cfg.lr_start, cfg.lr_end, 0, cfg.rounds))
         server, metrics = run_round(server, clients, cfg, root)
         expected = adapter_delta(result.adapter)
         assert np.allclose(server.delta_acc, expected, rtol=1e-12, atol=1e-15)
@@ -321,8 +313,10 @@ class TestRunRound:
     def test_zero_epoch_round_keeps_delta(self):
         task = small_task()
         cfg = small_config(local_epochs=0, rounds=1)
-        server = ServerState.fresh(task.base, "fedavg")
-        clients = _fresh_clients(task, cfg)
+        server = ServerState.fresh(task.base)
+        clients = [ClientState(k, task.client_x[k], task.client_y[k],
+                               control_variate=np.zeros((task.m, task.n)))
+                   for k in range(task.n_clients)]
         server, metrics = run_round(server, clients, cfg, RngStream(1, (7,)))
         assert np.all(server.delta_acc == 0.0)
         assert metrics.global_delta_norm == 0.0
@@ -336,19 +330,6 @@ class TestRunRound:
             assert m1.mean_train_loss == m2.mean_train_loss
             assert m1.global_delta_norm == m2.global_delta_norm
             assert m1.client_losses == m2.client_losses
-
-
-def _fresh_clients(task, cfg):
-    root = RngStream(cfg.seed, (7,))
-    return [
-        ClientState(
-            k, task.client_x[k], task.client_y[k],
-            init_adapter(task.m, task.n, cfg.rank, cfg.lora_scale, root.child(0, k, 1)),
-            root.child(0, k, 2),
-            control_variate=np.zeros((task.m, task.n)),
-        )
-        for k in range(task.n_clients)
-    ]
 
 
 class TestRunExperiment:
@@ -376,11 +357,9 @@ class TestRunExperiment:
     def test_dp_with_zero_sigma_and_loose_clip_matches_plain(self):
         task = small_task()
         loose = MechanismParams(clip_b=1e9, clip_a=1e9, sigma_b=0.0, sigma_a=0.0)
-        plain_cfg = small_config(rounds=4)
-        dp_cfg = small_config(rounds=4, dp_enabled=True, mechanism=loose,
-                              epsilon_b=1.0, epsilon_a=1.0, delta=1e-5)
-        plain = _run(plain_cfg, task, seed=4)
-        dp = _run(dp_cfg, task, seed=4)
+        cfg = small_config(rounds=4)
+        plain = _run(cfg, task, seed=4)
+        dp = _run(cfg, task, seed=4, mechanism=loose)
         for m1, m2 in zip(plain.rounds, dp.rounds):
             assert m1.mean_train_loss == m2.mean_train_loss
             assert m1.global_delta_norm == m2.global_delta_norm
@@ -388,20 +367,18 @@ class TestRunExperiment:
             assert m1.total_variance == m2.total_variance == 0.0
         assert plain.final_loss == dp.final_loss
 
-    def test_naive_epsilon_reported(self):
-        task = small_task()
-        mech = MechanismParams(clip_b=1.0, clip_a=1.0, sigma_b=0.1, sigma_a=0.1)
-        cfg = small_config(rounds=3, dp_enabled=True, mechanism=mech,
-                           epsilon_b=1.0, epsilon_a=2.0, delta=1e-5)
-        result = _run(cfg, task, seed=6)
-        assert result.naive_epsilon == 9.0  # 3 rounds * (1 + 2)
+    def test_naive_epsilon_reported(self, tmp_path):
+        cfg = small_config(rounds=3, dp_enabled=True, epsilon_b=1.0, epsilon_a=2.0,
+                           clip_mode="absolute", clip_value=1.0, task_m=6, task_n=4,
+                           task_rank=2, samples_per_client=20, output_dir=str(tmp_path))
+        assert runner.cmd_run(cfg) == 0
+        summary = (tmp_path / "run" / "summary.txt").read_text().splitlines()
+        assert "naive_composed_epsilon: 9" in summary  # 3 rounds * (1 + 2)
 
     def test_dp_metrics_track_noise(self):
         task = small_task()
         mech = MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.2, sigma_a=0.2)
-        cfg = small_config(rounds=2, dp_enabled=True, mechanism=mech,
-                          epsilon_b=1.0, epsilon_a=1.0, delta=1e-5)
-        result = _run(cfg, task, seed=7)
+        result = _run(small_config(rounds=2), task, seed=7, mechanism=mech)
         for metrics in result.rounds:
             assert metrics.total_variance > 0.0
             assert np.isfinite(metrics.expectation_diff)
@@ -420,9 +397,8 @@ class TestRunExperiment:
         monkeypatch.setattr(simulation, "aggregate_stack", recording_stack)
         task = small_task()
         mech = MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.2, sigma_a=0.3)
-        cfg = small_config(rounds=3, sampled_per_round=3, dp_enabled=True, mechanism=mech,
-                           epsilon_b=1.0, epsilon_a=1.0, delta=1e-5)
-        result = _run(cfg, task, seed=8)
+        cfg = small_config(rounds=3, sampled_per_round=3)
+        result = _run(cfg, task, seed=8, mechanism=mech)
         assert len(stacks) == 2 * cfg.rounds  # released then clean, each round
         for metrics, released, clean in zip(result.rounds, stacks[::2], stacks[1::2]):
             dense = np.mean(global_delta(released) - global_delta(clean))
@@ -431,18 +407,25 @@ class TestRunExperiment:
 
 
 class TestConfigValidation:
-    def test_dp_requires_mechanism(self):
-        with pytest.raises(ValueError, match="mechanism"):
-            small_config(dp_enabled=True)
+    """The loop's settings are checked once, by ``parse_text``, with the offending line."""
+
+    def _error(self, text):
+        with pytest.raises(ConfigError) as info:
+            parse_text(text)
+        return str(info.value)
 
     def test_sample_bounds(self):
-        with pytest.raises(ValueError, match="sampled_per_round"):
-            small_config(sampled_per_round=9)
+        message = self._error("clients = 4\nsampled_per_round = 9\n")
+        assert message.startswith("line 2: sampled_per_round (9) cannot exceed clients (4)")
 
     def test_lr_order(self):
-        with pytest.raises(ValueError, match="lr_start"):
-            small_config(lr_start=0.001, lr_end=0.01)
+        message = self._error("lr_start = 0.001\nrounds = 3\nlr_end = 0.01\n")
+        assert message.startswith("line 3: lr_end (0.01) cannot exceed lr_start (0.001)")
+
+    def test_task_rank_bound(self):
+        message = self._error("task_m = 6\ntask_n = 4\ntask_rank = 5\n")
+        assert message.startswith("line 3: task_rank (5) cannot exceed min(task_m, task_n)")
 
     def test_unknown_strategy(self):
-        with pytest.raises(ValueError, match="strategy"):
-            small_config(strategy="sgd")
+        message = self._error("rounds = 3\nstrategy = sgd\n")
+        assert message.startswith("line 2: strategy must be one of")
