@@ -1,8 +1,9 @@
 """Command-line entry point: ``fedlora-dp <mode> --config <path> [--seed N] [--out DIR]``.
 
-Seed precedence, lowest first: config file, FEDLORA_DP_SEED environment
-variable, --seed flag.  Exit codes: 0 success, 1 validation error, 2 runtime
-or numeric failure, 3 verify-suite failure.
+The command names the mode; a ``mode`` line in the config file that names
+another is a config error.  Seed precedence, lowest first: config file,
+FEDLORA_DP_SEED environment variable, --seed flag.  Exit codes: 0 success,
+1 validation error, 2 runtime or numeric failure, 3 verify-suite failure.
 """
 
 import argparse
@@ -10,7 +11,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import MODES, ConfigError, RunConfig, check_private_scaffold, parse_config
+from .config import MODES, ConfigError, RunConfig, parse_config
 from .runner import cmd_mia, cmd_report, cmd_run, cmd_sweep, cmd_verify
 from .simulation import NumericError
 
@@ -30,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
-    config = parse_config(args.config) if args.config else RunConfig()
+    config = parse_config(args.config, args.mode) if args.config else RunConfig(mode=args.mode)
     seed = config.seed
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:
@@ -44,9 +45,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         seed = args.seed
-    config = replace(config, mode=args.mode, seed=seed)
-    check_private_scaffold(config)
-    return config
+    return replace(config, seed=seed)
 
 
 def main(argv: list[str] | None = None) -> int:

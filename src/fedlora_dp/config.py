@@ -6,19 +6,18 @@ errors that carry the offending line number.  ``snapshot()`` serialises a
 config canonically so that re-parsing reproduces an equal value.
 
 A config is checked once, where it enters: ``parse_text`` checks every key's
-type and range and the conditions between keys, and ``check_private_scaffold``
-runs again once the command line has set the mode.  ``RunConfig`` is then the
-one record of a run's settings.  The round loop (``simulation``), the attack
-(``attacks``) and the runner read it directly and check none of its values
-again.
+type and range and the conditions between keys, against the mode that will
+run.  The command line names that mode; a file whose ``mode`` line names
+another is an error.  ``RunConfig`` is then the one record of a run's
+settings.  The round loop (``simulation``), the attack (``attacks``) and the
+runner read it directly and check none of its values again.
 """
 
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "parse_text", "check_private_scaffold",
-           "MODES", "STRATEGIES"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "parse_text", "MODES", "STRATEGIES"]
 
 MODES = ("run", "verify", "sweep_epsilon", "sweep_clip", "sweep_rank", "sweep_size", "mia", "report")
 PRIVATE_MODES = ("sweep_epsilon", "sweep_clip")  # every point of these sweeps runs with DP
@@ -275,8 +274,12 @@ _VALIDATORS = {
 }
 
 
-def parse_text(text: str, source: str = "<config>") -> RunConfig:
-    """Parse config text; unknown keys, malformed lines and bad values are errors."""
+def parse_text(text: str, source: str = "<config>", mode: str | None = None) -> RunConfig:
+    """Parse config text; unknown keys, malformed lines and bad values are errors.
+
+    ``mode``, when given, is the mode that will run, and the config is
+    checked against it: a ``mode`` line naming another mode is an error.
+    """
     field_types = {f.name: f.type for f in fields(RunConfig)}
     known = set(field_types)
     values: dict[str, object] = {}
@@ -305,6 +308,11 @@ def parse_text(text: str, source: str = "<config>") -> RunConfig:
             values[key] = parser(raw_value, key, lineno)
         lines_seen[key] = lineno
 
+    if mode is not None:
+        if values.get("mode", mode) != mode:
+            raise ConfigError(f"mode is {values['mode']!r}, but the command runs {mode!r}",
+                              lines_seen["mode"])
+        values["mode"] = mode
     config = RunConfig(**values)
     _validate(config, lines_seen)
     return config
@@ -341,25 +349,18 @@ def _validate(config: RunConfig, lines_seen: dict[str, int]) -> None:
         if m < 1 or n < 1:
             raise ConfigError(f"sweep_sizes entries must be positive, got {m}x{n}",
                               lines_seen.get("sweep_sizes"))
-    check_private_scaffold(config, lines_seen.get("strategy"))
-
-
-def check_private_scaffold(config: RunConfig, line: int | None = None) -> None:
-    """Reject SCAFFOLD in a private run (``dp_enabled``, or a mode in ``PRIVATE_MODES``).
-
-    Its control variates are built from each client's clean adapter, so a
-    private run would send un-noised updates to the server.
-    """
+    # SCAFFOLD's control variates are built from each client's clean adapter,
+    # so a private run would send un-noised updates to the server.
     if config.strategy == "scaffold" and (config.dp_enabled or config.mode in PRIVATE_MODES):
         raise ConfigError(
             "strategy scaffold cannot run with DP: its control variates use un-noised updates",
-            line,
+            lines_seen.get("strategy"),
         )
 
 
-def parse_config(path: str | Path) -> RunConfig:
-    """Parse a config file; a missing file is a validation error."""
+def parse_config(path: str | Path, mode: str | None = None) -> RunConfig:
+    """Parse a config file for ``mode`` (see ``parse_text``); a missing file is an error."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return parse_text(path.read_text(), source=str(path))
+    return parse_text(path.read_text(), source=str(path), mode=mode)

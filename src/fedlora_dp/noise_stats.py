@@ -13,6 +13,9 @@ whenever m == n but is not an upper bound on asymmetric shapes.
 """
 
 import math
+import os
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +76,89 @@ def _chunk_size(m: int, n: int, r: int) -> int:
     return max(1, 500_000 // biggest)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_in_order(n_tasks: int, run: Callable[[int], object],
+                  fold: Callable[[object], None]) -> None:
+    """``run(i)`` for each task on up to ``_cpu_count()`` threads; ``fold`` on the caller in order.
+
+    The calling thread is one of the workers, so one task or one CPU starts
+    no thread.  Workers take the next task index as they come free, and the
+    caller folds each result as soon as every earlier one has been folded,
+    so only the results that finished out of order wait in memory.  The
+    first exception raised by any worker stops the others from taking new
+    tasks and is re-raised here once all of them have returned.
+    """
+    tasks = iter(range(n_tasks))
+    taking = threading.Lock()
+    results: list = [None] * n_tasks
+    failed: list[BaseException] = []
+    folded = 0
+
+    def work(on_caller: bool) -> None:
+        nonlocal folded
+        try:
+            while not failed:
+                with taking:
+                    i = next(tasks, None)
+                if i is None:
+                    return
+                results[i] = run(i)
+                while on_caller and folded < n_tasks and results[folded] is not None:
+                    fold(results[folded])
+                    results[folded] = None
+                    folded += 1
+        except BaseException as exc:
+            failed.append(exc)
+
+    threads = [threading.Thread(target=work, args=(False,))
+               for _ in range(min(n_tasks, _cpu_count()) - 1)]
+    for thread in threads:
+        thread.start()
+    work(on_caller=True)
+    for thread in threads:
+        thread.join()
+    if failed:
+        raise failed[0]
+    for result in results[folded:]:
+        fold(result)
+
+
+def _chunk_sums(b: np.ndarray, a: np.ndarray, clean: np.ndarray, model: NoiseModel,
+                gen: np.random.Generator, per_draw_mean: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """One chunk of ``len(per_draw_mean)`` draws: (sum of products, sum of squares).
+
+    Fills ``per_draw_mean`` with each draw's entry-averaged (B+beta)(A+alpha) - BA.
+    """
+    count = len(per_draw_mean)
+    m, r = b.shape
+    n = a.shape[1]
+    if model.sigma_beta > 0:
+        tall = gen.standard_normal((count, m, r))
+        tall *= model.sigma_beta
+        tall += b
+    else:
+        tall = np.broadcast_to(b, (count, m, r))
+    if model.sigma_alpha > 0:
+        wide = gen.standard_normal((count, r, n))
+        wide *= model.sigma_alpha
+        wide += a
+    else:
+        wide = np.broadcast_to(a, (count, r, n))
+    prods = tall @ wide
+    del tall, wide  # freed before the reductions, so two chunks in flight fit in one's old peak
+    sums = prods.sum(axis=0), (prods * prods).sum(axis=0)
+    prods -= clean
+    per_draw_mean[:] = prods.mean(axis=(1, 2))
+    return sums
+
+
 def noise_product_stats(
     b: np.ndarray,
     a: np.ndarray,
@@ -82,10 +168,18 @@ def noise_product_stats(
 ) -> NoiseStats:
     """Single-pass Monte Carlo over perturbed products.
 
-    Draws are generated in fixed-size chunks with per-chunk sub-streams and
-    accumulated in chunk order, so the result is independent of scheduling.
-    Reports the entry-averaged mean of (B+beta)(A+alpha) - BA with its standard
-    error, and the unbiased per-entry sample variance summed over entries.
+    Draws are generated in chunks of ``_chunk_size`` draws; chunk i draws from
+    sub-stream ``rng.child(i)``.  The calling thread creates every chunk's
+    generator, in chunk order, before any chunk runs.  The chunks then run on
+    one worker per CPU this process may use, at most one per chunk, the
+    calling thread among them; workers call only numpy, which releases the
+    GIL while it fills and multiplies arrays.  Each chunk's sums are added on
+    the calling thread in chunk order, and each chunk writes its own slice of
+    the per-draw means, so every floating-point operation and its order are
+    the same whatever the number of workers: the result is bit-identical.
+    Reports the entry-averaged mean of (B+beta)(A+alpha) - BA with its
+    standard error, and the unbiased per-entry sample variance summed over
+    entries.
     """
     b = as_matrix(b, "b factor")
     a = as_matrix(a, "a factor")
@@ -99,33 +193,22 @@ def noise_product_stats(
     if model.sigma_beta == 0 and model.sigma_alpha == 0:
         return NoiseStats(mean_diff=0.0, std_error=0.0, total_variance=0.0, n_draws=n_draws)
     clean = b @ a
-    chunk = _chunk_size(m, n, r)
+    starts = range(0, n_draws, _chunk_size(m, n, r))
+    generators = [rng.child(i).generator() for i in range(len(starts))]
+    per_draw_mean = np.empty(n_draws)
+
+    def run(i: int) -> tuple[np.ndarray, np.ndarray]:
+        span = per_draw_mean[starts[i]:starts[i] + starts.step]
+        return _chunk_sums(b, a, clean, model, generators[i], span)
 
     sum_prod = np.zeros((m, n))
     sum_sq = np.zeros((m, n))
-    per_draw_mean = np.empty(n_draws)
 
-    done = 0
-    chunk_index = 0
-    while done < n_draws:
-        count = min(chunk, n_draws - done)
-        gen = rng.child(chunk_index).generator()
-        if model.sigma_beta > 0:
-            beta = model.sigma_beta * gen.standard_normal((count, m, r))
-            tall = b + beta
-        else:
-            tall = np.broadcast_to(b, (count, m, r))
-        if model.sigma_alpha > 0:
-            alpha = model.sigma_alpha * gen.standard_normal((count, r, n))
-            wide = a + alpha
-        else:
-            wide = np.broadcast_to(a, (count, r, n))
-        prods = tall @ wide
-        sum_prod += prods.sum(axis=0)
-        sum_sq += (prods * prods).sum(axis=0)
-        per_draw_mean[done:done + count] = (prods - clean).mean(axis=(1, 2))
-        done += count
-        chunk_index += 1
+    def fold(sums: tuple[np.ndarray, np.ndarray]) -> None:
+        np.add(sum_prod, sums[0], out=sum_prod)
+        np.add(sum_sq, sums[1], out=sum_sq)
+
+    _run_in_order(len(starts), run, fold)
 
     mean_diff = float(per_draw_mean.mean())
     std_error = float(per_draw_mean.std(ddof=1) / math.sqrt(n_draws))

@@ -172,16 +172,10 @@ def generate_task(
     Base entries are N(0, 1/n); the rank-r_star target product is rescaled to
     unit Frobenius norm.  Client k draws inputs from N(mu_k, I) where
     ||mu_k|| equals the heterogeneity parameter (zero shift when it is 0).
+    The arguments are not checked here: ``parse_text`` checks the config keys
+    they come from (1 <= r_star <= min(m, n), positive sizes, sigma_obs >= 0,
+    heterogeneity in [0, 1]).
     """
-    if m < 1 or n < 1 or n_clients < 1 or samples_per_client < 1:
-        raise ValueError("task dimensions and sizes must be positive")
-    if not 1 <= r_star <= min(m, n):
-        raise ValueError(f"r_star must lie in [1, {min(m, n)}], got {r_star}")
-    if sigma_obs < 0:
-        raise ValueError(f"sigma_obs must be >= 0, got {sigma_obs}")
-    if not 0 <= heterogeneity <= 1:
-        raise ValueError(f"heterogeneity must lie in [0, 1], got {heterogeneity}")
-
     gen_base = rng.child(_TASK_BASE).generator()
     w = gen_base.standard_normal((m, n)) / math.sqrt(n)
 
@@ -488,10 +482,12 @@ def _update_control_variates(
 
 
 def _make_clients(task: SyntheticTask, config: RunConfig) -> list[ClientState]:
+    """One client per task shard; only SCAFFOLD gives them a control variate."""
     prox_mu = config.prox_mu if config.strategy == "fedprox" else 0.0
+    scaffold = config.strategy == "scaffold"
     return [
         ClientState(client_id=k, x=task.client_x[k], y=task.client_y[k], prox_mu=prox_mu,
-                    control_variate=np.zeros((task.m, task.n)))
+                    control_variate=np.zeros((task.m, task.n)) if scaffold else None)
         for k in range(task.n_clients)
     ]
 

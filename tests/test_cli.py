@@ -89,8 +89,8 @@ class TestConfigErrors:
         assert run_cli("run", str(tmp_path / "absent.cfg"), tmp_path / "out") == 1
 
     @pytest.mark.parametrize("mode,dp", [
-        ("run", "true"),  # private by config: parse_text names the strategy line
-        ("sweep_clip", "false"),  # private by mode, which is set after parsing
+        ("run", "true"),  # private by config
+        ("sweep_clip", "false"),  # private by the command's mode, which parse_text is given
         ("sweep_epsilon", "false"),
     ])
     def test_scaffold_with_dp_exits_1_before_training(self, tmp_path, monkeypatch, capsys,
@@ -104,7 +104,7 @@ class TestConfigErrors:
         assert run_cli(mode, config, tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert "config error: " in err and "scaffold cannot run with DP" in err
-        assert ("line 18:" in err) == (mode == "run")
+        assert "line 18:" in err
         assert not (tmp_path / "out").exists()
 
     def test_scaffold_without_dp_runs(self, tmp_path):
@@ -113,6 +113,52 @@ class TestConfigErrors:
         assert run_cli("run", config, tmp_path / "out") == 0
         rows = (tmp_path / "out" / "tiny" / "metrics.csv").read_text().splitlines()
         assert [row.split(",")[1:3] for row in rows[1:]] == [["scaffold", "false"]] * 4
+
+    @pytest.mark.parametrize("file_mode,mode,extra", [
+        # checked against sweep_clip, this file would fail the SCAFFOLD check
+        ("sweep_clip", "run", "dp_enabled = false\nstrategy = scaffold\n"),
+        ("run", "sweep_rank", ""),
+    ])
+    def test_file_mode_other_than_command_exits_1(self, tmp_path, capsys, file_mode, mode,
+                                                  extra):
+        config = write_config(tmp_path, TINY.replace("dp_enabled = true\n", "")
+                              + f"mode = {file_mode}\n" + extra)
+        assert run_cli(mode, config, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err == (f"config error: line 17: mode is {file_mode!r}, "
+                       f"but the command runs {mode!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", [TINY, TINY + "mode = run\n"])
+    def test_file_mode_absent_or_equal_to_command_runs(self, tmp_path, text):
+        assert run_cli("run", write_config(tmp_path, text), tmp_path / "out") == 0
+        snapshot = (tmp_path / "out" / "tiny" / "config.snapshot").read_text()
+        assert "\nmode = run\n" in snapshot
+
+    @pytest.mark.parametrize("mode,bad_line", [
+        ("run", "task_rank = 5"),  # above min(task_m, task_n) = 4
+        ("run", "task_n = 0"),
+        ("run", "clients = 0"),
+        ("run", "samples_per_client = 0"),
+        ("run", "sigma_obs = -0.1"),
+        ("run", "heterogeneity = 1.5"),
+        ("mia", "task_rank = 5"),
+        ("mia", "mia_dataset_size = 0"),
+        ("mia", "sigma_obs = -0.1"),
+    ])
+    def test_task_keys_rejected_before_the_task_is_built(self, tmp_path, monkeypatch, capsys,
+                                                          mode, bad_line):
+        # generate_task checks none of its arguments: parse_text is the only check
+        def no_task(*args, **kwargs):
+            raise AssertionError("built a task from a config that should be rejected")
+
+        monkeypatch.setattr(runner, "generate_task", no_task)
+        key = bad_line.split(" = ")[0]
+        lines = [line for line in TINY.splitlines() if not line.startswith(key + " ")]
+        config = write_config(tmp_path, "\n".join(lines + [bad_line]) + "\n")
+        assert run_cli(mode, config, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: line {len(lines) + 1}: {key} ")
 
 
 class TestSeedPrecedence:

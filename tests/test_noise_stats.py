@@ -1,11 +1,17 @@
 """Monte Carlo vs closed-form statistics of noisy factor products."""
 
+import math
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from fedlora_dp import noise_stats
 from fedlora_dp.linalg import RngStream
 from fedlora_dp.noise_stats import (
     NoiseModel,
+    NoiseStats,
     exact_total_variance,
     noise_product_stats,
     rank_sweep,
@@ -196,3 +202,131 @@ class TestEngine:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="chain"):
             noise_product_stats(np.ones((2, 2)), np.ones((3, 2)), NoiseModel(1, 1), 1000, RngStream(0))
+
+
+def sequential_stats(b, a, model, n_draws, rng):
+    """The one-thread chunk loop, as a reference: same streams, same operation order."""
+    m, r = b.shape
+    n = a.shape[1]
+    clean = b @ a
+    chunk = noise_stats._chunk_size(m, n, r)
+    sum_prod = np.zeros((m, n))
+    sum_sq = np.zeros((m, n))
+    per_draw_mean = np.empty(n_draws)
+    for index, done in enumerate(range(0, n_draws, chunk)):
+        count = min(chunk, n_draws - done)
+        gen = rng.child(index).generator()
+        tall = b + model.sigma_beta * gen.standard_normal((count, m, r)) \
+            if model.sigma_beta > 0 else np.broadcast_to(b, (count, m, r))
+        wide = a + model.sigma_alpha * gen.standard_normal((count, r, n)) \
+            if model.sigma_alpha > 0 else np.broadcast_to(a, (count, r, n))
+        prods = tall @ wide
+        sum_prod += prods.sum(axis=0)
+        sum_sq += (prods * prods).sum(axis=0)
+        per_draw_mean[done:done + count] = (prods - clean).mean(axis=(1, 2))
+    var_entries = (sum_sq - sum_prod * sum_prod / n_draws) / (n_draws - 1)
+    return NoiseStats(
+        mean_diff=float(per_draw_mean.mean()),
+        std_error=float(per_draw_mean.std(ddof=1) / math.sqrt(n_draws)),
+        total_variance=float(np.maximum(var_entries, 0.0).sum()),
+        n_draws=n_draws,
+    )
+
+
+# At 100 x 100 a chunk holds 50 draws: 230 draws are 5 chunks, the last one
+# short, which neither 2 nor 3 workers divide; 40 draws are a single chunk.
+PARALLEL_CASES = {
+    "five_chunks": (NoiseModel(0.7, 1.3), 230),
+    "single_chunk": (NoiseModel(0.7, 1.3), 40),
+    "no_tall_noise": (NoiseModel(0.0, 1.3), 230),
+    "no_wide_noise": (NoiseModel(0.7, 0.0), 230),
+}
+
+
+def parallel_factors():
+    gen = np.random.default_rng(18)
+    return gen.standard_normal((100, 2)), gen.standard_normal((2, 100))
+
+
+class TestWorkers:
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def force(count):
+            monkeypatch.setattr(noise_stats, "_cpu_count", lambda: count)
+        return force
+
+    @pytest.mark.parametrize("case", sorted(PARALLEL_CASES))
+    def test_bit_identical_at_any_worker_count(self, cpus, case):
+        model, draws = PARALLEL_CASES[case]
+        b, a = parallel_factors()
+        rng = RngStream(19, (2,))
+        expected = sequential_stats(b, a, model, draws, rng)
+        for count in (1, 2, 3):
+            cpus(count)
+            assert noise_product_stats(b, a, model, draws, rng) == expected
+
+    @pytest.mark.parametrize("cpu_count,draws,started", [(3, 230, 2), (2, 230, 1), (3, 40, 0),
+                                                         (1, 230, 0)])
+    def test_one_worker_per_cpu_at_most_one_per_chunk(self, cpus, monkeypatch, cpu_count, draws,
+                                                      started):
+        # the calling thread is a worker too, so it starts one thread fewer
+        cpus(cpu_count)
+        threads = []
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                threads.append(self)
+                super().start()
+
+        monkeypatch.setattr(noise_stats.threading, "Thread", CountedThread)
+        b, a = parallel_factors()
+        noise_product_stats(b, a, NoiseModel(0.7, 1.3), draws, RngStream(20))
+        assert len(threads) == started
+
+    def test_more_workers_than_cpus_under_fast_switching(self, cpus):
+        # a chunk run twice, skipped or folded out of order changes the result
+        b, a = parallel_factors()
+        model = NoiseModel(0.7, 1.3)
+        rng = RngStream(23)
+        expected = sequential_stats(b, a, model, 1030, rng)  # 21 chunks
+        cpus(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert noise_product_stats(b, a, model, 1030, rng) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_generators_created_on_caller_once_per_chunk(self, cpus, monkeypatch):
+        cpus(3)
+        calls = []
+        original = RngStream.generator
+
+        def recorded(stream):
+            calls.append((threading.get_ident(), stream.stream_path))
+            return original(stream)
+
+        monkeypatch.setattr(RngStream, "generator", recorded)
+        b, a = parallel_factors()
+        noise_product_stats(b, a, NoiseModel(0.7, 1.3), 230, RngStream(21, (4,)))
+        assert calls == [(threading.get_ident(), (4, i)) for i in range(5)]
+
+    def test_worker_exception_reaches_caller(self, cpus, monkeypatch):
+        cpus(2)
+        caller = threading.get_ident()
+        raised = threading.Event()
+        original = noise_stats._chunk_sums
+
+        def failing(*args):
+            if threading.get_ident() != caller:
+                raised.set()
+                raise RuntimeError("worker failed")
+            raised.wait(timeout=10)  # the worker takes a chunk while the caller holds one
+            return original(*args)
+
+        monkeypatch.setattr(noise_stats, "_chunk_sums", failing)
+        b, a = parallel_factors()
+        with pytest.raises(RuntimeError, match="worker failed"):
+            noise_product_stats(b, a, NoiseModel(0.7, 1.3), 230, RngStream(22))
+        assert raised.is_set()

@@ -72,10 +72,6 @@ class TestGenerateTask:
         for a, b in zip(t1.client_y, t2.client_y):
             assert np.array_equal(a, b)
 
-    def test_invalid_dims_rejected(self):
-        with pytest.raises(ValueError, match="r_star"):
-            small_task(r_star=10)
-
 
 class TestCosineLr:
     def test_endpoints(self):
@@ -344,6 +340,12 @@ class TestRunExperiment:
         before = task.base.w.copy()
         _run(small_config(rounds=4), task)
         assert np.array_equal(task.base.w, before)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_control_variates_only_under_scaffold(self, strategy):
+        clients = simulation._make_clients(small_task(), small_config(strategy=strategy))
+        has_variate = [c.control_variate is not None for c in clients]
+        assert has_variate == [strategy == "scaffold"] * len(clients)
 
     def test_all_strategies_improve(self):
         task = generate_task(16, 8, 4, 8, 40, 0.0, 0.0, RngStream(6, (99,)))
