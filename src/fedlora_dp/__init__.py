@@ -4,7 +4,7 @@ Library layout:
 
 - ``linalg``: keyed random streams, Gaussian draws, and the entry check on arrays
 - ``privacy``: norm clipping, Gaussian noise calibration, privatization
-- ``adapters``: low-rank factor pairs and the stacking aggregation
+- ``adapters``: low-rank factor pairs, plain ``(b, a)`` arrays, and the stacking aggregation
 - ``config``: ``RunConfig``, the one record of a run's settings, checked where parsed
 - ``simulation``: synthetic tasks, local training, the federated round loop
 - ``noise_stats``: expectation/variance analysis of noisy factor products
@@ -12,16 +12,7 @@ Library layout:
 - ``runner`` / ``cli``: experiment orchestration and the command line
 """
 
-from .adapters import (
-    ClientUpdate,
-    FrozenBase,
-    GlobalAdapter,
-    LoraAdapter,
-    adapter_delta,
-    aggregate_stack,
-    global_delta,
-    init_adapter,
-)
+from .adapters import FrozenBase, GlobalAdapter, aggregate_stack, global_delta, init_adapter
 from .config import STRATEGIES, RunConfig
 from .linalg import RngStream, frobenius_norm, sample_gaussian
 from .noise_stats import (
@@ -60,11 +51,8 @@ __all__ = [
     "calibrate_sigma",
     "privatize",
     "compose_budget",
-    "LoraAdapter",
-    "ClientUpdate",
     "GlobalAdapter",
     "FrozenBase",
-    "adapter_delta",
     "aggregate_stack",
     "global_delta",
     "init_adapter",

@@ -2,7 +2,7 @@
 
 The game pits two neighboring datasets (equal size, exactly one record
 replaced) against each other: a fair coin picks one, a client trains a
-low-rank adapter on it, the factors are clipped and noised, and an attacker
+low-rank factor pair on it, the factors are clipped and noised, and an attacker
 with worst-case knowledge scores the release by projecting it onto the
 difference of the two un-noised mean updates.  This linear score is the
 likelihood-ratio statistic only when both factors carry the same noise scale
@@ -23,6 +23,8 @@ from child (k, 0), the B noise of its releases with bit ``bit`` from child
 (k, 1, bit) and their A noise from child (k, 2, bit).  Within a block the
 releases with one bit are one stacked draw, in trial order, so the first
 such trial gets the same noise as a single ``privatize`` call on that child.
+A game's trials are two arrays in trial order: the coin flips (``bits``, 0
+or 1) and the attacker's scores.
 """
 
 import math
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import FrozenBase, init_adapter
+from .adapters import FactorPair, FrozenBase, init_adapter
 from .config import RunConfig
 from .linalg import RngStream, as_matrix
 from .privacy import MechanismParams, clip_frobenius, privatize
@@ -39,7 +41,6 @@ from .simulation import ClientState, local_train
 __all__ = [
     "Record",
     "NeighborPair",
-    "AttackTrial",
     "RocCurve",
     "DpBoundCheck",
     "ScoreReference",
@@ -91,20 +92,6 @@ class NeighborPair:
             raise ValueError(
                 f"records at index {self.differing_index} are identical; pair is degenerate"
             )
-
-
-@dataclass(frozen=True)
-class AttackTrial:
-    """One round of the game: which dataset was used, and the attacker's score."""
-
-    true_bit: int
-    score: float
-
-    def __post_init__(self):
-        if self.true_bit not in (0, 1):
-            raise ValueError(f"true_bit must be 0 or 1, got {self.true_bit}")
-        if not math.isfinite(self.score):
-            raise ValueError(f"score must be finite, got {self.score}")
 
 
 @dataclass(frozen=True)
@@ -185,24 +172,23 @@ def make_neighbors(dataset: list[Record], index: int, replacement: Record) -> Ne
 
 
 def trained_update(dataset: tuple[Record, ...], base: FrozenBase, config: RunConfig,
-                   stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """Un-noised, unclipped factor pair one client trains on a dataset.
+                   stream: RngStream) -> FactorPair:
+    """Un-noised, unclipped factor pair (b, a) one client trains on a dataset.
 
-    The adapter has rank ``mia_rank`` and LoRA scale ``mia_rank`` (so the
-    product enters unscaled), is drawn from ``stream.child(0)``, and trains
-    for ``mia_epochs`` at ``mia_batch_size`` and ``mia_lr`` against the frozen
+    The pair has rank ``mia_rank`` and LoRA scale 1 (its product enters
+    unscaled), is drawn from ``stream.child(0)``, and trains for
+    ``mia_epochs`` at ``mia_batch_size`` and ``mia_lr`` against the frozen
     base, shuffled by ``stream.child(1)``.  The same stream for both datasets
     of a pair keeps their difference down to the replaced record.
     """
     x = np.stack([r[0] for r in dataset])
     y = np.stack([r[1] for r in dataset])
     m, n = base.shape
-    rank = config.mia_rank
-    adapter = init_adapter(m, n, rank, float(rank), stream.child(0))
-    result = local_train(ClientState(client_id=0, x=x, y=y), adapter, base.w, stream.child(1),
+    b, a = init_adapter(m, n, config.mia_rank, stream.child(0))
+    result = local_train(ClientState(client_id=0, x=x, y=y), b, a, 1.0, base.w, stream.child(1),
                          epochs=config.mia_epochs, batch_size=config.mia_batch_size,
                          lr=config.mia_lr)
-    return result.adapter.b, result.adapter.a
+    return result.b, result.a
 
 
 def _block_size(b_size: int, a_size: int) -> int:
@@ -211,12 +197,12 @@ def _block_size(b_size: int, a_size: int) -> int:
 
 
 def run_game(
-    mean0: tuple[np.ndarray, np.ndarray],
-    mean1: tuple[np.ndarray, np.ndarray],
+    mean0: FactorPair,
+    mean1: FactorPair,
     mechanism: MechanismParams,
     trials: int,
     rng: RngStream,
-) -> list[AttackTrial]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Distinguishing game on two factor pairs, clipped, then noised per trial.
 
     The pairs are the un-noised mean updates of the two datasets: trained
@@ -227,7 +213,7 @@ def run_game(
     ``privatize`` call per factor draws all of that bit's releases, B from
     ``rng.child(k, 1, bit)`` and A from ``rng.child(k, 2, bit)``.  Each
     release is scored by its projection onto the unit mean difference (b
-    entries then a entries).
+    entries then a entries).  Returns the trials' bits and scores.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
@@ -242,41 +228,38 @@ def run_game(
     factors = ((mechanism.clip_b, mechanism.sigma_b, reference.unit_direction[:split]),
                (mechanism.clip_a, mechanism.sigma_a, reference.unit_direction[split:]))
     block = _block_size(means[0][0].size, means[0][1].size)
-    out = []
+    bits = np.empty(trials, dtype=np.int64)
+    scores = np.zeros(trials)
     for k, start in enumerate(range(0, trials, block)):
-        bits = rng.child(k, 0).generator().integers(0, 2, size=min(block, trials - start))
-        scores = np.zeros(bits.size)
+        stop = min(start + block, trials)
+        bits[start:stop] = rng.child(k, 0).generator().integers(0, 2, size=stop - start)
         for bit in (0, 1):
-            rows = np.flatnonzero(bits == bit)
+            rows = start + np.flatnonzero(bits[start:stop] == bit)
             if rows.size == 0:
                 continue
             for f, (clip, sigma, unit) in enumerate(factors):
                 releases = privatize(means[bit][f], clip, sigma, rng.child(k, f + 1, bit),
                                      count=rows.size)
                 scores[rows] += releases.reshape(rows.size, -1) @ unit
-        out.extend(AttackTrial(true_bit=bit, score=score)
-                   for bit, score in zip(bits.tolist(), scores.tolist()))
-    return out
+    return bits, scores
 
 
-def roc_curve(trials: list[AttackTrial]) -> RocCurve:
+def roc_curve(bits: np.ndarray, scores: np.ndarray) -> RocCurve:
     """Threshold sweep over scores, high scores predicting the replaced dataset.
 
     One point per distinct score, from the highest down: the point counts
     every trial scoring at or above it, so tied trials enter together.
     """
-    if not trials:
+    if len(scores) == 0:
         raise ValueError("cannot build a curve from zero trials")
-    scores = np.array([t.score for t in trials])
-    labels = np.array([t.true_bit for t in trials])
-    n_pos = int(labels.sum())
-    n_neg = len(trials) - n_pos
+    n_pos = int(np.count_nonzero(bits))
+    n_neg = len(bits) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("need trials from both classes to build a curve")
 
     distinct, group = np.unique(scores, return_inverse=True)
-    tp = np.cumsum(np.bincount(group[labels == 1], minlength=distinct.size)[::-1])
-    fp = np.cumsum(np.bincount(group[labels == 0], minlength=distinct.size)[::-1])
+    tp = np.cumsum(np.bincount(group[bits == 1], minlength=distinct.size)[::-1])
+    fp = np.cumsum(np.bincount(group[bits == 0], minlength=distinct.size)[::-1])
     return RocCurve(
         thresholds=(math.inf, *distinct[::-1].tolist()),
         fpr=(0.0, *(fp / n_neg).tolist()),
@@ -319,10 +302,9 @@ def check_dp_bound(curve: RocCurve, epsilon: float, delta: float, trials: int) -
     )
 
 
-def attack_accuracy(trials: list[AttackTrial], reference: ScoreReference) -> float:
+def attack_accuracy(bits: np.ndarray, scores: np.ndarray, reference: ScoreReference) -> float:
     """Fraction of trials the midpoint-threshold rule classifies correctly."""
-    if not trials:
+    if len(scores) == 0:
         raise ValueError("need at least one trial")
-    mid = reference.midpoint_score
-    correct = sum(1 for t in trials if (t.score > mid) == bool(t.true_bit))
-    return correct / len(trials)
+    correct = np.count_nonzero((scores > reference.midpoint_score) == (bits == 1))
+    return int(correct) / len(scores)

@@ -2,8 +2,9 @@
 
 The command names the mode; a ``mode`` line in the config file that names
 another is a config error.  Seed precedence, lowest first: config file,
-FEDLORA_DP_SEED environment variable, --seed flag.  Exit codes: 0 success,
-1 validation error, 2 runtime or numeric failure, 3 verify-suite failure.
+FEDLORA_DP_SEED environment variable, --seed flag; from any of them, a seed
+outside [0, 2**64) is a config error.  Exit codes: 0 success, 1 validation
+error, 2 runtime or numeric failure, 3 verify-suite failure.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import MODES, ConfigError, RunConfig, parse_config
+from .config import MODES, ConfigError, RunConfig, check_seed, parse_config
 from .runner import cmd_mia, cmd_report, cmd_run, cmd_sweep, cmd_verify
 from .simulation import NumericError
 
@@ -39,11 +40,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             seed = int(env_seed)
         except ValueError:
             raise ConfigError(f"{ENV_SEED} must be an integer, got {env_seed!r}") from None
-        if seed < 0:
-            raise ConfigError(f"{ENV_SEED} must be >= 0, got {seed}")
+        check_seed(seed, ENV_SEED)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        check_seed(args.seed, "--seed")
         seed = args.seed
     return replace(config, seed=seed)
 

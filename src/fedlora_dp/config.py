@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "parse_text", "MODES", "STRATEGIES"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "parse_text", "check_seed", "MODES",
+           "STRATEGIES"]
 
 MODES = ("run", "verify", "sweep_epsilon", "sweep_clip", "sweep_rank", "sweep_size", "mia", "report")
 PRIVATE_MODES = ("sweep_epsilon", "sweep_clip")  # every point of these sweeps runs with DP
@@ -218,6 +219,12 @@ def _in_unit_interval(name, open_ends=False):
     return check
 
 
+def check_seed(value: int, name: str, line: int | None = None) -> None:
+    """A seed is a 64-bit unsigned integer, the range a random stream is keyed by."""
+    if not 0 <= value < 2**64:
+        raise ConfigError(f"{name} must lie in [0, 2**64), got {value}", line)
+
+
 def _choice(name, options):
     def check(cfg_value, line):
         if cfg_value not in options:
@@ -229,7 +236,7 @@ _VALIDATORS = {
     "mode": _choice("mode", MODES),
     "strategy": _choice("strategy", STRATEGIES),
     "clip_mode": _choice("clip_mode", CLIP_MODES),
-    "seed": _non_negative("seed"),
+    "seed": lambda value, line: check_seed(value, "seed", line),
     "rounds": _non_negative("rounds"),
     "clients": _positive("clients"),
     "sampled_per_round": _positive("sampled_per_round"),

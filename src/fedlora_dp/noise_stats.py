@@ -71,6 +71,10 @@ class SweepRow:
     bound: float
 
 
+# Chunks per worker in one wave; a wave's generators are all that exist at once.
+_WAVE_PER_WORKER = 64
+
+
 def _chunk_size(m: int, n: int, r: int) -> int:
     biggest = max(m * r, r * n, m * n)
     return max(1, 500_000 // biggest)
@@ -169,14 +173,17 @@ def noise_product_stats(
     """Single-pass Monte Carlo over perturbed products.
 
     Draws are generated in chunks of ``_chunk_size`` draws; chunk i draws from
-    sub-stream ``rng.child(i)``.  The calling thread creates every chunk's
-    generator, in chunk order, before any chunk runs.  The chunks then run on
-    one worker per CPU this process may use, at most one per chunk, the
+    sub-stream ``rng.child(i)``.  The chunks run in waves of
+    ``_WAVE_PER_WORKER`` chunks per CPU this process may use.  The calling
+    thread creates a wave's generators, in chunk order, before any of its
+    chunks runs, so at most one wave of generators exists at a time.  A
+    wave's chunks then run on one worker per CPU, at most one per chunk, the
     calling thread among them; workers call only numpy, which releases the
     GIL while it fills and multiplies arrays.  Each chunk's sums are added on
     the calling thread in chunk order, and each chunk writes its own slice of
     the per-draw means, so every floating-point operation and its order are
-    the same whatever the number of workers: the result is bit-identical.
+    the same whatever the number of workers or the wave size: the result is
+    bit-identical.
     Reports the entry-averaged mean of (B+beta)(A+alpha) - BA with its
     standard error, and the unbiased per-entry sample variance summed over
     entries.
@@ -194,13 +201,7 @@ def noise_product_stats(
         return NoiseStats(mean_diff=0.0, std_error=0.0, total_variance=0.0, n_draws=n_draws)
     clean = b @ a
     starts = range(0, n_draws, _chunk_size(m, n, r))
-    generators = [rng.child(i).generator() for i in range(len(starts))]
     per_draw_mean = np.empty(n_draws)
-
-    def run(i: int) -> tuple[np.ndarray, np.ndarray]:
-        span = per_draw_mean[starts[i]:starts[i] + starts.step]
-        return _chunk_sums(b, a, clean, model, generators[i], span)
-
     sum_prod = np.zeros((m, n))
     sum_sq = np.zeros((m, n))
 
@@ -208,7 +209,17 @@ def noise_product_stats(
         np.add(sum_prod, sums[0], out=sum_prod)
         np.add(sum_sq, sums[1], out=sum_sq)
 
-    _run_in_order(len(starts), run, fold)
+    wave = _WAVE_PER_WORKER * _cpu_count()
+    for first in range(0, len(starts), wave):
+        chunks = starts[first:first + wave]
+        generators = [rng.child(first + j).generator() for j in range(len(chunks))]
+
+        def run(j: int) -> tuple[np.ndarray, np.ndarray]:
+            span = per_draw_mean[chunks[j]:chunks[j] + starts.step]
+            return _chunk_sums(b, a, clean, model, generators[j], span)
+
+        _run_in_order(len(chunks), run, fold)
+        del generators  # freed before the next wave's are created
 
     mean_diff = float(per_draw_mean.mean())
     std_error = float(per_draw_mean.std(ddof=1) / math.sqrt(n_draws))

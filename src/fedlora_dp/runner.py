@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import attacks, noise_stats
+from .adapters import FactorPair
 from .attacks import make_neighbors
 from .config import RunConfig
 from .linalg import RngStream, frobenius_norm
@@ -286,9 +287,6 @@ def _linear_fit_r_squared(xs, ys) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-FactorPair = tuple[np.ndarray, np.ndarray]
-
-
 def build_adversarial_game(config: RunConfig, root: RngStream, epsilon: float | None = None
                            ) -> tuple[FactorPair, FactorPair, MechanismParams]:
     """Trained means of a neighbor pair with one input-scaled record, and the mechanism.
@@ -340,7 +338,7 @@ def _check_dp_bound(config: RunConfig, root: RngStream, trials: int,
     mean0, mean1, mech = build_adversarial_game(config, root, epsilon=eps)
     mech = replace(mech, sigma_b=mech.sigma_b * sigma_scale, sigma_a=mech.sigma_a * sigma_scale)
     trained = attacks.run_game(mean0, mean1, mech, trials, root.child(_STREAM_VERIFY, 0))
-    check1 = attacks.check_dp_bound(attacks.roc_curve(trained), eps, config.delta, trials)
+    check1 = attacks.check_dp_bound(attacks.roc_curve(*trained), eps, config.delta, trials)
 
     m, n, r = config.task_m, config.task_n, config.mia_rank
     direction_b = np.ones((m, r)) / math.sqrt(m * r)
@@ -348,7 +346,7 @@ def _check_dp_bound(config: RunConfig, root: RngStream, trials: int,
     worst0 = (mech.clip_b * direction_b, mech.clip_a * direction_a)
     worst1 = (-mech.clip_b * direction_b, mech.clip_a * direction_a)
     direct = attacks.run_game(worst0, worst1, mech, trials, root.child(_STREAM_VERIFY, 1))
-    check2 = attacks.check_dp_bound(attacks.roc_curve(direct), eps, config.delta, trials)
+    check2 = attacks.check_dp_bound(attacks.roc_curve(*direct), eps, config.delta, trials)
 
     passed = check1.passed and check2.passed
     detail = (
@@ -497,14 +495,15 @@ def cmd_mia(config: RunConfig, out_override: str | None = None) -> int:
     summary = []
     for tag, scale in (("sigma_0", 0.0), ("sigma_calibrated", 1.0), ("sigma_10x", 10.0)):
         scaled = replace(mech, sigma_b=mech.sigma_b * scale, sigma_a=mech.sigma_a * scale)
-        trials = attacks.run_game(mean0, mean1, scaled, config.mia_trials,
-                                  root.child(_STREAM_MIA, 9, int(scale * 10)))
-        accuracy = attacks.attack_accuracy(trials, reference)
-        curve = attacks.roc_curve(trials)
+        bits, scores = attacks.run_game(mean0, mean1, scaled, config.mia_trials,
+                                        root.child(_STREAM_MIA, 9, int(scale * 10)))
+        accuracy = attacks.attack_accuracy(bits, scores, reference)
+        curve = attacks.roc_curve(bits, scores)
         check = attacks.check_dp_bound(curve, config.mia_epsilon, config.delta, config.mia_trials)
         _write(
             out_dir / f"trials_{tag}.csv",
-            [TRIALS_HEADER] + [f"{i},{t.true_bit},{fmt(t.score)}" for i, t in enumerate(trials)],
+            [TRIALS_HEADER] + [f"{i},{bit},{fmt(score)}" for i, (bit, score)
+                               in enumerate(zip(bits.tolist(), scores.tolist()))],
         )
         _write(
             out_dir / f"roc_{tag}.csv",

@@ -1,12 +1,13 @@
 """Federated round loop over synthetic regression tasks.
 
 Each round the server samples clients, every sampled client trains a fresh
-low-rank adapter against the effective base (frozen weights plus the
-accumulated global delta), optionally clips and noises its factors, and the
-server stacks the released pairs into a dense pseudo-gradient that one of
-seven aggregation strategies applies.  Broadcast is fold-and-reset: the dense
-delta is accumulated server-side and clients re-initialise fresh adapters, so
-per-round shapes never grow.
+low-rank factor pair (b, a) against the effective base (frozen weights plus
+the accumulated global delta), optionally clips and noises both factors, and
+the server stacks the released pairs into a dense pseudo-gradient that one
+of seven aggregation strategies applies.  Broadcast is fold-and-reset: the
+dense delta is accumulated server-side and clients draw fresh pairs, so
+per-round shapes never grow.  Factor pairs are plain arrays; the LoRA scale
+``lora_scale / rank`` is computed once per round and passed alongside them.
 
 All randomness flows through streams keyed by (round, client, draw kind),
 which makes runs bit-reproducible regardless of client scheduling.
@@ -21,16 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import (
-    ClientUpdate,
-    FrozenBase,
-    GlobalAdapter,
-    LoraAdapter,
-    adapter_delta,
-    aggregate_stack,
-    global_delta,
-    init_adapter,
-)
+from .adapters import FrozenBase, GlobalAdapter, aggregate_stack, global_delta, init_adapter
 from .config import RunConfig
 from .linalg import RngStream, frobenius_norm
 from .noise_stats import NoiseModel, exact_total_variance
@@ -138,7 +130,8 @@ class RoundMetrics:
 
 @dataclass(frozen=True)
 class LocalTrainResult:
-    adapter: LoraAdapter
+    b: np.ndarray
+    a: np.ndarray
     mean_loss: float
     steps: int
 
@@ -227,7 +220,9 @@ def cosine_lr(lr_start: float, lr_end: float, round_index: int, rounds: int) -> 
 
 def local_train(
     client: ClientState,
-    adapter: LoraAdapter,
+    b: np.ndarray,
+    a: np.ndarray,
+    scale: float,
     effective: np.ndarray,
     rng: RngStream,
     *,
@@ -236,15 +231,16 @@ def local_train(
     lr: float,
     server_c: np.ndarray | None = None,
 ) -> LocalTrainResult:
-    """Mini-batch gradient descent on ``adapter``'s factors over the client's data.
+    """Mini-batch gradient descent on the factor pair (b, a) over the client's data.
 
-    ``effective`` is the m x n effective base W + delta_acc, formed once per
-    round by the caller; ``rng`` shuffles the minibatches.  The loss is half
-    the mean squared error of (effective + scale*B@A) against the client's
-    targets, plus prox_mu/2 * (||B||^2 + ||A||^2) when a proximal term is
-    configured.  No m x n matrix is formed per step: the base residual
-    R = X effective^T - Y is computed once per call, and a minibatch of bs
-    rows then costs O(bs * (m + n) * r):
+    ``scale`` is the LoRA scale ``lora_scale / rank``.  ``effective`` is the
+    m x n effective base W + delta_acc, formed once per round by the caller;
+    ``rng`` shuffles the minibatches.  The loss is half the mean squared
+    error of (effective + scale*B@A) against the client's targets, plus
+    prox_mu/2 * (||B||^2 + ||A||^2) when a proximal term is configured.
+    No m x n matrix is formed per step: the base residual R = X effective^T - Y
+    is computed once per call, and a minibatch of bs rows then costs
+    O(bs * (m + n) * r):
 
         xa    = xb @ A.T
         err   = R[batch] + scale * xa @ B.T
@@ -256,14 +252,12 @@ def local_train(
     the client holds a control variate c_k, the drift-corrected G + c - c_k
     is used, which adds scale*(c - c_k)@A.T and scale*B.T@(c - c_k) to the
     two gradients.
-    Neither ``effective`` nor ``adapter`` is mutated; the trained factors
-    come back as a fresh adapter.  A non-finite batch loss, or a non-finite
-    factor after the last step, raises ``NumericError``; this is the only
-    finiteness check between the task and the server step.
+    Neither ``effective`` nor the given factors are mutated; the trained
+    factors come back as new arrays (the given ones when ``epochs`` is 0).
+    A non-finite batch loss, or a non-finite factor after the last step,
+    raises ``NumericError``; this is the only finiteness check between the
+    task and the server step.
     """
-    b = adapter.b.copy()
-    a = adapter.a.copy()
-    s = adapter.scale
     prox_mu = client.prox_mu
     correction = None
     if server_c is not None and client.control_variate is not None:
@@ -273,10 +267,10 @@ def local_train(
     batch_size = min(batch_size, n_samples)
 
     if epochs == 0:
-        loss = dataset_loss(effective + s * (b @ a), client.x, client.y)
+        loss = dataset_loss(effective + scale * (b @ a), client.x, client.y)
         if prox_mu > 0:
             loss += 0.5 * prox_mu * (np.sum(b * b) + np.sum(a * a))
-        return LocalTrainResult(adapter=adapter, mean_loss=loss, steps=0)
+        return LocalTrainResult(b, a, mean_loss=loss, steps=0)
 
     gen = rng.generator()
     steps = 0
@@ -295,7 +289,7 @@ def local_train(
                 bs = xb.shape[0]
 
                 xa = xb @ a.T
-                err = resid[idx] + s * (xa @ b.T)
+                err = resid[idx] + scale * (xa @ b.T)
                 loss = 0.5 * np.sum(err * err) / bs
                 if prox_mu > 0:
                     loss += 0.5 * prox_mu * (np.sum(b * b) + np.sum(a * a))
@@ -305,11 +299,11 @@ def local_train(
                     )
                 epoch_losses.append(float(loss))
 
-                grad_b = (s / bs) * (err.T @ xa)
-                grad_a = (s / bs) * ((err @ b).T @ xb)
+                grad_b = (scale / bs) * (err.T @ xa)
+                grad_a = (scale / bs) * ((err @ b).T @ xb)
                 if correction is not None:
-                    grad_b = grad_b + s * (correction @ a.T)
-                    grad_a = grad_a + s * (b.T @ correction)
+                    grad_b = grad_b + scale * (correction @ a.T)
+                    grad_a = grad_a + scale * (b.T @ correction)
                 if prox_mu > 0:
                     grad_b = grad_b + prox_mu * b
                     grad_a = grad_a + prox_mu * a
@@ -320,11 +314,7 @@ def local_train(
     if not (np.isfinite(b).all() and np.isfinite(a).all()):
         raise NumericError(f"client {client.client_id}: non-finite factors after training")
 
-    return LocalTrainResult(
-        adapter=adapter.with_factors(b, a),
-        mean_loss=float(np.mean(last_epoch_losses)),
-        steps=steps,
-    )
+    return LocalTrainResult(b, a, mean_loss=float(np.mean(last_epoch_losses)), steps=steps)
 
 
 def sample_clients(n_clients: int, k: int, rng: RngStream) -> list[int]:
@@ -369,10 +359,13 @@ def run_round(
 ) -> tuple[ServerState, RoundMetrics]:
     """One communication round: sample, train, privatize, stack, apply, fold.
 
-    Every sampled client trains a fresh adapter (drawn from its round's
+    Every sampled client trains a fresh factor pair (drawn from its round's
     stream) against the effective base W + delta_acc, which is formed once
-    for the round.  The round is private exactly when ``mechanism`` is given:
-    each factor is then clipped and noised before stacking.
+    for the round.  Client k's stacking weight is its data share times the
+    LoRA scale, size_k / total * (lora_scale / rank).  The round is private
+    exactly when ``mechanism`` is given: each trained factor is then clipped
+    once, and the clipped factor is both noised for release and kept as the
+    clean reference for ``expectation_diff`` and ``total_variance``.
     """
     t0 = time.perf_counter()
     round_index = server.round_index
@@ -382,62 +375,52 @@ def run_round(
     server_c = server.server_c if config.strategy == "scaffold" else None
     m, n = server.base.shape
     effective = server.base.w + server.delta_acc
+    scale = config.lora_scale / config.rank
 
     results = {}
     for cid in sampled:
-        adapter = init_adapter(m, n, config.rank, config.lora_scale,
-                               rng.child(round_index, cid, _KIND_INIT))
-        results[cid] = local_train(by_id[cid], adapter, effective,
+        b, a = init_adapter(m, n, config.rank, rng.child(round_index, cid, _KIND_INIT))
+        results[cid] = local_train(by_id[cid], b, a, scale, effective,
                                    rng.child(round_index, cid, _KIND_TRAIN),
                                    epochs=config.local_epochs, batch_size=config.batch_size,
                                    lr=lr, server_c=server_c)
 
-    sizes = {cid: by_id[cid].x.shape[0] for cid in sampled}
-    total = sum(sizes.values())
+    # ascending id order fixes stacking order
+    total = sum(by_id[cid].x.shape[0] for cid in sampled)
+    weights = [by_id[cid].x.shape[0] / total * scale for cid in sampled]
+    trained = [(results[cid].b, results[cid].a) for cid in sampled]
 
-    updates = []
-    clean_updates = []
-    for cid in sampled:  # ascending id order fixes stacking order
-        res = results[cid]
-        adapter = res.adapter
-        data_weight = sizes[cid] / total
-        fold = data_weight * adapter.scale
-        if mechanism is not None:
-            b_clean = clip_frobenius(adapter.b, mechanism.clip_b)
-            a_clean = clip_frobenius(adapter.a, mechanism.clip_a)
-            b_rel = privatize(adapter.b, mechanism.clip_b, mechanism.sigma_b,
-                              rng.child(round_index, cid, _KIND_NOISE_B))
-            a_rel = privatize(adapter.a, mechanism.clip_a, mechanism.sigma_a,
-                              rng.child(round_index, cid, _KIND_NOISE_A))
-        else:
-            b_clean, a_clean = adapter.b, adapter.a
-            b_rel, a_rel = adapter.b, adapter.a
-        updates.append(ClientUpdate(cid, b_rel, a_rel, adapter.rank, weight=fold))
-        clean_updates.append(ClientUpdate(cid, b_clean, a_clean, adapter.rank, weight=fold))
-
-    released = aggregate_stack(updates)
-    delta_t = global_delta(released)
-
-    if mechanism is not None:
-        expectation_diff = _mean_entry(released) - _mean_entry(aggregate_stack(clean_updates))
-        total_variance = 0.0
-        for u in clean_updates:
-            model = NoiseModel(sigma_beta=mechanism.sigma_b, sigma_alpha=mechanism.sigma_a)
-            total_variance += u.weight**2 * exact_total_variance(u.b_tilde, u.a_tilde, model)
-    else:
+    if mechanism is None:
+        released = aggregate_stack(trained, weights)
         expectation_diff = 0.0
         total_variance = 0.0
+    else:
+        clean = [(clip_frobenius(b, mechanism.clip_b), clip_frobenius(a, mechanism.clip_a))
+                 for b, a in trained]
+        released = aggregate_stack(
+            [(privatize(b, mechanism.clip_b, mechanism.sigma_b,
+                        rng.child(round_index, cid, _KIND_NOISE_B)),
+              privatize(a, mechanism.clip_a, mechanism.sigma_a,
+                        rng.child(round_index, cid, _KIND_NOISE_A)))
+             for cid, (b, a) in zip(sampled, clean)],
+            weights,
+        )
+        expectation_diff = _mean_entry(released) - _mean_entry(aggregate_stack(clean, weights))
+        model = NoiseModel(sigma_beta=mechanism.sigma_b, sigma_alpha=mechanism.sigma_a)
+        total_variance = 0.0
+        for weight, (b, a) in zip(weights, clean):
+            total_variance += weight**2 * exact_total_variance(b, a, model)
+    delta_t = global_delta(released)
 
     if config.strategy == "scaffold":
-        _update_control_variates(server, by_id, results, sampled, lr, len(clients))
+        _update_control_variates(server, by_id, results, sampled, scale, lr, len(clients))
 
     _apply_strategy(server, config, delta_t)
     server.round_index += 1
 
     client_losses = tuple((cid, results[cid].mean_loss) for cid in sampled)
     client_norms = tuple(
-        (cid, frobenius_norm(results[cid].adapter.b), frobenius_norm(results[cid].adapter.a))
-        for cid in sampled
+        (cid, frobenius_norm(results[cid].b), frobenius_norm(results[cid].a)) for cid in sampled
     )
     metrics = RoundMetrics(
         round_index=round_index,
@@ -463,17 +446,18 @@ def _update_control_variates(
     by_id: dict[int, ClientState],
     results: dict[int, LocalTrainResult],
     sampled: list[int],
+    scale: float,
     lr: float,
     n_clients: int,
 ) -> None:
-    """Drift-correction bookkeeping on dense deltas (applied before the server step)."""
+    """Drift-correction bookkeeping on the dense deltas scale * b @ a, before the server step."""
     shifts = []
     for cid in sampled:
         res = results[cid]
         if res.steps == 0:
             continue
         client = by_id[cid]
-        dense = adapter_delta(res.adapter)
+        dense = scale * (res.b @ res.a)
         c_new = client.control_variate - server.server_c - dense / (res.steps * lr)
         shifts.append(c_new - client.control_variate)
         client.control_variate = c_new

@@ -8,7 +8,6 @@ import pytest
 
 from fedlora_dp import attacks
 from fedlora_dp.attacks import (
-    AttackTrial,
     DpBoundCheck,
     NeighborPair,
     RocCurve,
@@ -20,7 +19,7 @@ from fedlora_dp.attacks import (
     run_game,
     trained_update,
 )
-from fedlora_dp.adapters import ClientUpdate, FrozenBase
+from fedlora_dp.adapters import FrozenBase
 from fedlora_dp.config import RunConfig
 from fedlora_dp.linalg import RngStream
 from fedlora_dp.privacy import (
@@ -76,21 +75,18 @@ def flat(mean) -> np.ndarray:
     return np.concatenate([b.ravel(), a.ravel()])
 
 
-def score_update(update: ClientUpdate, reference: ScoreReference) -> float:
-    """Per-release oracle: projection of the flattened pair onto the mean difference."""
-    flat = np.concatenate([update.b_tilde.ravel(), update.a_tilde.ravel()])
-    return float(flat @ reference.unit_direction)
+def score_update(release, reference: ScoreReference) -> float:
+    """Per-release oracle: projection of the flattened pair (b, a) onto the mean difference."""
+    return float(flat(release) @ reference.unit_direction)
 
 
-def roc_curve_loop(trials: list[AttackTrial]) -> RocCurve:
+def roc_curve_loop(bits: np.ndarray, scores: np.ndarray) -> RocCurve:
     """Reference threshold sweep: walk the scores from the highest down, one tie group at a time."""
-    scores = np.array([t.score for t in trials])
-    labels = np.array([t.true_bit for t in trials])
-    n_pos = int(labels.sum())
-    n_neg = len(trials) - n_pos
+    n_pos = int(bits.sum())
+    n_neg = len(bits) - n_pos
     order = np.argsort(-scores, kind="stable")
     scores = scores[order]
-    labels = labels[order]
+    labels = bits[order]
     thresholds, fpr, tpr = [math.inf], [0.0], [0.0]
     tp = fp = 0
     i = 0
@@ -153,9 +149,9 @@ class TestScoreReference:
         mu0 = np.array([0.0, 0.0])
         mu1 = np.array([2.0, 0.0])
         ref = ScoreReference(mu0, mu1)
-        u0 = ClientUpdate(0, np.array([[0.0]]), np.array([[0.0]]), rank=1)
-        u1 = ClientUpdate(0, np.array([[2.0]]), np.array([[0.0]]), rank=1)
-        mid = ClientUpdate(0, np.array([[1.0]]), np.array([[0.0]]), rank=1)
+        u0 = (np.array([[0.0]]), np.array([[0.0]]))
+        u1 = (np.array([[2.0]]), np.array([[0.0]]))
+        mid = (np.array([[1.0]]), np.array([[0.0]]))
         s0 = score_update(u0, ref)
         s1 = score_update(u1, ref)
         sm = score_update(mid, ref)
@@ -168,25 +164,26 @@ class TestRunGame:
     def test_deterministic_given_seed(self):
         pair = make_neighbors(_dataset(3), 0, _record(np.random.default_rng(4)))
         cfg = _game_config(3)
-        t1 = run_game(*trained_means(pair, cfg), cfg.mechanism, 200, RngStream(5, (1,)))
-        t2 = run_game(*trained_means(pair, cfg), cfg.mechanism, 200, RngStream(5, (1,)))
-        assert [(t.true_bit, t.score) for t in t1] == [(t.true_bit, t.score) for t in t2]
+        bits1, scores1 = run_game(*trained_means(pair, cfg), cfg.mechanism, 200, RngStream(5, (1,)))
+        bits2, scores2 = run_game(*trained_means(pair, cfg), cfg.mechanism, 200, RngStream(5, (1,)))
+        assert np.array_equal(bits1, bits2)
+        assert np.array_equal(scores1, scores2)
 
     def test_huge_noise_near_chance(self):
         pair = make_neighbors(_dataset(6), 0, _record(np.random.default_rng(7)))
         cfg = _game_config(6, sigma=1e6)
         mean0, mean1 = trained_means(pair, cfg)
-        trials = run_game(mean0, mean1, cfg.mechanism, 2000, RngStream(8, (1,)))
-        acc = attack_accuracy(trials, ScoreReference(flat(mean0), flat(mean1)))
-        assert abs(acc - 0.5) <= 3 / math.sqrt(len(trials))
+        bits, scores = run_game(mean0, mean1, cfg.mechanism, 2000, RngStream(8, (1,)))
+        acc = attack_accuracy(bits, scores, ScoreReference(flat(mean0), flat(mean1)))
+        assert abs(acc - 0.5) <= 3 / math.sqrt(len(scores))
 
     def test_no_noise_perfect_separation(self):
         pair = make_neighbors(_dataset(9), 0,
                               (np.array([10.0, -8.0, 6.0]), np.array([4.0, -4.0])))
         cfg = _game_config(9, sigma=0.0)
         mean0, mean1 = trained_means(pair, cfg)
-        trials = run_game(mean0, mean1, cfg.mechanism, 1000, RngStream(10, (1,)))
-        assert attack_accuracy(trials, ScoreReference(flat(mean0), flat(mean1))) >= 0.99
+        bits, scores = run_game(mean0, mean1, cfg.mechanism, 1000, RngStream(10, (1,)))
+        assert attack_accuracy(bits, scores, ScoreReference(flat(mean0), flat(mean1))) >= 0.99
 
     def test_score_distributions_gaussian_mean_gap(self):
         # two-sample moment check: equal variances, mean gap = ||mu1 - mu0||
@@ -194,10 +191,10 @@ class TestRunGame:
                               (np.array([5.0, 5.0, -5.0]), np.array([2.0, -2.0])))
         cfg = _game_config(11, sigma=0.3)
         mean0, mean1 = trained_means(pair, cfg)
-        trials = run_game(mean0, mean1, cfg.mechanism, 4000, RngStream(12, (1,)))
+        bits, scores = run_game(mean0, mean1, cfg.mechanism, 4000, RngStream(12, (1,)))
         gap = float(np.linalg.norm(flat(mean1) - flat(mean0)))
-        s0 = np.array([t.score for t in trials if t.true_bit == 0])
-        s1 = np.array([t.score for t in trials if t.true_bit == 1])
+        s0 = scores[bits == 0]
+        s1 = scores[bits == 1]
         observed_gap = s1.mean() - s0.mean()
         se = math.sqrt(s0.var() / len(s0) + s1.var() / len(s1))
         assert abs(observed_gap - gap) <= 5 * se
@@ -213,25 +210,22 @@ class TestRunGame:
 
 class TestRocCurve:
     def test_endpoints(self):
-        trials = [AttackTrial(0, 0.1), AttackTrial(1, 0.9), AttackTrial(0, 0.2), AttackTrial(1, 0.8)]
-        curve = roc_curve(trials)
+        curve = roc_curve(np.array([0, 1, 0, 1]), np.array([0.1, 0.9, 0.2, 0.8]))
         assert curve.fpr[0] == 0.0 and curve.tpr[0] == 0.0
         assert curve.fpr[-1] == 1.0 and curve.tpr[-1] == 1.0
 
     def test_perfect_classifier(self):
-        trials = [AttackTrial(1, 1.0)] * 5 + [AttackTrial(0, 0.0)] * 5
-        curve = roc_curve(trials)
+        curve = roc_curve(np.repeat([1, 0], 5), np.repeat([1.0, 0.0], 5))
         assert (0.0, 1.0) in zip(curve.fpr, curve.tpr)
 
     def test_tied_scores_grouped(self):
-        trials = [AttackTrial(0, 0.5), AttackTrial(1, 0.5), AttackTrial(0, 0.1), AttackTrial(1, 0.9)]
-        curve = roc_curve(trials)
+        curve = roc_curve(np.array([0, 1, 0, 1]), np.array([0.5, 0.5, 0.1, 0.9]))
         assert all(b >= a for a, b in zip(curve.fpr, curve.fpr[1:]))
         assert all(b >= a for a, b in zip(curve.tpr, curve.tpr[1:]))
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
-            roc_curve([AttackTrial(1, 0.5)] * 10)
+            roc_curve(np.ones(10, dtype=np.int64), np.full(10, 0.5))
 
     def test_matches_loop_oracle_with_ties(self):
         for seed in range(5):
@@ -241,8 +235,7 @@ class TestRocCurve:
             scores = gen.integers(-40, 40, size=size) / 8.0
             bits = gen.integers(0, 2, size=size)
             bits[:2] = (0, 1)
-            trials = [AttackTrial(int(b), float(x)) for b, x in zip(bits, scores)]
-            assert roc_curve(trials) == roc_curve_loop(trials)
+            assert roc_curve(bits, scores) == roc_curve_loop(bits, scores)
 
 
 class TestCheckDpBound:
@@ -322,8 +315,8 @@ class TestDirectGame:
         mech = MechanismParams(clip_b=clip, clip_a=clip, sigma_b=sigma, sigma_a=sigma)
         u = np.ones((2, 1)) / math.sqrt(2)
         v = np.ones((1, 2)) / math.sqrt(2)
-        trials = run_game((u, v), (-u, v), mech, 10_000, RngStream(13, (1,)))
-        check = check_dp_bound(roc_curve(trials), eps, delta, 10_000)
+        bits, scores = run_game((u, v), (-u, v), mech, 10_000, RngStream(13, (1,)))
+        check = check_dp_bound(roc_curve(bits, scores), eps, delta, 10_000)
         assert check.passed
 
     def test_undercalibrated_noise_detected(self):
@@ -333,8 +326,8 @@ class TestDirectGame:
         mech = MechanismParams(clip_b=clip, clip_a=clip, sigma_b=sigma, sigma_a=sigma)
         u = np.ones((2, 1)) / math.sqrt(2)
         v = np.ones((1, 2)) / math.sqrt(2)
-        trials = run_game((u, v), (-u, v), mech, 10_000, RngStream(14, (1,)))
-        check = check_dp_bound(roc_curve(trials), eps, delta, 10_000)
+        bits, scores = run_game((u, v), (-u, v), mech, 10_000, RngStream(14, (1,)))
+        check = check_dp_bound(roc_curve(bits, scores), eps, delta, 10_000)
         assert not check.passed
 
     def test_monotone_privacy_in_sigma(self):
@@ -346,12 +339,12 @@ class TestDirectGame:
         for i, scale in enumerate((0.0, 1.0, 10.0)):
             mech = MechanismParams(clip_b=clip, clip_a=clip,
                                    sigma_b=sigma_star * scale, sigma_a=sigma_star * scale)
-            trials = run_game((u, v), (-u, v), mech, 1000, RngStream(15, (i,)))
+            bits, scores = run_game((u, v), (-u, v), mech, 1000, RngStream(15, (i,)))
             ref = ScoreReference(
                 np.concatenate([u.ravel(), v.ravel()]),
                 np.concatenate([(-u).ravel(), v.ravel()]),
             )
-            accs.append(attack_accuracy(trials, ref))
+            accs.append(attack_accuracy(bits, scores, ref))
         se = 2 * math.sqrt(0.25 / 1000)
         assert accs[0] >= accs[1] - se >= accs[2] - 2 * se
 
@@ -374,31 +367,28 @@ class TestBlockLayout:
 
     def test_partial_last_block(self):
         trials = 3 * self.block() + 37
-        out = run_game(self.mean0, self.mean1, self.mech, trials, RngStream(22))
-        assert len(out) == trials
-        assert {t.true_bit for t in out[-37:]} == {0, 1}
+        bits, scores = run_game(self.mean0, self.mean1, self.mech, trials, RngStream(22))
+        assert len(bits) == len(scores) == trials
+        assert set(bits[-37:].tolist()) == {0, 1}
 
     def test_first_trial_of_each_block_matches_single_releases(self):
         block = self.block()
         trials = 2 * block + 100
         rng = RngStream(23, (4,))
-        out = run_game(self.mean0, self.mean1, self.mech, trials, rng)
+        bits, scores = run_game(self.mean0, self.mean1, self.mech, trials, rng)
         means = [(clip_frobenius(b, self.mech.clip_b), clip_frobenius(a, self.mech.clip_a))
                  for b, a in (self.mean0, self.mean1)]
         reference = ScoreReference(*(np.concatenate([b.ravel(), a.ravel()]) for b, a in means))
         for k, start in enumerate(range(0, trials, block)):
-            chunk = out[start:start + block]
             for bit in (0, 1):
-                first = next(t for t in chunk if t.true_bit == bit)
+                first = start + int(np.flatnonzero(bits[start:start + block] == bit)[0])
                 b_mean, a_mean = means[bit]
-                release = ClientUpdate(
-                    0,
+                release = (
                     privatize(b_mean, self.mech.clip_b, self.mech.sigma_b, rng.child(k, 1, bit)),
                     privatize(a_mean, self.mech.clip_a, self.mech.sigma_a, rng.child(k, 2, bit)),
-                    rank=4,
                 )
                 expected = score_update(release, reference)
-                assert first.score == pytest.approx(expected, rel=1e-12, abs=0)
+                assert scores[first] == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_generators_per_block(self, monkeypatch):
         calls = []
@@ -411,9 +401,9 @@ class TestBlockLayout:
         monkeypatch.setattr(RngStream, "generator", counting)
         block = self.block()
         trials = 5 * block + 1
-        out = run_game(self.mean0, self.mean1, self.mech, trials, RngStream(24))
+        bits, _ = run_game(self.mean0, self.mean1, self.mech, trials, RngStream(24))
         # per block: one for the bits, then one each for B and A per bit present
-        expected = sum(1 + 2 * len({t.true_bit for t in out[start:start + block]})
+        expected = sum(1 + 2 * len(set(bits[start:start + block].tolist()))
                        for start in range(0, trials, block))
         assert len(calls) == expected <= 5 * math.ceil(trials / block)
         assert len(set(calls)) == len(calls)
@@ -423,12 +413,3 @@ class TestBlockLayout:
             run_game(self.mean0, (self.mean1[0][:8], self.mean1[1]), self.mech, 100,
                             RngStream(0))
 
-
-class TestAttackTrial:
-    def test_bad_bit_rejected(self):
-        with pytest.raises(ValueError, match="true_bit"):
-            AttackTrial(2, 0.5)
-
-    def test_non_finite_score_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            AttackTrial(0, math.nan)

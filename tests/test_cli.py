@@ -1,12 +1,13 @@
 """Command line: every mode on a tiny config, exit codes, byte-stable reruns, seed precedence."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
 from fedlora_dp import cli, runner
 from fedlora_dp.adapters import init_adapter
-from fedlora_dp.config import RunConfig, parse_text
+from fedlora_dp.config import STRATEGIES, RunConfig, parse_text
 from fedlora_dp.linalg import RngStream, frobenius_norm
 from fedlora_dp.privacy import PrivacyBudget, calibrate_sigma
 from fedlora_dp.simulation import ClientState, local_train
@@ -161,6 +162,30 @@ class TestConfigErrors:
         assert err.startswith(f"config error: line {len(lines) + 1}: {key} ")
 
 
+    @pytest.mark.parametrize("source", ["file", "env", "flag"])
+    def test_seed_of_2_to_the_64_exits_1(self, tmp_path, monkeypatch, capsys, source):
+        seed = 2**64
+        text = TINY + (f"seed = {seed}\n" if source == "file" else "")
+        if source == "env":
+            monkeypatch.setenv(cli.ENV_SEED, str(seed))
+        extra = ("--seed", str(seed)) if source == "flag" else ()
+        assert run_cli("run", write_config(tmp_path, text), tmp_path / "out", *extra) == 1
+        name = {"file": "line 18: seed", "env": cli.ENV_SEED, "flag": "--seed"}[source]
+        assert capsys.readouterr().err == (
+            f"config error: {name} must lie in [0, 2**64), got {seed}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["file", "env", "flag"])
+    def test_largest_seed_runs(self, tmp_path, monkeypatch, source):
+        seed = 2**64 - 1
+        text = TINY + (f"seed = {seed}\n" if source == "file" else "")
+        if source == "env":
+            monkeypatch.setenv(cli.ENV_SEED, str(seed))
+        extra = ("--seed", str(seed)) if source == "flag" else ()
+        assert run_cli("run", write_config(tmp_path, text), tmp_path / "out", *extra) == 0
+        assert snapshot_seed(tmp_path / "out" / "tiny") == seed
+
+
 class TestSeedPrecedence:
     def test_config_then_env_then_flag(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, TINY + "seed = 3\n")
@@ -310,16 +335,66 @@ class TestResolveClips:
         highest = runner.resolve_clips(replace(config, clip_quantile=1.0), task, root)
 
         # Reference: each sampled client trains alone from the zero delta of round 0,
-        # its adapter and shuffle drawn from draw kinds 1 and 2 of the calibration stream.
+        # its factor pair and shuffle drawn from draw kinds 1 and 2 of the calibration stream.
         stream = root.child(runner._STREAM_CALIBRATE)
         norms = []
         for k in range(task.n_clients):
-            adapter = init_adapter(task.m, task.n, config.rank, config.lora_scale,
-                                   stream.child(0, k, 1))
-            res = local_train(ClientState(k, task.client_x[k], task.client_y[k]), adapter,
-                              task.base.w, stream.child(0, k, 2), epochs=config.local_epochs,
-                              batch_size=config.batch_size, lr=config.lr_start)
-            norms.append((frobenius_norm(res.adapter.b), frobenius_norm(res.adapter.a)))
+            b, a = init_adapter(task.m, task.n, config.rank, stream.child(0, k, 1))
+            res = local_train(ClientState(k, task.client_x[k], task.client_y[k]), b, a,
+                              config.lora_scale / config.rank, task.base.w, stream.child(0, k, 2),
+                              epochs=config.local_epochs, batch_size=config.batch_size,
+                              lr=config.lr_start)
+            norms.append((frobenius_norm(res.b), frobenius_norm(res.a)))
         b_norms, a_norms = zip(*norms)
         assert lowest == (min(b_norms), min(a_norms))
         assert highest == (max(b_norms), max(a_norms))
+
+
+MIA_FILES = [f"{kind}_{tag}.csv" for tag in ("sigma_0", "sigma_calibrated", "sigma_10x")
+             for kind in ("trials", "roc")]
+# name: (mode, config text, byte-stable outputs).  "dp_scaled" folds three clients
+# at LoRA scale 5 / 2, where the order of the weight's operations shows in the
+# last bits.  The mia game spans two blocks of trials, and each rank of the
+# noise sweep three Monte Carlo chunks.
+GOLDEN_RUNS = {
+    "dp": ("run", TINY, ["metrics.csv"]),
+    "dp_scaled": ("run", TINY.replace("lora_scale = 2", "lora_scale = 5").replace(
+        "sampled_per_round = 2", "sampled_per_round = 3"), ["metrics.csv"]),
+    **{strategy: ("run", TINY.replace("dp_enabled = true", "dp_enabled = false")
+                  + f"strategy = {strategy}\n", ["metrics.csv"]) for strategy in STRATEGIES},
+    "mia": ("mia", TINY + "mia_trials = 3000\n", MIA_FILES),
+    "sweep_rank": ("sweep_rank", TINY + "noise_draws = 45000\nsweep_ranks = 1,2,4\n",
+                   ["noise_stats.csv"]),
+}
+GOLDEN_DIGESTS = {
+    "dp": "b10a309e8fc4abeb66e925850a42e306b33b8a9abb2311e91a020b9ad8c492b0",
+    "dp_scaled": "abd768ebf2cafc5e49a1a8990781cd9088f59eafc19f4ec91321367c50480876",
+    "fedavg": "04891b5351d681df6acfc95060474bd402131a2be75cd31f770a19bcb9dde99d",
+    "fedprox": "f0cd23b137de93950236d45588ed29a9425dec70afa11f8ba55139725c9f6d32",
+    "scaffold": "2d8bee0320d6e231455290294aa6ddc01130b3246a9c8189db24f43b428c2462",
+    "fedavgm": "6c1aaa3b6fe641bcf6c9dc3e6880a4b4d656c7563a3e9276f32369eb57e43fb9",
+    "fedadagrad": "00728a088c4ea764c50866b6f58c117a9326b31336adacedcf95e82c557f06e6",
+    "fedyogi": "d6b1a362e3c9863f7b44afc7d0d720ecb9283ec33e1c2c1ca7e1e50952532e6a",
+    "fedadam": "125c4c6807a878457ade722d197d53cb60faa17fb7325ce178054a391d3b51ef",
+    "mia": "4a1c5a2e7e5da6cec12fb6f31835b55a680a1075221ffa70296c52ecf2434b92",
+    "sweep_rank": "7aa7c8b547360f3e959267f1d077652db801383c4a4086b6bfef68e7cf140e5d",
+}
+
+
+class TestGoldenDigests:
+    """sha256 of the byte-stable CSVs of tiny runs: a private run, every strategy
+    without DP, the membership-inference game and a rank sweep.
+
+    A refactor must leave every digest as it is.  A change to a random stream
+    or to the order of floating-point operations changes them; such a change
+    must update the digests here, and CHANGES.md must say so.
+    """
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_outputs_match_digest(self, tmp_path, name):
+        mode, text, files = GOLDEN_RUNS[name]
+        assert run_cli(mode, write_config(tmp_path, text), tmp_path / "out") == 0
+        digest = hashlib.sha256()
+        for path in (tmp_path / "out" / "tiny" / f for f in files):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == GOLDEN_DIGESTS[name]

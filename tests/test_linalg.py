@@ -13,13 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedlora_dp import linalg
-from fedlora_dp.adapters import (
-    ClientUpdate,
-    FrozenBase,
-    GlobalAdapter,
-    aggregate_stack,
-    global_delta,
-)
+from fedlora_dp.adapters import FrozenBase, GlobalAdapter, aggregate_stack, global_delta
 from fedlora_dp.attacks import run_game
 from fedlora_dp.linalg import RngStream, frobenius_norm, sample_gaussian
 from fedlora_dp.noise_stats import NoiseModel, noise_product_stats
@@ -50,7 +44,8 @@ class TestFrobeniusNorm:
 
 
 def product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    return global_delta(GlobalAdapter(left, right))
+    """The dense product of one pair at unit weight, which checks that the pair chains."""
+    return global_delta(aggregate_stack([(left, right)], [1.0]))
 
 
 class TestMatmul:
@@ -85,9 +80,8 @@ class TestMatmul:
 
 
 def stack(b_parts: list[np.ndarray], a_parts: list[np.ndarray]) -> GlobalAdapter:
-    """Stack unit-weight updates: b parts side by side, a parts one above another."""
-    return aggregate_stack([ClientUpdate(i, b, a, rank=b.shape[1])
-                            for i, (b, a) in enumerate(zip(b_parts, a_parts))])
+    """Stack unit-weight pairs: b parts side by side, a parts one above another."""
+    return aggregate_stack(list(zip(b_parts, a_parts)), [1.0] * len(b_parts))
 
 
 class TestStacking:
@@ -131,7 +125,8 @@ class TestStacking:
         parts = [gen.standard_normal((rows, w)) for w in widths]
         tall = [p.T.copy() for p in parts]
         g = stack(parts, tall)
-        for (_, offset, w), part, part_t in zip(g.spans, parts, tall):
+        offsets = np.cumsum([0, *widths])
+        for offset, w, part, part_t in zip(offsets, widths, parts, tall):
             assert np.array_equal(g.b_stacked[:, offset:offset + w], part)
             assert np.array_equal(g.a_stacked[offset:offset + w, :], part_t)
 

@@ -330,3 +330,51 @@ class TestWorkers:
         with pytest.raises(RuntimeError, match="worker failed"):
             noise_product_stats(b, a, NoiseModel(0.7, 1.3), 230, RngStream(22))
         assert raised.is_set()
+
+
+class TestWaves:
+    """A wave's generators are created just before its chunks run, never all chunks' at once."""
+
+    @pytest.fixture
+    def one_draw_chunks(self, monkeypatch):
+        monkeypatch.setattr(noise_stats, "_chunk_size", lambda m, n, r: 1)
+
+    def test_bit_identical_across_wave_sizes(self, monkeypatch, one_draw_chunks):
+        b, a = parallel_factors()
+        b, a = b[:3], a[:, :4]
+        model = NoiseModel(0.7, 1.3)
+        rng = RngStream(25, (1,))
+        expected = sequential_stats(b, a, model, 300, rng)  # 300 one-draw chunks
+        for cpu_count, per_worker in ((1, 1), (2, 1), (2, 7), (3, 64), (1, 300)):
+            monkeypatch.setattr(noise_stats, "_cpu_count", lambda count=cpu_count: count)
+            monkeypatch.setattr(noise_stats, "_WAVE_PER_WORKER", per_worker)
+            assert noise_product_stats(b, a, model, 300, rng) == expected
+
+    @pytest.mark.parametrize("cpu_count", [1, 2])
+    def test_at_most_one_wave_of_generators_ahead(self, monkeypatch, one_draw_chunks, cpu_count):
+        created = []
+        seen = []  # (generators created, chunks started) as each chunk starts
+        original_generator = RngStream.generator
+        original_chunk = noise_stats._chunk_sums
+
+        def counting_generator(stream):
+            created.append(stream.stream_path)
+            return original_generator(stream)
+
+        def recorded_chunk(*args):
+            seen.append((len(created), len(seen)))
+            return original_chunk(*args)
+
+        monkeypatch.setattr(noise_stats, "_cpu_count", lambda: cpu_count)
+        monkeypatch.setattr(RngStream, "generator", counting_generator)
+        monkeypatch.setattr(noise_stats, "_chunk_sums", recorded_chunk)
+        b, a = parallel_factors()
+        noise_product_stats(b[:3], a[:, :4], NoiseModel(0.7, 1.3), 300, RngStream(26))
+        wave = noise_stats._WAVE_PER_WORKER * cpu_count
+        assert created == [(i,) for i in range(300)]
+        assert max(made - started for made, started in seen) == wave
+
+    def test_noise_sweep_chunk_counts_are_one_wave(self):
+        # the largest chunk count of a 10,000-draw rank sweep at the default 16 x 8, rank 128
+        chunks = math.ceil(10_000 / noise_stats._chunk_size(16, 8, 128))
+        assert chunks == 41 <= noise_stats._WAVE_PER_WORKER

@@ -1,16 +1,22 @@
 """Every name a module exports resolves, and the names the benchmark hooks into are bound."""
 
 import importlib
+import inspect
+import math
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import fedlora_dp
 from fedlora_dp import attacks, noise_stats, privacy, runner, simulation
+from fedlora_dp.config import RunConfig
+from fedlora_dp.linalg import RngStream
 
 MODULES = ["fedlora_dp"] + [
     f"fedlora_dp.{info.name}" for info in pkgutil.iter_modules(fedlora_dp.__path__)
 ]
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -29,3 +35,43 @@ def test_benchmark_hooks_are_exported_and_shared():
     assert attacks.local_train is simulation.local_train
     assert attacks.privatize is simulation.privatize is privacy.privatize
     assert runner.generate_task is simulation.generate_task
+
+
+def test_benchmark_counters_read_real_calls(monkeypatch):
+    # A traced benchmark run hands every call of these functions to its COUNTERS
+    # hook; a renamed parameter or a result without the field a hook reads
+    # would make every traced job fail.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("tracer")
+    originals = {name: getattr(importlib.import_module(f"fedlora_dp.{name.split('.')[0]}"),
+                               name.split(".")[1]) for name in layers.COUNTERS}
+    calls = {}
+    patched = []
+    for name, fn in originals.items():
+        def recording(*args, _fn=fn, _name=name, **kwargs):
+            result = _fn(*args, **kwargs)
+            calls.setdefault(_name, (args, kwargs, result))
+            return result
+        patched += tracer.patch_everywhere(layers.package_modules(), fn, recording)
+    try:
+        config = RunConfig(rounds=2, clients=3, sampled_per_round=2, local_epochs=1,
+                           batch_size=4, lr_start=0.05, lr_end=0.01, rank=2, lora_scale=2.0,
+                           task_m=6, task_n=4, task_rank=2, samples_per_client=8)
+        root = RngStream(0)
+        mechanism = privacy.MechanismParams(clip_b=0.5, clip_a=0.5, sigma_b=0.1, sigma_a=0.1)
+        simulation.run_experiment(config, runner.build_task(config, root), root, mechanism)
+        noise_stats.rank_sweep([1, 2], 4, 3, noise_stats.NoiseModel(1.0, 1.0), 200, root)
+    finally:
+        tracer.restore(patched)
+
+    assert sorted(calls) == sorted(layers.COUNTERS)
+    for name, (args, kwargs, result) in calls.items():
+        count = layers.COUNTERS[name]
+        values = count(args, kwargs, result)
+        named = inspect.signature(originals[name]).bind(*args, **kwargs).arguments
+        assert count((), dict(named), result) == values, name
+        assert values and all(math.isfinite(v) for v in values.values()), name
+    args, kwargs, result = calls["simulation.local_train"]
+    assert layers.COUNTERS["simulation.local_train"](args, kwargs, result) == {
+        "steps": result.steps}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedlora_dp import runner, simulation
-from fedlora_dp.adapters import FrozenBase, LoraAdapter, adapter_delta, global_delta, init_adapter
+from fedlora_dp.adapters import FrozenBase, global_delta, init_adapter
 from fedlora_dp.config import STRATEGIES, ConfigError, RunConfig, parse_text
 from fedlora_dp.linalg import RngStream, frobenius_norm
 from fedlora_dp.privacy import MechanismParams
@@ -86,20 +86,17 @@ class TestCosineLr:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
-def _loss_at(base, delta_acc, adapter, x, y, prox_mu=0.0):
-    model = base.w + delta_acc + adapter.scale * (adapter.b @ adapter.a)
+def _loss_at(base, delta_acc, b, a, scale, x, y, prox_mu=0.0):
+    model = base.w + delta_acc + scale * (b @ a)
     loss = dataset_loss(model, x, y)
     if prox_mu > 0:
-        loss += 0.5 * prox_mu * (np.sum(adapter.b**2) + np.sum(adapter.a**2))
+        loss += 0.5 * prox_mu * (np.sum(b**2) + np.sum(a**2))
     return loss
 
 
-def _dense_reference_train(client, adapter, effective, rng, epochs, batch_size, lr,
+def _dense_reference_train(client, b, a, s, effective, rng, epochs, batch_size, lr,
                            server_c=None):
     """Oracle for local_train: every step forms the dense model and the dense gradient G."""
-    b = adapter.b.copy()
-    a = adapter.a.copy()
-    s = adapter.scale
     prox_mu = client.prox_mu
     correction = None
     if server_c is not None and client.control_variate is not None:
@@ -137,13 +134,13 @@ def _dense_reference_train(client, adapter, effective, rng, epochs, batch_size, 
 class TestLocalTrain:
     def test_zero_epochs_is_noop(self):
         task = small_task()
-        adapter = init_adapter(task.m, task.n, 2, 2.0, RngStream(1, (0,)))
+        b, a = init_adapter(task.m, task.n, 2, RngStream(1, (0,)))
         client = ClientState(0, task.client_x[0], task.client_y[0])
-        result = local_train(client, adapter, task.base.w, RngStream(1, (1,)), epochs=0,
+        result = local_train(client, b, a, 1.0, task.base.w, RngStream(1, (1,)), epochs=0,
                              batch_size=8, lr=0.1)
-        assert result.adapter is adapter
+        assert result.b is b and result.a is a
         assert result.steps == 0
-        assert np.all(adapter_delta(result.adapter) == 0.0)
+        assert np.all(result.b @ result.a == 0.0)
 
     def test_gradients_match_finite_differences(self):
         # central differences with step 1e-5, both factors, prox included
@@ -157,15 +154,14 @@ class TestLocalTrain:
             a0 = gen.standard_normal((r, n))
             scale = float(gen.uniform(0.5, 2.0))
             prox = 0.05 if trial % 2 else 0.0
-            adapter = LoraAdapter(b=b0, a=a0, rank=r, lora_scale=scale * r)
             x = gen.standard_normal((6, n))
             y = gen.standard_normal((6, m))
             client = ClientState(0, x, y, prox_mu=prox)
             lr = 0.01
-            result = local_train(client, adapter, base.w + delta_acc, RngStream(trial, (2,)),
-                                 epochs=1, batch_size=6, lr=lr)
-            grad_b = (b0 - result.adapter.b) / lr
-            grad_a = (a0 - result.adapter.a) / lr
+            result = local_train(client, b0, a0, scale, base.w + delta_acc,
+                                 RngStream(trial, (2,)), epochs=1, batch_size=6, lr=lr)
+            grad_b = (b0 - result.b) / lr
+            grad_a = (a0 - result.a) / lr
 
             fd_b = np.zeros_like(b0)
             for i in range(m):
@@ -173,20 +169,16 @@ class TestLocalTrain:
                     bp, bm = b0.copy(), b0.copy()
                     bp[i, j] += h
                     bm[i, j] -= h
-                    up = LoraAdapter(b=bp, a=a0, rank=r, lora_scale=scale * r)
-                    dn = LoraAdapter(b=bm, a=a0, rank=r, lora_scale=scale * r)
-                    fd_b[i, j] = (_loss_at(base, delta_acc, up, x, y, prox)
-                                  - _loss_at(base, delta_acc, dn, x, y, prox)) / (2 * h)
+                    fd_b[i, j] = (_loss_at(base, delta_acc, bp, a0, scale, x, y, prox)
+                                  - _loss_at(base, delta_acc, bm, a0, scale, x, y, prox)) / (2 * h)
             fd_a = np.zeros_like(a0)
             for i in range(r):
                 for j in range(n):
                     ap, am = a0.copy(), a0.copy()
                     ap[i, j] += h
                     am[i, j] -= h
-                    up = LoraAdapter(b=b0, a=ap, rank=r, lora_scale=scale * r)
-                    dn = LoraAdapter(b=b0, a=am, rank=r, lora_scale=scale * r)
-                    fd_a[i, j] = (_loss_at(base, delta_acc, up, x, y, prox)
-                                  - _loss_at(base, delta_acc, dn, x, y, prox)) / (2 * h)
+                    fd_a[i, j] = (_loss_at(base, delta_acc, b0, ap, scale, x, y, prox)
+                                  - _loss_at(base, delta_acc, b0, am, scale, x, y, prox)) / (2 * h)
 
             assert np.abs(grad_b - fd_b).max() <= 1e-6
             assert np.abs(grad_a - fd_a).max() <= 1e-6
@@ -196,8 +188,9 @@ class TestLocalTrain:
         gen = np.random.default_rng(23)
         task = small_task(seed=3, sigma_obs=0.1)
         rank = 3
-        adapter = LoraAdapter(b=0.3 * gen.standard_normal((task.m, rank)),
-                              a=gen.standard_normal((rank, task.n)), rank=rank, lora_scale=6.0)
+        b0 = 0.3 * gen.standard_normal((task.m, rank))
+        a0 = gen.standard_normal((rank, task.n))
+        scale = 6.0 / rank
         delta_acc = 0.2 * gen.standard_normal((task.m, task.n))
         client = ClientState(4, task.client_x[1], task.client_y[1],
                              prox_mu=0.05 if case == "prox" else 0.0,
@@ -209,20 +202,21 @@ class TestLocalTrain:
         lr = 0.05
         effective = task.base.w + delta_acc
 
-        b, a, loss, steps = _dense_reference_train(client, adapter, effective, RngStream(9, (2,)),
-                                                   epochs, batch_size, lr, server_c)
-        result = local_train(client, adapter, effective, RngStream(9, (2,)), epochs=epochs,
+        b, a, loss, steps = _dense_reference_train(client, b0, a0, scale, effective,
+                                                   RngStream(9, (2,)), epochs, batch_size, lr,
+                                                   server_c)
+        result = local_train(client, b0, a0, scale, effective, RngStream(9, (2,)), epochs=epochs,
                              batch_size=batch_size, lr=lr, server_c=server_c)
         assert result.steps == steps
-        np.testing.assert_allclose(result.adapter.b, b, rtol=1e-10, atol=0)
-        np.testing.assert_allclose(result.adapter.a, a, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(result.b, b, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(result.a, a, rtol=1e-10, atol=0)
         assert result.mean_loss == pytest.approx(loss, rel=1e-10)
 
     def test_single_client_converges_to_optimum(self):
         task = small_task(n_clients=1, samples_per_client=60)
-        adapter = init_adapter(task.m, task.n, task.r_star, float(task.r_star), RngStream(2, (0,)))
+        b, a = init_adapter(task.m, task.n, task.r_star, RngStream(2, (0,)))
         client = ClientState(0, task.client_x[0], task.client_y[0])
-        result = local_train(client, adapter, task.base.w, RngStream(2, (1,)), epochs=300,
+        result = local_train(client, b, a, 1.0, task.base.w, RngStream(2, (1,)), epochs=300,
                              batch_size=60, lr=0.2)
         assert result.mean_loss <= 1e-3
 
@@ -230,36 +224,35 @@ class TestLocalTrain:
         task = small_task()
         b0 = np.zeros((task.m, 2))
         a0 = RngStream(3, (0,)).generator().standard_normal((2, task.n))
-        adapter = LoraAdapter(b=b0, a=a0, rank=2, lora_scale=2.0)
         correction_c = np.ones((task.m, task.n)) * 0.3
         client = ClientState(0, task.client_x[0], task.client_y[0],
                              control_variate=np.zeros((task.m, task.n)))
         lr = 0.05
         batch = len(task.client_x[0])
-        plain = local_train(client, adapter, task.base.w, RngStream(3, (1,)), epochs=1,
+        plain = local_train(client, b0, a0, 1.0, task.base.w, RngStream(3, (1,)), epochs=1,
                             batch_size=batch, lr=lr)
-        corrected = local_train(client, adapter, task.base.w, RngStream(3, (1,)), epochs=1,
+        corrected = local_train(client, b0, a0, 1.0, task.base.w, RngStream(3, (1,)), epochs=1,
                                 batch_size=batch, lr=lr, server_c=correction_c)
-        # G shifts by +c, so the b update shifts by -lr * s * c @ a0.T
-        expected_shift = -lr * adapter.scale * (correction_c @ a0.T)
-        observed_shift = corrected.adapter.b - plain.adapter.b
+        # G shifts by +c, so the b update shifts by -lr * s * c @ a0.T, here with s = 1
+        expected_shift = -lr * 1.0 * (correction_c @ a0.T)
+        observed_shift = corrected.b - plain.b
         assert np.allclose(observed_shift, expected_shift, rtol=1e-10, atol=1e-12)
 
     def test_nan_loss_aborts_with_diagnostic(self):
         task = small_task()
-        adapter = init_adapter(task.m, task.n, 2, 2.0, RngStream(4, (0,)))
+        b, a = init_adapter(task.m, task.n, 2, RngStream(4, (0,)))
         client = ClientState(5, task.client_x[0] * 1e150, task.client_y[0])
         with pytest.raises(NumericError, match="client 5"):
-            local_train(client, adapter, task.base.w, RngStream(4, (1,)), epochs=2,
+            local_train(client, b, a, 1.0, task.base.w, RngStream(4, (1,)), epochs=2,
                         batch_size=8, lr=0.1)
 
     def test_non_finite_factor_after_last_step_aborts(self):
         # one full-batch step: the loss before it is finite, the step overflows b
         task = small_task()
-        adapter = init_adapter(task.m, task.n, 2, 200.0, RngStream(4, (0,)))
+        b, a = init_adapter(task.m, task.n, 2, RngStream(4, (0,)))
         client = ClientState(6, task.client_x[0], task.client_y[0])
         with pytest.raises(NumericError, match="client 6"):
-            local_train(client, adapter, task.base.w, RngStream(4, (1,)), epochs=1,
+            local_train(client, b, a, 100.0, task.base.w, RngStream(4, (1,)), epochs=1,
                         batch_size=len(task.client_x[0]), lr=1e308)
 
 
@@ -289,22 +282,24 @@ def _run(config, task, seed=0, mechanism=None):
 
 class TestRunRound:
     def test_single_client_identity(self):
+        # lora_scale = rank trains and folds at unit scale; 3 / 2 scales both
         task = small_task(n_clients=1)
-        cfg = small_config(clients=1, sampled_per_round=1, rounds=1)
-        server = ServerState.fresh(task.base)
-        root = RngStream(0, (7,))
-        adapter = init_adapter(task.m, task.n, cfg.rank, cfg.lora_scale, root.child(0, 0, 1))
-        clients = [ClientState(0, task.client_x[0], task.client_y[0],
-                               control_variate=np.zeros((task.m, task.n)))]
-        result = local_train(clients[0], adapter, task.base.w, root.child(0, 0, 2),
-                             epochs=cfg.local_epochs, batch_size=cfg.batch_size,
-                             lr=cosine_lr(cfg.lr_start, cfg.lr_end, 0, cfg.rounds))
-        server, metrics = run_round(server, clients, cfg, root)
-        expected = adapter_delta(result.adapter)
-        assert np.allclose(server.delta_acc, expected, rtol=1e-12, atol=1e-15)
-        assert metrics.client_norms == (
-            (0, frobenius_norm(result.adapter.b), frobenius_norm(result.adapter.a)),
-        )
+        for lora_scale, scale in ((2.0, 1.0), (3.0, 1.5)):
+            cfg = small_config(clients=1, sampled_per_round=1, rounds=1, lora_scale=lora_scale)
+            server = ServerState.fresh(task.base)
+            root = RngStream(0, (7,))
+            b, a = init_adapter(task.m, task.n, cfg.rank, root.child(0, 0, 1))
+            clients = [ClientState(0, task.client_x[0], task.client_y[0],
+                                   control_variate=np.zeros((task.m, task.n)))]
+            result = local_train(clients[0], b, a, scale, task.base.w, root.child(0, 0, 2),
+                                 epochs=cfg.local_epochs, batch_size=cfg.batch_size,
+                                 lr=cosine_lr(cfg.lr_start, cfg.lr_end, 0, cfg.rounds))
+            server, metrics = run_round(server, clients, cfg, root)
+            expected = scale * (result.b @ result.a)
+            assert np.allclose(server.delta_acc, expected, rtol=1e-12, atol=1e-15)
+            assert metrics.client_norms == (
+                (0, frobenius_norm(result.b), frobenius_norm(result.a)),
+            )
 
     def test_zero_epoch_round_keeps_delta(self):
         task = small_task()
@@ -391,8 +386,8 @@ class TestRunExperiment:
         stacks = []
         original = simulation.aggregate_stack
 
-        def recording_stack(updates):
-            stacked = original(updates)
+        def recording_stack(pairs, weights):
+            stacked = original(pairs, weights)
             stacks.append(stacked)
             return stacked
 
