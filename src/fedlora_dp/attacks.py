@@ -185,10 +185,10 @@ def trained_update(dataset: tuple[Record, ...], base: FrozenBase, config: RunCon
     y = np.stack([r[1] for r in dataset])
     m, n = base.shape
     b, a = init_adapter(m, n, config.mia_rank, stream.child(0))
-    result = local_train(ClientState(client_id=0, x=x, y=y), b, a, 1.0, base.w, stream.child(1),
-                         epochs=config.mia_epochs, batch_size=config.mia_batch_size,
-                         lr=config.mia_lr)
-    return result.b, result.a
+    result = local_train([ClientState(client_id=0, x=x, y=y)], b[np.newaxis], a[np.newaxis],
+                         1.0, base.w, [stream.child(1)], epochs=config.mia_epochs,
+                         batch_size=config.mia_batch_size, lr=config.mia_lr)
+    return result.b[0], result.a[0]
 
 
 def _block_size(b_size: int, a_size: int) -> int:
@@ -225,8 +225,8 @@ def run_game(
         raise ValueError(f"factor pairs must share one (m x r, r x n) shape, got {shapes}")
     reference = ScoreReference(*(np.concatenate([b.ravel(), a.ravel()]) for b, a in means))
     split = means[0][0].size
-    factors = ((mechanism.clip_b, mechanism.sigma_b, reference.unit_direction[:split]),
-               (mechanism.clip_a, mechanism.sigma_a, reference.unit_direction[split:]))
+    factors = ((mechanism.sigma_b, reference.unit_direction[:split]),
+               (mechanism.sigma_a, reference.unit_direction[split:]))
     block = _block_size(means[0][0].size, means[0][1].size)
     bits = np.empty(trials, dtype=np.int64)
     scores = np.zeros(trials)
@@ -237,8 +237,8 @@ def run_game(
             rows = start + np.flatnonzero(bits[start:stop] == bit)
             if rows.size == 0:
                 continue
-            for f, (clip, sigma, unit) in enumerate(factors):
-                releases = privatize(means[bit][f], clip, sigma, rng.child(k, f + 1, bit),
+            for f, (sigma, unit) in enumerate(factors):
+                releases = privatize(means[bit][f], sigma, rng.child(k, f + 1, bit),
                                      count=rows.size)
                 scores[rows] += releases.reshape(rows.size, -1) @ unit
     return bits, scores

@@ -1,8 +1,8 @@
 """Frobenius-norm clipping and Gaussian-mechanism noise calibration.
 
-A matrix is clipped to a norm budget, then perturbed with isotropic Gaussian
-noise whose scale is calibrated from the clip threshold (the sensitivity) and
-an (epsilon, delta) privacy budget.
+A matrix is clipped to a norm budget (``clip_frobenius``), then perturbed
+with isotropic Gaussian noise (``privatize``) whose scale is calibrated from
+the clip threshold (the sensitivity) and an (epsilon, delta) privacy budget.
 """
 
 import math
@@ -98,22 +98,22 @@ def calibrate_sigma(c: float, budget: PrivacyBudget) -> float:
     return c * math.sqrt(2.0 * math.log(1.25 / budget.delta)) / budget.epsilon
 
 
-def privatize(m: np.ndarray, c: float, sigma: float, rng: RngStream,
+def privatize(m: np.ndarray, sigma: float, rng: RngStream,
               count: int | None = None) -> np.ndarray:
-    """Clip to ``c`` then add N(0, sigma^2) noise; sigma == 0 returns the clipped matrix.
+    """Add N(0, sigma^2) noise to an already clipped ``m``; sigma == 0 returns ``m`` itself.
 
-    With ``count``, returns ``count`` independent releases of ``m`` stacked as
-    (count, rows, cols): ``m`` is clipped once and all the noise comes from
-    one draw of ``rng``.  Release 0 equals the single release on the same
-    stream bit for bit, since the draw fills entries in the same order.
+    The caller clips ``m`` (``clip_frobenius``) exactly once; this only adds
+    noise.  With ``count``, returns ``count`` independent releases of ``m``
+    stacked as (count, rows, cols), all the noise from one draw of ``rng``.
+    Release 0 equals the single release on the same stream bit for bit,
+    since the draw fills entries in the same order.
     """
     if count is not None and count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    clipped = clip_frobenius(m, c)
     if sigma == 0:
-        return clipped if count is None else np.repeat(clipped[np.newaxis], count, axis=0)
-    releases = sample_gaussian(clipped.shape[0], clipped.shape[1], sigma, rng, count=count)
-    releases += clipped
+        return m if count is None else np.repeat(m[np.newaxis], count, axis=0)
+    releases = sample_gaussian(m.shape[0], m.shape[1], sigma, rng, count=count)
+    releases += m
     return releases
 
 

@@ -9,6 +9,18 @@ dense delta is accumulated server-side and clients draw fresh pairs, so
 per-round shapes never grow.  Factor pairs are plain arrays; the LoRA scale
 ``lora_scale / rank`` is computed once per round and passed alongside them.
 
+Local training runs the sampled clients in lockstep: ``local_train`` takes a
+group of clients with their factors stacked along a leading client axis,
+(k, m, r) and (k, r, n), and each step is one batched matmul over that axis
+instead of k interpreted steps.  The clients of a group hold equal row
+counts, so they share one batch schedule, while each keeps its own
+shuffling stream; the results are bit-identical to training each client
+alone.  The group size is set by the shape (``_group_size``): a small shape
+trains a whole round in one call, and a large one falls back to small
+groups, down to one client.  A non-finite loss or factor names the client
+and epoch that training the clients one by one, in ascending id order,
+would have named.
+
 All randomness flows through streams keyed by (round, client, draw kind),
 which makes runs bit-reproducible regardless of client scheduling.
 
@@ -22,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import FrozenBase, GlobalAdapter, aggregate_stack, global_delta, init_adapter
+from .adapters import (FactorPair, FrozenBase, GlobalAdapter, aggregate_stack, global_delta,
+                       init_adapter)
 from .config import RunConfig
 from .linalg import RngStream, frobenius_norm
 from .noise_stats import NoiseModel, exact_total_variance
@@ -82,35 +95,39 @@ class SyntheticTask:
 
 @dataclass
 class ClientState:
-    """What a client keeps across rounds: data, proximal weight, SCAFFOLD control variate."""
+    """What a client keeps across rounds: data and, under SCAFFOLD, its control variate."""
 
     client_id: int
     x: np.ndarray
     y: np.ndarray
-    prox_mu: float = 0.0
     control_variate: np.ndarray | None = None
+
+
+# Strategies that keep a first moment, and those that also keep a second.
+_MOMENTUM_STRATEGIES = ("fedavgm", "fedadagrad", "fedyogi", "fedadam")
+_ADAPTIVE_STRATEGIES = ("fedadagrad", "fedyogi", "fedadam")
 
 
 @dataclass
 class ServerState:
-    """Server-side accumulators; all matrices are m x n."""
+    """Server-side accumulators, all m x n; those the strategy never reads are None."""
 
     base: FrozenBase
     delta_acc: np.ndarray
-    momentum: np.ndarray
-    second_moment: np.ndarray
-    server_c: np.ndarray
+    momentum: np.ndarray | None = None
+    second_moment: np.ndarray | None = None
+    server_c: np.ndarray | None = None
     round_index: int = 0
 
     @classmethod
-    def fresh(cls, base: FrozenBase) -> "ServerState":
+    def fresh(cls, base: FrozenBase, strategy: str) -> "ServerState":
         shape = base.shape
         return cls(
             base=base,
             delta_acc=np.zeros(shape),
-            momentum=np.zeros(shape),
-            second_moment=np.zeros(shape),
-            server_c=np.zeros(shape),
+            momentum=np.zeros(shape) if strategy in _MOMENTUM_STRATEGIES else None,
+            second_moment=np.zeros(shape) if strategy in _ADAPTIVE_STRATEGIES else None,
+            server_c=np.zeros(shape) if strategy == "scaffold" else None,
         )
 
 
@@ -130,10 +147,12 @@ class RoundMetrics:
 
 @dataclass(frozen=True)
 class LocalTrainResult:
-    b: np.ndarray
-    a: np.ndarray
-    mean_loss: float
-    steps: int
+    """A group's trained factors, stacked along the client axis as ``local_train`` took them."""
+
+    b: np.ndarray  # (k, m, r)
+    a: np.ndarray  # (k, r, n)
+    mean_loss: np.ndarray  # (k,): each client's mean batch loss over its last epoch
+    steps: int  # client-steps: k times each client's steps
 
 
 @dataclass(frozen=True)
@@ -205,9 +224,16 @@ def generate_task(
 
 
 def dataset_loss(model: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """Half mean squared prediction error of a dense model over a dataset."""
-    err = x @ model.T - y
-    return float(0.5 * np.sum(err * err) / x.shape[0])
+    """Half mean squared prediction error of a dense model over a dataset.
+
+    The error is squared in place: over a whole task at 1024 x 1024 each
+    temporary is 8 MB, and this runs at the end of a run, when peak memory
+    is read.
+    """
+    err = x @ model.T
+    err -= y
+    err *= err
+    return float(0.5 * np.sum(err) / x.shape[0])
 
 
 def cosine_lr(lr_start: float, lr_end: float, round_index: int, rounds: int) -> float:
@@ -218,29 +244,41 @@ def cosine_lr(lr_start: float, lr_end: float, round_index: int, rounds: int) -> 
     return lr_end + 0.5 * (lr_start - lr_end) * (1.0 + math.cos(math.pi * t))
 
 
+def _sum_sq(t: np.ndarray) -> np.ndarray:
+    """Sum of squares of each client's slice of a stacked (k, ...) array."""
+    return (t * t).reshape(len(t), -1).sum(axis=1)
+
+
 def local_train(
-    client: ClientState,
+    clients: list[ClientState],
     b: np.ndarray,
     a: np.ndarray,
     scale: float,
     effective: np.ndarray,
-    rng: RngStream,
+    rngs: list[RngStream],
     *,
     epochs: int,
     batch_size: int,
     lr: float,
+    prox_mu: float = 0.0,
     server_c: np.ndarray | None = None,
 ) -> LocalTrainResult:
-    """Mini-batch gradient descent on the factor pair (b, a) over the client's data.
+    """Mini-batch gradient descent on a group of clients' factor pairs, in lockstep.
 
-    ``scale`` is the LoRA scale ``lora_scale / rank``.  ``effective`` is the
-    m x n effective base W + delta_acc, formed once per round by the caller;
-    ``rng`` shuffles the minibatches.  The loss is half the mean squared
-    error of (effective + scale*B@A) against the client's targets, plus
-    prox_mu/2 * (||B||^2 + ||A||^2) when a proximal term is configured.
+    Client i of the group trains the pair (b[i], a[i]) on its own data: ``b``
+    is (k, m, r) and ``a`` is (k, r, n), stacked along a leading client axis,
+    and each step is one batched matmul over that axis.  ``rngs[i]`` shuffles
+    client i's minibatches.  Every client of a group must hold the same
+    number of rows (``ValueError`` otherwise), so all share one batch
+    schedule; the results equal k separate calls with groups of one, bit for
+    bit.  ``scale`` is the LoRA scale ``lora_scale / rank``.  ``effective``
+    is the m x n effective base W + delta_acc, formed once per round by the
+    caller.  The loss is half the mean squared error of
+    (effective + scale*B@A) against the client's targets, plus
+    prox_mu/2 * (||B||^2 + ||A||^2) when ``prox_mu`` > 0.
     No m x n matrix is formed per step: the base residual R = X effective^T - Y
     is computed once per call, and a minibatch of bs rows then costs
-    O(bs * (m + n) * r):
+    O(bs * (m + n) * r) per client:
 
         xa    = xb @ A.T
         err   = R[batch] + scale * xa @ B.T
@@ -248,73 +286,95 @@ def local_train(
         dL/dA = (scale / bs) * (err @ B).T @ xb
 
     These are scale*G@A.T and scale*B.T@G for the batch-mean error outer
-    product G = err.T @ xb / bs.  When a server correction c is supplied and
-    the client holds a control variate c_k, the drift-corrected G + c - c_k
-    is used, which adds scale*(c - c_k)@A.T and scale*B.T@(c - c_k) to the
-    two gradients.
+    product G = err.T @ xb / bs.  When a server correction c is supplied,
+    every client's drift-corrected G + c - c_k (c_k its control variate) is
+    used, which adds scale*(c - c_k)@A.T and scale*B.T@(c - c_k) to the two
+    gradients.
     Neither ``effective`` nor the given factors are mutated; the trained
-    factors come back as new arrays (the given ones when ``epochs`` is 0).
+    factors come back as new arrays (the given ones when ``epochs`` is 0),
+    with each client's mean batch loss over the last epoch.  ``steps``
+    counts client-steps: k times each client's steps.
     A non-finite batch loss, or a non-finite factor after the last step,
-    raises ``NumericError``; this is the only finiteness check between the
+    raises ``NumericError`` naming the client and epoch the sequential loop
+    would have named: the first client of the group with a non-finite loss
+    in any epoch, at its first such epoch, unless a client before it ends
+    with a non-finite factor.  This is the only finiteness check between the
     task and the server step.
     """
-    prox_mu = client.prox_mu
-    correction = None
-    if server_c is not None and client.control_variate is not None:
-        correction = server_c - client.control_variate
-
-    n_samples = client.x.shape[0]
+    row_counts = sorted({c.x.shape[0] for c in clients})
+    if len(row_counts) != 1:
+        raise ValueError(f"a group trains in lockstep on equal row counts, got {row_counts}")
+    n_samples = row_counts[0]
+    k = len(clients)
     batch_size = min(batch_size, n_samples)
 
     if epochs == 0:
-        loss = dataset_loss(effective + scale * (b @ a), client.x, client.y)
+        losses = np.array([dataset_loss(effective + scale * (b_i @ a_i), c.x, c.y)
+                           for c, b_i, a_i in zip(clients, b, a)])
         if prox_mu > 0:
-            loss += 0.5 * prox_mu * (np.sum(b * b) + np.sum(a * a))
-        return LocalTrainResult(b, a, mean_loss=loss, steps=0)
+            losses += 0.5 * prox_mu * (_sum_sq(b) + _sum_sq(a))
+        return LocalTrainResult(b, a, mean_loss=losses, steps=0)
 
-    gen = rng.generator()
-    steps = 0
-    last_epoch_losses: list[float] = []
+    correction = None
+    if server_c is not None:
+        correction = np.stack([server_c - c.control_variate for c in clients])
+    x = np.stack([c.x for c in clients])
+    y = np.stack([c.y for c in clients])
+    gens = [rng.generator() for rng in rngs]
+    rows = np.arange(k)[:, np.newaxis]
+    n_batches = -(-n_samples // batch_size)
+    first_bad_epoch = np.full(k, -1)
+    # Trained in place: the transposes are views that follow every step.
+    b, a = b.copy(), a.copy()
+    b_t, a_t = b.transpose(0, 2, 1), a.transpose(0, 2, 1)
     # Overflow is not trapped per operation: a non-finite residual or step
     # shows as a non-finite batch loss, and a last step that leaves a
-    # non-finite factor is caught after the loop.
+    # non-finite factor is caught after the loop.  A client that goes
+    # non-finite trains on; the batched matmuls keep the clients apart.
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = client.x @ effective.T - client.y
+        resid = x @ effective.T - y
         for epoch in range(epochs):
-            order = gen.permutation(n_samples)
-            epoch_losses = []
-            for start in range(0, n_samples, batch_size):
-                idx = order[start:start + batch_size]
-                xb = client.x[idx]
-                bs = xb.shape[0]
+            order = np.stack([gen.permutation(n_samples) for gen in gens])
+            x_epoch, resid_epoch = x[rows, order], resid[rows, order]
+            epoch_losses = np.empty((k, n_batches))
+            for j, start in enumerate(range(0, n_samples, batch_size)):
+                xb = x_epoch[:, start:start + batch_size]
+                bs = xb.shape[1]
 
-                xa = xb @ a.T
-                err = resid[idx] + scale * (xa @ b.T)
-                loss = 0.5 * np.sum(err * err) / bs
+                xa = xb @ a_t
+                err = xa @ b_t
+                err *= scale
+                err += resid_epoch[:, start:start + batch_size]
+                loss = 0.5 * _sum_sq(err) / bs
                 if prox_mu > 0:
-                    loss += 0.5 * prox_mu * (np.sum(b * b) + np.sum(a * a))
-                if not np.isfinite(loss):
-                    raise NumericError(
-                        f"client {client.client_id}: non-finite loss at epoch {epoch}"
-                    )
-                epoch_losses.append(float(loss))
+                    loss += 0.5 * prox_mu * (_sum_sq(b) + _sum_sq(a))
+                epoch_losses[:, j] = loss
 
-                grad_b = (scale / bs) * (err.T @ xa)
-                grad_a = (scale / bs) * ((err @ b).T @ xb)
+                grad_b = err.transpose(0, 2, 1) @ xa
+                grad_b *= scale / bs
+                grad_a = (err @ b).transpose(0, 2, 1) @ xb
+                grad_a *= scale / bs
                 if correction is not None:
-                    grad_b = grad_b + scale * (correction @ a.T)
-                    grad_a = grad_a + scale * (b.T @ correction)
+                    grad_b += scale * (correction @ a_t)
+                    grad_a += scale * (b_t @ correction)
                 if prox_mu > 0:
-                    grad_b = grad_b + prox_mu * b
-                    grad_a = grad_a + prox_mu * a
-                b = b - lr * grad_b
-                a = a - lr * grad_a
-                steps += 1
-            last_epoch_losses = epoch_losses
-    if not (np.isfinite(b).all() and np.isfinite(a).all()):
-        raise NumericError(f"client {client.client_id}: non-finite factors after training")
+                    grad_b += prox_mu * b
+                    grad_a += prox_mu * a
+                grad_b *= lr
+                grad_a *= lr
+                b -= grad_b
+                a -= grad_a
+            went_bad = ~np.isfinite(epoch_losses).all(axis=1) & (first_bad_epoch < 0)
+            first_bad_epoch[went_bad] = epoch
+    finite = np.isfinite(b).all(axis=(1, 2)) & np.isfinite(a).all(axis=(1, 2))
+    for client, bad_epoch, ok in zip(clients, first_bad_epoch, finite):
+        if bad_epoch >= 0:
+            raise NumericError(f"client {client.client_id}: non-finite loss at epoch {bad_epoch}")
+        if not ok:
+            raise NumericError(f"client {client.client_id}: non-finite factors after training")
 
-    return LocalTrainResult(b, a, mean_loss=float(np.mean(last_epoch_losses)), steps=steps)
+    return LocalTrainResult(b, a, mean_loss=epoch_losses.mean(axis=1),
+                            steps=k * epochs * n_batches)
 
 
 def sample_clients(n_clients: int, k: int, rng: RngStream) -> list[int]:
@@ -350,6 +410,22 @@ def _apply_strategy(server: ServerState, config: RunConfig, delta_t: np.ndarray)
         )
 
 
+# Factor floats a lockstep group may hold (256 KB): 42 clients at 16 x 8 and
+# rank 32, 8 at 64 x 64, 2 at 256 x 256 and 1 at 1024 x 1024 and rank 16.
+# Twenty clients in lockstep at 256 x 256 ran slower than one at a time.
+_GROUP_FLOATS = 32_768
+
+
+def _group_size(m: int, n: int, rank: int) -> int:
+    """Clients per ``local_train`` call: the most whose (m + n) x rank factors fit the budget.
+
+    Small shapes train a whole round in one call, where a step costs
+    interpreter overhead more than arithmetic; large ones fall back to small
+    groups, whose factors stay in cache.
+    """
+    return max(1, _GROUP_FLOATS // ((m + n) * rank))
+
+
 def run_round(
     server: ServerState,
     clients: list[ClientState],
@@ -361,34 +437,43 @@ def run_round(
 
     Every sampled client trains a fresh factor pair (drawn from its round's
     stream) against the effective base W + delta_acc, which is formed once
-    for the round.  Client k's stacking weight is its data share times the
-    LoRA scale, size_k / total * (lora_scale / rank).  The round is private
-    exactly when ``mechanism`` is given: each trained factor is then clipped
-    once, and the clipped factor is both noised for release and kept as the
-    clean reference for ``expectation_diff`` and ``total_variance``.
+    for the round.  The sampled clients train in ascending id order, in
+    groups of ``_group_size`` clients, one ``local_train`` call per group.
+    Client k's stacking weight is its data share times the LoRA scale,
+    size_k / total * (lora_scale / rank).  The round is private exactly when
+    ``mechanism`` is given: each trained factor is then clipped once, and
+    the clipped factor is both noised for release and kept as the clean
+    reference for ``expectation_diff`` and ``total_variance``.
     """
     t0 = time.perf_counter()
     round_index = server.round_index
     sampled = sample_clients(len(clients), config.sampled_per_round, rng.child(round_index, _KIND_SAMPLE))
     lr = cosine_lr(config.lr_start, config.lr_end, round_index, config.rounds)
     by_id = {c.client_id: c for c in clients}
-    server_c = server.server_c if config.strategy == "scaffold" else None
     m, n = server.base.shape
     effective = server.base.w + server.delta_acc
     scale = config.lora_scale / config.rank
+    prox_mu = config.prox_mu if config.strategy == "fedprox" else 0.0
 
-    results = {}
-    for cid in sampled:
-        b, a = init_adapter(m, n, config.rank, rng.child(round_index, cid, _KIND_INIT))
-        results[cid] = local_train(by_id[cid], b, a, scale, effective,
-                                   rng.child(round_index, cid, _KIND_TRAIN),
-                                   epochs=config.local_epochs, batch_size=config.batch_size,
-                                   lr=lr, server_c=server_c)
+    trained, losses, steps = [], [], []
+    size = _group_size(m, n, config.rank)
+    for start in range(0, len(sampled), size):
+        group = sampled[start:start + size]
+        init = [init_adapter(m, n, config.rank, rng.child(round_index, cid, _KIND_INIT))
+                for cid in group]
+        result = local_train([by_id[cid] for cid in group],
+                             np.stack([b for b, _ in init]), np.stack([a for _, a in init]),
+                             scale, effective,
+                             [rng.child(round_index, cid, _KIND_TRAIN) for cid in group],
+                             epochs=config.local_epochs, batch_size=config.batch_size,
+                             lr=lr, prox_mu=prox_mu, server_c=server.server_c)
+        trained += zip(result.b, result.a)
+        losses += result.mean_loss.tolist()
+        steps += [result.steps // len(group)] * len(group)
 
     # ascending id order fixes stacking order
     total = sum(by_id[cid].x.shape[0] for cid in sampled)
     weights = [by_id[cid].x.shape[0] / total * scale for cid in sampled]
-    trained = [(results[cid].b, results[cid].a) for cid in sampled]
 
     if mechanism is None:
         released = aggregate_stack(trained, weights)
@@ -398,10 +483,8 @@ def run_round(
         clean = [(clip_frobenius(b, mechanism.clip_b), clip_frobenius(a, mechanism.clip_a))
                  for b, a in trained]
         released = aggregate_stack(
-            [(privatize(b, mechanism.clip_b, mechanism.sigma_b,
-                        rng.child(round_index, cid, _KIND_NOISE_B)),
-              privatize(a, mechanism.clip_a, mechanism.sigma_a,
-                        rng.child(round_index, cid, _KIND_NOISE_A)))
+            [(privatize(b, mechanism.sigma_b, rng.child(round_index, cid, _KIND_NOISE_B)),
+              privatize(a, mechanism.sigma_a, rng.child(round_index, cid, _KIND_NOISE_A)))
              for cid, (b, a) in zip(sampled, clean)],
             weights,
         )
@@ -412,21 +495,20 @@ def run_round(
             total_variance += weight**2 * exact_total_variance(b, a, model)
     delta_t = global_delta(released)
 
-    if config.strategy == "scaffold":
-        _update_control_variates(server, by_id, results, sampled, scale, lr, len(clients))
+    if server.server_c is not None:
+        _update_control_variates(server, [by_id[cid] for cid in sampled], trained, steps,
+                                 scale, lr, len(clients))
 
     _apply_strategy(server, config, delta_t)
     server.round_index += 1
 
-    client_losses = tuple((cid, results[cid].mean_loss) for cid in sampled)
-    client_norms = tuple(
-        (cid, frobenius_norm(results[cid].b), frobenius_norm(results[cid].a)) for cid in sampled
-    )
     metrics = RoundMetrics(
         round_index=round_index,
-        mean_train_loss=float(np.mean([results[cid].mean_loss for cid in sampled])),
-        client_losses=client_losses,
-        client_norms=client_norms,
+        mean_train_loss=float(np.mean(losses)),
+        client_losses=tuple(zip(sampled, losses)),
+        client_norms=tuple(
+            (cid, frobenius_norm(b), frobenius_norm(a)) for cid, (b, a) in zip(sampled, trained)
+        ),
         global_delta_norm=frobenius_norm(delta_t),
         expectation_diff=expectation_diff,
         total_variance=total_variance,
@@ -443,22 +525,20 @@ def _mean_entry(g: GlobalAdapter) -> float:
 
 def _update_control_variates(
     server: ServerState,
-    by_id: dict[int, ClientState],
-    results: dict[int, LocalTrainResult],
-    sampled: list[int],
+    sampled: list[ClientState],
+    trained: list[FactorPair],
+    steps: list[int],
     scale: float,
     lr: float,
     n_clients: int,
 ) -> None:
     """Drift-correction bookkeeping on the dense deltas scale * b @ a, before the server step."""
     shifts = []
-    for cid in sampled:
-        res = results[cid]
-        if res.steps == 0:
+    for client, (b, a), client_steps in zip(sampled, trained, steps):
+        if client_steps == 0:
             continue
-        client = by_id[cid]
-        dense = scale * (res.b @ res.a)
-        c_new = client.control_variate - server.server_c - dense / (res.steps * lr)
+        dense = scale * (b @ a)
+        c_new = client.control_variate - server.server_c - dense / (client_steps * lr)
         shifts.append(c_new - client.control_variate)
         client.control_variate = c_new
     if shifts:
@@ -467,10 +547,9 @@ def _update_control_variates(
 
 def _make_clients(task: SyntheticTask, config: RunConfig) -> list[ClientState]:
     """One client per task shard; only SCAFFOLD gives them a control variate."""
-    prox_mu = config.prox_mu if config.strategy == "fedprox" else 0.0
     scaffold = config.strategy == "scaffold"
     return [
-        ClientState(client_id=k, x=task.client_x[k], y=task.client_y[k], prox_mu=prox_mu,
+        ClientState(client_id=k, x=task.client_x[k], y=task.client_y[k],
                     control_variate=np.zeros((task.m, task.n)) if scaffold else None)
         for k in range(task.n_clients)
     ]
@@ -487,7 +566,7 @@ def run_experiment(config: RunConfig, task: SyntheticTask, root: RngStream,
                    mechanism: MechanismParams | None = None) -> ExperimentResult:
     """Run ``config.rounds`` rounds, private exactly when ``mechanism`` is given."""
     t0 = time.perf_counter()
-    server = ServerState.fresh(task.base)
+    server = ServerState.fresh(task.base, config.strategy)
     clients = _make_clients(task, config)
     rounds = []
     for _ in range(config.rounds):

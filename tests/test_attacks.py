@@ -384,8 +384,8 @@ class TestBlockLayout:
                 first = start + int(np.flatnonzero(bits[start:start + block] == bit)[0])
                 b_mean, a_mean = means[bit]
                 release = (
-                    privatize(b_mean, self.mech.clip_b, self.mech.sigma_b, rng.child(k, 1, bit)),
-                    privatize(a_mean, self.mech.clip_a, self.mech.sigma_a, rng.child(k, 2, bit)),
+                    privatize(b_mean, self.mech.sigma_b, rng.child(k, 1, bit)),
+                    privatize(a_mean, self.mech.sigma_a, rng.child(k, 2, bit)),
                 )
                 expected = score_update(release, reference)
                 assert scores[first] == pytest.approx(expected, rel=1e-12, abs=0)

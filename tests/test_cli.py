@@ -340,11 +340,11 @@ class TestResolveClips:
         norms = []
         for k in range(task.n_clients):
             b, a = init_adapter(task.m, task.n, config.rank, stream.child(0, k, 1))
-            res = local_train(ClientState(k, task.client_x[k], task.client_y[k]), b, a,
-                              config.lora_scale / config.rank, task.base.w, stream.child(0, k, 2),
-                              epochs=config.local_epochs, batch_size=config.batch_size,
-                              lr=config.lr_start)
-            norms.append((frobenius_norm(res.b), frobenius_norm(res.a)))
+            res = local_train([ClientState(k, task.client_x[k], task.client_y[k])], b[None],
+                              a[None], config.lora_scale / config.rank, task.base.w,
+                              [stream.child(0, k, 2)], epochs=config.local_epochs,
+                              batch_size=config.batch_size, lr=config.lr_start)
+            norms.append((frobenius_norm(res.b[0]), frobenius_norm(res.a[0])))
         b_norms, a_norms = zip(*norms)
         assert lowest == (min(b_norms), min(a_norms))
         assert highest == (max(b_norms), max(a_norms))

@@ -123,13 +123,14 @@ class TestCalibrateSigma:
 class TestPrivatize:
     def test_sigma_zero_within_budget_identity(self):
         m = np.array([[0.1, 0.2], [0.0, 0.1]])
-        out = privatize(m, 10.0, 0.0, RngStream(0))
-        assert np.array_equal(out, m)
+        out = privatize(m, 0.0, RngStream(0))
+        assert out is m
 
-    def test_sigma_zero_clips(self):
+    def test_sigma_zero_does_not_clip(self):
+        # the caller clips once; privatize only adds noise, whatever the norm
         m = np.array([[3.0, 4.0], [0.0, 0.0]])
-        out = privatize(m, 2.5, 0.0, RngStream(0))
-        assert np.array_equal(out, np.array([[1.5, 2.0], [0.0, 0.0]]))
+        out = privatize(m, 0.0, RngStream(0))
+        assert out is m
 
     def test_zero_input_pure_noise_mean(self):
         # 100 repetitions of a 100x10 zero matrix: 1e5 noise entries overall
@@ -137,55 +138,54 @@ class TestPrivatize:
         z = np.zeros((100, 10))
         root = RngStream(11)
         draws = np.concatenate(
-            [privatize(z, 1.0, sigma, root.child(i)).ravel() for i in range(100)]
+            [privatize(z, sigma, root.child(i)).ravel() for i in range(100)]
         )
         assert draws.size == 10**5
         assert abs(draws.mean()) <= 5 * sigma / np.sqrt(draws.size)
 
     def test_deterministic_given_stream(self):
         m = np.ones((2, 3))
-        a = privatize(m, 1.0, 0.7, RngStream(5, (1,)))
-        b = privatize(m, 1.0, 0.7, RngStream(5, (1,)))
+        a = privatize(m, 0.7, RngStream(5, (1,)))
+        b = privatize(m, 0.7, RngStream(5, (1,)))
         assert np.array_equal(a, b)
 
 
 class TestPrivatizeCount:
     m = np.array([[3.0, -4.0, 1.0], [0.5, 2.0, -1.5]])
+    clipped = clip_frobenius(m, 1.0)
 
     def test_shape(self):
-        out = privatize(self.m, 1.0, 0.7, RngStream(3), count=5)
+        out = privatize(self.clipped, 0.7, RngStream(3), count=5)
         assert out.shape == (5, 2, 3)
 
     def test_first_release_equals_single_release(self):
         for seed in range(10):
             stream = RngStream(seed, (2, seed))
-            single = privatize(self.m, 1.0, 0.7, stream)
-            stacked = privatize(self.m, 1.0, 0.7, stream, count=7)
-            # the single release is still clip, then add sigma * one standard-normal draw
-            formula = clip_frobenius(self.m, 1.0) + 0.7 * stream.generator().standard_normal((2, 3))
+            single = privatize(self.m, 0.7, stream)
+            stacked = privatize(self.m, 0.7, stream, count=7)
+            # the single release is the factor, unclipped, plus sigma * one standard-normal draw
+            formula = self.m + 0.7 * stream.generator().standard_normal((2, 3))
             assert np.array_equal(single, formula)
             assert np.array_equal(stacked[0], single)
             assert not np.array_equal(stacked[1], single)
 
     def test_sigma_zero_repeats_clipped(self):
-        clipped = clip_frobenius(self.m, 1.0)
-        out = privatize(self.m, 1.0, 0.0, RngStream(0), count=4)
+        out = privatize(self.clipped, 0.0, RngStream(0), count=4)
         assert out.shape == (4, 2, 3)
         for release in out:
-            assert np.array_equal(release, clipped)
+            assert np.array_equal(release, self.clipped)
 
     def test_moments_match_clipped_and_sigma(self):
         sigma, count = 0.7, 20_000
-        clipped = clip_frobenius(self.m, 1.0)
-        out = privatize(self.m, 1.0, sigma, RngStream(8, (1,)), count=count)
+        out = privatize(self.clipped, sigma, RngStream(8, (1,)), count=count)
         mean_se = sigma / np.sqrt(count)
         var_se = sigma**2 * np.sqrt(2.0 / (count - 1))
-        assert np.all(np.abs(out.mean(axis=0) - clipped) <= 5 * mean_se)
+        assert np.all(np.abs(out.mean(axis=0) - self.clipped) <= 5 * mean_se)
         assert np.all(np.abs(out.var(axis=0, ddof=1) - sigma**2) <= 5 * var_se)
 
     def test_count_below_one_rejected(self):
         with pytest.raises(ValueError, match="count"):
-            privatize(self.m, 1.0, 0.7, RngStream(0), count=0)
+            privatize(self.clipped, 0.7, RngStream(0), count=0)
 
 
 class TestComposeBudget:

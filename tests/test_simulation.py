@@ -1,5 +1,7 @@
 """Federated loop: training gradients, strategies, determinism, sampling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -94,12 +96,18 @@ def _loss_at(base, delta_acc, b, a, scale, x, y, prox_mu=0.0):
     return loss
 
 
+def _train_one(client, b, a, scale, effective, rng, **kwargs):
+    """``local_train`` on a group of one client, its result unstacked to (b, a, loss, steps)."""
+    result = local_train([client], b[np.newaxis], a[np.newaxis], scale, effective, [rng],
+                         **kwargs)
+    return result.b[0], result.a[0], float(result.mean_loss[0]), result.steps
+
+
 def _dense_reference_train(client, b, a, s, effective, rng, epochs, batch_size, lr,
-                           server_c=None):
+                           prox_mu=0.0, server_c=None):
     """Oracle for local_train: every step forms the dense model and the dense gradient G."""
-    prox_mu = client.prox_mu
     correction = None
-    if server_c is not None and client.control_variate is not None:
+    if server_c is not None:
         correction = server_c - client.control_variate
     n_samples = client.x.shape[0]
     batch_size = min(batch_size, n_samples)
@@ -131,16 +139,62 @@ def _dense_reference_train(client, b, a, s, effective, rng, epochs, batch_size, 
     return b, a, float(np.mean(epoch_losses)), steps
 
 
+def _loop_reference_train(client, b, a, s, effective, rng, epochs, batch_size, lr,
+                          prox_mu=0.0, server_c=None):
+    """Oracle for local_train's bytes: one client, 2-D arrays, the same operations in order."""
+    correction = None if server_c is None else server_c - client.control_variate
+    n_samples = client.x.shape[0]
+    batch_size = min(batch_size, n_samples)
+    gen = rng.generator()
+    resid = client.x @ effective.T - client.y
+    for _ in range(epochs):
+        order = gen.permutation(n_samples)
+        epoch_losses = []
+        for start in range(0, n_samples, batch_size):
+            idx = order[start:start + batch_size]
+            xb = client.x[idx]
+            bs = xb.shape[0]
+            xa = xb @ a.T
+            err = resid[idx] + s * (xa @ b.T)
+            loss = 0.5 * np.sum(err * err) / bs
+            if prox_mu > 0:
+                loss += 0.5 * prox_mu * (np.sum(b * b) + np.sum(a * a))
+            epoch_losses.append(float(loss))
+            grad_b = (s / bs) * (err.T @ xa)
+            grad_a = (s / bs) * ((err @ b).T @ xb)
+            if correction is not None:
+                grad_b = grad_b + s * (correction @ a.T)
+                grad_a = grad_a + s * (b.T @ correction)
+            if prox_mu > 0:
+                grad_b = grad_b + prox_mu * b
+                grad_a = grad_a + prox_mu * a
+            b = b - lr * grad_b
+            a = a - lr * grad_a
+    return b, a, float(np.mean(epoch_losses))
+
+
+def _group_task(gen, k=3, m=6, n=4, samples=20):
+    """k clients with their own data and control variates, and a server correction."""
+    clients = [ClientState(10 + i, gen.standard_normal((samples, n)),
+                           gen.standard_normal((samples, m)),
+                           control_variate=0.1 * gen.standard_normal((m, n)))
+               for i in range(k)]
+    effective = gen.standard_normal((m, n))
+    server_c = 0.1 * gen.standard_normal((m, n))
+    return clients, effective, server_c
+
+
 class TestLocalTrain:
     def test_zero_epochs_is_noop(self):
         task = small_task()
         b, a = init_adapter(task.m, task.n, 2, RngStream(1, (0,)))
+        b, a = b[np.newaxis], a[np.newaxis]
         client = ClientState(0, task.client_x[0], task.client_y[0])
-        result = local_train(client, b, a, 1.0, task.base.w, RngStream(1, (1,)), epochs=0,
+        result = local_train([client], b, a, 1.0, task.base.w, [RngStream(1, (1,))], epochs=0,
                              batch_size=8, lr=0.1)
         assert result.b is b and result.a is a
         assert result.steps == 0
-        assert np.all(result.b @ result.a == 0.0)
+        assert np.all(result.b[0] @ result.a[0] == 0.0)
 
     def test_gradients_match_finite_differences(self):
         # central differences with step 1e-5, both factors, prox included
@@ -156,12 +210,13 @@ class TestLocalTrain:
             prox = 0.05 if trial % 2 else 0.0
             x = gen.standard_normal((6, n))
             y = gen.standard_normal((6, m))
-            client = ClientState(0, x, y, prox_mu=prox)
+            client = ClientState(0, x, y)
             lr = 0.01
-            result = local_train(client, b0, a0, scale, base.w + delta_acc,
-                                 RngStream(trial, (2,)), epochs=1, batch_size=6, lr=lr)
-            grad_b = (b0 - result.b) / lr
-            grad_a = (a0 - result.a) / lr
+            b1, a1, _, _ = _train_one(client, b0, a0, scale, base.w + delta_acc,
+                                      RngStream(trial, (2,)), epochs=1, batch_size=6, lr=lr,
+                                      prox_mu=prox)
+            grad_b = (b0 - b1) / lr
+            grad_a = (a0 - a1) / lr
 
             fd_b = np.zeros_like(b0)
             for i in range(m):
@@ -193,8 +248,8 @@ class TestLocalTrain:
         scale = 6.0 / rank
         delta_acc = 0.2 * gen.standard_normal((task.m, task.n))
         client = ClientState(4, task.client_x[1], task.client_y[1],
-                             prox_mu=0.05 if case == "prox" else 0.0,
                              control_variate=0.1 * gen.standard_normal((task.m, task.n)))
+        prox_mu = 0.05 if case == "prox" else 0.0
         server_c = 0.1 * gen.standard_normal((task.m, task.n)) if case == "scaffold" else None
         # 20 samples: batches of 5 divide them, batches of 7 leave a last batch of 6
         epochs = 6 if case == "epochs" else 2
@@ -204,21 +259,66 @@ class TestLocalTrain:
 
         b, a, loss, steps = _dense_reference_train(client, b0, a0, scale, effective,
                                                    RngStream(9, (2,)), epochs, batch_size, lr,
-                                                   server_c)
-        result = local_train(client, b0, a0, scale, effective, RngStream(9, (2,)), epochs=epochs,
-                             batch_size=batch_size, lr=lr, server_c=server_c)
-        assert result.steps == steps
-        np.testing.assert_allclose(result.b, b, rtol=1e-10, atol=0)
-        np.testing.assert_allclose(result.a, a, rtol=1e-10, atol=0)
-        assert result.mean_loss == pytest.approx(loss, rel=1e-10)
+                                                   prox_mu, server_c)
+        b1, a1, loss1, steps1 = _train_one(client, b0, a0, scale, effective, RngStream(9, (2,)),
+                                           epochs=epochs, batch_size=batch_size, lr=lr,
+                                           prox_mu=prox_mu, server_c=server_c)
+        assert steps1 == steps
+        np.testing.assert_allclose(b1, b, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(a1, a, rtol=1e-10, atol=0)
+        assert loss1 == pytest.approx(loss, rel=1e-10)
+
+    @pytest.mark.parametrize("case", ["plain", "prox", "scaffold"])
+    def test_group_equals_groups_of_one(self, case):
+        # 20 rows in batches of 7 leave a partial last batch of 6
+        gen = np.random.default_rng(31)
+        clients, effective, server_c = _group_task(gen)
+        b0 = 0.3 * gen.standard_normal((3, 6, 2))
+        a0 = gen.standard_normal((3, 2, 4))
+        streams = [RngStream(5, (2, i)) for i in range(3)]
+        settings = dict(epochs=3, batch_size=7, lr=0.05,
+                        prox_mu=0.05 if case == "prox" else 0.0,
+                        server_c=server_c if case == "scaffold" else None)
+        group = local_train(clients, b0, a0, 1.5, effective, streams, **settings)
+        assert group.steps == 3 * 3 * 3
+        for i, client in enumerate(clients):
+            b, a, loss, steps = _train_one(client, b0[i], a0[i], 1.5, effective, streams[i],
+                                           **settings)
+            assert np.array_equal(group.b[i], b)
+            assert np.array_equal(group.a[i], a)
+            assert group.mean_loss[i] == loss
+            assert group.steps == 3 * steps
+            # and both equal one client's 2-D steps, bit for bit
+            ref_b, ref_a, ref_loss = _loop_reference_train(client, b0[i], a0[i], 1.5, effective,
+                                                           streams[i], **settings)
+            assert np.array_equal(b, ref_b) and np.array_equal(a, ref_a) and loss == ref_loss
+
+    def test_group_leaves_inputs_unchanged(self):
+        gen = np.random.default_rng(32)
+        clients, effective, _ = _group_task(gen)
+        b0 = gen.standard_normal((3, 6, 2))
+        a0 = gen.standard_normal((3, 2, 4))
+        before = (b0.copy(), a0.copy(), effective.copy())
+        local_train(clients, b0, a0, 1.0, effective, [RngStream(0, (i,)) for i in range(3)],
+                    epochs=2, batch_size=8, lr=0.05)
+        assert all(np.array_equal(x, y) for x, y in zip(before, (b0, a0, effective)))
+
+    def test_unequal_row_counts_rejected(self):
+        gen = np.random.default_rng(33)
+        clients, effective, _ = _group_task(gen)
+        clients[1] = ClientState(11, clients[1].x[:19], clients[1].y[:19])
+        with pytest.raises(ValueError, match="row counts"):
+            local_train(clients, np.zeros((3, 6, 2)), gen.standard_normal((3, 2, 4)), 1.0,
+                        effective, [RngStream(0, (i,)) for i in range(3)], epochs=1,
+                        batch_size=8, lr=0.05)
 
     def test_single_client_converges_to_optimum(self):
         task = small_task(n_clients=1, samples_per_client=60)
         b, a = init_adapter(task.m, task.n, task.r_star, RngStream(2, (0,)))
         client = ClientState(0, task.client_x[0], task.client_y[0])
-        result = local_train(client, b, a, 1.0, task.base.w, RngStream(2, (1,)), epochs=300,
-                             batch_size=60, lr=0.2)
-        assert result.mean_loss <= 1e-3
+        _, _, loss, _ = _train_one(client, b, a, 1.0, task.base.w, RngStream(2, (1,)),
+                                   epochs=300, batch_size=60, lr=0.2)
+        assert loss <= 1e-3
 
     def test_scaffold_correction_enters_gradient(self):
         task = small_task()
@@ -229,13 +329,13 @@ class TestLocalTrain:
                              control_variate=np.zeros((task.m, task.n)))
         lr = 0.05
         batch = len(task.client_x[0])
-        plain = local_train(client, b0, a0, 1.0, task.base.w, RngStream(3, (1,)), epochs=1,
-                            batch_size=batch, lr=lr)
-        corrected = local_train(client, b0, a0, 1.0, task.base.w, RngStream(3, (1,)), epochs=1,
-                                batch_size=batch, lr=lr, server_c=correction_c)
+        plain, _, _, _ = _train_one(client, b0, a0, 1.0, task.base.w, RngStream(3, (1,)),
+                                    epochs=1, batch_size=batch, lr=lr)
+        corrected, _, _, _ = _train_one(client, b0, a0, 1.0, task.base.w, RngStream(3, (1,)),
+                                        epochs=1, batch_size=batch, lr=lr, server_c=correction_c)
         # G shifts by +c, so the b update shifts by -lr * s * c @ a0.T, here with s = 1
         expected_shift = -lr * 1.0 * (correction_c @ a0.T)
-        observed_shift = corrected.b - plain.b
+        observed_shift = corrected - plain
         assert np.allclose(observed_shift, expected_shift, rtol=1e-10, atol=1e-12)
 
     def test_nan_loss_aborts_with_diagnostic(self):
@@ -243,8 +343,8 @@ class TestLocalTrain:
         b, a = init_adapter(task.m, task.n, 2, RngStream(4, (0,)))
         client = ClientState(5, task.client_x[0] * 1e150, task.client_y[0])
         with pytest.raises(NumericError, match="client 5"):
-            local_train(client, b, a, 1.0, task.base.w, RngStream(4, (1,)), epochs=2,
-                        batch_size=8, lr=0.1)
+            _train_one(client, b, a, 1.0, task.base.w, RngStream(4, (1,)), epochs=2,
+                       batch_size=8, lr=0.1)
 
     def test_non_finite_factor_after_last_step_aborts(self):
         # one full-batch step: the loss before it is finite, the step overflows b
@@ -252,8 +352,49 @@ class TestLocalTrain:
         b, a = init_adapter(task.m, task.n, 2, RngStream(4, (0,)))
         client = ClientState(6, task.client_x[0], task.client_y[0])
         with pytest.raises(NumericError, match="client 6"):
-            local_train(client, b, a, 100.0, task.base.w, RngStream(4, (1,)), epochs=1,
-                        batch_size=len(task.client_x[0]), lr=1e308)
+            _train_one(client, b, a, 100.0, task.base.w, RngStream(4, (1,)), epochs=1,
+                       batch_size=len(task.client_x[0]), lr=1e308)
+
+    @staticmethod
+    def _diverging_group(targets):
+        """Clients 10, 11, ... on a zero base, b = 0, one full-batch step per epoch, lr 1e308.
+
+        A zero target keeps every gradient exactly 0, so that client stays
+        finite; a target of scale 100 leaves the first loss finite and
+        overflows b in the first step; a target of scale 1e200 overflows the
+        first loss.
+        """
+        gen = np.random.default_rng(34)
+        clients = [ClientState(10 + i, gen.standard_normal((20, 4)),
+                               target * gen.standard_normal((20, 6)))
+                   for i, target in enumerate(targets)]
+        k = len(clients)
+        return dict(clients=clients, b=np.zeros((k, 6, 2)), a=gen.standard_normal((k, 2, 4)),
+                    scale=1.0, effective=np.zeros((6, 4)),
+                    rngs=[RngStream(0, (i,)) for i in range(k)], batch_size=20, lr=1e308)
+
+    def test_group_names_the_first_client_the_loop_would(self):
+        # client 12 goes non-finite at epoch 0 and client 11 only at epoch 1;
+        # one client at a time, client 11 trains and fails first
+        group = self._diverging_group([0.0, 100.0, 1e200])
+        with pytest.raises(NumericError, match=r"^client 11: non-finite loss at epoch 1$"):
+            local_train(**group, epochs=2)
+        for i, epoch in ((1, 1), (2, 0)):
+            alone = {key: value[i:i + 1] if key in ("clients", "b", "a", "rngs") else value
+                     for key, value in group.items()}
+            with pytest.raises(NumericError, match=f"^client {10 + i}: non-finite loss at "
+                                                   f"epoch {epoch}$"):
+                local_train(**alone, epochs=2)
+
+    def test_group_names_the_lowest_non_finite_factor(self):
+        # after one step, clients 11 and 12 end with overflowed factors
+        group = self._diverging_group([0.0, 100.0, 100.0])
+        with pytest.raises(NumericError, match=r"^client 11: non-finite factors after training$"):
+            local_train(**group, epochs=1)
+        # a factor that ends non-finite in an earlier client comes before a later loss
+        group = self._diverging_group([0.0, 100.0, 1e200])
+        with pytest.raises(NumericError, match=r"^client 11: non-finite factors after training$"):
+            local_train(**group, epochs=1)
 
 
 class TestSampleClients:
@@ -286,27 +427,23 @@ class TestRunRound:
         task = small_task(n_clients=1)
         for lora_scale, scale in ((2.0, 1.0), (3.0, 1.5)):
             cfg = small_config(clients=1, sampled_per_round=1, rounds=1, lora_scale=lora_scale)
-            server = ServerState.fresh(task.base)
+            server = ServerState.fresh(task.base, cfg.strategy)
             root = RngStream(0, (7,))
             b, a = init_adapter(task.m, task.n, cfg.rank, root.child(0, 0, 1))
-            clients = [ClientState(0, task.client_x[0], task.client_y[0],
-                                   control_variate=np.zeros((task.m, task.n)))]
-            result = local_train(clients[0], b, a, scale, task.base.w, root.child(0, 0, 2),
-                                 epochs=cfg.local_epochs, batch_size=cfg.batch_size,
-                                 lr=cosine_lr(cfg.lr_start, cfg.lr_end, 0, cfg.rounds))
+            clients = [ClientState(0, task.client_x[0], task.client_y[0])]
+            b, a, _, _ = _train_one(clients[0], b, a, scale, task.base.w, root.child(0, 0, 2),
+                                    epochs=cfg.local_epochs, batch_size=cfg.batch_size,
+                                    lr=cosine_lr(cfg.lr_start, cfg.lr_end, 0, cfg.rounds))
             server, metrics = run_round(server, clients, cfg, root)
-            expected = scale * (result.b @ result.a)
+            expected = scale * (b @ a)
             assert np.allclose(server.delta_acc, expected, rtol=1e-12, atol=1e-15)
-            assert metrics.client_norms == (
-                (0, frobenius_norm(result.b), frobenius_norm(result.a)),
-            )
+            assert metrics.client_norms == ((0, frobenius_norm(b), frobenius_norm(a)),)
 
     def test_zero_epoch_round_keeps_delta(self):
         task = small_task()
         cfg = small_config(local_epochs=0, rounds=1)
-        server = ServerState.fresh(task.base)
-        clients = [ClientState(k, task.client_x[k], task.client_y[k],
-                               control_variate=np.zeros((task.m, task.n)))
+        server = ServerState.fresh(task.base, cfg.strategy)
+        clients = [ClientState(k, task.client_x[k], task.client_y[k])
                    for k in range(task.n_clients)]
         server, metrics = run_round(server, clients, cfg, RngStream(1, (7,)))
         assert np.all(server.delta_acc == 0.0)
@@ -321,6 +458,26 @@ class TestRunRound:
             assert m1.mean_train_loss == m2.mean_train_loss
             assert m1.global_delta_norm == m2.global_delta_norm
             assert m1.client_losses == m2.client_losses
+
+
+    @pytest.mark.parametrize("strategy,private", [("fedavg", True), ("fedprox", False),
+                                                  ("scaffold", False), ("fedadam", True)])
+    def test_group_size_leaves_rounds_unchanged(self, monkeypatch, strategy, private):
+        # one client per local_train call, then the whole round in one call
+        task = small_task()
+        cfg = small_config(rounds=3, sampled_per_round=3, batch_size=7, strategy=strategy)
+        mech = MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.2, sigma_a=0.3) if private else None
+        runs = []
+        for size in (1, cfg.sampled_per_round):
+            monkeypatch.setattr(simulation, "_group_size", lambda m, n, rank, size=size: size)
+            result = _run(cfg, task, seed=5, mechanism=mech)
+            runs.append(([replace(r, wall_s=0.0) for r in result.rounds], result.final_loss))
+        assert runs[0] == runs[1]
+
+    def test_group_size_falls_back_at_large_shapes(self):
+        assert simulation._group_size(16, 8, 32) >= 20
+        assert simulation._group_size(1024, 1024, 16) == 1
+        assert simulation._group_size(4096, 4096, 64) == 1
 
 
 class TestRunExperiment:
@@ -341,6 +498,15 @@ class TestRunExperiment:
         clients = simulation._make_clients(small_task(), small_config(strategy=strategy))
         has_variate = [c.control_variate is not None for c in clients]
         assert has_variate == [strategy == "scaffold"] * len(clients)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_server_holds_only_what_its_strategy_reads(self, strategy):
+        server = ServerState.fresh(small_task().base, strategy)
+        held = {name for name in ("momentum", "second_moment", "server_c")
+                if getattr(server, name) is not None}
+        expected = {"fedavg": set(), "fedprox": set(), "scaffold": {"server_c"},
+                    "fedavgm": {"momentum"}}.get(strategy, {"momentum", "second_moment"})
+        assert held == expected
 
     def test_all_strategies_improve(self):
         task = generate_task(16, 8, 4, 8, 40, 0.0, 0.0, RngStream(6, (99,)))
