@@ -3,7 +3,7 @@
 Library layout:
 
 - ``linalg``: keyed random streams, Gaussian draws, and the entry check on arrays
-- ``privacy``: norm clipping, Gaussian noise calibration, privatization
+- ``privacy``: the release of a factor pair (clip, then noise) and its noise calibration
 - ``adapters``: low-rank factor pairs, plain ``(b, a)`` arrays, and the stacking aggregation
 - ``config``: ``RunConfig``, the one record of a run's settings, checked where parsed
 - ``simulation``: synthetic tasks, local training, the federated round loop
@@ -27,6 +27,7 @@ from .privacy import (
     PrivacyBudget,
     calibrate_sigma,
     clip_frobenius,
+    clip_pair,
     compose_budget,
     privatize,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "PrivacyBudget",
     "MechanismParams",
     "clip_frobenius",
+    "clip_pair",
     "calibrate_sigma",
     "privatize",
     "compose_budget",

@@ -2,7 +2,8 @@
 
 The game pits two neighboring datasets (equal size, exactly one record
 replaced) against each other: a fair coin picks one, a client trains a
-low-rank factor pair on it, the factors are clipped and noised, and an attacker
+low-rank factor pair on it, the pair is released as a round releases it
+(``privacy.clip_pair``, then ``privacy.privatize``), and an attacker
 with worst-case knowledge scores the release by projecting it onto the
 difference of the two un-noised mean updates.  This linear score is the
 likelihood-ratio statistic only when both factors carry the same noise scale
@@ -21,8 +22,8 @@ Trials are played in blocks of a fixed size set by the factor shapes
 (``_block_size``).  Under the game's stream, block k draws its coin flips
 from child (k, 0), the B noise of its releases with bit ``bit`` from child
 (k, 1, bit) and their A noise from child (k, 2, bit).  Within a block the
-releases with one bit are one stacked draw, in trial order, so the first
-such trial gets the same noise as a single ``privatize`` call on that child.
+releases with one bit are one ``privatize`` call, in trial order, so the
+first such trial gets the same noise as a single release on those children.
 A game's trials are two arrays in trial order: the coin flips (``bits``, 0
 or 1) and the attacker's scores.
 """
@@ -35,7 +36,7 @@ import numpy as np
 from .adapters import FactorPair, FrozenBase, init_adapter
 from .config import RunConfig
 from .linalg import RngStream, as_matrix
-from .privacy import MechanismParams, clip_frobenius, privatize
+from .privacy import MechanismParams, clip_pair, privatize
 from .simulation import ClientState, local_train
 
 __all__ = [
@@ -207,26 +208,25 @@ def run_game(
 
     The pairs are the un-noised mean updates of the two datasets: trained
     ones (``trained_update``), or synthetic ones such as antipodes on the clip
-    sphere.  They are checked (``as_matrix``) and clipped once per game.
-    Trials run in blocks of ``_block_size`` (the last block may be shorter);
-    block k draws its bits from ``rng.child(k, 0)``, and for each bit one
-    ``privatize`` call per factor draws all of that bit's releases, B from
-    ``rng.child(k, 1, bit)`` and A from ``rng.child(k, 2, bit)``.  Each
-    release is scored by its projection onto the unit mean difference (b
-    entries then a entries).  Returns the trials' bits and scores.
+    sphere.  They are checked (``as_matrix``) and clipped once per game
+    (``clip_pair``).  Trials run in blocks of ``_block_size`` (the last block
+    may be shorter); block k draws its bits from ``rng.child(k, 0)``, and for
+    each bit present one ``privatize`` call draws all of that bit's releases,
+    B noise from ``rng.child(k, 1, bit)`` and A noise from
+    ``rng.child(k, 2, bit)``.  Each release is scored by its projection onto
+    the unit mean difference, its b entries added first, then its a entries.
+    Returns the trials' bits and scores.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
-    means = [(clip_frobenius(as_matrix(b, "mean b"), mechanism.clip_b),
-              clip_frobenius(as_matrix(a, "mean a"), mechanism.clip_a))
+    means = [clip_pair((as_matrix(b, "mean b"), as_matrix(a, "mean a")), mechanism)
              for b, a in (mean0, mean1)]
     shapes = sorted({(b.shape, a.shape) for b, a in means})
     if len(shapes) != 1 or shapes[0][0][1] != shapes[0][1][0]:
         raise ValueError(f"factor pairs must share one (m x r, r x n) shape, got {shapes}")
     reference = ScoreReference(*(np.concatenate([b.ravel(), a.ravel()]) for b, a in means))
     split = means[0][0].size
-    factors = ((mechanism.sigma_b, reference.unit_direction[:split]),
-               (mechanism.sigma_a, reference.unit_direction[split:]))
+    units = (reference.unit_direction[:split], reference.unit_direction[split:])
     block = _block_size(means[0][0].size, means[0][1].size)
     bits = np.empty(trials, dtype=np.int64)
     scores = np.zeros(trials)
@@ -237,10 +237,10 @@ def run_game(
             rows = start + np.flatnonzero(bits[start:stop] == bit)
             if rows.size == 0:
                 continue
-            for f, (sigma, unit) in enumerate(factors):
-                releases = privatize(means[bit][f], sigma, rng.child(k, f + 1, bit),
-                                     count=rows.size)
-                scores[rows] += releases.reshape(rows.size, -1) @ unit
+            releases = privatize(means[bit], mechanism, rng.child(k, 1, bit),
+                                 rng.child(k, 2, bit), count=rows.size)
+            for release, unit in zip(releases, units):
+                scores[rows] += release.reshape(rows.size, -1) @ unit
     return bits, scores
 
 

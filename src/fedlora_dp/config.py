@@ -202,10 +202,10 @@ def _positive(name):
     return check
 
 
-def _non_negative(name):
+def _at_least(name, low):
     def check(cfg_value, line):
-        if cfg_value < 0:
-            raise ConfigError(f"{name} must be >= 0, got {cfg_value}", line)
+        if cfg_value < low:
+            raise ConfigError(f"{name} must be >= {low}, got {cfg_value}", line)
     return check
 
 
@@ -237,23 +237,23 @@ _VALIDATORS = {
     "strategy": _choice("strategy", STRATEGIES),
     "clip_mode": _choice("clip_mode", CLIP_MODES),
     "seed": lambda value, line: check_seed(value, "seed", line),
-    "rounds": _non_negative("rounds"),
+    "rounds": _at_least("rounds", 0),
     "clients": _positive("clients"),
     "sampled_per_round": _positive("sampled_per_round"),
-    "local_epochs": _non_negative("local_epochs"),
+    "local_epochs": _at_least("local_epochs", 0),
     "batch_size": _positive("batch_size"),
     "lr_start": _positive("lr_start"),
     "lr_end": _positive("lr_end"),
     "epsilon": _positive("epsilon"),
-    "epsilon_b": _non_negative("epsilon_b"),
-    "epsilon_a": _non_negative("epsilon_a"),
+    "epsilon_b": _at_least("epsilon_b", 0),
+    "epsilon_a": _at_least("epsilon_a", 0),
     "delta": _in_unit_interval("delta", open_ends=True),
     "clip_value": _positive("clip_value"),
     "clip_quantile": _in_unit_interval("clip_quantile"),
     "calibration_rounds": _positive("calibration_rounds"),
     "rank": _positive("rank"),
     "lora_scale": _positive("lora_scale"),
-    "prox_mu": _non_negative("prox_mu"),
+    "prox_mu": _at_least("prox_mu", 0),
     "server_lr": _positive("server_lr"),
     "beta1": _in_unit_interval("beta1"),
     "beta2": _in_unit_interval("beta2"),
@@ -263,17 +263,17 @@ _VALIDATORS = {
     "task_n": _positive("task_n"),
     "task_rank": _positive("task_rank"),
     "samples_per_client": _positive("samples_per_client"),
-    "sigma_obs": _non_negative("sigma_obs"),
+    "sigma_obs": _at_least("sigma_obs", 0),
     "heterogeneity": _in_unit_interval("heterogeneity"),
-    "noise_draws": _positive("noise_draws"),
-    "noise_sigma_beta": _non_negative("noise_sigma_beta"),
-    "noise_sigma_alpha": _non_negative("noise_sigma_alpha"),
-    "sweep_norm_b": _non_negative("sweep_norm_b"),
-    "sweep_norm_a": _non_negative("sweep_norm_a"),
-    "mia_trials": _positive("mia_trials"),
+    "noise_draws": _at_least("noise_draws", 2),  # a variance needs two draws
+    "noise_sigma_beta": _at_least("noise_sigma_beta", 0),
+    "noise_sigma_alpha": _at_least("noise_sigma_alpha", 0),
+    "sweep_norm_b": _at_least("sweep_norm_b", 0),
+    "sweep_norm_a": _at_least("sweep_norm_a", 0),
+    "mia_trials": _at_least("mia_trials", 100),  # run_game's floor
     "mia_epsilon": _positive("mia_epsilon"),
     "mia_rank": _positive("mia_rank"),
-    "mia_epochs": _non_negative("mia_epochs"),
+    "mia_epochs": _positive("mia_epochs"),  # an untrained B is 0, which no clip fits
     "mia_batch_size": _positive("mia_batch_size"),
     "mia_lr": _positive("mia_lr"),
     "mia_dataset_size": _positive("mia_dataset_size"),

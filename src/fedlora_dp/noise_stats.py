@@ -274,62 +274,37 @@ def _scaled_factors(
     return b, a
 
 
-def rank_sweep(
-    ranks: list[int],
-    m: int,
-    n: int,
-    model: NoiseModel,
-    n_draws: int,
-    rng: RngStream,
-    norm_b: float = 1.0,
-    norm_a: float = 1.0,
-) -> list[SweepRow]:
+def rank_sweep(ranks: list[int], m: int, n: int, model: NoiseModel, n_draws: int,
+               rng: RngStream, norm_b: float = 1.0, norm_a: float = 1.0) -> list[SweepRow]:
     """Noise statistics across inner ranks at fixed factor norms and noise scales."""
     if sorted(ranks) != list(ranks) or any(r < 1 for r in ranks):
         raise ValueError(f"ranks must be positive and ascending, got {ranks}")
-    rows = []
-    for i, r in enumerate(ranks):
-        b, a = _scaled_factors(m, n, r, norm_b, norm_a, rng.child(i, 0))
-        stats = noise_product_stats(b, a, model, n_draws, rng.child(i, 1))
-        rows.append(
-            SweepRow(
-                key="rank",
-                value=str(r),
-                mean_diff=stats.mean_diff,
-                std_error=stats.std_error,
-                mc_variance=stats.total_variance,
-                exact_variance=exact_total_variance(b, a, model),
-                bound=variance_bound(b, a, model),
-            )
-        )
-    return rows
+    return _sweep("rank", [(str(r), m, n, r) for r in ranks], model, n_draws, rng,
+                  norm_b, norm_a)
 
 
-def size_sweep(
-    dim_pairs: list[tuple[int, int]],
-    rank: int,
-    model: NoiseModel,
-    n_draws: int,
-    rng: RngStream,
-    norm_b: float = 1.0,
-    norm_a: float = 1.0,
-) -> list[SweepRow]:
+def size_sweep(dim_pairs: list[tuple[int, int]], rank: int, model: NoiseModel, n_draws: int,
+               rng: RngStream, norm_b: float = 1.0, norm_a: float = 1.0) -> list[SweepRow]:
     """Noise statistics across outer dimensions at a fixed rank."""
     if not dim_pairs:
         raise ValueError("need at least one (m, n) pair")
+    return _sweep("size", [(f"{m}x{n}", m, n, rank) for m, n in dim_pairs], model, n_draws,
+                  rng, norm_b, norm_a)
+
+
+def _sweep(key: str, points: list[tuple[str, int, int, int]], model: NoiseModel,
+           n_draws: int, rng: RngStream, norm_b: float, norm_a: float) -> list[SweepRow]:
+    """One row per (label, m, n, r) point.
+
+    Point i draws its factors from ``rng.child(i, 0)`` and its Monte Carlo
+    noise from ``rng.child(i, 1)``.
+    """
     rows = []
-    for i, (m, n) in enumerate(dim_pairs):
-        b, a = _scaled_factors(m, n, rank, norm_b, norm_a, rng.child(i, 0))
+    for i, (label, m, n, r) in enumerate(points):
+        b, a = _scaled_factors(m, n, r, norm_b, norm_a, rng.child(i, 0))
         stats = noise_product_stats(b, a, model, n_draws, rng.child(i, 1))
-        rows.append(
-            SweepRow(
-                key="size",
-                value=f"{m}x{n}",
-                mean_diff=stats.mean_diff,
-                std_error=stats.std_error,
-                mc_variance=stats.total_variance,
-                exact_variance=exact_total_variance(b, a, model),
-                bound=variance_bound(b, a, model),
-            )
-        )
+        rows.append(SweepRow(key=key, value=label, mean_diff=stats.mean_diff,
+                             std_error=stats.std_error, mc_variance=stats.total_variance,
+                             exact_variance=exact_total_variance(b, a, model),
+                             bound=variance_bound(b, a, model)))
     return rows

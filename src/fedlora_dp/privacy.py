@@ -1,8 +1,10 @@
-"""Frobenius-norm clipping and Gaussian-mechanism noise calibration.
+"""The release of a factor pair: per-factor Frobenius-norm clipping, then Gaussian noise.
 
-A matrix is clipped to a norm budget (``clip_frobenius``), then perturbed
-with isotropic Gaussian noise (``privatize``) whose scale is calibrated from
-the clip threshold (the sensitivity) and an (epsilon, delta) privacy budget.
+``clip_pair`` clips each factor of a trained pair (B, A) to its own norm
+budget, and ``privatize`` adds isotropic Gaussian noise to each, at a scale
+calibrated from its clip (the sensitivity) and an (epsilon, delta) budget.
+The federated round and the membership-inference game both release through
+these two functions, so the game audits the mechanism the round deploys.
 """
 
 import math
@@ -10,12 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .adapters import FactorPair
 from .linalg import RngStream, frobenius_norm, sample_gaussian
 
 __all__ = [
     "PrivacyBudget",
     "MechanismParams",
     "clip_frobenius",
+    "clip_pair",
     "calibrate_sigma",
     "privatize",
     "compose_budget",
@@ -88,6 +92,12 @@ def clip_frobenius(m: np.ndarray, c: float) -> np.ndarray:
     return out
 
 
+def clip_pair(pair: FactorPair, mechanism: MechanismParams) -> FactorPair:
+    """Clip B to ``clip_b`` and A to ``clip_a``; a factor within its clip comes back itself."""
+    b, a = pair
+    return clip_frobenius(b, mechanism.clip_b), clip_frobenius(a, mechanism.clip_a)
+
+
 def calibrate_sigma(c: float, budget: PrivacyBudget) -> float:
     """Tightest Gaussian noise scale for sensitivity ``c``: c*sqrt(2 ln(1.25/delta))/epsilon.
 
@@ -98,18 +108,23 @@ def calibrate_sigma(c: float, budget: PrivacyBudget) -> float:
     return c * math.sqrt(2.0 * math.log(1.25 / budget.delta)) / budget.epsilon
 
 
-def privatize(m: np.ndarray, sigma: float, rng: RngStream,
-              count: int | None = None) -> np.ndarray:
-    """Add N(0, sigma^2) noise to an already clipped ``m``; sigma == 0 returns ``m`` itself.
+def privatize(pair: FactorPair, mechanism: MechanismParams, stream_b: RngStream,
+              stream_a: RngStream, count: int | None = None) -> FactorPair:
+    """Add N(0, sigma_b^2) noise to B from ``stream_b`` and N(0, sigma_a^2) to A from ``stream_a``.
 
-    The caller clips ``m`` (``clip_frobenius``) exactly once; this only adds
-    noise.  With ``count``, returns ``count`` independent releases of ``m``
-    stacked as (count, rows, cols), all the noise from one draw of ``rng``.
-    Release 0 equals the single release on the same stream bit for bit,
-    since the draw fills entries in the same order.
+    The caller clips the pair (``clip_pair``) once.  A factor whose sigma is 0
+    comes back itself and draws nothing.  With ``count``, each factor comes
+    back as ``count`` releases stacked as (count, rows, cols) from one draw
+    of its stream, the first equal to the single release bit for bit.
     """
     if count is not None and count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    b, a = pair
+    return (_noised(b, mechanism.sigma_b, stream_b, count),
+            _noised(a, mechanism.sigma_a, stream_a, count))
+
+
+def _noised(m: np.ndarray, sigma: float, rng: RngStream, count: int | None) -> np.ndarray:
     if sigma == 0:
         return m if count is None else np.repeat(m[np.newaxis], count, axis=0)
     releases = sample_gaussian(m.shape[0], m.shape[1], sigma, rng, count=count)

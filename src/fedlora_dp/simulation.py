@@ -2,9 +2,9 @@
 
 Each round the server samples clients, every sampled client trains a fresh
 low-rank factor pair (b, a) against the effective base (frozen weights plus
-the accumulated global delta), optionally clips and noises both factors, and
-the server stacks the released pairs into a dense pseudo-gradient that one
-of seven aggregation strategies applies.  Broadcast is fold-and-reset: the
+the accumulated global delta), optionally clips and noises it (``privacy``'s
+release), and the server stacks the released pairs into a dense
+pseudo-gradient that one of seven aggregation strategies applies.  Broadcast is fold-and-reset: the
 dense delta is accumulated server-side and clients draw fresh pairs, so
 per-round shapes never grow.  Factor pairs are plain arrays; the LoRA scale
 ``lora_scale / rank`` is computed once per round and passed alongside them.
@@ -39,7 +39,7 @@ from .adapters import (FactorPair, FrozenBase, GlobalAdapter, aggregate_stack, g
 from .config import RunConfig
 from .linalg import RngStream, frobenius_norm
 from .noise_stats import NoiseModel, exact_total_variance
-from .privacy import MechanismParams, clip_frobenius, privatize
+from .privacy import MechanismParams, clip_pair, privatize
 
 __all__ = [
     "NumericError",
@@ -441,9 +441,10 @@ def run_round(
     groups of ``_group_size`` clients, one ``local_train`` call per group.
     Client k's stacking weight is its data share times the LoRA scale,
     size_k / total * (lora_scale / rank).  The round is private exactly when
-    ``mechanism`` is given: each trained factor is then clipped once, and
-    the clipped factor is both noised for release and kept as the clean
-    reference for ``expectation_diff`` and ``total_variance``.
+    ``mechanism`` is given: each trained pair is then clipped once
+    (``clip_pair``), and the clipped pair is both released (``privatize``,
+    B noise on stream (round, cid, 3), A noise on (round, cid, 4)) and kept
+    as the clean reference for ``expectation_diff`` and ``total_variance``.
     """
     t0 = time.perf_counter()
     round_index = server.round_index
@@ -480,12 +481,11 @@ def run_round(
         expectation_diff = 0.0
         total_variance = 0.0
     else:
-        clean = [(clip_frobenius(b, mechanism.clip_b), clip_frobenius(a, mechanism.clip_a))
-                 for b, a in trained]
+        clean = [clip_pair(pair, mechanism) for pair in trained]
         released = aggregate_stack(
-            [(privatize(b, mechanism.sigma_b, rng.child(round_index, cid, _KIND_NOISE_B)),
-              privatize(a, mechanism.sigma_a, rng.child(round_index, cid, _KIND_NOISE_A)))
-             for cid, (b, a) in zip(sampled, clean)],
+            [privatize(pair, mechanism, rng.child(round_index, cid, _KIND_NOISE_B),
+                       rng.child(round_index, cid, _KIND_NOISE_A))
+             for cid, pair in zip(sampled, clean)],
             weights,
         )
         expectation_diff = _mean_entry(released) - _mean_entry(aggregate_stack(clean, weights))

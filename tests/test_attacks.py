@@ -26,7 +26,7 @@ from fedlora_dp.privacy import (
     MechanismParams,
     PrivacyBudget,
     calibrate_sigma,
-    clip_frobenius,
+    clip_pair,
     privatize,
 )
 
@@ -62,12 +62,8 @@ def _game_config(seed=0, m=2, n=3, sigma=0.5, clip=1.0, epochs=2) -> Game:
 
 def trained_means(pair: NeighborPair, game: Game):
     """The two un-noised mean updates the game is played on, clipped with the game's clip."""
-    mech = game.mechanism
-    return tuple(
-        (clip_frobenius(b, mech.clip_b), clip_frobenius(a, mech.clip_a))
-        for b, a in (trained_update(d, game.base, game.config, game.stream)
-                     for d in (pair.d, pair.d_prime))
-    )
+    return tuple(clip_pair(trained_update(d, game.base, game.config, game.stream), game.mechanism)
+                 for d in (pair.d, pair.d_prime))
 
 
 def flat(mean) -> np.ndarray:
@@ -376,19 +372,33 @@ class TestBlockLayout:
         trials = 2 * block + 100
         rng = RngStream(23, (4,))
         bits, scores = run_game(self.mean0, self.mean1, self.mech, trials, rng)
-        means = [(clip_frobenius(b, self.mech.clip_b), clip_frobenius(a, self.mech.clip_a))
-                 for b, a in (self.mean0, self.mean1)]
+        means = [clip_pair(mean, self.mech) for mean in (self.mean0, self.mean1)]
         reference = ScoreReference(*(np.concatenate([b.ravel(), a.ravel()]) for b, a in means))
         for k, start in enumerate(range(0, trials, block)):
             for bit in (0, 1):
                 first = start + int(np.flatnonzero(bits[start:start + block] == bit)[0])
-                b_mean, a_mean = means[bit]
-                release = (
-                    privatize(b_mean, self.mech.sigma_b, rng.child(k, 1, bit)),
-                    privatize(a_mean, self.mech.sigma_a, rng.child(k, 2, bit)),
-                )
+                release = privatize(means[bit], self.mech, rng.child(k, 1, bit),
+                                    rng.child(k, 2, bit))
                 expected = score_update(release, reference)
                 assert scores[first] == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_one_release_call_per_block_and_bit_present(self, monkeypatch):
+        calls = []
+
+        def spy(pair, mechanism, stream_b, stream_a, count=None):
+            calls.append((stream_b.stream_path, stream_a.stream_path, count))
+            return privatize(pair, mechanism, stream_b, stream_a, count)
+
+        monkeypatch.setattr(attacks, "privatize", spy)
+        block = self.block()
+        trials = 2 * block + 100
+        bits, _ = run_game(self.mean0, self.mean1, self.mech, trials, RngStream(25, (4,)))
+        expected = []
+        for k, start in enumerate(range(0, trials, block)):
+            chunk = bits[start:start + block]
+            expected += [((4, k, 1, bit), (4, k, 2, bit), int(np.count_nonzero(chunk == bit)))
+                         for bit in (0, 1) if (chunk == bit).any()]
+        assert calls == expected
 
     def test_generators_per_block(self, monkeypatch):
         calls = []

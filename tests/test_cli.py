@@ -78,8 +78,10 @@ class TestRun:
 
 
 class TestConfigErrors:
+    # The last three are values no mode can run: an untrained B, too few trials or draws.
     @pytest.mark.parametrize("bad_line", ["rounds 4", "no_such_key = 1", "rounds = four",
-                                          "rounds = -1", "max_workers = 2"])
+                                          "rounds = -1", "max_workers = 2", "mia_epochs = 0",
+                                          "mia_trials = 99", "noise_draws = 1"])
     def test_malformed_config_exits_1(self, tmp_path, capsys, bad_line):
         config = write_config(tmp_path, TINY.replace("rounds = 4", bad_line))
         assert run_cli("run", config, tmp_path / "out") == 1
@@ -352,10 +354,11 @@ class TestResolveClips:
 
 MIA_FILES = [f"{kind}_{tag}.csv" for tag in ("sigma_0", "sigma_calibrated", "sigma_10x")
              for kind in ("trials", "roc")]
-# name: (mode, config text, byte-stable outputs).  "dp_scaled" folds three clients
-# at LoRA scale 5 / 2, where the order of the weight's operations shows in the
-# last bits.  The mia game spans two blocks of trials, and each rank of the
-# noise sweep three Monte Carlo chunks.
+# name: (mode, config text, byte-stable outputs under the run directory).
+# "dp_scaled" folds three clients at LoRA scale 5 / 2, where the order of the
+# weight's operations shows in the last bits.  The mia game spans two blocks of
+# trials, each rank of the rank sweep three Monte Carlo chunks, and the 40x50
+# point of the size sweep three.  The clip sweep pins each point's metrics.
 GOLDEN_RUNS = {
     "dp": ("run", TINY, ["metrics.csv"]),
     "dp_scaled": ("run", TINY.replace("lora_scale = 2", "lora_scale = 5").replace(
@@ -365,6 +368,10 @@ GOLDEN_RUNS = {
     "mia": ("mia", TINY + "mia_trials = 3000\n", MIA_FILES),
     "sweep_rank": ("sweep_rank", TINY + "noise_draws = 45000\nsweep_ranks = 1,2,4\n",
                    ["noise_stats.csv"]),
+    "sweep_size": ("sweep_size", TINY + "noise_draws = 600\nsweep_sizes = 3x2,40x50\n",
+                   ["noise_stats.csv"]),
+    "sweep_clip": ("sweep_clip", TINY + "sweep_clips = 0.1,1\n",
+                   ["sweep.csv", "clip_0p1/metrics.csv", "clip_1/metrics.csv"]),
 }
 GOLDEN_DIGESTS = {
     "dp": "b10a309e8fc4abeb66e925850a42e306b33b8a9abb2311e91a020b9ad8c492b0",
@@ -378,12 +385,15 @@ GOLDEN_DIGESTS = {
     "fedadam": "125c4c6807a878457ade722d197d53cb60faa17fb7325ce178054a391d3b51ef",
     "mia": "4a1c5a2e7e5da6cec12fb6f31835b55a680a1075221ffa70296c52ecf2434b92",
     "sweep_rank": "7aa7c8b547360f3e959267f1d077652db801383c4a4086b6bfef68e7cf140e5d",
+    "sweep_size": "da167b60bdc16b1de12ccb9685c969ddbd3b20d836c61899a80c4832d6b20761",
+    "sweep_clip": "f77828245ec7b1ee828781409f1d9ba436e95d1dc3198a1162401844de818387",
 }
 
 
 class TestGoldenDigests:
     """sha256 of the byte-stable CSVs of tiny runs: a private run, every strategy
-    without DP, the membership-inference game and a rank sweep.
+    without DP, the membership-inference game, a rank sweep, a size sweep and a
+    clip sweep.
 
     A refactor must leave every digest as it is.  A change to a random stream
     or to the order of floating-point operations changes them; such a change
@@ -395,6 +405,6 @@ class TestGoldenDigests:
         mode, text, files = GOLDEN_RUNS[name]
         assert run_cli(mode, write_config(tmp_path, text), tmp_path / "out") == 0
         digest = hashlib.sha256()
-        for path in (tmp_path / "out" / "tiny" / f for f in files):
-            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        for f in files:
+            digest.update(f.encode() + b"\0" + (tmp_path / "out" / "tiny" / f).read_bytes())
         assert digest.hexdigest() == GOLDEN_DIGESTS[name]

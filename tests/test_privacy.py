@@ -11,6 +11,7 @@ from fedlora_dp.privacy import (
     PrivacyBudget,
     calibrate_sigma,
     clip_frobenius,
+    clip_pair,
     compose_budget,
     privatize,
 )
@@ -120,17 +121,49 @@ class TestCalibrateSigma:
             assert calibrate_sigma(c * 1.5, PrivacyBudget(eps, delta)) > base
 
 
+def mechanism(sigma_b: float, sigma_a: float) -> MechanismParams:
+    """A mechanism with the given noise scales; ``privatize`` reads no clip."""
+    return MechanismParams(clip_b=1.0, clip_a=1.0, sigma_b=sigma_b, sigma_a=sigma_a)
+
+
+class TestClipPair:
+    def test_within_both_clips_returns_the_given_arrays(self):
+        b = np.array([[0.3], [0.4]])  # norm 0.5
+        a = np.array([[3.0, 4.0]])  # norm 5
+        mech = MechanismParams(clip_b=0.5, clip_a=5.0, sigma_b=0.1, sigma_a=0.1)
+        out_b, out_a = clip_pair((b, a), mech)
+        assert out_b is b and out_a is a
+
+    def test_each_factor_clipped_to_its_own_threshold(self):
+        b = np.array([[3.0], [4.0]])
+        a = np.array([[3.0, 4.0]])
+        mech = MechanismParams(clip_b=2.5, clip_a=1.0, sigma_b=0.0, sigma_a=0.0)
+        out_b, out_a = clip_pair((b, a), mech)
+        assert np.array_equal(out_b, clip_frobenius(b, 2.5))
+        assert np.array_equal(out_a, clip_frobenius(a, 1.0))
+
+
 class TestPrivatize:
     def test_sigma_zero_within_budget_identity(self):
-        m = np.array([[0.1, 0.2], [0.0, 0.1]])
-        out = privatize(m, 0.0, RngStream(0))
-        assert out is m
+        b = np.array([[0.1, 0.2], [0.0, 0.1]])
+        a = np.array([[0.2, 0.0], [0.1, 0.1]])
+        out = privatize((b, a), mechanism(0.0, 0.0), RngStream(0, (1,)), RngStream(0, (2,)))
+        assert out[0] is b and out[1] is a
 
     def test_sigma_zero_does_not_clip(self):
         # the caller clips once; privatize only adds noise, whatever the norm
-        m = np.array([[3.0, 4.0], [0.0, 0.0]])
-        out = privatize(m, 0.0, RngStream(0))
-        assert out is m
+        b = np.array([[3.0, 4.0], [0.0, 0.0]])
+        a = np.array([[30.0], [40.0]])
+        out = privatize((b, a), mechanism(0.0, 0.0), RngStream(0, (1,)), RngStream(0, (2,)))
+        assert out[0] is b and out[1] is a
+
+    def test_sigma_b_zero_returns_b_and_noises_a(self):
+        b = np.array([[3.0, 4.0], [0.0, 0.0]])
+        a = np.array([[1.0, -2.0, 0.5], [0.0, 1.5, -1.0]])
+        stream_a = RngStream(6, (2,))
+        out_b, out_a = privatize((b, a), mechanism(0.0, 0.7), RngStream(6, (1,)), stream_a)
+        assert out_b is b
+        assert np.array_equal(out_a, a + 0.7 * stream_a.generator().standard_normal((2, 3)))
 
     def test_zero_input_pure_noise_mean(self):
         # 100 repetitions of a 100x10 zero matrix: 1e5 noise entries overall
@@ -138,54 +171,66 @@ class TestPrivatize:
         z = np.zeros((100, 10))
         root = RngStream(11)
         draws = np.concatenate(
-            [privatize(z, sigma, root.child(i)).ravel() for i in range(100)]
+            [privatize((z, z.T), mechanism(sigma, 0.0), root.child(i), root.child(i, 0))[0].ravel()
+             for i in range(100)]
         )
         assert draws.size == 10**5
         assert abs(draws.mean()) <= 5 * sigma / np.sqrt(draws.size)
 
     def test_deterministic_given_stream(self):
-        m = np.ones((2, 3))
-        a = privatize(m, 0.7, RngStream(5, (1,)))
-        b = privatize(m, 0.7, RngStream(5, (1,)))
-        assert np.array_equal(a, b)
+        pair = (np.ones((2, 3)), np.ones((3, 2)))
+        first = privatize(pair, mechanism(0.7, 0.7), RngStream(5, (1,)), RngStream(5, (2,)))
+        second = privatize(pair, mechanism(0.7, 0.7), RngStream(5, (1,)), RngStream(5, (2,)))
+        assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
 
 
 class TestPrivatizeCount:
     m = np.array([[3.0, -4.0, 1.0], [0.5, 2.0, -1.5]])
     clipped = clip_frobenius(m, 1.0)
+    # (clipped, clipped.T): two factors of different shapes, each noised on its own stream
+    pair = (clipped, clipped.T)
 
     def test_shape(self):
-        out = privatize(self.clipped, 0.7, RngStream(3), count=5)
-        assert out.shape == (5, 2, 3)
+        out = privatize(self.pair, mechanism(0.7, 0.7), RngStream(3), RngStream(3, (1,)),
+                        count=5)
+        assert out[0].shape == (5, 2, 3) and out[1].shape == (5, 3, 2)
 
     def test_first_release_equals_single_release(self):
         for seed in range(10):
-            stream = RngStream(seed, (2, seed))
-            single = privatize(self.m, 0.7, stream)
-            stacked = privatize(self.m, 0.7, stream, count=7)
-            # the single release is the factor, unclipped, plus sigma * one standard-normal draw
-            formula = self.m + 0.7 * stream.generator().standard_normal((2, 3))
-            assert np.array_equal(single, formula)
-            assert np.array_equal(stacked[0], single)
-            assert not np.array_equal(stacked[1], single)
+            stream_b, stream_a = RngStream(seed, (2, seed)), RngStream(seed, (3, seed))
+            single = privatize((self.m, self.m.T), mechanism(0.7, 0.3), stream_b, stream_a)
+            stacked = privatize((self.m, self.m.T), mechanism(0.7, 0.3), stream_b, stream_a,
+                                count=7)
+            # each single release is its factor, unclipped, plus sigma * one standard-normal
+            # draw of its own stream
+            formula = (self.m + 0.7 * stream_b.generator().standard_normal((2, 3)),
+                       self.m.T + 0.3 * stream_a.generator().standard_normal((3, 2)))
+            for factor in (0, 1):
+                assert np.array_equal(single[factor], formula[factor])
+                assert np.array_equal(stacked[factor][0], single[factor])
+                assert not np.array_equal(stacked[factor][1], single[factor])
 
     def test_sigma_zero_repeats_clipped(self):
-        out = privatize(self.clipped, 0.0, RngStream(0), count=4)
-        assert out.shape == (4, 2, 3)
-        for release in out:
-            assert np.array_equal(release, self.clipped)
+        out = privatize(self.pair, mechanism(0.0, 0.0), RngStream(0), RngStream(0, (1,)),
+                        count=4)
+        assert out[0].shape == (4, 2, 3) and out[1].shape == (4, 3, 2)
+        for factor, released in zip(self.pair, out):
+            for release in released:
+                assert np.array_equal(release, factor)
 
     def test_moments_match_clipped_and_sigma(self):
         sigma, count = 0.7, 20_000
-        out = privatize(self.clipped, sigma, RngStream(8, (1,)), count=count)
+        out_b, _ = privatize(self.pair, mechanism(sigma, 0.0), RngStream(8, (1,)),
+                             RngStream(8, (2,)), count=count)
         mean_se = sigma / np.sqrt(count)
         var_se = sigma**2 * np.sqrt(2.0 / (count - 1))
-        assert np.all(np.abs(out.mean(axis=0) - self.clipped) <= 5 * mean_se)
-        assert np.all(np.abs(out.var(axis=0, ddof=1) - sigma**2) <= 5 * var_se)
+        assert np.all(np.abs(out_b.mean(axis=0) - self.clipped) <= 5 * mean_se)
+        assert np.all(np.abs(out_b.var(axis=0, ddof=1) - sigma**2) <= 5 * var_se)
 
     def test_count_below_one_rejected(self):
         with pytest.raises(ValueError, match="count"):
-            privatize(self.clipped, 0.7, RngStream(0), count=0)
+            privatize(self.pair, mechanism(0.7, 0.7), RngStream(0), RngStream(0, (1,)),
+                      count=0)
 
 
 class TestComposeBudget:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedlora_dp import runner, simulation
+from fedlora_dp import privacy, runner, simulation
 from fedlora_dp.adapters import FrozenBase, global_delta, init_adapter
 from fedlora_dp.config import STRATEGIES, ConfigError, RunConfig, parse_text
 from fedlora_dp.linalg import RngStream, frobenius_norm
@@ -473,6 +473,21 @@ class TestRunRound:
             result = _run(cfg, task, seed=5, mechanism=mech)
             runs.append(([replace(r, wall_s=0.0) for r in result.rounds], result.final_loss))
         assert runs[0] == runs[1]
+
+    def test_one_release_call_per_client_on_its_noise_streams(self, monkeypatch):
+        calls = []
+
+        def spy(pair, mechanism, stream_b, stream_a, count=None):
+            calls.append((stream_b.stream_path, stream_a.stream_path, count))
+            return privacy.privatize(pair, mechanism, stream_b, stream_a, count)
+
+        monkeypatch.setattr(simulation, "privatize", spy)
+        task = small_task()
+        cfg = small_config(rounds=2, sampled_per_round=3)
+        mech = MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.2, sigma_a=0.3)
+        result = _run(cfg, task, seed=5, mechanism=mech)
+        assert calls == [((7, r.round_index, cid, 3), (7, r.round_index, cid, 4), None)
+                         for r in result.rounds for cid, _ in r.client_losses]
 
     def test_group_size_falls_back_at_large_shapes(self):
         assert simulation._group_size(16, 8, 32) >= 20
