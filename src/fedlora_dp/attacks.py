@@ -1,22 +1,22 @@
 """Membership-inference distinguishing game against the privatized update mechanism.
 
-The game pits two neighboring datasets (equal size, exactly one record
-replaced) against each other: a fair coin picks one, a client trains a
-low-rank factor pair on it, the pair is released as a round releases it
-(``privacy.clip_pair``, then ``privacy.privatize``), and an attacker
-with worst-case knowledge scores the release by projecting it onto the
-difference of the two un-noised mean updates.  This linear score is the
+The two neighboring datasets are two ``(x, y)`` array pairs of equal shape
+that differ only in row 0, the replaced record.  Each is trained once into
+its un-noised mean update (``trained_update``: the factor pair one client
+trains under the config's ``mia_*`` keys), and the game is played on the two
+trained means: a fair coin picks one, the mean is released as a round
+releases a pair (``privacy.clip_pair``, then ``privacy.privatize``), and an
+attacker with worst-case knowledge scores the release by projecting it onto
+the difference of the two un-noised means.  This linear score is the
 likelihood-ratio statistic only when both factors carry the same noise scale
 (sigma_b == sigma_a); with unequal scales the unweighted projection is a
 weaker attack than the likelihood ratio, whose score weights each factor's
 block by 1/sigma^2.  The ROC is checked against the two-sided (eps, delta)
 region: tpr <= e^eps * fpr + delta and 1 - fpr <= e^eps * (1 - tpr) + delta.
 
-Training randomness is keyed by the caller's stream, not the trial, so
-each dataset maps to one deterministic mean update (``trained_update``: the
-un-noised factor pair one client trains under the config's ``mia_*`` keys),
-trained once per game; ``run_game`` clips both means, so trial scores are
-exact Gaussian mean shifts.
+Training randomness is keyed by the caller's stream, not the trial, so each
+dataset maps to one deterministic mean; ``run_game`` clips both means once,
+so trial scores are exact Gaussian mean shifts.
 
 Trials are played in blocks of a fixed size set by the factor shapes
 (``_block_size``).  Under the game's stream, block k draws its coin flips
@@ -40,59 +40,15 @@ from .privacy import MechanismParams, clip_pair, privatize
 from .simulation import ClientState, local_train
 
 __all__ = [
-    "Record",
-    "NeighborPair",
     "RocCurve",
     "DpBoundCheck",
     "ScoreReference",
-    "make_neighbors",
     "trained_update",
     "run_game",
     "roc_curve",
     "check_dp_bound",
     "attack_accuracy",
 ]
-
-Record = tuple[np.ndarray, np.ndarray]
-
-
-def _records_equal(r1: Record, r2: Record) -> bool:
-    return np.array_equal(r1[0], r2[0]) and np.array_equal(r1[1], r2[1])
-
-
-@dataclass(frozen=True)
-class NeighborPair:
-    """Two datasets of equal size differing in exactly one record.
-
-    A difference at any index other than ``differing_index`` is reported, with
-    every such stray index named, before an unchanged declared record is; the
-    pair is called degenerate only when the two datasets are identical.
-    """
-
-    d: tuple[Record, ...]
-    d_prime: tuple[Record, ...]
-    differing_index: int
-
-    def __post_init__(self):
-        if len(self.d) != len(self.d_prime):
-            raise ValueError(
-                f"neighboring datasets must have equal size, got {len(self.d)} and {len(self.d_prime)}"
-            )
-        if not 0 <= self.differing_index < len(self.d):
-            raise ValueError(f"differing_index {self.differing_index} out of range")
-        differing = [
-            i for i, (r1, r2) in enumerate(zip(self.d, self.d_prime)) if not _records_equal(r1, r2)
-        ]
-        stray = [i for i in differing if i != self.differing_index]
-        if stray:
-            raise ValueError(
-                f"records at index {', '.join(map(str, stray))} differ"
-                f" but only {self.differing_index} may"
-            )
-        if not differing:
-            raise ValueError(
-                f"records at index {self.differing_index} are identical; pair is degenerate"
-            )
 
 
 @dataclass(frozen=True)
@@ -102,8 +58,6 @@ class RocCurve:
     thresholds: tuple[float, ...]
     fpr: tuple[float, ...]
     tpr: tuple[float, ...]
-    n_negative: int
-    n_positive: int
 
     def __post_init__(self):
         if len(self.fpr) != len(self.tpr) or len(self.fpr) < 2:
@@ -127,11 +81,8 @@ class DpBoundCheck:
         1 - fpr <= e^eps * (1 - tpr) + delta   (reverse: classes swapped)
     """
 
-    epsilon: float
-    delta: float
     max_violation: float
     mc_tolerance: float
-    trials: int
 
     @property
     def passed(self) -> bool:
@@ -161,29 +112,17 @@ class ScoreReference:
         return float(self._unit @ (self.mu0 + self.mu1) / 2.0)
 
 
-def make_neighbors(dataset: list[Record], index: int, replacement: Record) -> NeighborPair:
-    """Replace one record to form a neighboring pair; identical replacement is rejected."""
-    records = tuple((np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in dataset)
-    if not 0 <= index < len(records):
-        raise ValueError(f"index {index} out of range for dataset of size {len(records)}")
-    rep = (np.asarray(replacement[0], dtype=float), np.asarray(replacement[1], dtype=float))
-    prime = list(records)
-    prime[index] = rep
-    return NeighborPair(d=records, d_prime=tuple(prime), differing_index=index)
-
-
-def trained_update(dataset: tuple[Record, ...], base: FrozenBase, config: RunConfig,
+def trained_update(x: np.ndarray, y: np.ndarray, base: FrozenBase, config: RunConfig,
                    stream: RngStream) -> FactorPair:
-    """Un-noised, unclipped factor pair (b, a) one client trains on a dataset.
+    """Un-noised, unclipped factor pair (b, a) one client trains on the rows of ``(x, y)``.
 
     The pair has rank ``mia_rank`` and LoRA scale 1 (its product enters
     unscaled), is drawn from ``stream.child(0)``, and trains for
     ``mia_epochs`` at ``mia_batch_size`` and ``mia_lr`` against the frozen
-    base, shuffled by ``stream.child(1)``.  The same stream for both datasets
-    of a pair keeps their difference down to the replaced record.
+    base, shuffled by ``stream.child(1)``.  Called with one stream on both
+    datasets of a neighboring pair, it keeps the difference of their updates
+    down to the replaced row.
     """
-    x = np.stack([r[0] for r in dataset])
-    y = np.stack([r[1] for r in dataset])
     m, n = base.shape
     b, a = init_adapter(m, n, config.mia_rank, stream.child(0))
     result = local_train([ClientState(client_id=0, x=x, y=y)], b[np.newaxis], a[np.newaxis],
@@ -264,8 +203,6 @@ def roc_curve(bits: np.ndarray, scores: np.ndarray) -> RocCurve:
         thresholds=(math.inf, *distinct[::-1].tolist()),
         fpr=(0.0, *(fp / n_neg).tolist()),
         tpr=(0.0, *(tp / n_pos).tolist()),
-        n_negative=n_neg,
-        n_positive=n_pos,
     )
 
 
@@ -292,14 +229,8 @@ def check_dp_bound(curve: RocCurve, epsilon: float, delta: float, trials: int) -
     forward = tpr - (scale * fpr + delta)
     reverse = (1.0 - fpr) - (scale * (1.0 - tpr) + delta)
     max_violation = float(max(forward.max(), reverse.max()))
-    mc_tolerance = 3.0 * math.sqrt(0.25 / trials)
-    return DpBoundCheck(
-        epsilon=epsilon,
-        delta=delta,
-        max_violation=max_violation,
-        mc_tolerance=mc_tolerance,
-        trials=trials,
-    )
+    return DpBoundCheck(max_violation=max_violation,
+                        mc_tolerance=3.0 * math.sqrt(0.25 / trials))
 
 
 def attack_accuracy(bits: np.ndarray, scores: np.ndarray, reference: ScoreReference) -> float:

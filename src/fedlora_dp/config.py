@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "parse_text", "check_seed", "MODES",
-           "STRATEGIES"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "parse_text", "check_seed", "sweep_label",
+           "MODES", "STRATEGIES"]
 
 MODES = ("run", "verify", "sweep_epsilon", "sweep_clip", "sweep_rank", "sweep_size", "mia", "report")
 PRIVATE_MODES = ("sweep_epsilon", "sweep_clip")  # every point of these sweeps runs with DP
@@ -153,26 +153,24 @@ def _parse_float(raw: str, key: str, line: int) -> float:
     return value
 
 
-def _parse_float_list(raw: str, key: str, line: int) -> tuple[float, ...]:
+def _split_list(raw: str, key: str, line: int) -> list[str]:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise ConfigError(f"{key} must be a non-empty comma-separated list", line)
-    return tuple(_parse_float(p, key, line) for p in parts)
+    return parts
+
+
+def _parse_float_list(raw: str, key: str, line: int) -> tuple[float, ...]:
+    return tuple(_parse_float(p, key, line) for p in _split_list(raw, key, line))
 
 
 def _parse_int_list(raw: str, key: str, line: int) -> tuple[int, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(f"{key} must be a non-empty comma-separated list", line)
-    return tuple(_parse_int(p, key, line) for p in parts)
+    return tuple(_parse_int(p, key, line) for p in _split_list(raw, key, line))
 
 
 def _parse_size_list(raw: str, key: str, line: int) -> tuple[tuple[int, int], ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(f"{key} must be a non-empty comma-separated list", line)
     pairs = []
-    for p in parts:
+    for p in _split_list(raw, key, line):
         if "x" not in p:
             raise ConfigError(f"{key} entries must look like MxN, got {p!r}", line)
         left, _, right = p.partition("x")
@@ -223,6 +221,11 @@ def check_seed(value: int, name: str, line: int | None = None) -> None:
     """A seed is a 64-bit unsigned integer, the range a random stream is keyed by."""
     if not 0 <= value < 2**64:
         raise ConfigError(f"{name} must lie in [0, 2**64), got {value}", line)
+
+
+def sweep_label(value: float) -> str:
+    """A sweep point's run-directory suffix: ``value`` to 6 significant digits, path-safe."""
+    return f"{value:g}".replace(".", "p").replace("-", "m")
 
 
 def _choice(name, options):
@@ -345,9 +348,15 @@ def _validate(config: RunConfig, lines_seen: dict[str, int]) -> None:
             lines_seen.get("task_rank"),
         )
     for key in ("sweep_epsilons", "sweep_clips"):
+        labels: dict[str, float] = {}
         for v in getattr(config, key):
             if not v > 0:
                 raise ConfigError(f"{key} entries must be > 0, got {v}", lines_seen.get(key))
+            label = sweep_label(v)
+            if label in labels:
+                raise ConfigError(f"{key} entries {labels[label]!r} and {v!r} share the run"
+                                  f" directory label {label!r}", lines_seen.get(key))
+            labels[label] = v
     ranks = config.sweep_ranks
     if list(ranks) != sorted(ranks) or any(r < 1 for r in ranks):
         raise ConfigError(f"sweep_ranks must be positive and ascending, got {list(ranks)}",

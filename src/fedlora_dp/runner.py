@@ -20,8 +20,7 @@ import numpy as np
 
 from . import attacks, noise_stats
 from .adapters import FactorPair
-from .attacks import make_neighbors
-from .config import RunConfig
+from .config import RunConfig, sweep_label
 from .linalg import RngStream, frobenius_norm
 from .privacy import MechanismParams, PrivacyBudget, compose_budget
 from .simulation import ExperimentResult, SyntheticTask, generate_task, run_experiment
@@ -289,12 +288,14 @@ def _linear_fit_r_squared(xs, ys) -> float:
 
 def build_adversarial_game(config: RunConfig, root: RngStream, epsilon: float | None = None
                            ) -> tuple[FactorPair, FactorPair, MechanismParams]:
-    """Trained means of a neighbor pair with one input-scaled record, and the mechanism.
+    """Trained means of two neighboring datasets, and the mechanism the game attacks.
 
-    Each dataset is trained once, on one training stream.  The clip thresholds
-    are the larger of the two datasets' un-noised factor norms, so clipping is
-    honest but mild, leaves both means unchanged, and the pair's separation
-    stays well inside the worst case.
+    The datasets are one client's ``(x, y)`` arrays and a copy whose row 0
+    is replaced by the input-scaled record ``x[0] * mia_input_scale`` with
+    its noiseless target.  Each is trained once, on one training stream.
+    The clip thresholds are the larger of the two means' factor norms, so
+    clipping is honest but mild, leaves both means unchanged, and the pair's
+    separation stays well inside the worst case.
     """
     eps = epsilon if epsilon is not None else config.mia_epsilon
     stream = root.child(_STREAM_MIA)
@@ -308,14 +309,13 @@ def build_adversarial_game(config: RunConfig, root: RngStream, epsilon: float | 
         heterogeneity=0.0,
         rng=stream.child(0),
     )
-    records = [(task.client_x[0][i], task.client_y[0][i]) for i in range(config.mia_dataset_size)]
-    scaled_x = records[0][0] * config.mia_input_scale
-    signal = task.base.w + task.target_delta
-    replacement = (scaled_x, signal @ scaled_x)
-    pair = make_neighbors(records, 0, replacement)
+    x, y = task.client_x[0], task.client_y[0]
+    x_prime, y_prime = x.copy(), y.copy()
+    x_prime[0] *= config.mia_input_scale
+    y_prime[0] = (task.base.w + task.target_delta) @ x_prime[0]
 
-    mean0 = attacks.trained_update(pair.d, task.base, config, stream.child(1))
-    mean1 = attacks.trained_update(pair.d_prime, task.base, config, stream.child(1))
+    mean0 = attacks.trained_update(x, y, task.base, config, stream.child(1))
+    mean1 = attacks.trained_update(x_prime, y_prime, task.base, config, stream.child(1))
     mechanism = MechanismParams.calibrated(
         clip_b=max(frobenius_norm(mean0[0]), frobenius_norm(mean1[0])),
         clip_a=max(frobenius_norm(mean0[1]), frobenius_norm(mean1[1])),
@@ -452,12 +452,12 @@ def cmd_sweep(config: RunConfig, out_override: str | None = None) -> int:
     if config.mode == "sweep_epsilon":
         clip_b, clip_a = resolve_clips(config, task, root)
         key = "epsilon"
-        points = [(f"eps_{_label(eps)}", eps,
+        points = [(f"eps_{sweep_label(eps)}", eps,
                    replace(config, epsilon=eps, epsilon_b=0.0, epsilon_a=0.0), clip_b, clip_a)
                   for eps in config.sweep_epsilons]
     else:
         key = "clip"
-        points = [(f"clip_{_label(c)}", c, config, c, c) for c in config.sweep_clips]
+        points = [(f"clip_{sweep_label(c)}", c, config, c, c) for c in config.sweep_clips]
 
     for label, value, point, cb, ca in points:
         point_config = replace(point, experiment_name=f"{config.experiment_name}/{label}",
@@ -471,11 +471,6 @@ def cmd_sweep(config: RunConfig, out_override: str | None = None) -> int:
     _write(out_dir / "sweep.csv", combined)
     _write(out_dir / "summary.txt", [f"{config.mode}: {len(points)} points", *combined])
     return 0
-
-
-def _label(value: float) -> str:
-    text = f"{value:g}"
-    return text.replace(".", "p").replace("-", "m")
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +529,10 @@ def cmd_report(config: RunConfig, out_override: str | None = None) -> int:
         raise FileNotFoundError(f"run directory not found: {run_dir}")
     metrics_files = sorted(run_dir.rglob("metrics.csv"))
     noise_files = sorted(run_dir.rglob("noise_stats.csv"))
-    if not metrics_files and not noise_files:
-        raise FileNotFoundError(f"no metrics found under {run_dir} (expected metrics.csv)")
+    roc_files = sorted(run_dir.glob("roc_*.csv"))
+    if not metrics_files and not noise_files and not roc_files:
+        raise FileNotFoundError(f"no metrics found under {run_dir}"
+                                " (expected metrics.csv, noise_stats.csv or roc_*.csv)")
 
     report_dir = _ensure_dir(run_dir / "report")
     summary = []
@@ -574,7 +571,7 @@ def cmd_report(config: RunConfig, out_override: str | None = None) -> int:
         _write(report_dir / "noise_summary.csv", table)
         summary.append(f"noise sweep points: {len(lines) - 1}")
 
-    for roc in sorted(run_dir.glob("roc_*.csv")):
+    for roc in roc_files:
         (report_dir / roc.name).write_text(roc.read_text())
         summary.append(f"roc points copied: {roc.name}")
 

@@ -78,7 +78,6 @@ class SyntheticTask:
     target_delta: np.ndarray
     client_x: tuple[np.ndarray, ...]
     client_y: tuple[np.ndarray, ...]
-    r_star: int
 
     @property
     def m(self) -> int:
@@ -219,7 +218,6 @@ def generate_task(
         target_delta=target,
         client_x=tuple(xs),
         client_y=tuple(ys),
-        r_star=r_star,
     )
 
 

@@ -6,15 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from fedlora_dp import attacks
+from fedlora_dp import attacks, runner
 from fedlora_dp.attacks import (
-    DpBoundCheck,
-    NeighborPair,
     RocCurve,
     ScoreReference,
     attack_accuracy,
     check_dp_bound,
-    make_neighbors,
     roc_curve,
     run_game,
     trained_update,
@@ -37,7 +34,16 @@ def _record(gen, n=3, m=2):
 
 def _dataset(seed=0, size=4, n=3, m=2):
     gen = np.random.default_rng(seed)
-    return [_record(gen, n, m) for _ in range(size)]
+    x, y = zip(*(_record(gen, n, m) for _ in range(size)))
+    return np.stack(x), np.stack(y)
+
+
+def _neighbors(dataset, replacement):
+    """The dataset and a copy with row 0 replaced: the game's two neighboring datasets."""
+    x, y = dataset
+    x_prime, y_prime = x.copy(), y.copy()
+    x_prime[0], y_prime[0] = replacement
+    return (x, y), (x_prime, y_prime)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,10 +66,11 @@ def _game_config(seed=0, m=2, n=3, sigma=0.5, clip=1.0, epochs=2) -> Game:
     )
 
 
-def trained_means(pair: NeighborPair, game: Game):
+def trained_means(datasets, game: Game):
     """The two un-noised mean updates the game is played on, clipped with the game's clip."""
-    return tuple(clip_pair(trained_update(d, game.base, game.config, game.stream), game.mechanism)
-                 for d in (pair.d, pair.d_prime))
+    return tuple(clip_pair(trained_update(x, y, game.base, game.config, game.stream),
+                           game.mechanism)
+                 for x, y in datasets)
 
 
 def flat(mean) -> np.ndarray:
@@ -96,43 +103,29 @@ def roc_curve_loop(bits: np.ndarray, scores: np.ndarray) -> RocCurve:
         fpr.append(fp / n_neg)
         tpr.append(tp / n_pos)
         i = j
-    return RocCurve(tuple(thresholds), tuple(fpr), tuple(tpr), n_neg, n_pos)
+    return RocCurve(tuple(thresholds), tuple(fpr), tuple(tpr))
 
 
-class TestMakeNeighbors:
-    def test_constructs_pair(self):
-        data = _dataset()
-        replacement = _record(np.random.default_rng(9))
-        pair = make_neighbors(data, 0, replacement)
-        assert pair.differing_index == 0
-        assert np.array_equal(pair.d[1][0], pair.d_prime[1][0])
-        assert not np.array_equal(pair.d[0][0], pair.d_prime[0][0])
+class TestAdversarialGame:
+    def test_neighbors_differ_only_in_row_0_by_the_input_scale(self, monkeypatch):
+        calls = []
+        original = attacks.trained_update
 
-    def test_identical_replacement_rejected(self):
-        data = _dataset()
-        with pytest.raises(ValueError, match="degenerate"):
-            make_neighbors(data, 1, data[1])
+        def spy(x, y, base, config, stream):
+            calls.append((x.copy(), y.copy(), stream.stream_path))
+            return original(x, y, base, config, stream)
 
-    def test_out_of_range_index(self):
-        with pytest.raises(ValueError, match="out of range"):
-            make_neighbors(_dataset(), 9, _record(np.random.default_rng(1)))
-
-    def test_mismatched_extra_difference_rejected(self):
-        data = _dataset()
-        other = list(data)
-        other[2] = _record(np.random.default_rng(2))
-        with pytest.raises(ValueError, match="index 2") as excinfo:
-            NeighborPair(
-                d=tuple(data),
-                d_prime=tuple(other),
-                differing_index=1,
-            )
-        assert "degenerate" not in str(excinfo.value)
-
-        other[3] = _record(np.random.default_rng(3))
-        with pytest.raises(ValueError, match="index 2, 3 differ but only 1 may") as excinfo:
-            NeighborPair(d=tuple(data), d_prime=tuple(other), differing_index=1)
-        assert "degenerate" not in str(excinfo.value)
+        monkeypatch.setattr(attacks, "trained_update", spy)
+        config = RunConfig(task_m=6, task_n=4, task_rank=2, mia_dataset_size=5,
+                           mia_input_scale=10.0)
+        runner.build_adversarial_game(config, RngStream(7))
+        assert len(calls) == 2
+        (x, y, path), (x_prime, y_prime, path_prime) = calls
+        assert path == path_prime
+        assert x.shape == x_prime.shape == (5, 4) and y.shape == y_prime.shape == (5, 6)
+        assert np.array_equal(x[1:], x_prime[1:]) and np.array_equal(y[1:], y_prime[1:])
+        assert np.array_equal(x_prime[0], x[0] * config.mia_input_scale)
+        assert not np.array_equal(y_prime[0], y[0])
 
 
 class TestScoreReference:
@@ -158,7 +151,7 @@ class TestScoreReference:
 
 class TestRunGame:
     def test_deterministic_given_seed(self):
-        pair = make_neighbors(_dataset(3), 0, _record(np.random.default_rng(4)))
+        pair = _neighbors(_dataset(3), _record(np.random.default_rng(4)))
         cfg = _game_config(3)
         bits1, scores1 = run_game(*trained_means(pair, cfg), cfg.mechanism, 200, RngStream(5, (1,)))
         bits2, scores2 = run_game(*trained_means(pair, cfg), cfg.mechanism, 200, RngStream(5, (1,)))
@@ -166,7 +159,7 @@ class TestRunGame:
         assert np.array_equal(scores1, scores2)
 
     def test_huge_noise_near_chance(self):
-        pair = make_neighbors(_dataset(6), 0, _record(np.random.default_rng(7)))
+        pair = _neighbors(_dataset(6), _record(np.random.default_rng(7)))
         cfg = _game_config(6, sigma=1e6)
         mean0, mean1 = trained_means(pair, cfg)
         bits, scores = run_game(mean0, mean1, cfg.mechanism, 2000, RngStream(8, (1,)))
@@ -174,8 +167,7 @@ class TestRunGame:
         assert abs(acc - 0.5) <= 3 / math.sqrt(len(scores))
 
     def test_no_noise_perfect_separation(self):
-        pair = make_neighbors(_dataset(9), 0,
-                              (np.array([10.0, -8.0, 6.0]), np.array([4.0, -4.0])))
+        pair = _neighbors(_dataset(9), (np.array([10.0, -8.0, 6.0]), np.array([4.0, -4.0])))
         cfg = _game_config(9, sigma=0.0)
         mean0, mean1 = trained_means(pair, cfg)
         bits, scores = run_game(mean0, mean1, cfg.mechanism, 1000, RngStream(10, (1,)))
@@ -183,8 +175,7 @@ class TestRunGame:
 
     def test_score_distributions_gaussian_mean_gap(self):
         # two-sample moment check: equal variances, mean gap = ||mu1 - mu0||
-        pair = make_neighbors(_dataset(11), 0,
-                              (np.array([5.0, 5.0, -5.0]), np.array([2.0, -2.0])))
+        pair = _neighbors(_dataset(11), (np.array([5.0, 5.0, -5.0]), np.array([2.0, -2.0])))
         cfg = _game_config(11, sigma=0.3)
         mean0, mean1 = trained_means(pair, cfg)
         bits, scores = run_game(mean0, mean1, cfg.mechanism, 4000, RngStream(12, (1,)))
@@ -198,7 +189,7 @@ class TestRunGame:
         assert s0.std() == pytest.approx(0.3, rel=0.15)
 
     def test_minimum_trials(self):
-        pair = make_neighbors(_dataset(1), 0, _record(np.random.default_rng(2)))
+        pair = _neighbors(_dataset(1), _record(np.random.default_rng(2)))
         cfg = _game_config(1)
         with pytest.raises(ValueError, match="trials"):
             run_game(*trained_means(pair, cfg), cfg.mechanism, 10, RngStream(0))
@@ -240,8 +231,6 @@ class TestCheckDpBound:
             thresholds=(math.inf, 0.5, 0.0),
             fpr=(0.0, 0.5, 1.0),
             tpr=(0.0, 0.5, 1.0),
-            n_negative=100,
-            n_positive=100,
         )
         for eps in (0.0, 0.5, 2.0):
             assert check_dp_bound(curve, eps, 1e-5, 10_000).passed
@@ -262,7 +251,6 @@ class TestCheckDpBound:
         def check_curve(tpr):
             curve = RocCurve(
                 thresholds=tuple(math.inf for _ in fpr), fpr=tuple(fpr), tpr=tuple(tpr),
-                n_negative=5000, n_positive=5000,
             )
             return check_dp_bound(curve, eps, delta, 10_000)
 
@@ -284,8 +272,6 @@ class TestCheckDpBound:
             thresholds=(math.inf, 1.0, 0.0),
             fpr=(0.0, 0.1, 1.0),
             tpr=(0.0, 0.9, 1.0),
-            n_negative=5000,
-            n_positive=5000,
         )
         check = check_dp_bound(curve, 0.5, 1e-5, 10_000)
         assert not check.passed
@@ -296,8 +282,6 @@ class TestCheckDpBound:
             thresholds=(math.inf, 1.0, 0.0),
             fpr=(0.0, 0.9, 1.0),
             tpr=(0.0, 0.1, 1.0),
-            n_negative=5000,
-            n_positive=5000,
         )
         check = check_dp_bound(curve, 0.1, 1e-5, 10_000)
         assert check.max_violation >= (1 - 0.9) - math.exp(0.1) * (1 - 0.1) - 1e-5

@@ -314,7 +314,7 @@ class TestLocalTrain:
 
     def test_single_client_converges_to_optimum(self):
         task = small_task(n_clients=1, samples_per_client=60)
-        b, a = init_adapter(task.m, task.n, task.r_star, RngStream(2, (0,)))
+        b, a = init_adapter(task.m, task.n, 2, RngStream(2, (0,)))  # small_task's r_star
         client = ClientState(0, task.client_x[0], task.client_y[0])
         _, _, loss, _ = _train_one(client, b, a, 1.0, task.base.w, RngStream(2, (1,)),
                                    epochs=300, batch_size=60, lr=0.2)
