@@ -1,5 +1,6 @@
 """Federated loop: training gradients, strategies, determinism, sampling."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -415,6 +416,72 @@ class TestSampleClients:
                 counts[cid] += 1
         freq = counts / draws
         assert np.all(np.abs(freq - 0.1) <= 0.005)
+
+
+def _whole_matrix_strategy(server, config, delta_t):
+    """The server step as whole-matrix expressions: the reference for the blocked step."""
+    strategy = config.strategy
+    if strategy in ("fedavg", "fedprox", "scaffold"):
+        server.delta_acc = server.delta_acc + delta_t
+    elif strategy == "fedavgm":
+        server.momentum = config.momentum * server.momentum + delta_t
+        server.delta_acc = server.delta_acc + config.server_lr * server.momentum
+    else:
+        server.momentum = config.beta1 * server.momentum + (1.0 - config.beta1) * delta_t
+        sq = delta_t * delta_t
+        if strategy == "fedadagrad":
+            server.second_moment = server.second_moment + sq
+        elif strategy == "fedyogi":
+            server.second_moment = server.second_moment - (1.0 - config.beta2) * sq * np.sign(
+                server.second_moment - sq
+            )
+        elif strategy == "fedadam":
+            server.second_moment = config.beta2 * server.second_moment + (1.0 - config.beta2) * sq
+        else:
+            raise ValueError(f"unknown strategy {strategy!r}")
+        server.delta_acc = server.delta_acc + config.server_lr * server.momentum / (
+            np.sqrt(server.second_moment) + config.tau
+        )
+
+
+class TestApplyStrategy:
+    # 16 x 8 is one block; 100 x 1024 is three 32-row blocks and a 4-row one;
+    # at n = 40,000 the block budget holds less than a row, so a block is one row.
+    @pytest.mark.parametrize("shape", [(16, 8), (100, 1024), (3, 40_000)])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_blocked_step_equals_whole_matrix_step(self, shape, strategy):
+        gen = np.random.default_rng(14)
+        base = FrozenBase(gen.standard_normal(shape))
+        cfg = small_config(strategy=strategy, server_lr=0.3, beta1=0.8, beta2=0.95,
+                           tau=1e-2, momentum=0.7)
+        server = ServerState.fresh(base, strategy)
+        oracle = ServerState.fresh(base, strategy)
+        held = [name for name in ("delta_acc", "momentum", "second_moment")
+                if getattr(server, name) is not None]
+        # Updates that shrink and grow across rounds turn fedyogi's sign both ways.
+        for scale in (1.0, 0.1, 3.0, 0.01):
+            delta_t = scale * gen.standard_normal(shape)
+            before = delta_t.copy()
+            arrays = {name: getattr(server, name) for name in held}
+            simulation._apply_strategy(server, cfg, delta_t)
+            _whole_matrix_strategy(oracle, cfg, delta_t)
+            assert np.array_equal(delta_t, before)
+            for name in held:
+                assert getattr(server, name) is arrays[name], name
+                assert (getattr(server, name) == getattr(oracle, name)).all(), name
+
+    def test_fedadam_step_allocates_less_than_one_matrix(self):
+        shape = (256, 1024)
+        gen = np.random.default_rng(3)
+        server = ServerState.fresh(FrozenBase(gen.standard_normal(shape)), "fedadam")
+        delta_t = gen.standard_normal(shape)
+        tracemalloc.start()
+        try:
+            simulation._apply_strategy(server, small_config(strategy="fedadam"), delta_t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < delta_t.nbytes
 
 
 def _run(config, task, seed=0, mechanism=None):
