@@ -2,12 +2,13 @@
 
 Each round the server samples clients, every sampled client trains a fresh
 low-rank factor pair (b, a) against the effective base (frozen weights plus
-the accumulated global delta), optionally clips and noises it (``privacy``'s
-release), and the server stacks the released pairs into a dense
-pseudo-gradient that one of seven aggregation strategies applies.  Broadcast is fold-and-reset: the
-dense delta is accumulated server-side and clients draw fresh pairs, so
-per-round shapes never grow.  Factor pairs are plain arrays; the LoRA scale
-``lora_scale / rank`` is computed once per round and passed alongside them.
+the accumulated global delta, which the server holds), optionally clips and
+noises it (``privacy``'s release), and the server stacks the released pairs
+into a dense pseudo-gradient that one of seven aggregation strategies
+applies.  Broadcast is fold-and-reset: the dense delta is accumulated
+server-side and clients draw fresh pairs, so per-round shapes never grow.
+Factor pairs are plain arrays; the LoRA scale ``lora_scale / rank`` is
+computed once per round and passed alongside them.
 
 Local training runs the sampled clients in lockstep: ``local_train`` takes a
 group of clients with their factors stacked along a leading client axis,
@@ -21,11 +22,14 @@ groups, down to one client.  A non-finite loss or factor names the client
 and epoch that training the clients one by one, in ascending id order,
 would have named.
 
-The server step (``_apply_strategy``) updates the accumulators in place.
-The momentum strategies walk them in row blocks of about 256 KB per operand
-(``_BLOCK_FLOATS``) and finish each block before the next, so no m x n
-temporary is made.  Every entry goes through the same operations, in the
-same order, as the whole-matrix formulas, so the results match them bit
+The server step (``_apply_strategy``) updates the accumulators in place,
+in row blocks of about 256 KB per operand (``_BLOCK_FLOATS``), and finishes
+each block before the next, so no m x n temporary is made.  Each block of
+the effective base W + delta_acc is refreshed right after its block of
+delta_acc, while that block is still in cache; the effective base is a
+derived copy the step keeps current, held across rounds so that no round
+allocates a fresh one.  Every entry goes through the same operations, in
+the same order, as the whole-matrix formulas, so the results match them bit
 for bit.
 
 All randomness flows through streams keyed by (round, client, draw kind),
@@ -43,7 +47,7 @@ import numpy as np
 
 from .adapters import (FactorPair, FrozenBase, GlobalAdapter, aggregate_stack, global_delta,
                        init_adapter)
-from .config import RunConfig
+from .config import STRATEGIES, RunConfig
 from .linalg import RngStream, frobenius_norm
 from .noise_stats import NoiseModel, exact_total_variance
 from .privacy import MechanismParams, clip_pair, privatize
@@ -119,12 +123,17 @@ class ServerState:
     """Server-side accumulators, all m x n; those the strategy never reads are None.
 
     ``_apply_strategy`` updates ``delta_acc``, ``momentum`` and
-    ``second_moment`` in place, one row block at a time; each stays the same
-    array for the whole run.
+    ``second_moment`` in place, one row block at a time, and
+    ``_update_control_variates`` adds to ``server_c`` in place; each stays the
+    same array for the whole run.  ``effective`` is not an accumulator: it
+    is the derived copy W + delta_acc that clients train against, and the
+    step refreshes each of its blocks right after the same block of
+    ``delta_acc``, so it stays equal to ``base.w + delta_acc`` bit for bit.
     """
 
     base: FrozenBase
     delta_acc: np.ndarray
+    effective: np.ndarray
     momentum: np.ndarray | None = None
     second_moment: np.ndarray | None = None
     server_c: np.ndarray | None = None
@@ -133,9 +142,11 @@ class ServerState:
     @classmethod
     def fresh(cls, base: FrozenBase, strategy: str) -> "ServerState":
         shape = base.shape
+        delta_acc = np.zeros(shape)
         return cls(
             base=base,
-            delta_acc=np.zeros(shape),
+            delta_acc=delta_acc,
+            effective=base.w + delta_acc,
             momentum=np.zeros(shape) if strategy in _MOMENTUM_STRATEGIES else None,
             second_moment=np.zeros(shape) if strategy in _ADAPTIVE_STRATEGIES else None,
             server_c=np.zeros(shape) if strategy == "scaffold" else None,
@@ -282,8 +293,9 @@ def local_train(
     number of rows (``ValueError`` otherwise), so all share one batch
     schedule; the results equal k separate calls with groups of one, bit for
     bit.  ``scale`` is the LoRA scale ``lora_scale / rank``.  ``effective``
-    is the m x n effective base W + delta_acc, formed once per round by the
-    caller.  The loss is half the mean squared error of
+    is the m x n effective base W + delta_acc: ``run_round`` passes the
+    server's ``ServerState.effective``, which the strategy step keeps
+    current.  The loss is half the mean squared error of
     (effective + scale*B@A) against the client's targets, plus
     prox_mu/2 * (||B||^2 + ||A||^2) when ``prox_mu`` > 0.
     No m x n matrix is formed per step: the base residual R = X effective^T - Y
@@ -342,7 +354,8 @@ def local_train(
     # non-finite factor is caught after the loop.  A client that goes
     # non-finite trains on; the batched matmuls keep the clients apart.
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = x @ effective.T - y
+        resid = x @ effective.T
+        resid -= y
         for epoch in range(epochs):
             order = np.stack([gen.permutation(n_samples) for gen in gens])
             x_epoch, resid_epoch = x[rows, order], resid[rows, order]
@@ -404,12 +417,12 @@ _BLOCK_FLOATS = 32_768
 def _apply_strategy(server: ServerState, config: RunConfig, delta_t: np.ndarray) -> None:
     """Apply the round's dense update to the server's accumulators, in place.
 
-    fedavg, fedprox and scaffold add ``delta_t`` to ``delta_acc``.  The
-    momentum strategies update row blocks of ``_BLOCK_FLOATS // n`` rows (at
+    Every strategy updates row blocks of ``_BLOCK_FLOATS // n`` rows (at
     least one) in turn, each entry with the same IEEE operations, in the same
     order, as these whole-matrix formulas (d = delta_t, v = momentum,
     s = second_moment; the other names are ``config`` fields):
 
+        fedavg, fedprox, scaffold   delta_acc += d
         fedavgm     v = mu * v + d;  delta_acc += server_lr * v   (mu = config.momentum)
         adaptive    v = beta1 * v + (1 - beta1) * d
           fedadagrad  s = s + d * d
@@ -417,24 +430,25 @@ def _apply_strategy(server: ServerState, config: RunConfig, delta_t: np.ndarray)
           fedadam     s = beta2 * s + (1 - beta2) * (d * d)
                     delta_acc += server_lr * v / (sqrt(s) + tau)
 
-    ``delta_t`` is not mutated, and each accumulator stays the same array.
+    Then that block of ``effective`` is set to W + delta_acc while the block
+    is still in cache.  ``delta_t`` is not mutated, and each accumulator, and
+    ``effective``, stays the same array.
     """
     strategy = config.strategy
-    if strategy in ("fedavg", "fedprox", "scaffold"):
-        server.delta_acc += delta_t
-        return
-    if strategy not in _MOMENTUM_STRATEGIES:
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     m, n = delta_t.shape
     rows = max(1, _BLOCK_FLOATS // n)
     for start in range(0, m, rows):
         block = slice(start, start + rows)
-        d, v, acc = delta_t[block], server.momentum[block], server.delta_acc[block]
+        d, acc = delta_t[block], server.delta_acc[block]
         if strategy == "fedavgm":
+            v = server.momentum[block]
             v *= config.momentum
             v += d
             step = config.server_lr * v
-        else:
+        elif strategy in _ADAPTIVE_STRATEGIES:
+            v = server.momentum[block]
             v *= config.beta1
             v += (1.0 - config.beta1) * d
             s = server.second_moment[block]
@@ -454,7 +468,10 @@ def _apply_strategy(server: ServerState, config: RunConfig, delta_t: np.ndarray)
             root = np.sqrt(s)
             root += config.tau
             step /= root
+        else:
+            step = d
         acc += step
+        np.add(server.base.w[block], acc, out=server.effective[block])
 
 
 # Factor floats a lockstep group may hold (256 KB): 42 clients at 16 x 8 and
@@ -483,8 +500,9 @@ def run_round(
     """One communication round: sample, train, privatize, stack, apply, fold.
 
     Every sampled client trains a fresh factor pair (drawn from its round's
-    stream) against the effective base W + delta_acc, which is formed once
-    for the round.  The sampled clients train in ascending id order, in
+    stream) against the server's held effective base W + delta_acc
+    (``server.effective``), which the previous round's strategy step left
+    current.  The sampled clients train in ascending id order, in
     groups of ``_group_size`` clients, one ``local_train`` call per group.
     Client k's stacking weight is its data share times the LoRA scale,
     size_k / total * (lora_scale / rank).  The round is private exactly when
@@ -499,7 +517,6 @@ def run_round(
     lr = cosine_lr(config.lr_start, config.lr_end, round_index, config.rounds)
     by_id = {c.client_id: c for c in clients}
     m, n = server.base.shape
-    effective = server.base.w + server.delta_acc
     scale = config.lora_scale / config.rank
     prox_mu = config.prox_mu if config.strategy == "fedprox" else 0.0
 
@@ -511,7 +528,7 @@ def run_round(
                 for cid in group]
         result = local_train([by_id[cid] for cid in group],
                              np.stack([b for b, _ in init]), np.stack([a for _, a in init]),
-                             scale, effective,
+                             scale, server.effective,
                              [rng.child(round_index, cid, _KIND_TRAIN) for cid in group],
                              epochs=config.local_epochs, batch_size=config.batch_size,
                              lr=lr, prox_mu=prox_mu, server_c=server.server_c)
@@ -589,7 +606,7 @@ def _update_control_variates(
         shifts.append(c_new - client.control_variate)
         client.control_variate = c_new
     if shifts:
-        server.server_c = server.server_c + sum(shifts) / n_clients
+        server.server_c += sum(shifts) / n_clients
 
 
 def _make_clients(task: SyntheticTask, config: RunConfig) -> list[ClientState]:
@@ -615,7 +632,7 @@ def run_experiment(config: RunConfig, task: SyntheticTask, root: RngStream,
     x = np.vstack(task.client_x)
     y = np.vstack(task.client_y)
     initial_loss = dataset_loss(task.base.w, x, y)
-    final_loss = dataset_loss(task.base.w + server.delta_acc, x, y)
+    final_loss = dataset_loss(server.effective, x, y)
     return ExperimentResult(
         rounds=tuple(rounds),
         initial_loss=initial_loss,

@@ -1,10 +1,15 @@
 """Command line: every mode on a tiny config, exit codes, byte-stable reruns, seed precedence."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import fedlora_dp
 from fedlora_dp import cli, runner
 from fedlora_dp.adapters import init_adapter
 from fedlora_dp.config import STRATEGIES, RunConfig, parse_text
@@ -389,6 +394,13 @@ GOLDEN_RUNS = {
     "sweep_clip": ("sweep_clip", TINY + "sweep_clips = 0.1,1\n",
                    ["sweep.csv", "clip_0p1/metrics.csv", "clip_1/metrics.csv"]),
 }
+# Runs at 40 x 2048, where the server step walks three row blocks (16 + 16 + 8
+# rows), without DP; at TINY's learning rate they diverge.
+WIDE = (TINY.replace("task_m = 6", "task_m = 40").replace("task_n = 4", "task_n = 2048")
+        .replace("lr_start = 0.05", "lr_start = 0.0005").replace("lr_end = 0.01", "lr_end = 0.0001")
+        .replace("dp_enabled = true", "dp_enabled = false"))
+WIDE_RUNS = {f"wide_{strategy}": WIDE + f"strategy = {strategy}\n"
+             for strategy in ("fedavg", "fedadam")}
 GOLDEN_DIGESTS = {
     "dp": "b10a309e8fc4abeb66e925850a42e306b33b8a9abb2311e91a020b9ad8c492b0",
     "dp_scaled": "abd768ebf2cafc5e49a1a8990781cd9088f59eafc19f4ec91321367c50480876",
@@ -403,13 +415,15 @@ GOLDEN_DIGESTS = {
     "sweep_rank": "7aa7c8b547360f3e959267f1d077652db801383c4a4086b6bfef68e7cf140e5d",
     "sweep_size": "da167b60bdc16b1de12ccb9685c969ddbd3b20d836c61899a80c4832d6b20761",
     "sweep_clip": "f77828245ec7b1ee828781409f1d9ba436e95d1dc3198a1162401844de818387",
+    "wide_fedavg": "a8de6207018d12b895cd1555bbb7c60bd938590794604dd496e61c20511b9e5f",
+    "wide_fedadam": "0ec7682d5784282a438062dbe516feda9785da16f67617e803e252aaf8dc7508",
 }
 
 
 class TestGoldenDigests:
     """sha256 of the byte-stable CSVs of tiny runs: a private run, every strategy
     without DP, the membership-inference game, a rank sweep, a size sweep and a
-    clip sweep.
+    clip sweep; and of fedavg and fedadam over several row blocks.
 
     A refactor must leave every digest as it is.  A change to a random stream
     or to the order of floating-point operations changes them; such a change
@@ -424,3 +438,22 @@ class TestGoldenDigests:
         for f in files:
             digest.update(f.encode() + b"\0" + (tmp_path / "out" / "tiny" / f).read_bytes())
         assert digest.hexdigest() == GOLDEN_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(WIDE_RUNS))
+    def test_multi_block_run_matches_digest(self, tmp_path, name):
+        """A run over several row blocks, in its own process on one BLAS thread.
+
+        Its ``global_delta_norm`` is a BLAS dot product over 81,920 entries,
+        which OpenBLAS splits across threads, so its last bits depend on the
+        thread count; perfbench pins its jobs to one thread the same way.
+        """
+        src = str(Path(fedlora_dp.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        config = write_config(tmp_path, WIDE_RUNS[name])
+        subprocess.run([sys.executable, "-m", "fedlora_dp.cli", "run", "--config", config,
+                        "--out", str(tmp_path / "out")], env=env, check=True, timeout=120)
+        metrics = (tmp_path / "out" / "tiny" / "metrics.csv").read_bytes()
+        digest = hashlib.sha256(b"metrics.csv\0" + metrics).hexdigest()
+        assert digest == GOLDEN_DIGESTS[name]

@@ -458,6 +458,7 @@ class TestApplyStrategy:
         oracle = ServerState.fresh(base, strategy)
         held = [name for name in ("delta_acc", "momentum", "second_moment")
                 if getattr(server, name) is not None]
+        effective = server.effective
         # Updates that shrink and grow across rounds turn fedyogi's sign both ways.
         for scale in (1.0, 0.1, 3.0, 0.01):
             delta_t = scale * gen.standard_normal(shape)
@@ -469,6 +470,8 @@ class TestApplyStrategy:
             for name in held:
                 assert getattr(server, name) is arrays[name], name
                 assert (getattr(server, name) == getattr(oracle, name)).all(), name
+            assert server.effective is effective
+            assert (server.effective == base.w + server.delta_acc).all()
 
     def test_fedadam_step_allocates_less_than_one_matrix(self):
         shape = (256, 1024)
@@ -555,6 +558,37 @@ class TestRunRound:
         result = _run(cfg, task, seed=5, mechanism=mech)
         assert calls == [((7, r.round_index, cid, 3), (7, r.round_index, cid, 4), None)
                          for r in result.rounds for cid, _ in r.client_losses]
+
+    @pytest.mark.parametrize("strategy", ["fedavg", "fedadam"])
+    def test_round_allocates_less_than_two_matrices(self, strategy):
+        # The round's one m x n allocation is global_delta's; the effective
+        # base is held across rounds and refreshed by the step in place.
+        task = generate_task(256, 1024, 4, 4, 16, 0.0, 0.0, RngStream(8, (99,)))
+        cfg = small_config(strategy=strategy, rank=4, lora_scale=4.0, local_epochs=1,
+                           lr_start=1e-3, lr_end=1e-3)
+        server = ServerState.fresh(task.base, strategy)
+        clients = simulation._make_clients(task, cfg)
+        root = RngStream(2, (7,))
+        server, _ = run_round(server, clients, cfg, root)
+        tracemalloc.start()
+        try:
+            run_round(server, clients, cfg, root)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * task.base.w.nbytes
+
+    def test_scaffold_keeps_its_server_correction_array(self):
+        task = small_task()
+        cfg = small_config(strategy="scaffold", rounds=2)
+        server = ServerState.fresh(task.base, cfg.strategy)
+        clients = simulation._make_clients(task, cfg)
+        server_c = server.server_c
+        root = RngStream(4, (7,))
+        for _ in range(cfg.rounds):
+            server, _ = run_round(server, clients, cfg, root)
+        assert server.server_c is server_c
+        assert np.any(server_c != 0.0)
 
     def test_group_size_falls_back_at_large_shapes(self):
         assert simulation._group_size(16, 8, 32) >= 20
