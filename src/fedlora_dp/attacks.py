@@ -125,8 +125,10 @@ def trained_update(x: np.ndarray, y: np.ndarray, base: FrozenBase, config: RunCo
     """
     m, n = base.shape
     b, a = init_adapter(m, n, config.mia_rank, stream.child(0))
+    resid = x @ base.w.T
+    resid -= y
     result = local_train([ClientState(client_id=0, x=x, y=y)], b[np.newaxis], a[np.newaxis],
-                         1.0, base.w, [stream.child(1)], epochs=config.mia_epochs,
+                         1.0, resid[np.newaxis], [stream.child(1)], epochs=config.mia_epochs,
                          batch_size=config.mia_batch_size, lr=config.mia_lr)
     return result.b[0], result.a[0]
 

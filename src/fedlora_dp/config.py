@@ -365,11 +365,12 @@ def _validate(config: RunConfig, lines_seen: dict[str, int]) -> None:
         if m < 1 or n < 1:
             raise ConfigError(f"sweep_sizes entries must be positive, got {m}x{n}",
                               lines_seen.get("sweep_sizes"))
-    # SCAFFOLD's control variates are built from each client's clean adapter,
-    # so a private run would send un-noised updates to the server.
+    # SCAFFOLD's control variates are each client's dense m x n gradient, which
+    # the factor mechanism cannot release, so a private run would send them un-noised.
     if config.strategy == "scaffold" and (config.dp_enabled or config.mode in PRIVATE_MODES):
         raise ConfigError(
-            "strategy scaffold cannot run with DP: its control variates use un-noised updates",
+            "strategy scaffold cannot run with DP: its control variates are un-noised dense "
+            "gradients",
             lines_seen.get("strategy"),
         )
 

@@ -1,4 +1,5 @@
-"""Keyed random streams, seeded Gaussian draws, the Frobenius norm, and the entry check.
+"""Keyed random streams, seeded Gaussian draws, the Frobenius norm, the entry check,
+and the package's one in-order worker helper.
 
 Matrices are plain 2-D float64 ``numpy.ndarray`` values in C (row-major)
 order, combined with numpy's ``@``, ``np.hstack`` and ``np.vstack``.  Arrays
@@ -7,8 +8,20 @@ weight (``FrozenBase``), the factors given to ``noise_product_stats``, and the
 two means given to ``attacks.run_game``.  Inside the round loop nothing is
 re-checked; a non-finite number produced by training is caught once in
 ``simulation.local_train`` and raised as ``NumericError`` (exit code 2).
+
+``_run_in_order`` runs tasks on up to one thread per CPU, the calling thread
+among them, and folds their results on the calling thread in task order.  It
+serves ``noise_stats.noise_product_stats`` (Monte Carlo chunks) and
+``simulation.run_round`` (base residuals and server-step row blocks).  Tasks
+call numpy only, which releases the GIL while it computes.  Each task writes
+arrays no other task touches, and every floating-point operation is the same,
+in the same order, as on one thread, so the results are bit-identical at any
+worker count.
 """
 
+import os
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,3 +97,66 @@ def sample_gaussian(rows: int, cols: int, sigma: float, rng: RngStream,
     out = rng.generator().standard_normal(shape)
     out *= sigma
     return out
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(n_tasks: int) -> int:
+    """Workers ``_run_in_order`` uses by default: one per CPU, at most one per task."""
+    return min(n_tasks, _cpu_count())
+
+
+def _run_in_order(n_tasks: int, run: Callable[[int, int], object],
+                  fold: Callable[[object], None] = lambda result: None,
+                  workers: int | None = None) -> None:
+    """``run(i, worker)`` for each task on ``workers`` threads; ``fold`` on the caller in order.
+
+    ``workers`` defaults to ``_worker_count(n_tasks)``.  Worker 0 is the
+    calling thread, so one worker starts no thread; ``worker`` lets a task
+    use scratch arrays the caller allocated for that worker.  Workers take
+    the next task index as they come free, and the caller folds each result
+    as soon as every earlier one has been folded, so only the results that
+    finished out of order wait in memory.  Tasks that write into arrays the
+    caller allocated return nothing and need no ``fold``.  The first
+    exception raised by any worker stops the others from taking new tasks
+    and is re-raised here once all of them have returned.
+    """
+    if workers is None:
+        workers = _worker_count(n_tasks)
+    tasks = iter(range(n_tasks))
+    taking = threading.Lock()
+    results: list = [None] * n_tasks
+    failed: list[BaseException] = []
+    folded = 0
+
+    def work(worker: int) -> None:
+        nonlocal folded
+        try:
+            while not failed:
+                with taking:
+                    i = next(tasks, None)
+                if i is None:
+                    return
+                results[i] = run(i, worker)
+                while worker == 0 and folded < n_tasks and results[folded] is not None:
+                    fold(results[folded])
+                    results[folded] = None
+                    folded += 1
+        except BaseException as exc:
+            failed.append(exc)
+
+    threads = [threading.Thread(target=work, args=(worker,)) for worker in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if failed:
+        raise failed[0]
+    for result in results[folded:]:
+        fold(result)

@@ -10,16 +10,19 @@ variances) has the exact closed form
 A three-term bound with the m and n coefficients on the first two terms
 exchanged is also evaluated for reporting; it coincides with the exact value
 whenever m == n but is not an upper bound on asymmetric shapes.
+
+The Monte Carlo chunks of ``noise_product_stats`` run concurrently through
+the package's in-order worker helper, ``linalg._run_in_order``; their sums are
+folded in chunk order, so the statistics are bit-identical at any worker
+count.
 """
 
 import math
-import os
-import threading
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .linalg import RngStream, as_matrix
 
 __all__ = [
@@ -80,59 +83,6 @@ def _chunk_size(m: int, n: int, r: int) -> int:
     return max(1, 500_000 // biggest)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_in_order(n_tasks: int, run: Callable[[int], object],
-                  fold: Callable[[object], None]) -> None:
-    """``run(i)`` for each task on up to ``_cpu_count()`` threads; ``fold`` on the caller in order.
-
-    The calling thread is one of the workers, so one task or one CPU starts
-    no thread.  Workers take the next task index as they come free, and the
-    caller folds each result as soon as every earlier one has been folded,
-    so only the results that finished out of order wait in memory.  The
-    first exception raised by any worker stops the others from taking new
-    tasks and is re-raised here once all of them have returned.
-    """
-    tasks = iter(range(n_tasks))
-    taking = threading.Lock()
-    results: list = [None] * n_tasks
-    failed: list[BaseException] = []
-    folded = 0
-
-    def work(on_caller: bool) -> None:
-        nonlocal folded
-        try:
-            while not failed:
-                with taking:
-                    i = next(tasks, None)
-                if i is None:
-                    return
-                results[i] = run(i)
-                while on_caller and folded < n_tasks and results[folded] is not None:
-                    fold(results[folded])
-                    results[folded] = None
-                    folded += 1
-        except BaseException as exc:
-            failed.append(exc)
-
-    threads = [threading.Thread(target=work, args=(False,))
-               for _ in range(min(n_tasks, _cpu_count()) - 1)]
-    for thread in threads:
-        thread.start()
-    work(on_caller=True)
-    for thread in threads:
-        thread.join()
-    if failed:
-        raise failed[0]
-    for result in results[folded:]:
-        fold(result)
-
-
 def _chunk_sums(b: np.ndarray, a: np.ndarray, clean: np.ndarray, model: NoiseModel,
                 gen: np.random.Generator, per_draw_mean: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
@@ -177,8 +127,9 @@ def noise_product_stats(
     ``_WAVE_PER_WORKER`` chunks per CPU this process may use.  The calling
     thread creates a wave's generators, in chunk order, before any of its
     chunks runs, so at most one wave of generators exists at a time.  A
-    wave's chunks then run on one worker per CPU, at most one per chunk, the
-    calling thread among them; workers call only numpy, which releases the
+    wave's chunks then run through ``linalg._run_in_order``, on one worker
+    per CPU, at most one per chunk, the calling thread among them; workers
+    call only numpy, which releases the
     GIL while it fills and multiplies arrays.  Each chunk's sums are added on
     the calling thread in chunk order, and each chunk writes its own slice of
     the per-draw means, so every floating-point operation and its order are
@@ -209,16 +160,16 @@ def noise_product_stats(
         np.add(sum_prod, sums[0], out=sum_prod)
         np.add(sum_sq, sums[1], out=sum_sq)
 
-    wave = _WAVE_PER_WORKER * _cpu_count()
+    wave = _WAVE_PER_WORKER * linalg._cpu_count()
     for first in range(0, len(starts), wave):
         chunks = starts[first:first + wave]
         generators = [rng.child(first + j).generator() for j in range(len(chunks))]
 
-        def run(j: int) -> tuple[np.ndarray, np.ndarray]:
+        def run(j: int, worker: int) -> tuple[np.ndarray, np.ndarray]:
             span = per_draw_mean[chunks[j]:chunks[j] + starts.step]
             return _chunk_sums(b, a, clean, model, generators[j], span)
 
-        _run_in_order(len(chunks), run, fold)
+        linalg._run_in_order(len(chunks), run, fold)
         del generators  # freed before the next wave's are created
 
     mean_diff = float(per_draw_mean.mean())

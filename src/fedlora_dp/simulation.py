@@ -32,6 +32,24 @@ allocates a fresh one.  Every entry goes through the same operations, in
 the same order, as the whole-matrix formulas, so the results match them bit
 for bit.
 
+Two phases of a round run on worker threads at large shapes, through
+``linalg._run_in_order``: the base residuals X effective^T - Y of every
+group, computed before training (one task per group), and the server step
+(one task per row block).  Each task writes arrays no other task touches,
+with the same operations on any thread, and each worker of the step writes
+its temporaries into scratch arrays allocated for it, so every output is
+bit-identical at any worker count.  Both phases start threads only from
+``_THREAD_FLOATS`` entries on, which small shapes never reach.  Training,
+clipping, noise and stacking run on the calling thread, in ascending client
+id order, so the ``NumericError`` a run raises and every random stream are
+the same too.
+
+SCAFFOLD uses option I of Karimireddy et al. (arXiv:1910.06378): a sampled
+client's control variate becomes its full-batch dense gradient at the
+round's base, R^T X / N from its base residual.  The variate is a dense
+m x n matrix, which the factor mechanism cannot release, so SCAFFOLD with
+DP stays a config error.
+
 All randomness flows through streams keyed by (round, client, draw kind),
 which makes runs bit-reproducible regardless of client scheduling.
 
@@ -45,8 +63,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import (FactorPair, FrozenBase, GlobalAdapter, aggregate_stack, global_delta,
-                       init_adapter)
+from . import linalg
+from .adapters import FrozenBase, GlobalAdapter, aggregate_stack, global_delta, init_adapter
 from .config import STRATEGIES, RunConfig
 from .linalg import RngStream, frobenius_norm
 from .noise_stats import NoiseModel, exact_total_variance
@@ -275,7 +293,7 @@ def local_train(
     b: np.ndarray,
     a: np.ndarray,
     scale: float,
-    effective: np.ndarray,
+    resid: np.ndarray,
     rngs: list[RngStream],
     *,
     epochs: int,
@@ -292,14 +310,13 @@ def local_train(
     client i's minibatches.  Every client of a group must hold the same
     number of rows (``ValueError`` otherwise), so all share one batch
     schedule; the results equal k separate calls with groups of one, bit for
-    bit.  ``scale`` is the LoRA scale ``lora_scale / rank``.  ``effective``
-    is the m x n effective base W + delta_acc: ``run_round`` passes the
-    server's ``ServerState.effective``, which the strategy step keeps
-    current.  The loss is half the mean squared error of
-    (effective + scale*B@A) against the client's targets, plus
-    prox_mu/2 * (||B||^2 + ||A||^2) when ``prox_mu`` > 0.
-    No m x n matrix is formed per step: the base residual R = X effective^T - Y
-    is computed once per call, and a minibatch of bs rows then costs
+    bit.  ``scale`` is the LoRA scale ``lora_scale / rank``.  ``resid`` is
+    the (k, rows, m) base residual R = X effective^T - Y of each client
+    against the effective base W + delta_acc, which ``run_round`` computes
+    for every group before training (``_base_residuals``).  The loss is half
+    the mean squared error of (effective + scale*B@A) against the client's
+    targets, plus prox_mu/2 * (||B||^2 + ||A||^2) when ``prox_mu`` > 0.
+    No m x n matrix is formed per step: a minibatch of bs rows costs
     O(bs * (m + n) * r) per client:
 
         xa    = xb @ A.T
@@ -312,10 +329,11 @@ def local_train(
     every client's drift-corrected G + c - c_k (c_k its control variate) is
     used, which adds scale*(c - c_k)@A.T and scale*B.T@(c - c_k) to the two
     gradients.
-    Neither ``effective`` nor the given factors are mutated; the trained
+    Neither ``resid`` nor the given factors are mutated; the trained
     factors come back as new arrays (the given ones when ``epochs`` is 0),
-    with each client's mean batch loss over the last epoch.  ``steps``
-    counts client-steps: k times each client's steps.
+    with each client's mean batch loss over the last epoch (its loss over
+    all its rows when ``epochs`` is 0).  ``steps`` counts client-steps: k
+    times each client's steps.
     A non-finite batch loss, or a non-finite factor after the last step,
     raises ``NumericError`` naming the client and epoch the sequential loop
     would have named: the first client of the group with a non-finite loss
@@ -329,10 +347,13 @@ def local_train(
     n_samples = row_counts[0]
     k = len(clients)
     batch_size = min(batch_size, n_samples)
+    x = np.stack([c.x for c in clients])
 
     if epochs == 0:
-        losses = np.array([dataset_loss(effective + scale * (b_i @ a_i), c.x, c.y)
-                           for c, b_i, a_i in zip(clients, b, a)])
+        err = x @ a.transpose(0, 2, 1) @ b.transpose(0, 2, 1)
+        err *= scale
+        err += resid
+        losses = 0.5 * _sum_sq(err) / n_samples
         if prox_mu > 0:
             losses += 0.5 * prox_mu * (_sum_sq(b) + _sum_sq(a))
         return LocalTrainResult(b, a, mean_loss=losses, steps=0)
@@ -340,8 +361,6 @@ def local_train(
     correction = None
     if server_c is not None:
         correction = np.stack([server_c - c.control_variate for c in clients])
-    x = np.stack([c.x for c in clients])
-    y = np.stack([c.y for c in clients])
     gens = [rng.generator() for rng in rngs]
     rows = np.arange(k)[:, np.newaxis]
     n_batches = -(-n_samples // batch_size)
@@ -354,8 +373,6 @@ def local_train(
     # non-finite factor is caught after the loop.  A client that goes
     # non-finite trains on; the batched matmuls keep the clients apart.
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = x @ effective.T
-        resid -= y
         for epoch in range(epochs):
             order = np.stack([gen.permutation(n_samples) for gen in gens])
             x_epoch, resid_epoch = x[rows, order], resid[rows, order]
@@ -413,13 +430,30 @@ def sample_clients(n_clients: int, k: int, rng: RngStream) -> list[int]:
 # and of 128 rows at width 1024 ran slower.
 _BLOCK_FLOATS = 32_768
 
+# Block-sized scratch arrays each worker of the server step writes its
+# temporaries into; the strategies not listed need none.
+_STEP_SCRATCH = {"fedavgm": 1, "fedadagrad": 2, "fedyogi": 2, "fedadam": 2}
+
+# Entries of an m x n operand a round phase must stream before its tasks run
+# on worker threads: k * m * n for one group's residual GEMMs, m * n for the
+# server step (16 row blocks).  Below it a phase runs on the calling thread.
+# A thread costs far more inside a round than its start and join: on a 2-core
+# box (numpy 2.4.6, OpenBLAS, one BLAS thread, in-process ``run_experiment``,
+# medians of 11-15 interleaved runs) threading the step alone slowed 200 x 300
+# fedavg from 3.9 to 4.6 ms a round and 512 x 512 fedadam from 26.9 to 28.4 ms,
+# and threading the residuals alone slowed 512 x 512 (two groups of one
+# client, 13M multiply-adds each) from 13.8 to 14.1 ms and 64 x 64 with 20 of
+# 20 clients from 33.7 to 35.3 ms, while both phases together took the
+# 1024 x 1024 ``fl_dense`` run from 1.51 to 1.20 s.
+_THREAD_FLOATS = 1 << 19
+
 
 def _apply_strategy(server: ServerState, config: RunConfig, delta_t: np.ndarray) -> None:
     """Apply the round's dense update to the server's accumulators, in place.
 
     Every strategy updates row blocks of ``_BLOCK_FLOATS // n`` rows (at
-    least one) in turn, each entry with the same IEEE operations, in the same
-    order, as these whole-matrix formulas (d = delta_t, v = momentum,
+    least one), each entry with the same IEEE operations, in the same order,
+    as these whole-matrix formulas (d = delta_t, v = momentum,
     s = second_moment; the other names are ``config`` fields):
 
         fedavg, fedprox, scaffold   delta_acc += d
@@ -431,32 +465,45 @@ def _apply_strategy(server: ServerState, config: RunConfig, delta_t: np.ndarray)
                     delta_acc += server_lr * v / (sqrt(s) + tau)
 
     Then that block of ``effective`` is set to W + delta_acc while the block
-    is still in cache.  ``delta_t`` is not mutated, and each accumulator, and
-    ``effective``, stays the same array.
+    is still in cache.  From ``_THREAD_FLOATS`` entries on, the blocks are
+    the tasks of ``linalg._run_in_order``: each worker takes the next block
+    as it comes free, and writes its temporaries into block-sized scratch
+    arrays allocated here for it, so a worker allocates nothing.  No two
+    blocks share an entry, and each goes through the same operations on any
+    worker, so the result is the same at any worker count.  ``delta_t`` is
+    not mutated, and each accumulator, and ``effective``, stays the same
+    array.
     """
     strategy = config.strategy
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     m, n = delta_t.shape
     rows = max(1, _BLOCK_FLOATS // n)
-    for start in range(0, m, rows):
-        block = slice(start, start + rows)
+    starts = range(0, m, rows)
+    workers = linalg._worker_count(len(starts)) if m * n >= _THREAD_FLOATS else 1
+    scratch = [[np.empty((min(rows, m), n)) for _ in range(_STEP_SCRATCH.get(strategy, 0))]
+               for _ in range(workers)]
+
+    def run(i: int, worker: int) -> None:
+        block = slice(starts[i], starts[i] + rows)
         d, acc = delta_t[block], server.delta_acc[block]
+        tmp = [t[:len(d)] for t in scratch[worker]]
         if strategy == "fedavgm":
             v = server.momentum[block]
             v *= config.momentum
             v += d
-            step = config.server_lr * v
+            step = np.multiply(v, config.server_lr, out=tmp[0])
         elif strategy in _ADAPTIVE_STRATEGIES:
+            step, root = tmp
             v = server.momentum[block]
             v *= config.beta1
-            v += (1.0 - config.beta1) * d
+            v += np.multiply(d, 1.0 - config.beta1, out=step)
             s = server.second_moment[block]
-            sq = d * d
+            sq = np.multiply(d, d, out=root)
             if strategy == "fedadagrad":
                 s += sq
             elif strategy == "fedyogi":
-                sign = np.sign(s - sq)
+                sign = np.sign(np.subtract(s, sq, out=step), out=step)
                 sq *= 1.0 - config.beta2
                 sq *= sign
                 s -= sq
@@ -464,14 +511,16 @@ def _apply_strategy(server: ServerState, config: RunConfig, delta_t: np.ndarray)
                 s *= config.beta2
                 sq *= 1.0 - config.beta2
                 s += sq
-            step = config.server_lr * v
-            root = np.sqrt(s)
+            np.multiply(v, config.server_lr, out=step)
+            np.sqrt(s, out=root)
             root += config.tau
             step /= root
         else:
             step = d
         acc += step
         np.add(server.base.w[block], acc, out=server.effective[block])
+
+    linalg._run_in_order(len(starts), run, workers=workers)
 
 
 # Factor floats a lockstep group may hold (256 KB): 42 clients at 16 x 8 and
@@ -490,6 +539,28 @@ def _group_size(m: int, n: int, rank: int) -> int:
     return max(1, _GROUP_FLOATS // ((m + n) * rank))
 
 
+def _base_residuals(groups: list[list[ClientState]], effective: np.ndarray) -> list[np.ndarray]:
+    """Each group's (k, rows, m) base residual R = X effective^T - Y, one array per group.
+
+    Every array is allocated here.  When a group's GEMMs stream
+    ``_THREAD_FLOATS`` entries of the base or more, the groups are the
+    tasks of ``linalg._run_in_order``.  Each GEMM writes into its own
+    client's slice, with the same operations on any thread, so the
+    residuals are the same at any worker count.
+    """
+    m, n = effective.shape
+    resids = [np.empty((len(group), group[0].x.shape[0], m)) for group in groups]
+    workers = linalg._worker_count(len(groups)) if len(groups[0]) * m * n >= _THREAD_FLOATS else 1
+
+    def run(g: int, worker: int) -> None:
+        for client, r in zip(groups[g], resids[g]):
+            np.matmul(client.x, effective.T, out=r)
+            r -= client.y
+
+    linalg._run_in_order(len(groups), run, workers=workers)
+    return resids
+
+
 def run_round(
     server: ServerState,
     clients: list[ClientState],
@@ -502,9 +573,12 @@ def run_round(
     Every sampled client trains a fresh factor pair (drawn from its round's
     stream) against the server's held effective base W + delta_acc
     (``server.effective``), which the previous round's strategy step left
-    current.  The sampled clients train in ascending id order, in
-    groups of ``_group_size`` clients, one ``local_train`` call per group.
-    Client k's stacking weight is its data share times the LoRA scale,
+    current.  Every group's base residual is computed first
+    (``_base_residuals``, on worker threads at large shapes); the sampled
+    clients then train in ascending id order, in groups of ``_group_size``
+    clients, one ``local_train`` call per group.  Under SCAFFOLD the same
+    residuals give each sampled client's control variate
+    (``_update_control_variates``).  Client k's stacking weight is its data share times the LoRA scale,
     size_k / total * (lora_scale / rank).  The round is private exactly when
     ``mechanism`` is given: each trained pair is then clipped once
     (``clip_pair``), and the clipped pair is both released (``privatize``,
@@ -520,21 +594,21 @@ def run_round(
     scale = config.lora_scale / config.rank
     prox_mu = config.prox_mu if config.strategy == "fedprox" else 0.0
 
-    trained, losses, steps = [], [], []
     size = _group_size(m, n, config.rank)
-    for start in range(0, len(sampled), size):
-        group = sampled[start:start + size]
-        init = [init_adapter(m, n, config.rank, rng.child(round_index, cid, _KIND_INIT))
-                for cid in group]
-        result = local_train([by_id[cid] for cid in group],
-                             np.stack([b for b, _ in init]), np.stack([a for _, a in init]),
-                             scale, server.effective,
-                             [rng.child(round_index, cid, _KIND_TRAIN) for cid in group],
+    groups = [[by_id[cid] for cid in sampled[start:start + size]]
+              for start in range(0, len(sampled), size)]
+    resids = _base_residuals(groups, server.effective)
+    trained, losses = [], []
+    for group, resid in zip(groups, resids):
+        init = [init_adapter(m, n, config.rank, rng.child(round_index, c.client_id, _KIND_INIT))
+                for c in group]
+        result = local_train(group, np.stack([b for b, _ in init]), np.stack([a for _, a in init]),
+                             scale, resid,
+                             [rng.child(round_index, c.client_id, _KIND_TRAIN) for c in group],
                              epochs=config.local_epochs, batch_size=config.batch_size,
                              lr=lr, prox_mu=prox_mu, server_c=server.server_c)
         trained += zip(result.b, result.a)
         losses += result.mean_loss.tolist()
-        steps += [result.steps // len(group)] * len(group)
 
     # ascending id order fixes stacking order
     total = sum(by_id[cid].x.shape[0] for cid in sampled)
@@ -560,8 +634,8 @@ def run_round(
     delta_t = global_delta(released)
 
     if server.server_c is not None:
-        _update_control_variates(server, [by_id[cid] for cid in sampled], trained, steps,
-                                 scale, lr, len(clients))
+        _update_control_variates(server, [c for group in groups for c in group],
+                                 [r for resid in resids for r in resid], len(clients))
 
     _apply_strategy(server, config, delta_t)
     server.round_index += 1
@@ -587,26 +661,24 @@ def _mean_entry(g: GlobalAdapter) -> float:
     return float(g.b_stacked.sum(0) @ g.a_stacked.sum(1)) / (m * n)
 
 
-def _update_control_variates(
-    server: ServerState,
-    sampled: list[ClientState],
-    trained: list[FactorPair],
-    steps: list[int],
-    scale: float,
-    lr: float,
-    n_clients: int,
-) -> None:
-    """Drift-correction bookkeeping on the dense deltas scale * b @ a, before the server step."""
-    shifts = []
-    for client, (b, a), client_steps in zip(sampled, trained, steps):
-        if client_steps == 0:
-            continue
-        dense = scale * (b @ a)
-        c_new = client.control_variate - server.server_c - dense / (client_steps * lr)
-        shifts.append(c_new - client.control_variate)
-        client.control_variate = c_new
-    if shifts:
-        server.server_c += sum(shifts) / n_clients
+def _update_control_variates(server: ServerState, sampled: list[ClientState],
+                             resids: list[np.ndarray], n_clients: int) -> None:
+    """SCAFFOLD's option I, before the server step: c_k <- R_k^T X_k / N_k.
+
+    Each sampled client's control variate becomes its full-batch dense
+    gradient at the round's base, from its base residual R_k (``resids``, in
+    ``sampled``'s order).  ``server_c`` moves by the mean change over all
+    ``n_clients`` clients, so it stays the mean of every client's variate.
+    """
+    shift = np.zeros_like(server.server_c)
+    for client, resid in zip(sampled, resids):
+        grad = resid.T @ client.x
+        grad /= len(resid)
+        shift += grad
+        shift -= client.control_variate
+        client.control_variate = grad
+    shift /= n_clients
+    server.server_c += shift
 
 
 def _make_clients(task: SyntheticTask, config: RunConfig) -> list[ClientState]:

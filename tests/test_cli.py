@@ -363,8 +363,9 @@ class TestResolveClips:
         norms = []
         for k in range(task.n_clients):
             b, a = init_adapter(task.m, task.n, config.rank, stream.child(0, k, 1))
-            res = local_train([ClientState(k, task.client_x[k], task.client_y[k])], b[None],
-                              a[None], config.lora_scale / config.rank, task.base.w,
+            x, y = task.client_x[k], task.client_y[k]
+            res = local_train([ClientState(k, x, y)], b[None], a[None],
+                              config.lora_scale / config.rank, (x @ task.base.w.T - y)[None],
                               [stream.child(0, k, 2)], epochs=config.local_epochs,
                               batch_size=config.batch_size, lr=config.lr_start)
             norms.append((frobenius_norm(res.b[0]), frobenius_norm(res.a[0])))
@@ -399,14 +400,24 @@ GOLDEN_RUNS = {
 WIDE = (TINY.replace("task_m = 6", "task_m = 40").replace("task_n = 4", "task_n = 2048")
         .replace("lr_start = 0.05", "lr_start = 0.0005").replace("lr_end = 0.01", "lr_end = 0.0001")
         .replace("dp_enabled = true", "dp_enabled = false"))
-WIDE_RUNS = {f"wide_{strategy}": WIDE + f"strategy = {strategy}\n"
-             for strategy in ("fedavg", "fedadam")}
+# Runs at 1024 x 1024 and rank 32: one client per group, so the two groups'
+# base residuals and the 32 row blocks of the server step run on worker
+# threads wherever the process may use two CPUs or more.
+CONCURRENT = (WIDE.replace("task_m = 40", "task_m = 1024").replace("task_n = 2048", "task_n = 1024")
+              .replace("\nrank = 2\n", "\nrank = 32\n")
+              .replace("samples_per_client = 10", "samples_per_client = 64")
+              .replace("batch_size = 4", "batch_size = 16"))
+SUBPROCESS_RUNS = {
+    **{f"wide_{strategy}": WIDE + f"strategy = {strategy}\n" for strategy in ("fedavg", "fedadam")},
+    **{f"concurrent_{strategy}": CONCURRENT + f"strategy = {strategy}\n"
+       for strategy in ("fedadam", "fedyogi")},
+}
 GOLDEN_DIGESTS = {
     "dp": "b10a309e8fc4abeb66e925850a42e306b33b8a9abb2311e91a020b9ad8c492b0",
     "dp_scaled": "abd768ebf2cafc5e49a1a8990781cd9088f59eafc19f4ec91321367c50480876",
     "fedavg": "04891b5351d681df6acfc95060474bd402131a2be75cd31f770a19bcb9dde99d",
     "fedprox": "f0cd23b137de93950236d45588ed29a9425dec70afa11f8ba55139725c9f6d32",
-    "scaffold": "2d8bee0320d6e231455290294aa6ddc01130b3246a9c8189db24f43b428c2462",
+    "scaffold": "05a75d0e134e9871e788c02ebcf3c0593d26e0398459433944e95ae459c42c61",
     "fedavgm": "6c1aaa3b6fe641bcf6c9dc3e6880a4b4d656c7563a3e9276f32369eb57e43fb9",
     "fedadagrad": "00728a088c4ea764c50866b6f58c117a9326b31336adacedcf95e82c557f06e6",
     "fedyogi": "d6b1a362e3c9863f7b44afc7d0d720ecb9283ec33e1c2c1ca7e1e50952532e6a",
@@ -417,13 +428,16 @@ GOLDEN_DIGESTS = {
     "sweep_clip": "f77828245ec7b1ee828781409f1d9ba436e95d1dc3198a1162401844de818387",
     "wide_fedavg": "a8de6207018d12b895cd1555bbb7c60bd938590794604dd496e61c20511b9e5f",
     "wide_fedadam": "0ec7682d5784282a438062dbe516feda9785da16f67617e803e252aaf8dc7508",
+    "concurrent_fedadam": "9ba345280f76534851c931b438d40f7811d1f8b4fb9cf3129b0a1c1348e09dc3",
+    "concurrent_fedyogi": "5a1b6a55dbcf958d31c66e1bb108a889406aab7c15cf0afc1f824e207de35bc4",
 }
 
 
 class TestGoldenDigests:
     """sha256 of the byte-stable CSVs of tiny runs: a private run, every strategy
     without DP, the membership-inference game, a rank sweep, a size sweep and a
-    clip sweep; and of fedavg and fedadam over several row blocks.
+    clip sweep; of fedavg and fedadam over several row blocks; and of fedadam
+    and fedyogi at a shape whose rounds run on worker threads.
 
     A refactor must leave every digest as it is.  A change to a random stream
     or to the order of floating-point operations changes them; such a change
@@ -439,19 +453,22 @@ class TestGoldenDigests:
             digest.update(f.encode() + b"\0" + (tmp_path / "out" / "tiny" / f).read_bytes())
         assert digest.hexdigest() == GOLDEN_DIGESTS[name]
 
-    @pytest.mark.parametrize("name", sorted(WIDE_RUNS))
+    @pytest.mark.parametrize("name", sorted(SUBPROCESS_RUNS))
     def test_multi_block_run_matches_digest(self, tmp_path, name):
         """A run over several row blocks, in its own process on one BLAS thread.
 
-        Its ``global_delta_norm`` is a BLAS dot product over 81,920 entries,
-        which OpenBLAS splits across threads, so its last bits depend on the
-        thread count; perfbench pins its jobs to one thread the same way.
+        Its ``global_delta_norm`` is a BLAS dot product over 81,920 entries or
+        more, which OpenBLAS splits across threads, so its last bits depend on
+        the BLAS thread count; perfbench pins its jobs to one thread the same
+        way.  The ``concurrent_*`` digests were recorded from code that ran
+        every round on one thread, so they pin that the worker threads change
+        no byte.
         """
         src = str(Path(fedlora_dp.__file__).resolve().parent.parent)
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                    MKL_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        config = write_config(tmp_path, WIDE_RUNS[name])
+        config = write_config(tmp_path, SUBPROCESS_RUNS[name])
         subprocess.run([sys.executable, "-m", "fedlora_dp.cli", "run", "--config", config,
                         "--out", str(tmp_path / "out")], env=env, check=True, timeout=120)
         metrics = (tmp_path / "out" / "tiny" / "metrics.csv").read_bytes()

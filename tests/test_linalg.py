@@ -6,6 +6,7 @@ The product and the stacking are numpy's ``@``, ``np.hstack`` and
 """
 
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -209,3 +210,39 @@ class TestEntryCheck:
             run_experiment(config, task, RngStream(3, (1,)), mech)
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+
+class TestRunInOrder:
+    """The package's one worker helper: which thread runs which task, and the fold order."""
+
+    def _record(self, monkeypatch, n_tasks, cpu_count, **kwargs):
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: cpu_count)
+        seen, folded = [], []
+
+        def run(i, worker):
+            seen.append((i, worker, threading.get_ident()))
+            return i
+
+        linalg._run_in_order(n_tasks, run, folded.append, **kwargs)
+        return seen, folded
+
+    @pytest.mark.parametrize("n_tasks,cpu_count,workers,expected", [
+        (7, 3, None, 3), (2, 3, None, 2), (7, 1, None, 1), (7, 3, 1, 1), (7, 3, 2, 2),
+    ])
+    def test_each_worker_index_is_one_thread_and_0_is_the_caller(self, monkeypatch, n_tasks,
+                                                                 cpu_count, workers, expected):
+        seen, folded = self._record(monkeypatch, n_tasks, cpu_count, workers=workers)
+        assert folded == list(range(n_tasks))
+        assert sorted(i for i, _, _ in seen) == list(range(n_tasks))
+        threads = {}
+        for _, worker, ident in seen:
+            assert threads.setdefault(worker, ident) == ident
+        assert set(threads) <= set(range(expected))
+        assert threads.get(0, threading.get_ident()) == threading.get_ident()
+        assert len(set(threads.values())) == len(threads)
+
+    def test_default_fold_discards(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
+        done = []
+        linalg._run_in_order(5, lambda i, worker: done.append(i))
+        assert sorted(done) == list(range(5))

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from fedlora_dp import noise_stats
+from fedlora_dp import linalg, noise_stats
 from fedlora_dp.linalg import RngStream
 from fedlora_dp.noise_stats import (
     NoiseModel,
@@ -252,7 +252,7 @@ class TestWorkers:
     @pytest.fixture
     def cpus(self, monkeypatch):
         def force(count):
-            monkeypatch.setattr(noise_stats, "_cpu_count", lambda: count)
+            monkeypatch.setattr(linalg, "_cpu_count", lambda: count)
         return force
 
     @pytest.mark.parametrize("case", sorted(PARALLEL_CASES))
@@ -278,7 +278,7 @@ class TestWorkers:
                 threads.append(self)
                 super().start()
 
-        monkeypatch.setattr(noise_stats.threading, "Thread", CountedThread)
+        monkeypatch.setattr(linalg.threading, "Thread", CountedThread)
         b, a = parallel_factors()
         noise_product_stats(b, a, NoiseModel(0.7, 1.3), draws, RngStream(20))
         assert len(threads) == started
@@ -346,7 +346,7 @@ class TestWaves:
         rng = RngStream(25, (1,))
         expected = sequential_stats(b, a, model, 300, rng)  # 300 one-draw chunks
         for cpu_count, per_worker in ((1, 1), (2, 1), (2, 7), (3, 64), (1, 300)):
-            monkeypatch.setattr(noise_stats, "_cpu_count", lambda count=cpu_count: count)
+            monkeypatch.setattr(linalg, "_cpu_count", lambda count=cpu_count: count)
             monkeypatch.setattr(noise_stats, "_WAVE_PER_WORKER", per_worker)
             assert noise_product_stats(b, a, model, 300, rng) == expected
 
@@ -365,7 +365,7 @@ class TestWaves:
             seen.append((len(created), len(seen)))
             return original_chunk(*args)
 
-        monkeypatch.setattr(noise_stats, "_cpu_count", lambda: cpu_count)
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: cpu_count)
         monkeypatch.setattr(RngStream, "generator", counting_generator)
         monkeypatch.setattr(noise_stats, "_chunk_sums", recorded_chunk)
         b, a = parallel_factors()

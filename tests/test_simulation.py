@@ -1,12 +1,14 @@
 """Federated loop: training gradients, strategies, determinism, sampling."""
 
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fedlora_dp import privacy, runner, simulation
+from fedlora_dp import linalg, privacy, runner, simulation
 from fedlora_dp.adapters import FrozenBase, global_delta, init_adapter
 from fedlora_dp.config import STRATEGIES, ConfigError, RunConfig, parse_text
 from fedlora_dp.linalg import RngStream, frobenius_norm
@@ -97,10 +99,15 @@ def _loss_at(base, delta_acc, b, a, scale, x, y, prox_mu=0.0):
     return loss
 
 
+def _resid(clients, effective):
+    """The base residuals X effective^T - Y of a group, stacked as ``local_train`` takes them."""
+    return np.stack([c.x @ effective.T - c.y for c in clients])
+
+
 def _train_one(client, b, a, scale, effective, rng, **kwargs):
     """``local_train`` on a group of one client, its result unstacked to (b, a, loss, steps)."""
-    result = local_train([client], b[np.newaxis], a[np.newaxis], scale, effective, [rng],
-                         **kwargs)
+    result = local_train([client], b[np.newaxis], a[np.newaxis], scale,
+                         _resid([client], effective), [rng], **kwargs)
     return result.b[0], result.a[0], float(result.mean_loss[0]), result.steps
 
 
@@ -191,11 +198,12 @@ class TestLocalTrain:
         b, a = init_adapter(task.m, task.n, 2, RngStream(1, (0,)))
         b, a = b[np.newaxis], a[np.newaxis]
         client = ClientState(0, task.client_x[0], task.client_y[0])
-        result = local_train([client], b, a, 1.0, task.base.w, [RngStream(1, (1,))], epochs=0,
-                             batch_size=8, lr=0.1)
+        result = local_train([client], b, a, 1.0, _resid([client], task.base.w),
+                             [RngStream(1, (1,))], epochs=0, batch_size=8, lr=0.1)
         assert result.b is b and result.a is a
         assert result.steps == 0
         assert np.all(result.b[0] @ result.a[0] == 0.0)
+        assert result.mean_loss[0] == dataset_loss(task.base.w, client.x, client.y)
 
     def test_gradients_match_finite_differences(self):
         # central differences with step 1e-5, both factors, prox included
@@ -280,7 +288,8 @@ class TestLocalTrain:
         settings = dict(epochs=3, batch_size=7, lr=0.05,
                         prox_mu=0.05 if case == "prox" else 0.0,
                         server_c=server_c if case == "scaffold" else None)
-        group = local_train(clients, b0, a0, 1.5, effective, streams, **settings)
+        group = local_train(clients, b0, a0, 1.5, _resid(clients, effective), streams,
+                            **settings)
         assert group.steps == 3 * 3 * 3
         for i, client in enumerate(clients):
             b, a, loss, steps = _train_one(client, b0[i], a0[i], 1.5, effective, streams[i],
@@ -299,10 +308,11 @@ class TestLocalTrain:
         clients, effective, _ = _group_task(gen)
         b0 = gen.standard_normal((3, 6, 2))
         a0 = gen.standard_normal((3, 2, 4))
-        before = (b0.copy(), a0.copy(), effective.copy())
-        local_train(clients, b0, a0, 1.0, effective, [RngStream(0, (i,)) for i in range(3)],
+        resid = _resid(clients, effective)
+        before = (b0.copy(), a0.copy(), resid.copy())
+        local_train(clients, b0, a0, 1.0, resid, [RngStream(0, (i,)) for i in range(3)],
                     epochs=2, batch_size=8, lr=0.05)
-        assert all(np.array_equal(x, y) for x, y in zip(before, (b0, a0, effective)))
+        assert all(np.array_equal(x, y) for x, y in zip(before, (b0, a0, resid)))
 
     def test_unequal_row_counts_rejected(self):
         gen = np.random.default_rng(33)
@@ -310,7 +320,7 @@ class TestLocalTrain:
         clients[1] = ClientState(11, clients[1].x[:19], clients[1].y[:19])
         with pytest.raises(ValueError, match="row counts"):
             local_train(clients, np.zeros((3, 6, 2)), gen.standard_normal((3, 2, 4)), 1.0,
-                        effective, [RngStream(0, (i,)) for i in range(3)], epochs=1,
+                        np.zeros((3, 20, 6)), [RngStream(0, (i,)) for i in range(3)], epochs=1,
                         batch_size=8, lr=0.05)
 
     def test_single_client_converges_to_optimum(self):
@@ -371,7 +381,7 @@ class TestLocalTrain:
                    for i, target in enumerate(targets)]
         k = len(clients)
         return dict(clients=clients, b=np.zeros((k, 6, 2)), a=gen.standard_normal((k, 2, 4)),
-                    scale=1.0, effective=np.zeros((6, 4)),
+                    scale=1.0, resid=_resid(clients, np.zeros((6, 4))),
                     rngs=[RngStream(0, (i,)) for i in range(k)], batch_size=20, lr=1e308)
 
     def test_group_names_the_first_client_the_loop_would(self):
@@ -381,7 +391,7 @@ class TestLocalTrain:
         with pytest.raises(NumericError, match=r"^client 11: non-finite loss at epoch 1$"):
             local_train(**group, epochs=2)
         for i, epoch in ((1, 1), (2, 0)):
-            alone = {key: value[i:i + 1] if key in ("clients", "b", "a", "rngs") else value
+            alone = {key: value[i:i + 1] if key in ("clients", "b", "a", "resid", "rngs") else value
                      for key, value in group.items()}
             with pytest.raises(NumericError, match=f"^client {10 + i}: non-finite loss at "
                                                    f"epoch {epoch}$"):
@@ -473,18 +483,49 @@ class TestApplyStrategy:
             assert server.effective is effective
             assert (server.effective == base.w + server.delta_acc).all()
 
-    def test_fedadam_step_allocates_less_than_one_matrix(self):
-        shape = (256, 1024)
-        gen = np.random.default_rng(3)
-        server = ServerState.fresh(FrozenBase(gen.standard_normal(shape)), "fedadam")
+    def test_fedadam_step_allocates_less_than_one_matrix(self, monkeypatch):
+        # 256 x 1024 runs on the calling thread; 1024 x 1024 on two workers
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
+        for shape in ((256, 1024), (1024, 1024)):
+            gen = np.random.default_rng(3)
+            server = ServerState.fresh(FrozenBase(gen.standard_normal(shape)), "fedadam")
+            delta_t = gen.standard_normal(shape)
+            tracemalloc.start()
+            try:
+                simulation._apply_strategy(server, small_config(strategy="fedadam"), delta_t)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < delta_t.nbytes
+
+    @pytest.mark.parametrize("cpu_count", [2, 3])
+    @pytest.mark.parametrize("strategy", ["fedavgm", "fedyogi", "fedadam"])
+    def test_step_workers_allocate_only_their_scratch(self, monkeypatch, cpu_count, strategy):
+        # Above the thread cut-off each worker writes its temporaries into the
+        # block-sized scratch arrays the step allocates for it, and into nothing else.
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: cpu_count)
+        started = []
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(linalg.threading, "Thread", CountedThread)
+        shape = (1024, 1024)
+        gen = np.random.default_rng(4)
+        server = ServerState.fresh(FrozenBase(gen.standard_normal(shape)), strategy)
         delta_t = gen.standard_normal(shape)
+        block_bytes = simulation._BLOCK_FLOATS * delta_t.itemsize
         tracemalloc.start()
         try:
-            simulation._apply_strategy(server, small_config(strategy="fedadam"), delta_t)
+            simulation._apply_strategy(server, small_config(strategy=strategy), delta_t)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < delta_t.nbytes
+        assert len(started) == cpu_count - 1
+        scratch = cpu_count * simulation._STEP_SCRATCH[strategy] * block_bytes
+        assert scratch <= peak < scratch + block_bytes // 4
 
 
 def _run(config, task, seed=0, mechanism=None):
@@ -589,6 +630,47 @@ class TestRunRound:
             server, _ = run_round(server, clients, cfg, root)
         assert server.server_c is server_c
         assert np.any(server_c != 0.0)
+
+    def test_control_variate_is_the_full_batch_gradient(self):
+        # SCAFFOLD option I: a sampled client's variate becomes the dense gradient of
+        # its half mean squared error at the round's base; server_c is the mean variate.
+        task = generate_task(12, 9, 2, 5, 30, 0.1, 0.5, RngStream(9, (99,)))
+        cfg = small_config(strategy="scaffold", clients=5, sampled_per_round=3, rounds=3,
+                           rank=2, batch_size=7)
+        server = ServerState.fresh(task.base, cfg.strategy)
+        clients = simulation._make_clients(task, cfg)
+        root = RngStream(3, (7,))
+        for _ in range(cfg.rounds):
+            base = server.effective.copy()
+            before = [c.control_variate for c in clients]
+            server, metrics = run_round(server, clients, cfg, root)
+            sampled = {cid for cid, _ in metrics.client_losses}
+            for client, old in zip(clients, before):
+                if client.client_id not in sampled:
+                    assert client.control_variate is old
+                    continue
+                oracle = np.zeros_like(base)
+                for x_i, y_i in zip(client.x, client.y):
+                    oracle += np.outer(base @ x_i - y_i, x_i)
+                oracle /= len(client.x)
+                np.testing.assert_allclose(client.control_variate, oracle, rtol=1e-12,
+                                           atol=1e-13)
+            mean = sum(c.control_variate for c in clients) / len(clients)
+            np.testing.assert_allclose(server.server_c, mean, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_scaffold_tracks_fedavg_where_option_ii_diverged(self, seed):
+        # Option II's variates, -delta_k / (K lr), read 280 and 16.4 here at seeds 0 and 3.
+        task = generate_task(200, 300, 4, 20, 50, 0.0, 0.0,
+                             RngStream(seed).child(runner._STREAM_TASK))
+        losses = {}
+        for strategy in ("fedavg", "scaffold"):
+            cfg = RunConfig(rounds=10, task_m=200, task_n=300, task_rank=4, rank=4,
+                            lora_scale=4.0, strategy=strategy, seed=seed)
+            result = run_experiment(cfg, task, RngStream(seed).child(runner._STREAM_EXPERIMENT))
+            losses[strategy] = result.final_loss
+        assert losses["scaffold"] < result.initial_loss
+        assert abs(losses["scaffold"] - losses["fedavg"]) < 0.05 * losses["fedavg"]
 
     def test_group_size_falls_back_at_large_shapes(self):
         assert simulation._group_size(16, 8, 32) >= 20
@@ -708,3 +790,91 @@ class TestConfigValidation:
     def test_unknown_strategy(self):
         message = self._error("rounds = 3\nstrategy = sgd\n")
         assert message.startswith("line 2: strategy must be one of")
+
+
+class TestRoundWorkers:
+    """Base residuals and server-step blocks on worker threads: same bytes, and no thread
+    at small shapes."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def force(count):
+            monkeypatch.setattr(linalg, "_cpu_count", lambda: count)
+        return force
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        threads = []
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                threads.append(self)
+                super().start()
+
+        monkeypatch.setattr(linalg.threading, "Thread", CountedThread)
+        return threads
+
+    @staticmethod
+    def _rounds(strategy, private, rounds=2):
+        # 700 x 1024 at rank 32: one client per group, so three groups of
+        # residuals, and 21 row blocks of 32 rows, the last one of 28.
+        task = generate_task(700, 1024, 2, 4, 16, 0.1, 0.0, RngStream(12, (99,)))
+        cfg = small_config(strategy=strategy, clients=4, sampled_per_round=3, rounds=rounds,
+                           rank=32, lora_scale=4.0, local_epochs=1, lr_start=1e-3, lr_end=1e-3)
+        mech = MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.01, sigma_a=0.02) if private else None
+        server = ServerState.fresh(task.base, strategy)
+        clients = simulation._make_clients(task, cfg)
+        metrics = []
+        for _ in range(rounds):
+            server, m = run_round(server, clients, cfg, RngStream(6, (7,)), mech)
+            metrics.append(replace(m, wall_s=0.0))
+        held = {name: getattr(server, name) for name in
+                ("delta_acc", "effective", "momentum", "second_moment", "server_c")}
+        return metrics, held, [c.control_variate for c in clients]
+
+    @pytest.mark.parametrize("strategy,private", [("fedadam", True), ("fedyogi", False),
+                                                  ("fedavgm", False), ("scaffold", False)])
+    def test_round_bit_identical_at_any_worker_count(self, cpus, started, strategy, private):
+        runs = []
+        for count in (1, 2, 3):
+            cpus(count)
+            runs.append(self._rounds(strategy, private))
+        # each of two rounds starts count - 1 threads in each of its two phases
+        assert len(started) == sum(2 * 2 * (count - 1) for count in (1, 2, 3))
+        (metrics, held, variates), *others = runs
+        for other_metrics, other_held, other_variates in others:
+            assert other_metrics == metrics
+            for name, array in held.items():
+                assert (array is None) == (other_held[name] is None), name
+                assert array is None or np.array_equal(array, other_held[name]), name
+            for v, w in zip(variates, other_variates):
+                assert (v is None and w is None) or np.array_equal(v, w)
+
+    def test_more_workers_than_cpus_under_fast_switching(self, cpus):
+        # a block or group run twice, skipped, or sharing a worker's scratch changes the bytes
+        cpus(1)
+        expected = self._rounds("fedyogi", True)
+        cpus(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            metrics, held, _ = self._rounds("fedyogi", True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert metrics == expected[0]
+        for name, array in held.items():
+            assert array is None or np.array_equal(array, expected[1][name]), name
+
+    def test_small_shapes_start_no_thread(self, cpus, started):
+        cpus(2)
+        # the default 16 x 8 config, private, and 64 x 64 with all 20 clients a round
+        default = RunConfig(rounds=3)
+        task = runner.build_task(default, RngStream(default.seed))
+        mech = MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.2, sigma_a=0.3)
+        run_experiment(default, task, RngStream(1), mech)
+        full = RunConfig(rounds=3, task_m=64, task_n=64, sampled_per_round=20)
+        run_experiment(full, runner.build_task(full, RngStream(0)), RngStream(1))
+        # and a server step of two row blocks, below the cut-off
+        wide = RunConfig(rounds=3, task_m=200, task_n=300, rank=4, strategy="fedadam")
+        run_experiment(wide, runner.build_task(wide, RngStream(0)), RngStream(1))
+        assert started == []
