@@ -2,11 +2,12 @@
 
 Library layout:
 
-- ``linalg``: keyed random streams, Gaussian draws, and the entry check on arrays
+- ``linalg``: keyed random streams, Gaussian draws, the Frobenius norm, the entry check
+  on arrays, and the in-order worker helper
 - ``privacy``: the release of a factor pair (clip, then noise) and its noise calibration
 - ``adapters``: low-rank factor pairs, plain ``(b, a)`` arrays, and the stacking aggregation
 - ``config``: ``RunConfig``, the one record of a run's settings, checked where parsed
-- ``simulation``: synthetic tasks, local training, the federated round loop
+- ``simulation``: synthetic tasks on one client axis, local training, the federated round loop
 - ``noise_stats``: expectation/variance analysis of noisy factor products
 - ``attacks``: trained updates, the membership-inference game, the privacy-bound check
 - ``runner`` / ``cli``: experiment orchestration and the command line

@@ -37,7 +37,7 @@ from .adapters import FactorPair, FrozenBase, init_adapter
 from .config import RunConfig
 from .linalg import RngStream, as_matrix
 from .privacy import MechanismParams, clip_pair, privatize
-from .simulation import ClientState, local_train
+from .simulation import local_train
 
 __all__ = [
     "RocCurve",
@@ -127,8 +127,8 @@ def trained_update(x: np.ndarray, y: np.ndarray, base: FrozenBase, config: RunCo
     b, a = init_adapter(m, n, config.mia_rank, stream.child(0))
     resid = x @ base.w.T
     resid -= y
-    result = local_train([ClientState(client_id=0, x=x, y=y)], b[np.newaxis], a[np.newaxis],
-                         1.0, resid[np.newaxis], [stream.child(1)], epochs=config.mia_epochs,
+    result = local_train([0], x[np.newaxis], b[np.newaxis], a[np.newaxis], 1.0,
+                         resid[np.newaxis], [stream.child(1)], epochs=config.mia_epochs,
                          batch_size=config.mia_batch_size, lr=config.mia_lr)
     return result.b[0], result.a[0]
 

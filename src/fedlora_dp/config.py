@@ -284,7 +284,7 @@ _VALIDATORS = {
 }
 
 
-def parse_text(text: str, source: str = "<config>", mode: str | None = None) -> RunConfig:
+def parse_text(text: str, mode: str | None = None) -> RunConfig:
     """Parse config text; unknown keys, malformed lines and bad values are errors.
 
     ``mode``, when given, is the mode that will run, and the config is
@@ -380,4 +380,4 @@ def parse_config(path: str | Path, mode: str | None = None) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return parse_text(path.read_text(), source=str(path), mode=mode)
+    return parse_text(path.read_text(), mode=mode)

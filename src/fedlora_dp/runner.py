@@ -309,7 +309,7 @@ def build_adversarial_game(config: RunConfig, root: RngStream, epsilon: float | 
         heterogeneity=0.0,
         rng=stream.child(0),
     )
-    x, y = task.client_x[0], task.client_y[0]
+    x, y = task.x[0], task.y[0]
     x_prime, y_prime = x.copy(), y.copy()
     x_prime[0] *= config.mia_input_scale
     y_prime[0] = (task.base.w + task.target_delta) @ x_prime[0]

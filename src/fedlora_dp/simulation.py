@@ -10,17 +10,19 @@ server-side and clients draw fresh pairs, so per-round shapes never grow.
 Factor pairs are plain arrays; the LoRA scale ``lora_scale / rank`` is
 computed once per round and passed alongside them.
 
-Local training runs the sampled clients in lockstep: ``local_train`` takes a
-group of clients with their factors stacked along a leading client axis,
-(k, m, r) and (k, r, n), and each step is one batched matmul over that axis
-instead of k interpreted steps.  The clients of a group hold equal row
-counts, so they share one batch schedule, while each keeps its own
-shuffling stream; the results are bit-identical to training each client
-alone.  The group size is set by the shape (``_group_size``): a small shape
-trains a whole round in one call, and a large one falls back to small
-groups, down to one client.  A non-finite loss or factor names the client
-and epoch that training the clients one by one, in ascending id order,
-would have named.
+Client data lives on one client axis: the task holds every client's rows
+as two stacked arrays, x (clients, rows, n) and y (clients, rows, m), so
+every client holds the same number of rows and client k's data is x[k] and
+y[k].  Local training runs the sampled clients in lockstep along the same
+axis: ``local_train`` takes a group's rows x[ids] with its factors stacked
+as (k, m, r) and (k, r, n), and each step is one batched matmul over that
+axis instead of k interpreted steps.  Equal row counts give the group one
+batch schedule, while each client keeps its own shuffling stream; the
+results are bit-identical to training each client alone.  The group size
+is set by the shape (``_group_size``): a small shape trains a whole round in
+one call, and a large one falls back to small groups, down to one client.
+A non-finite loss or factor names the client and epoch that training the
+clients one by one, in ascending id order, would have named.
 
 The server step (``_apply_strategy``) updates the accumulators in place,
 in row blocks of about 256 KB per operand (``_BLOCK_FLOATS``), and finishes
@@ -73,7 +75,6 @@ from .privacy import MechanismParams, clip_pair, privatize
 __all__ = [
     "NumericError",
     "SyntheticTask",
-    "ClientState",
     "ServerState",
     "RoundMetrics",
     "LocalTrainResult",
@@ -101,12 +102,17 @@ class NumericError(RuntimeError):
 
 @dataclass(frozen=True)
 class SyntheticTask:
-    """Linear regression task y = (W + target_delta) x + noise, split over clients."""
+    """Linear regression task y = (W + target_delta) x + noise, split over clients.
+
+    ``x`` and ``y`` are C-contiguous and stacked along a leading client axis:
+    client k's inputs are ``x[k]`` and its targets ``y[k]``, and every client
+    holds the same number of rows.
+    """
 
     base: FrozenBase
     target_delta: np.ndarray
-    client_x: tuple[np.ndarray, ...]
-    client_y: tuple[np.ndarray, ...]
+    x: np.ndarray  # (clients, rows, n)
+    y: np.ndarray  # (clients, rows, m)
 
     @property
     def m(self) -> int:
@@ -118,17 +124,7 @@ class SyntheticTask:
 
     @property
     def n_clients(self) -> int:
-        return len(self.client_x)
-
-
-@dataclass
-class ClientState:
-    """What a client keeps across rounds: data and, under SCAFFOLD, its control variate."""
-
-    client_id: int
-    x: np.ndarray
-    y: np.ndarray
-    control_variate: np.ndarray | None = None
+        return len(self.x)
 
 
 # Strategies that keep a first moment, and those that also keep a second.
@@ -138,15 +134,19 @@ _ADAPTIVE_STRATEGIES = ("fedadagrad", "fedyogi", "fedadam")
 
 @dataclass
 class ServerState:
-    """Server-side accumulators, all m x n; those the strategy never reads are None.
+    """Server-side accumulators, m x n (``client_c`` one per client); unread ones are None.
 
     ``_apply_strategy`` updates ``delta_acc``, ``momentum`` and
     ``second_moment`` in place, one row block at a time, and
-    ``_update_control_variates`` adds to ``server_c`` in place; each stays the
-    same array for the whole run.  ``effective`` is not an accumulator: it
-    is the derived copy W + delta_acc that clients train against, and the
-    step refreshes each of its blocks right after the same block of
-    ``delta_acc``, so it stays equal to ``base.w + delta_acc`` bit for bit.
+    ``_update_control_variates`` adds to ``server_c`` and writes
+    ``client_c`` in place; each stays the same array for the whole run.
+    ``client_c`` (clients, m, n) holds every client's SCAFFOLD control
+    variate c_k along the task's client axis; a deployment keeps c_k on
+    client k, and the simulation holds them here.  ``effective`` is not an
+    accumulator: it is the derived copy W + delta_acc that clients train
+    against, and the step refreshes each of its blocks right after the same
+    block of ``delta_acc``, so it stays equal to ``base.w + delta_acc`` bit
+    for bit.
     """
 
     base: FrozenBase
@@ -155,11 +155,13 @@ class ServerState:
     momentum: np.ndarray | None = None
     second_moment: np.ndarray | None = None
     server_c: np.ndarray | None = None
+    client_c: np.ndarray | None = None
     round_index: int = 0
 
     @classmethod
-    def fresh(cls, base: FrozenBase, strategy: str) -> "ServerState":
+    def fresh(cls, base: FrozenBase, strategy: str, n_clients: int) -> "ServerState":
         shape = base.shape
+        scaffold = strategy == "scaffold"
         delta_acc = np.zeros(shape)
         return cls(
             base=base,
@@ -167,7 +169,8 @@ class ServerState:
             effective=base.w + delta_acc,
             momentum=np.zeros(shape) if strategy in _MOMENTUM_STRATEGIES else None,
             second_moment=np.zeros(shape) if strategy in _ADAPTIVE_STRATEGIES else None,
-            server_c=np.zeros(shape) if strategy == "scaffold" else None,
+            server_c=np.zeros(shape) if scaffold else None,
+            client_c=np.zeros((n_clients, *shape)) if scaffold else None,
         )
 
 
@@ -224,6 +227,8 @@ def generate_task(
     Base entries are N(0, 1/n); the rank-r_star target product is rescaled to
     unit Frobenius norm.  Client k draws inputs from N(mu_k, I) where
     ||mu_k|| equals the heterogeneity parameter (zero shift when it is 0).
+    Each client's rows are drawn from its own stream straight into its slice
+    of the stacked ``x`` and ``y``.
     The arguments are not checked here: ``parse_text`` checks the config keys
     they come from (1 <= r_star <= min(m, n), positive sizes, sigma_obs >= 0,
     heterogeneity in [0, 1]).
@@ -239,7 +244,8 @@ def generate_task(
     target = (b_star * scale) @ (a_star * scale)
 
     signal = w + target
-    xs, ys = [], []
+    x = np.empty((n_clients, samples_per_client, n))
+    y = np.empty((n_clients, samples_per_client, m))
     for k in range(n_clients):
         gen_k = rng.child(_TASK_CLIENT, k).generator()
         if heterogeneity == 0:
@@ -247,19 +253,13 @@ def generate_task(
         else:
             direction = gen_k.standard_normal(n)
             mu = heterogeneity * direction / np.linalg.norm(direction)
-        x = mu + gen_k.standard_normal((samples_per_client, n))
-        y = x @ signal.T
+        gen_k.standard_normal(out=x[k])
+        x[k] += mu
+        np.matmul(x[k], signal.T, out=y[k])
         if sigma_obs > 0:
-            y = y + sigma_obs * gen_k.standard_normal((samples_per_client, m))
-        xs.append(x)
-        ys.append(y)
+            y[k] += sigma_obs * gen_k.standard_normal((samples_per_client, m))
 
-    return SyntheticTask(
-        base=FrozenBase(w),
-        target_delta=target,
-        client_x=tuple(xs),
-        client_y=tuple(ys),
-    )
+    return SyntheticTask(base=FrozenBase(w), target_delta=target, x=x, y=y)
 
 
 def dataset_loss(model: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -289,7 +289,8 @@ def _sum_sq(t: np.ndarray) -> np.ndarray:
 
 
 def local_train(
-    clients: list[ClientState],
+    client_ids: list[int],
+    x: np.ndarray,
     b: np.ndarray,
     a: np.ndarray,
     scale: float,
@@ -300,17 +301,18 @@ def local_train(
     batch_size: int,
     lr: float,
     prox_mu: float = 0.0,
-    server_c: np.ndarray | None = None,
+    correction: np.ndarray | None = None,
 ) -> LocalTrainResult:
     """Mini-batch gradient descent on a group of clients' factor pairs, in lockstep.
 
-    Client i of the group trains the pair (b[i], a[i]) on its own data: ``b``
-    is (k, m, r) and ``a`` is (k, r, n), stacked along a leading client axis,
-    and each step is one batched matmul over that axis.  ``rngs[i]`` shuffles
-    client i's minibatches.  Every client of a group must hold the same
-    number of rows (``ValueError`` otherwise), so all share one batch
-    schedule; the results equal k separate calls with groups of one, bit for
-    bit.  ``scale`` is the LoRA scale ``lora_scale / rank``.  ``resid`` is
+    Client ``client_ids[i]`` of the group trains the pair (b[i], a[i]) on its
+    rows ``x[i]``: ``x`` is (k, rows, n), ``b`` is (k, m, r) and ``a`` is
+    (k, r, n), stacked along a leading client axis, and each step is one
+    batched matmul over that axis.  ``rngs[i]`` shuffles client i's
+    minibatches.  A stacked ``x`` gives every client of the group the same
+    number of rows, so all share one batch schedule; the results equal k
+    separate calls with groups of one, bit for bit.  ``scale`` is the LoRA
+    scale ``lora_scale / rank``.  ``resid`` is
     the (k, rows, m) base residual R = X effective^T - Y of each client
     against the effective base W + delta_acc, which ``run_round`` computes
     for every group before training (``_base_residuals``).  The loss is half
@@ -325,10 +327,10 @@ def local_train(
         dL/dA = (scale / bs) * (err @ B).T @ xb
 
     These are scale*G@A.T and scale*B.T@G for the batch-mean error outer
-    product G = err.T @ xb / bs.  When a server correction c is supplied,
-    every client's drift-corrected G + c - c_k (c_k its control variate) is
-    used, which adds scale*(c - c_k)@A.T and scale*B.T@(c - c_k) to the two
-    gradients.
+    product G = err.T @ xb / bs.  When SCAFFOLD's ``correction`` is supplied,
+    (k, m, n) with entry i equal to c - c_k for the server's variate c and
+    client i's c_k, every client's drift-corrected G + c - c_k is used, which
+    adds scale*(c - c_k)@A.T and scale*B.T@(c - c_k) to the two gradients.
     Neither ``resid`` nor the given factors are mutated; the trained
     factors come back as new arrays (the given ones when ``epochs`` is 0),
     with each client's mean batch loss over the last epoch (its loss over
@@ -341,13 +343,8 @@ def local_train(
     with a non-finite factor.  This is the only finiteness check between the
     task and the server step.
     """
-    row_counts = sorted({c.x.shape[0] for c in clients})
-    if len(row_counts) != 1:
-        raise ValueError(f"a group trains in lockstep on equal row counts, got {row_counts}")
-    n_samples = row_counts[0]
-    k = len(clients)
+    k, n_samples = x.shape[:2]
     batch_size = min(batch_size, n_samples)
-    x = np.stack([c.x for c in clients])
 
     if epochs == 0:
         err = x @ a.transpose(0, 2, 1) @ b.transpose(0, 2, 1)
@@ -358,9 +355,6 @@ def local_train(
             losses += 0.5 * prox_mu * (_sum_sq(b) + _sum_sq(a))
         return LocalTrainResult(b, a, mean_loss=losses, steps=0)
 
-    correction = None
-    if server_c is not None:
-        correction = np.stack([server_c - c.control_variate for c in clients])
     gens = [rng.generator() for rng in rngs]
     rows = np.arange(k)[:, np.newaxis]
     n_batches = -(-n_samples // batch_size)
@@ -407,11 +401,11 @@ def local_train(
             went_bad = ~np.isfinite(epoch_losses).all(axis=1) & (first_bad_epoch < 0)
             first_bad_epoch[went_bad] = epoch
     finite = np.isfinite(b).all(axis=(1, 2)) & np.isfinite(a).all(axis=(1, 2))
-    for client, bad_epoch, ok in zip(clients, first_bad_epoch, finite):
+    for cid, bad_epoch, ok in zip(client_ids, first_bad_epoch, finite):
         if bad_epoch >= 0:
-            raise NumericError(f"client {client.client_id}: non-finite loss at epoch {bad_epoch}")
+            raise NumericError(f"client {cid}: non-finite loss at epoch {bad_epoch}")
         if not ok:
-            raise NumericError(f"client {client.client_id}: non-finite factors after training")
+            raise NumericError(f"client {cid}: non-finite factors after training")
 
     return LocalTrainResult(b, a, mean_loss=epoch_losses.mean(axis=1),
                             steps=k * epochs * n_batches)
@@ -539,7 +533,8 @@ def _group_size(m: int, n: int, rank: int) -> int:
     return max(1, _GROUP_FLOATS // ((m + n) * rank))
 
 
-def _base_residuals(groups: list[list[ClientState]], effective: np.ndarray) -> list[np.ndarray]:
+def _base_residuals(groups: list[list[int]], task: SyntheticTask,
+                    effective: np.ndarray) -> list[np.ndarray]:
     """Each group's (k, rows, m) base residual R = X effective^T - Y, one array per group.
 
     Every array is allocated here.  When a group's GEMMs stream
@@ -549,13 +544,13 @@ def _base_residuals(groups: list[list[ClientState]], effective: np.ndarray) -> l
     residuals are the same at any worker count.
     """
     m, n = effective.shape
-    resids = [np.empty((len(group), group[0].x.shape[0], m)) for group in groups]
+    resids = [np.empty((len(ids), task.x.shape[1], m)) for ids in groups]
     workers = linalg._worker_count(len(groups)) if len(groups[0]) * m * n >= _THREAD_FLOATS else 1
 
     def run(g: int, worker: int) -> None:
-        for client, r in zip(groups[g], resids[g]):
-            np.matmul(client.x, effective.T, out=r)
-            r -= client.y
+        for cid, r in zip(groups[g], resids[g]):
+            np.matmul(task.x[cid], effective.T, out=r)
+            r -= task.y[cid]
 
     linalg._run_in_order(len(groups), run, workers=workers)
     return resids
@@ -563,12 +558,15 @@ def _base_residuals(groups: list[list[ClientState]], effective: np.ndarray) -> l
 
 def run_round(
     server: ServerState,
-    clients: list[ClientState],
+    task: SyntheticTask,
     config: RunConfig,
     rng: RngStream,
     mechanism: MechanismParams | None = None,
-) -> tuple[ServerState, RoundMetrics]:
-    """One communication round: sample, train, privatize, stack, apply, fold.
+) -> RoundMetrics:
+    """One communication round of ``task``: sample, train, privatize, stack, apply, fold.
+
+    ``server`` is updated in place; every accumulator, and ``effective``,
+    stays the same array.
 
     Every sampled client trains a fresh factor pair (drawn from its round's
     stream) against the server's held effective base W + delta_acc
@@ -578,8 +576,9 @@ def run_round(
     clients then train in ascending id order, in groups of ``_group_size``
     clients, one ``local_train`` call per group.  Under SCAFFOLD the same
     residuals give each sampled client's control variate
-    (``_update_control_variates``).  Client k's stacking weight is its data share times the LoRA scale,
-    size_k / total * (lora_scale / rank).  The round is private exactly when
+    (``_update_control_variates``).  Every client holds the same number of
+    rows, so each stacking weight is a data share of 1 / k times the LoRA
+    scale, (1 / k) * (lora_scale / rank).  The round is private exactly when
     ``mechanism`` is given: each trained pair is then clipped once
     (``clip_pair``), and the clipped pair is both released (``privatize``,
     B noise on stream (round, cid, 3), A noise on (round, cid, 4)) and kept
@@ -587,32 +586,33 @@ def run_round(
     """
     t0 = time.perf_counter()
     round_index = server.round_index
-    sampled = sample_clients(len(clients), config.sampled_per_round, rng.child(round_index, _KIND_SAMPLE))
+    sampled = sample_clients(task.n_clients, config.sampled_per_round,
+                             rng.child(round_index, _KIND_SAMPLE))
     lr = cosine_lr(config.lr_start, config.lr_end, round_index, config.rounds)
-    by_id = {c.client_id: c for c in clients}
     m, n = server.base.shape
     scale = config.lora_scale / config.rank
     prox_mu = config.prox_mu if config.strategy == "fedprox" else 0.0
 
     size = _group_size(m, n, config.rank)
-    groups = [[by_id[cid] for cid in sampled[start:start + size]]
-              for start in range(0, len(sampled), size)]
-    resids = _base_residuals(groups, server.effective)
+    groups = [sampled[start:start + size] for start in range(0, len(sampled), size)]
+    resids = _base_residuals(groups, task, server.effective)
     trained, losses = [], []
-    for group, resid in zip(groups, resids):
-        init = [init_adapter(m, n, config.rank, rng.child(round_index, c.client_id, _KIND_INIT))
-                for c in group]
-        result = local_train(group, np.stack([b for b, _ in init]), np.stack([a for _, a in init]),
-                             scale, resid,
-                             [rng.child(round_index, c.client_id, _KIND_TRAIN) for c in group],
+    for ids, resid in zip(groups, resids):
+        init = [init_adapter(m, n, config.rank, rng.child(round_index, cid, _KIND_INIT))
+                for cid in ids]
+        correction = None if server.client_c is None else server.server_c - server.client_c[ids]
+        result = local_train(ids, task.x[ids], np.stack([b for b, _ in init]),
+                             np.stack([a for _, a in init]), scale, resid,
+                             [rng.child(round_index, cid, _KIND_TRAIN) for cid in ids],
                              epochs=config.local_epochs, batch_size=config.batch_size,
-                             lr=lr, prox_mu=prox_mu, server_c=server.server_c)
+                             lr=lr, prox_mu=prox_mu, correction=correction)
         trained += zip(result.b, result.a)
         losses += result.mean_loss.tolist()
 
-    # ascending id order fixes stacking order
-    total = sum(by_id[cid].x.shape[0] for cid in sampled)
-    weights = [by_id[cid].x.shape[0] / total * scale for cid in sampled]
+    # Ascending id order fixes stacking order.  Each weight is the data share
+    # times the scale: with equal rows, (1 / k) * scale, rounded as
+    # rows / total * scale is; scale / k can differ in the last bit.
+    weights = [1 / len(sampled) * scale] * len(sampled)
 
     if mechanism is None:
         released = aggregate_stack(trained, weights)
@@ -633,14 +633,13 @@ def run_round(
             total_variance += weight**2 * exact_total_variance(b, a, model)
     delta_t = global_delta(released)
 
-    if server.server_c is not None:
-        _update_control_variates(server, [c for group in groups for c in group],
-                                 [r for resid in resids for r in resid], len(clients))
+    if server.client_c is not None:
+        _update_control_variates(server, task.x, sampled, [r for resid in resids for r in resid])
 
     _apply_strategy(server, config, delta_t)
     server.round_index += 1
 
-    metrics = RoundMetrics(
+    return RoundMetrics(
         round_index=round_index,
         mean_train_loss=float(np.mean(losses)),
         client_losses=tuple(zip(sampled, losses)),
@@ -652,7 +651,6 @@ def run_round(
         total_variance=total_variance,
         wall_s=time.perf_counter() - t0,
     )
-    return server, metrics
 
 
 def _mean_entry(g: GlobalAdapter) -> float:
@@ -661,48 +659,36 @@ def _mean_entry(g: GlobalAdapter) -> float:
     return float(g.b_stacked.sum(0) @ g.a_stacked.sum(1)) / (m * n)
 
 
-def _update_control_variates(server: ServerState, sampled: list[ClientState],
-                             resids: list[np.ndarray], n_clients: int) -> None:
+def _update_control_variates(server: ServerState, x: np.ndarray, sampled: list[int],
+                             resids: list[np.ndarray]) -> None:
     """SCAFFOLD's option I, before the server step: c_k <- R_k^T X_k / N_k.
 
-    Each sampled client's control variate becomes its full-batch dense
-    gradient at the round's base, from its base residual R_k (``resids``, in
-    ``sampled``'s order).  ``server_c`` moves by the mean change over all
-    ``n_clients`` clients, so it stays the mean of every client's variate.
+    Each sampled client's control variate ``client_c[k]`` becomes its
+    full-batch dense gradient at the round's base, from its rows ``x[k]``
+    and its base residual R_k (``resids``, in ``sampled``'s order).
+    ``server_c`` moves by the mean change over all clients, so it stays the
+    mean of every client's variate.
     """
     shift = np.zeros_like(server.server_c)
-    for client, resid in zip(sampled, resids):
-        grad = resid.T @ client.x
+    for cid, resid in zip(sampled, resids):
+        grad = resid.T @ x[cid]
         grad /= len(resid)
         shift += grad
-        shift -= client.control_variate
-        client.control_variate = grad
-    shift /= n_clients
+        shift -= server.client_c[cid]
+        server.client_c[cid] = grad
+    shift /= len(server.client_c)
     server.server_c += shift
-
-
-def _make_clients(task: SyntheticTask, config: RunConfig) -> list[ClientState]:
-    """One client per task shard; only SCAFFOLD gives them a control variate."""
-    scaffold = config.strategy == "scaffold"
-    return [
-        ClientState(client_id=k, x=task.client_x[k], y=task.client_y[k],
-                    control_variate=np.zeros((task.m, task.n)) if scaffold else None)
-        for k in range(task.n_clients)
-    ]
 
 
 def run_experiment(config: RunConfig, task: SyntheticTask, root: RngStream,
                    mechanism: MechanismParams | None = None) -> ExperimentResult:
     """Run ``config.rounds`` rounds, private exactly when ``mechanism`` is given."""
     t0 = time.perf_counter()
-    server = ServerState.fresh(task.base, config.strategy)
-    clients = _make_clients(task, config)
-    rounds = []
-    for _ in range(config.rounds):
-        server, metrics = run_round(server, clients, config, root, mechanism)
-        rounds.append(metrics)
-    x = np.vstack(task.client_x)
-    y = np.vstack(task.client_y)
+    server = ServerState.fresh(task.base, config.strategy, task.n_clients)
+    rounds = [run_round(server, task, config, root, mechanism) for _ in range(config.rounds)]
+    # every client's rows as one dataset: views of the stacked arrays, no copy
+    x = task.x.reshape(-1, task.n)
+    y = task.y.reshape(-1, task.m)
     initial_loss = dataset_loss(task.base.w, x, y)
     final_loss = dataset_loss(server.effective, x, y)
     return ExperimentResult(

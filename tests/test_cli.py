@@ -15,7 +15,7 @@ from fedlora_dp.adapters import init_adapter
 from fedlora_dp.config import STRATEGIES, RunConfig, parse_text
 from fedlora_dp.linalg import RngStream, frobenius_norm
 from fedlora_dp.privacy import PrivacyBudget, calibrate_sigma
-from fedlora_dp.simulation import ClientState, local_train
+from fedlora_dp.simulation import local_train
 
 TINY = """\
 experiment_name = tiny
@@ -363,8 +363,8 @@ class TestResolveClips:
         norms = []
         for k in range(task.n_clients):
             b, a = init_adapter(task.m, task.n, config.rank, stream.child(0, k, 1))
-            x, y = task.client_x[k], task.client_y[k]
-            res = local_train([ClientState(k, x, y)], b[None], a[None],
+            x, y = task.x[k], task.y[k]
+            res = local_train([k], x[None], b[None], a[None],
                               config.lora_scale / config.rank, (x @ task.base.w.T - y)[None],
                               [stream.child(0, k, 2)], epochs=config.local_epochs,
                               batch_size=config.batch_size, lr=config.lr_start)

@@ -14,7 +14,6 @@ from fedlora_dp.config import STRATEGIES, ConfigError, RunConfig, parse_text
 from fedlora_dp.linalg import RngStream, frobenius_norm
 from fedlora_dp.privacy import MechanismParams
 from fedlora_dp.simulation import (
-    ClientState,
     NumericError,
     ServerState,
     cosine_lr,
@@ -54,7 +53,7 @@ def small_task(seed=0, **overrides):
 class TestGenerateTask:
     def test_homogeneous_means_are_zero(self):
         task = small_task(heterogeneity=0.0)
-        for x in task.client_x:
+        for x in task.x:
             # every client draws from a zero-mean input distribution
             assert abs(x.mean()) < 0.2
 
@@ -65,17 +64,36 @@ class TestGenerateTask:
     def test_realizable_task_has_zero_optimum(self):
         task = small_task(sigma_obs=0.0)
         model = task.base.w + task.target_delta
-        for x, y in zip(task.client_x, task.client_y):
+        for x, y in zip(task.x, task.y):
             assert dataset_loss(model, x, y) <= 1e-28
 
     def test_regeneration_is_bit_identical(self):
         t1 = small_task(seed=5, n_clients=20, samples_per_client=100)
         t2 = small_task(seed=5, n_clients=20, samples_per_client=100)
         assert np.array_equal(t1.base.w, t2.base.w)
-        for a, b in zip(t1.client_x, t2.client_x):
-            assert np.array_equal(a, b)
-        for a, b in zip(t1.client_y, t2.client_y):
-            assert np.array_equal(a, b)
+        assert np.array_equal(t1.x, t2.x)
+        assert np.array_equal(t1.y, t2.y)
+
+    @pytest.mark.parametrize("heterogeneity,sigma_obs", [(0.0, 0.0), (0.6, 0.0), (0.0, 0.2),
+                                                         (1.0, 0.3)])
+    def test_stacked_rows_equal_each_client_drawn_alone(self, heterogeneity, sigma_obs):
+        # Oracle: each client drawn into arrays of its own, from its own stream.
+        rng = RngStream(4, (99,))
+        task = generate_task(6, 4, 2, 5, 7, sigma_obs, heterogeneity, rng)
+        for stacked, shape in ((task.x, (5, 7, 4)), (task.y, (5, 7, 6))):
+            assert stacked.shape == shape and stacked.flags.c_contiguous
+        signal = task.base.w + task.target_delta
+        for k in range(5):
+            gen = rng.child(simulation._TASK_CLIENT, k).generator()
+            mu = np.zeros(4)
+            if heterogeneity > 0:
+                direction = gen.standard_normal(4)
+                mu = heterogeneity * direction / np.linalg.norm(direction)
+            x = mu + gen.standard_normal((7, 4))
+            y = x @ signal.T
+            if sigma_obs > 0:
+                y = y + sigma_obs * gen.standard_normal((7, 6))
+            assert (task.x[k] == x).all() and (task.y[k] == y).all()
 
 
 class TestCosineLr:
@@ -99,25 +117,25 @@ def _loss_at(base, delta_acc, b, a, scale, x, y, prox_mu=0.0):
     return loss
 
 
-def _resid(clients, effective):
-    """The base residuals X effective^T - Y of a group, stacked as ``local_train`` takes them."""
-    return np.stack([c.x @ effective.T - c.y for c in clients])
+def _resid(x, y, effective):
+    """The base residuals X effective^T - Y of stacked rows, as ``local_train`` takes them."""
+    return np.stack([xk @ effective.T - yk for xk, yk in zip(x, y)])
 
 
-def _train_one(client, b, a, scale, effective, rng, **kwargs):
+def _train_one(cid, x, y, b, a, scale, effective, rng, correction=None, **kwargs):
     """``local_train`` on a group of one client, its result unstacked to (b, a, loss, steps)."""
-    result = local_train([client], b[np.newaxis], a[np.newaxis], scale,
-                         _resid([client], effective), [rng], **kwargs)
+    if correction is not None:
+        correction = correction[np.newaxis]
+    result = local_train([cid], x[np.newaxis], b[np.newaxis], a[np.newaxis], scale,
+                         _resid(x[np.newaxis], y[np.newaxis], effective), [rng],
+                         correction=correction, **kwargs)
     return result.b[0], result.a[0], float(result.mean_loss[0]), result.steps
 
 
-def _dense_reference_train(client, b, a, s, effective, rng, epochs, batch_size, lr,
-                           prox_mu=0.0, server_c=None):
+def _dense_reference_train(x, y, b, a, s, effective, rng, epochs, batch_size, lr,
+                           prox_mu=0.0, correction=None):
     """Oracle for local_train: every step forms the dense model and the dense gradient G."""
-    correction = None
-    if server_c is not None:
-        correction = server_c - client.control_variate
-    n_samples = client.x.shape[0]
+    n_samples = x.shape[0]
     batch_size = min(batch_size, n_samples)
     gen = rng.generator()
     steps = 0
@@ -126,7 +144,7 @@ def _dense_reference_train(client, b, a, s, effective, rng, epochs, batch_size, 
         epoch_losses = []
         for start in range(0, n_samples, batch_size):
             idx = order[start:start + batch_size]
-            xb, yb = client.x[idx], client.y[idx]
+            xb, yb = x[idx], y[idx]
             bs = xb.shape[0]
             err = xb @ (effective + s * (b @ a)).T - yb
             loss = 0.5 * np.sum(err * err) / bs
@@ -147,20 +165,19 @@ def _dense_reference_train(client, b, a, s, effective, rng, epochs, batch_size, 
     return b, a, float(np.mean(epoch_losses)), steps
 
 
-def _loop_reference_train(client, b, a, s, effective, rng, epochs, batch_size, lr,
-                          prox_mu=0.0, server_c=None):
+def _loop_reference_train(x, y, b, a, s, effective, rng, epochs, batch_size, lr,
+                          prox_mu=0.0, correction=None):
     """Oracle for local_train's bytes: one client, 2-D arrays, the same operations in order."""
-    correction = None if server_c is None else server_c - client.control_variate
-    n_samples = client.x.shape[0]
+    n_samples = x.shape[0]
     batch_size = min(batch_size, n_samples)
     gen = rng.generator()
-    resid = client.x @ effective.T - client.y
+    resid = x @ effective.T - y
     for _ in range(epochs):
         order = gen.permutation(n_samples)
         epoch_losses = []
         for start in range(0, n_samples, batch_size):
             idx = order[start:start + batch_size]
-            xb = client.x[idx]
+            xb = x[idx]
             bs = xb.shape[0]
             xa = xb @ a.T
             err = resid[idx] + s * (xa @ b.T)
@@ -182,14 +199,13 @@ def _loop_reference_train(client, b, a, s, effective, rng, epochs, batch_size, l
 
 
 def _group_task(gen, k=3, m=6, n=4, samples=20):
-    """k clients with their own data and control variates, and a server correction."""
-    clients = [ClientState(10 + i, gen.standard_normal((samples, n)),
-                           gen.standard_normal((samples, m)),
-                           control_variate=0.1 * gen.standard_normal((m, n)))
-               for i in range(k)]
+    """Clients 10, 11, ...: their stacked rows x and y and control variates, and a server's."""
+    draws = [(gen.standard_normal((samples, n)), gen.standard_normal((samples, m)),
+              0.1 * gen.standard_normal((m, n))) for _ in range(k)]
+    x, y, client_c = (np.stack(arrays) for arrays in zip(*draws))
     effective = gen.standard_normal((m, n))
     server_c = 0.1 * gen.standard_normal((m, n))
-    return clients, effective, server_c
+    return [10 + i for i in range(k)], x, y, client_c, effective, server_c
 
 
 class TestLocalTrain:
@@ -197,13 +213,13 @@ class TestLocalTrain:
         task = small_task()
         b, a = init_adapter(task.m, task.n, 2, RngStream(1, (0,)))
         b, a = b[np.newaxis], a[np.newaxis]
-        client = ClientState(0, task.client_x[0], task.client_y[0])
-        result = local_train([client], b, a, 1.0, _resid([client], task.base.w),
+        x, y = task.x[:1], task.y[:1]
+        result = local_train([0], x, b, a, 1.0, _resid(x, y, task.base.w),
                              [RngStream(1, (1,))], epochs=0, batch_size=8, lr=0.1)
         assert result.b is b and result.a is a
         assert result.steps == 0
         assert np.all(result.b[0] @ result.a[0] == 0.0)
-        assert result.mean_loss[0] == dataset_loss(task.base.w, client.x, client.y)
+        assert result.mean_loss[0] == dataset_loss(task.base.w, x[0], y[0])
 
     def test_gradients_match_finite_differences(self):
         # central differences with step 1e-5, both factors, prox included
@@ -219,9 +235,8 @@ class TestLocalTrain:
             prox = 0.05 if trial % 2 else 0.0
             x = gen.standard_normal((6, n))
             y = gen.standard_normal((6, m))
-            client = ClientState(0, x, y)
             lr = 0.01
-            b1, a1, _, _ = _train_one(client, b0, a0, scale, base.w + delta_acc,
+            b1, a1, _, _ = _train_one(0, x, y, b0, a0, scale, base.w + delta_acc,
                                       RngStream(trial, (2,)), epochs=1, batch_size=6, lr=lr,
                                       prox_mu=prox)
             grad_b = (b0 - b1) / lr
@@ -256,22 +271,24 @@ class TestLocalTrain:
         a0 = gen.standard_normal((rank, task.n))
         scale = 6.0 / rank
         delta_acc = 0.2 * gen.standard_normal((task.m, task.n))
-        client = ClientState(4, task.client_x[1], task.client_y[1],
-                             control_variate=0.1 * gen.standard_normal((task.m, task.n)))
+        client_c = 0.1 * gen.standard_normal((task.m, task.n))
         prox_mu = 0.05 if case == "prox" else 0.0
-        server_c = 0.1 * gen.standard_normal((task.m, task.n)) if case == "scaffold" else None
+        correction = None
+        if case == "scaffold":
+            correction = 0.1 * gen.standard_normal((task.m, task.n)) - client_c
         # 20 samples: batches of 5 divide them, batches of 7 leave a last batch of 6
         epochs = 6 if case == "epochs" else 2
         batch_size = 7 if case == "ragged_batch" else 5
         lr = 0.05
         effective = task.base.w + delta_acc
 
-        b, a, loss, steps = _dense_reference_train(client, b0, a0, scale, effective,
+        x, y = task.x[1], task.y[1]
+        b, a, loss, steps = _dense_reference_train(x, y, b0, a0, scale, effective,
                                                    RngStream(9, (2,)), epochs, batch_size, lr,
-                                                   prox_mu, server_c)
-        b1, a1, loss1, steps1 = _train_one(client, b0, a0, scale, effective, RngStream(9, (2,)),
+                                                   prox_mu, correction)
+        b1, a1, loss1, steps1 = _train_one(4, x, y, b0, a0, scale, effective, RngStream(9, (2,)),
                                            epochs=epochs, batch_size=batch_size, lr=lr,
-                                           prox_mu=prox_mu, server_c=server_c)
+                                           prox_mu=prox_mu, correction=correction)
         assert steps1 == steps
         np.testing.assert_allclose(b1, b, rtol=1e-10, atol=0)
         np.testing.assert_allclose(a1, a, rtol=1e-10, atol=0)
@@ -281,53 +298,48 @@ class TestLocalTrain:
     def test_group_equals_groups_of_one(self, case):
         # 20 rows in batches of 7 leave a partial last batch of 6
         gen = np.random.default_rng(31)
-        clients, effective, server_c = _group_task(gen)
+        ids, x, y, client_c, effective, server_c = _group_task(gen)
         b0 = 0.3 * gen.standard_normal((3, 6, 2))
         a0 = gen.standard_normal((3, 2, 4))
         streams = [RngStream(5, (2, i)) for i in range(3)]
         settings = dict(epochs=3, batch_size=7, lr=0.05,
-                        prox_mu=0.05 if case == "prox" else 0.0,
-                        server_c=server_c if case == "scaffold" else None)
-        group = local_train(clients, b0, a0, 1.5, _resid(clients, effective), streams,
-                            **settings)
+                        prox_mu=0.05 if case == "prox" else 0.0)
+        correction = server_c - client_c if case == "scaffold" else None
+        group = local_train(ids, x, b0, a0, 1.5, _resid(x, y, effective), streams,
+                            correction=correction, **settings)
         assert group.steps == 3 * 3 * 3
-        for i, client in enumerate(clients):
-            b, a, loss, steps = _train_one(client, b0[i], a0[i], 1.5, effective, streams[i],
-                                           **settings)
+        for i, cid in enumerate(ids):
+            one = None if correction is None else correction[i]
+            b, a, loss, steps = _train_one(cid, x[i], y[i], b0[i], a0[i], 1.5, effective,
+                                           streams[i], correction=one, **settings)
             assert np.array_equal(group.b[i], b)
             assert np.array_equal(group.a[i], a)
             assert group.mean_loss[i] == loss
             assert group.steps == 3 * steps
             # and both equal one client's 2-D steps, bit for bit
-            ref_b, ref_a, ref_loss = _loop_reference_train(client, b0[i], a0[i], 1.5, effective,
-                                                           streams[i], **settings)
+            ref_b, ref_a, ref_loss = _loop_reference_train(x[i], y[i], b0[i], a0[i], 1.5,
+                                                           effective, streams[i],
+                                                           correction=one, **settings)
             assert np.array_equal(b, ref_b) and np.array_equal(a, ref_a) and loss == ref_loss
 
     def test_group_leaves_inputs_unchanged(self):
         gen = np.random.default_rng(32)
-        clients, effective, _ = _group_task(gen)
+        ids, x, y, client_c, effective, server_c = _group_task(gen)
         b0 = gen.standard_normal((3, 6, 2))
         a0 = gen.standard_normal((3, 2, 4))
-        resid = _resid(clients, effective)
-        before = (b0.copy(), a0.copy(), resid.copy())
-        local_train(clients, b0, a0, 1.0, resid, [RngStream(0, (i,)) for i in range(3)],
-                    epochs=2, batch_size=8, lr=0.05)
-        assert all(np.array_equal(x, y) for x, y in zip(before, (b0, a0, resid)))
-
-    def test_unequal_row_counts_rejected(self):
-        gen = np.random.default_rng(33)
-        clients, effective, _ = _group_task(gen)
-        clients[1] = ClientState(11, clients[1].x[:19], clients[1].y[:19])
-        with pytest.raises(ValueError, match="row counts"):
-            local_train(clients, np.zeros((3, 6, 2)), gen.standard_normal((3, 2, 4)), 1.0,
-                        np.zeros((3, 20, 6)), [RngStream(0, (i,)) for i in range(3)], epochs=1,
-                        batch_size=8, lr=0.05)
+        resid = _resid(x, y, effective)
+        correction = server_c - client_c
+        inputs = (x, b0, a0, resid, correction)
+        before = [array.copy() for array in inputs]
+        local_train(ids, x, b0, a0, 1.0, resid, [RngStream(0, (i,)) for i in range(3)],
+                    epochs=2, batch_size=8, lr=0.05, correction=correction)
+        assert all(np.array_equal(old, new) for old, new in zip(before, inputs))
 
     def test_single_client_converges_to_optimum(self):
         task = small_task(n_clients=1, samples_per_client=60)
         b, a = init_adapter(task.m, task.n, 2, RngStream(2, (0,)))  # small_task's r_star
-        client = ClientState(0, task.client_x[0], task.client_y[0])
-        _, _, loss, _ = _train_one(client, b, a, 1.0, task.base.w, RngStream(2, (1,)),
+        _, _, loss, _ = _train_one(0, task.x[0], task.y[0], b, a, 1.0, task.base.w,
+                                   RngStream(2, (1,)),
                                    epochs=300, batch_size=60, lr=0.2)
         assert loss <= 1e-3
 
@@ -336,14 +348,13 @@ class TestLocalTrain:
         b0 = np.zeros((task.m, 2))
         a0 = RngStream(3, (0,)).generator().standard_normal((2, task.n))
         correction_c = np.ones((task.m, task.n)) * 0.3
-        client = ClientState(0, task.client_x[0], task.client_y[0],
-                             control_variate=np.zeros((task.m, task.n)))
+        x, y = task.x[0], task.y[0]
         lr = 0.05
-        batch = len(task.client_x[0])
-        plain, _, _, _ = _train_one(client, b0, a0, 1.0, task.base.w, RngStream(3, (1,)),
+        batch = len(x)
+        plain, _, _, _ = _train_one(0, x, y, b0, a0, 1.0, task.base.w, RngStream(3, (1,)),
                                     epochs=1, batch_size=batch, lr=lr)
-        corrected, _, _, _ = _train_one(client, b0, a0, 1.0, task.base.w, RngStream(3, (1,)),
-                                        epochs=1, batch_size=batch, lr=lr, server_c=correction_c)
+        corrected, _, _, _ = _train_one(0, x, y, b0, a0, 1.0, task.base.w, RngStream(3, (1,)),
+                                        epochs=1, batch_size=batch, lr=lr, correction=correction_c)
         # G shifts by +c, so the b update shifts by -lr * s * c @ a0.T, here with s = 1
         expected_shift = -lr * 1.0 * (correction_c @ a0.T)
         observed_shift = corrected - plain
@@ -352,19 +363,17 @@ class TestLocalTrain:
     def test_nan_loss_aborts_with_diagnostic(self):
         task = small_task()
         b, a = init_adapter(task.m, task.n, 2, RngStream(4, (0,)))
-        client = ClientState(5, task.client_x[0] * 1e150, task.client_y[0])
         with pytest.raises(NumericError, match="client 5"):
-            _train_one(client, b, a, 1.0, task.base.w, RngStream(4, (1,)), epochs=2,
-                       batch_size=8, lr=0.1)
+            _train_one(5, task.x[0] * 1e150, task.y[0], b, a, 1.0, task.base.w, RngStream(4, (1,)),
+                       epochs=2, batch_size=8, lr=0.1)
 
     def test_non_finite_factor_after_last_step_aborts(self):
         # one full-batch step: the loss before it is finite, the step overflows b
         task = small_task()
         b, a = init_adapter(task.m, task.n, 2, RngStream(4, (0,)))
-        client = ClientState(6, task.client_x[0], task.client_y[0])
         with pytest.raises(NumericError, match="client 6"):
-            _train_one(client, b, a, 100.0, task.base.w, RngStream(4, (1,)), epochs=1,
-                       batch_size=len(task.client_x[0]), lr=1e308)
+            _train_one(6, task.x[0], task.y[0], b, a, 100.0, task.base.w, RngStream(4, (1,)),
+                       epochs=1, batch_size=task.x.shape[1], lr=1e308)
 
     @staticmethod
     def _diverging_group(targets):
@@ -376,12 +385,13 @@ class TestLocalTrain:
         first loss.
         """
         gen = np.random.default_rng(34)
-        clients = [ClientState(10 + i, gen.standard_normal((20, 4)),
-                               target * gen.standard_normal((20, 6)))
-                   for i, target in enumerate(targets)]
-        k = len(clients)
-        return dict(clients=clients, b=np.zeros((k, 6, 2)), a=gen.standard_normal((k, 2, 4)),
-                    scale=1.0, resid=_resid(clients, np.zeros((6, 4))),
+        draws = [(gen.standard_normal((20, 4)), target * gen.standard_normal((20, 6)))
+                 for target in targets]
+        x, y = (np.stack(arrays) for arrays in zip(*draws))
+        k = len(targets)
+        return dict(client_ids=[10 + i for i in range(k)], x=x, b=np.zeros((k, 6, 2)),
+                    a=gen.standard_normal((k, 2, 4)), scale=1.0,
+                    resid=_resid(x, y, np.zeros((6, 4))),
                     rngs=[RngStream(0, (i,)) for i in range(k)], batch_size=20, lr=1e308)
 
     def test_group_names_the_first_client_the_loop_would(self):
@@ -391,7 +401,8 @@ class TestLocalTrain:
         with pytest.raises(NumericError, match=r"^client 11: non-finite loss at epoch 1$"):
             local_train(**group, epochs=2)
         for i, epoch in ((1, 1), (2, 0)):
-            alone = {key: value[i:i + 1] if key in ("clients", "b", "a", "resid", "rngs") else value
+            alone = {key: value[i:i + 1] if key in ("client_ids", "x", "b", "a", "resid", "rngs")
+                     else value
                      for key, value in group.items()}
             with pytest.raises(NumericError, match=f"^client {10 + i}: non-finite loss at "
                                                    f"epoch {epoch}$"):
@@ -464,8 +475,8 @@ class TestApplyStrategy:
         base = FrozenBase(gen.standard_normal(shape))
         cfg = small_config(strategy=strategy, server_lr=0.3, beta1=0.8, beta2=0.95,
                            tau=1e-2, momentum=0.7)
-        server = ServerState.fresh(base, strategy)
-        oracle = ServerState.fresh(base, strategy)
+        server = ServerState.fresh(base, strategy, n_clients=1)
+        oracle = ServerState.fresh(base, strategy, n_clients=1)
         held = [name for name in ("delta_acc", "momentum", "second_moment")
                 if getattr(server, name) is not None]
         effective = server.effective
@@ -488,7 +499,7 @@ class TestApplyStrategy:
         monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
         for shape in ((256, 1024), (1024, 1024)):
             gen = np.random.default_rng(3)
-            server = ServerState.fresh(FrozenBase(gen.standard_normal(shape)), "fedadam")
+            server = ServerState.fresh(FrozenBase(gen.standard_normal(shape)), "fedadam", 1)
             delta_t = gen.standard_normal(shape)
             tracemalloc.start()
             try:
@@ -514,7 +525,7 @@ class TestApplyStrategy:
         monkeypatch.setattr(linalg.threading, "Thread", CountedThread)
         shape = (1024, 1024)
         gen = np.random.default_rng(4)
-        server = ServerState.fresh(FrozenBase(gen.standard_normal(shape)), strategy)
+        server = ServerState.fresh(FrozenBase(gen.standard_normal(shape)), strategy, 1)
         delta_t = gen.standard_normal(shape)
         block_bytes = simulation._BLOCK_FLOATS * delta_t.itemsize
         tracemalloc.start()
@@ -538,14 +549,14 @@ class TestRunRound:
         task = small_task(n_clients=1)
         for lora_scale, scale in ((2.0, 1.0), (3.0, 1.5)):
             cfg = small_config(clients=1, sampled_per_round=1, rounds=1, lora_scale=lora_scale)
-            server = ServerState.fresh(task.base, cfg.strategy)
+            server = ServerState.fresh(task.base, cfg.strategy, task.n_clients)
             root = RngStream(0, (7,))
             b, a = init_adapter(task.m, task.n, cfg.rank, root.child(0, 0, 1))
-            clients = [ClientState(0, task.client_x[0], task.client_y[0])]
-            b, a, _, _ = _train_one(clients[0], b, a, scale, task.base.w, root.child(0, 0, 2),
-                                    epochs=cfg.local_epochs, batch_size=cfg.batch_size,
+            b, a, _, _ = _train_one(0, task.x[0], task.y[0], b, a, scale, task.base.w,
+                                    root.child(0, 0, 2), epochs=cfg.local_epochs,
+                                    batch_size=cfg.batch_size,
                                     lr=cosine_lr(cfg.lr_start, cfg.lr_end, 0, cfg.rounds))
-            server, metrics = run_round(server, clients, cfg, root)
+            metrics = run_round(server, task, cfg, root)
             expected = scale * (b @ a)
             assert np.allclose(server.delta_acc, expected, rtol=1e-12, atol=1e-15)
             assert metrics.client_norms == ((0, frobenius_norm(b), frobenius_norm(a)),)
@@ -553,10 +564,8 @@ class TestRunRound:
     def test_zero_epoch_round_keeps_delta(self):
         task = small_task()
         cfg = small_config(local_epochs=0, rounds=1)
-        server = ServerState.fresh(task.base, cfg.strategy)
-        clients = [ClientState(k, task.client_x[k], task.client_y[k])
-                   for k in range(task.n_clients)]
-        server, metrics = run_round(server, clients, cfg, RngStream(1, (7,)))
+        server = ServerState.fresh(task.base, cfg.strategy, task.n_clients)
+        metrics = run_round(server, task, cfg, RngStream(1, (7,)))
         assert np.all(server.delta_acc == 0.0)
         assert metrics.global_delta_norm == 0.0
 
@@ -607,13 +616,12 @@ class TestRunRound:
         task = generate_task(256, 1024, 4, 4, 16, 0.0, 0.0, RngStream(8, (99,)))
         cfg = small_config(strategy=strategy, rank=4, lora_scale=4.0, local_epochs=1,
                            lr_start=1e-3, lr_end=1e-3)
-        server = ServerState.fresh(task.base, strategy)
-        clients = simulation._make_clients(task, cfg)
+        server = ServerState.fresh(task.base, strategy, task.n_clients)
         root = RngStream(2, (7,))
-        server, _ = run_round(server, clients, cfg, root)
+        run_round(server, task, cfg, root)
         tracemalloc.start()
         try:
-            run_round(server, clients, cfg, root)
+            run_round(server, task, cfg, root)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -622,13 +630,12 @@ class TestRunRound:
     def test_scaffold_keeps_its_server_correction_array(self):
         task = small_task()
         cfg = small_config(strategy="scaffold", rounds=2)
-        server = ServerState.fresh(task.base, cfg.strategy)
-        clients = simulation._make_clients(task, cfg)
-        server_c = server.server_c
+        server = ServerState.fresh(task.base, cfg.strategy, task.n_clients)
+        server_c, client_c = server.server_c, server.client_c
         root = RngStream(4, (7,))
         for _ in range(cfg.rounds):
-            server, _ = run_round(server, clients, cfg, root)
-        assert server.server_c is server_c
+            run_round(server, task, cfg, root)
+        assert server.server_c is server_c and server.client_c is client_c
         assert np.any(server_c != 0.0)
 
     def test_control_variate_is_the_full_batch_gradient(self):
@@ -637,25 +644,23 @@ class TestRunRound:
         task = generate_task(12, 9, 2, 5, 30, 0.1, 0.5, RngStream(9, (99,)))
         cfg = small_config(strategy="scaffold", clients=5, sampled_per_round=3, rounds=3,
                            rank=2, batch_size=7)
-        server = ServerState.fresh(task.base, cfg.strategy)
-        clients = simulation._make_clients(task, cfg)
+        server = ServerState.fresh(task.base, cfg.strategy, task.n_clients)
         root = RngStream(3, (7,))
         for _ in range(cfg.rounds):
             base = server.effective.copy()
-            before = [c.control_variate for c in clients]
-            server, metrics = run_round(server, clients, cfg, root)
+            before = server.client_c.copy()
+            metrics = run_round(server, task, cfg, root)
             sampled = {cid for cid, _ in metrics.client_losses}
-            for client, old in zip(clients, before):
-                if client.client_id not in sampled:
-                    assert client.control_variate is old
+            for k in range(task.n_clients):
+                if k not in sampled:
+                    assert (server.client_c[k] == before[k]).all()
                     continue
                 oracle = np.zeros_like(base)
-                for x_i, y_i in zip(client.x, client.y):
+                for x_i, y_i in zip(task.x[k], task.y[k]):
                     oracle += np.outer(base @ x_i - y_i, x_i)
-                oracle /= len(client.x)
-                np.testing.assert_allclose(client.control_variate, oracle, rtol=1e-12,
-                                           atol=1e-13)
-            mean = sum(c.control_variate for c in clients) / len(clients)
+                oracle /= task.x.shape[1]
+                np.testing.assert_allclose(server.client_c[k], oracle, rtol=1e-12, atol=1e-13)
+            mean = server.client_c.sum(axis=0) / task.n_clients
             np.testing.assert_allclose(server.server_c, mean, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("seed", [0, 3])
@@ -693,18 +698,36 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_control_variates_only_under_scaffold(self, strategy):
-        clients = simulation._make_clients(small_task(), small_config(strategy=strategy))
-        has_variate = [c.control_variate is not None for c in clients]
-        assert has_variate == [strategy == "scaffold"] * len(clients)
+        # every client's c_k starts at zero in one array along the task's client axis
+        task = small_task()
+        client_c = ServerState.fresh(task.base, strategy, task.n_clients).client_c
+        if strategy == "scaffold":
+            assert client_c.shape == (task.n_clients, task.m, task.n) and not client_c.any()
+        else:
+            assert client_c is None
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_server_holds_only_what_its_strategy_reads(self, strategy):
-        server = ServerState.fresh(small_task().base, strategy)
-        held = {name for name in ("momentum", "second_moment", "server_c")
+        server = ServerState.fresh(small_task().base, strategy, 4)
+        held = {name for name in ("momentum", "second_moment", "server_c", "client_c")
                 if getattr(server, name) is not None}
-        expected = {"fedavg": set(), "fedprox": set(), "scaffold": {"server_c"},
+        expected = {"fedavg": set(), "fedprox": set(), "scaffold": {"server_c", "client_c"},
                     "fedavgm": {"momentum"}}.get(strategy, {"momentum", "second_moment"})
         assert held == expected
+
+    def test_final_losses_read_the_stacked_rows_in_place(self):
+        # 20 clients x 50 rows at 256 x 256, no round: the two losses need the
+        # server's arrays and one (N, m) error array at a time, and no copy of the rows.
+        task = generate_task(256, 256, 4, 20, 50, 0.0, 0.0, RngStream(8, (99,)))
+        cfg = small_config(rounds=0, clients=20)
+        tracemalloc.start()
+        try:
+            _run(cfg, task)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        server_bytes = 2 * task.base.w.nbytes  # fedavg's delta_acc and effective
+        assert peak < server_bytes + 1.5 * task.y.nbytes
 
     def test_all_strategies_improve(self):
         task = generate_task(16, 8, 4, 8, 40, 0.0, 0.0, RngStream(6, (99,)))
@@ -822,15 +845,12 @@ class TestRoundWorkers:
         cfg = small_config(strategy=strategy, clients=4, sampled_per_round=3, rounds=rounds,
                            rank=32, lora_scale=4.0, local_epochs=1, lr_start=1e-3, lr_end=1e-3)
         mech = MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.01, sigma_a=0.02) if private else None
-        server = ServerState.fresh(task.base, strategy)
-        clients = simulation._make_clients(task, cfg)
-        metrics = []
-        for _ in range(rounds):
-            server, m = run_round(server, clients, cfg, RngStream(6, (7,)), mech)
-            metrics.append(replace(m, wall_s=0.0))
+        server = ServerState.fresh(task.base, strategy, task.n_clients)
+        metrics = [replace(run_round(server, task, cfg, RngStream(6, (7,)), mech), wall_s=0.0)
+                   for _ in range(rounds)]
         held = {name: getattr(server, name) for name in
-                ("delta_acc", "effective", "momentum", "second_moment", "server_c")}
-        return metrics, held, [c.control_variate for c in clients]
+                ("delta_acc", "effective", "momentum", "second_moment", "server_c", "client_c")}
+        return metrics, held
 
     @pytest.mark.parametrize("strategy,private", [("fedadam", True), ("fedyogi", False),
                                                   ("fedavgm", False), ("scaffold", False)])
@@ -841,14 +861,12 @@ class TestRoundWorkers:
             runs.append(self._rounds(strategy, private))
         # each of two rounds starts count - 1 threads in each of its two phases
         assert len(started) == sum(2 * 2 * (count - 1) for count in (1, 2, 3))
-        (metrics, held, variates), *others = runs
-        for other_metrics, other_held, other_variates in others:
+        (metrics, held), *others = runs
+        for other_metrics, other_held in others:
             assert other_metrics == metrics
             for name, array in held.items():
                 assert (array is None) == (other_held[name] is None), name
                 assert array is None or np.array_equal(array, other_held[name]), name
-            for v, w in zip(variates, other_variates):
-                assert (v is None and w is None) or np.array_equal(v, w)
 
     def test_more_workers_than_cpus_under_fast_switching(self, cpus):
         # a block or group run twice, skipped, or sharing a worker's scratch changes the bytes
@@ -858,7 +876,7 @@ class TestRoundWorkers:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            metrics, held, _ = self._rounds("fedyogi", True)
+            metrics, held = self._rounds("fedyogi", True)
         finally:
             sys.setswitchinterval(interval)
         assert metrics == expected[0]
