@@ -331,6 +331,11 @@ def parse_text(text: str, mode: str | None = None) -> RunConfig:
 def _validate(config: RunConfig, lines_seen: dict[str, int]) -> None:
     for key, validator in _VALIDATORS.items():
         validator(getattr(config, key), lines_seen.get(key))
+    # The run directory is output_dir / experiment_name; a nested name is a sweep point's.
+    name = Path(config.experiment_name)
+    if name.is_absolute() or ".." in name.parts:
+        raise ConfigError(f"experiment_name must be a relative path without '..', got "
+                          f"{config.experiment_name!r}", lines_seen.get("experiment_name"))
     line = lines_seen.get("sampled_per_round", lines_seen.get("clients"))
     if config.sampled_per_round > config.clients:
         raise ConfigError(

@@ -18,6 +18,7 @@ from .linalg import RngStream, frobenius_norm, sample_gaussian
 __all__ = [
     "PrivacyBudget",
     "MechanismParams",
+    "IDENTITY_MECHANISM",
     "clip_frobenius",
     "clip_pair",
     "calibrate_sigma",
@@ -69,6 +70,11 @@ class MechanismParams:
 def _check_clip(c: float) -> None:
     if not c > 0:
         raise ValueError(f"clip threshold must be > 0, got {c}")
+
+
+# The non-private release: no clip binds and no noise is drawn, so ``clip_pair``
+# and ``privatize`` hand every factor back as itself.
+IDENTITY_MECHANISM = MechanismParams(clip_b=math.inf, clip_a=math.inf, sigma_b=0.0, sigma_a=0.0)
 
 
 def clip_frobenius(m: np.ndarray, c: float) -> np.ndarray:

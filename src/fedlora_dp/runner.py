@@ -1,19 +1,36 @@
-"""Experiment orchestration: run directories, CSV emission, verify suite, sweeps.
+"""Experiment orchestration: run directories, CSV tables, verify suite, sweeps.
 
-Every mode writes into ``<output_dir>/<experiment_name>/``: a canonical config
-snapshot, ``metrics.csv`` with one row per round, optional ``noise_stats.csv``
-for the noise sweeps, and a human-readable ``summary.txt``.  All numeric
-output is printed with 17 significant digits so byte-level comparisons of
-repeated runs are meaningful.
+Every mode writes into ``<output_dir>/<experiment_name>/``: each but
+``report`` the canonical ``config.snapshot`` and a human-readable
+``summary.txt``, and besides them
+
+- ``run``: ``metrics.csv``, one row per round;
+- ``sweep_epsilon``, ``sweep_clip``: ``sweep.csv``, one row per point, and
+  a ``run`` directory per point (``eps_5/``, ``clip_0p1/``);
+- ``sweep_rank``, ``sweep_size``: ``noise_stats.csv``, one row per point;
+- ``mia``: ``trials_<level>.csv`` and ``roc_<level>.csv`` for each noise
+  level (``sigma_0``, ``sigma_calibrated``, ``sigma_10x``);
+- ``verify``: ``verify_report.csv``, one row per check.
+
+``report`` reads every ``metrics.csv`` and ``noise_stats.csv`` beneath a run
+directory, and the ``roc_*.csv`` and ``verify_report.csv`` in it, and writes
+``report/``: ``loss_vs_round.csv`` and ``noise_summary.csv``, each row led by
+its run, copies of the ROC and verify tables, and ``summary.txt``.  Every
+table is written by ``_write_csv``, with floats at 17 significant digits so
+byte-level comparisons of repeated runs are meaningful, and read back by
+``_read_csv``.
 
 Exit codes: 0 success, 1 validation error, 2 runtime or numeric failure,
 3 verify-suite failure.
 """
 
+import csv
 import hashlib
 import math
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +39,7 @@ from . import attacks, noise_stats
 from .adapters import FactorPair
 from .config import RunConfig, sweep_label
 from .linalg import RngStream, frobenius_norm
-from .privacy import MechanismParams, PrivacyBudget, compose_budget
+from .privacy import IDENTITY_MECHANISM, MechanismParams, PrivacyBudget, compose_budget
 from .simulation import ExperimentResult, SyntheticTask, generate_task, run_experiment
 
 __all__ = [
@@ -45,6 +62,7 @@ METRICS_HEADER = "round,strategy,dp_enabled,epsilon,clip,mean_loss,global_delta_
 NOISE_HEADER = "sweep_key,sweep_value,mean_diff,std_error,mc_variance,exact_variance,paper_bound"
 TRIALS_HEADER = "trial,true_bit,score"
 ROC_HEADER = "threshold,fpr,tpr"
+VERIFY_HEADER = "check,passed,detail"
 
 # Top-level stream branches per seed.
 _STREAM_TASK = 0
@@ -55,14 +73,53 @@ _STREAM_VERIFY = 4
 _STREAM_SWEEP = 5
 
 
+_FLOAT_SPEC = ".17g"  # 17 significant digits: every float reads back from its string
+
+
 def fmt(value: float) -> str:
     """Render a float with 17 significant digits (round-trip stable)."""
-    return f"{value:.17g}"
+    return format(value, _FLOAT_SPEC)
 
 
-def _ensure_dir(path: Path) -> Path:
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _write(path: Path, lines: list[str]) -> None:
+    try:
+        path.write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise RuntimeError(f"failed to write {path}: {exc}") from exc
+
+
+def _write_csv(path: Path, header: str, rows: Iterable[tuple]) -> list[str]:
+    """Write a table, ``header`` and then one line per row; return the lines written.
+
+    Each column's format is chosen once, from its first row, so each column
+    holds one type: a float column prints as ``fmt`` does, any other as
+    ``str``.  Every row then goes through one format string, with no Python
+    call per value.  The caller quotes a cell that may hold a comma.
+    """
+    rows = list(rows)
+    line = ",".join("{:" + _FLOAT_SPEC + "}" if isinstance(value, float) else "{}"
+                    for value in rows[0]) if rows else ""
+    lines = [header, *starmap(line.format, rows)]
+    _write(path, lines)
+    return lines
+
+
+def _read_csv(path: Path, header: str) -> list[dict[str, str]]:
+    """The rows of a table headed ``header``, keyed by column name; other headers are errors."""
+    names = header.split(",")
+    with path.open(newline="") as f:
+        reader = csv.reader(f)
+        if next(reader, None) != names:
+            raise ValueError(f"{path}: expected the header {header!r}")
+        return [dict(zip(names, row)) for row in reader]
+
+
+def _open_run_dir(config: RunConfig, out_override: str | None) -> Path:
+    """Create ``config``'s run directory and write the ``config.snapshot`` that reproduces it."""
+    out_dir = run_directory(config, out_override)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write(out_dir / "config.snapshot", config.snapshot().splitlines())
+    return out_dir
 
 
 def run_directory(config: RunConfig, out_override: str | None = None) -> Path:
@@ -86,9 +143,10 @@ def build_task(config: RunConfig, root: RngStream) -> SyntheticTask:
 def resolve_clips(config: RunConfig, task: SyntheticTask, root: RngStream) -> tuple[float, float]:
     """Clip thresholds: fixed values, or a norm quantile from a short dry run.
 
-    The dry run is a non-private ``run_experiment`` of ``calibration_rounds``
-    rounds on the calibration stream; the thresholds are quantiles of its
-    ``client_norms``, the pre-clipping factor norms of every sampled client.
+    The dry run is a non-private ``run_experiment`` (``IDENTITY_MECHANISM``)
+    of ``calibration_rounds`` rounds on the calibration stream; the
+    thresholds are quantiles of its ``client_norms``, the pre-clipping factor
+    norms of every sampled client.
     """
     if config.clip_mode == "absolute":
         return config.clip_value, config.clip_value
@@ -115,82 +173,41 @@ def build_mechanism(config: RunConfig, task: SyntheticTask, root: RngStream) -> 
     return _calibrated(config, *resolve_clips(config, task, root))
 
 
-def _metrics_rows(config: RunConfig, result: ExperimentResult,
-                  mechanism: MechanismParams | None) -> list[str]:
-    rows = [METRICS_HEADER]
-    dp = "true" if mechanism else "false"
-    epsilon = config.resolved_epsilon_b() if mechanism else 0.0
-    clip = mechanism.clip_b if mechanism else 0.0
-    for r in result.rounds:
-        # wall_ms is pinned to 0 in the CSV so repeated runs are byte-identical;
-        # real timings live in summary.txt.
-        rows.append(
-            ",".join(
-                [
-                    str(r.round_index),
-                    config.strategy,
-                    dp,
-                    fmt(epsilon),
-                    fmt(clip),
-                    fmt(r.mean_train_loss),
-                    fmt(r.global_delta_norm),
-                    fmt(r.expectation_diff),
-                    fmt(r.total_variance),
-                    "0",
-                ]
-            )
-        )
-    return rows
-
-
-def _write(path: Path, lines: list[str]) -> None:
-    try:
-        path.write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise RuntimeError(f"failed to write {path}: {exc}") from exc
-
-
-def _config_hash(config: RunConfig) -> str:
-    return hashlib.sha256(config.snapshot().encode()).hexdigest()
-
-
-def _persist_run(
-    out_dir: Path,
-    config: RunConfig,
-    result: ExperimentResult,
-    mechanism: MechanismParams | None,
-    extra_summary: list[str] | None = None,
-) -> None:
-    _ensure_dir(out_dir)
-    _write(out_dir / "config.snapshot", config.snapshot().splitlines())
-    _write(out_dir / "metrics.csv", _metrics_rows(config, result, mechanism))
+def _persist_run(config: RunConfig, out_override: str | None, result: ExperimentResult,
+                 mechanism: MechanismParams) -> None:
+    out_dir = _open_run_dir(config, out_override)
+    dp = "true" if config.dp_enabled else "false"
+    epsilon = config.resolved_epsilon_b() if config.dp_enabled else 0.0
+    clip = mechanism.clip_b if config.dp_enabled else 0.0
+    # wall_ms is pinned to 0 in the CSV so repeated runs are byte-identical;
+    # real timings live in summary.txt.
+    _write_csv(out_dir / "metrics.csv", METRICS_HEADER,
+               [(r.round_index, config.strategy, dp, epsilon, clip, r.mean_train_loss,
+                 r.global_delta_norm, r.expectation_diff, r.total_variance, 0)
+                for r in result.rounds])
     summary = [
         f"experiment: {config.experiment_name}",
-        f"config_hash: {_config_hash(config)}",
+        f"config_hash: {hashlib.sha256(config.snapshot().encode()).hexdigest()}",
         f"strategy: {config.strategy}",
-        f"dp_enabled: {'true' if mechanism else 'false'}",
+        f"dp_enabled: {dp}",
         f"rounds: {len(result.rounds)}",
         f"initial_loss: {fmt(result.initial_loss)}",
         f"final_loss: {fmt(result.final_loss)}",
     ]
     if result.rounds:
         summary.append(f"final_mean_train_loss: {fmt(result.rounds[-1].mean_train_loss)}")
-    if mechanism:
-        summary.extend(
-            [
-                f"clip_b: {fmt(mechanism.clip_b)}",
-                f"clip_a: {fmt(mechanism.clip_a)}",
-                f"sigma_b: {fmt(mechanism.sigma_b)}",
-                f"sigma_a: {fmt(mechanism.sigma_a)}",
-            ]
-        )
+    if config.dp_enabled:
+        summary += [
+            f"clip_b: {fmt(mechanism.clip_b)}",
+            f"clip_a: {fmt(mechanism.clip_a)}",
+            f"sigma_b: {fmt(mechanism.sigma_b)}",
+            f"sigma_a: {fmt(mechanism.sigma_a)}",
+        ]
         if config.rounds > 0:
             naive = compose_budget(config.resolved_epsilon_b(), config.resolved_epsilon_a(),
                                    config.rounds)
             summary.append(f"naive_composed_epsilon: {fmt(naive)}")
     summary.append(f"wall_time_s: {result.wall_s:.3f}")
-    if extra_summary:
-        summary.extend(extra_summary)
     _write(out_dir / "summary.txt", summary)
 
 
@@ -198,9 +215,9 @@ def cmd_run(config: RunConfig, out_override: str | None = None) -> int:
     """Run one experiment and persist metrics plus a summary."""
     root = RngStream(config.seed)
     task = build_task(config, root)
-    mechanism = build_mechanism(config, task, root) if config.dp_enabled else None
+    mechanism = build_mechanism(config, task, root) if config.dp_enabled else IDENTITY_MECHANISM
     result = run_experiment(config, task, root.child(_STREAM_EXPERIMENT), mechanism)
-    _persist_run(run_directory(config, out_override), config, result, mechanism)
+    _persist_run(config, out_override, result, mechanism)
     return 0
 
 
@@ -368,13 +385,12 @@ def verify_checks(config: RunConfig, sigma_scale: float = 1.0) -> list[VerifyChe
     trials = 2_000 if fast else 10_000
 
     root = RngStream(config.seed).child(_STREAM_VERIFY)
-    checks = [
+    return [
         _check_unbiasedness(root.child(3), mc_instances, draws),
         _check_variance_oracle(root.child(4), var_instances, draws),
         _check_rank_linearity(root.child(5), draws),
         _check_dp_bound(config, RngStream(config.seed), trials, sigma_scale=sigma_scale),
     ]
-    return checks
 
 
 def cmd_verify(config: RunConfig, out_override: str | None = None,
@@ -382,18 +398,14 @@ def cmd_verify(config: RunConfig, out_override: str | None = None,
     """Run the invariant suite; exit 0 only if every check passes."""
     t0 = time.perf_counter()
     checks = verify_checks(config, sigma_scale=sigma_scale)
-    out_dir = _ensure_dir(run_directory(config, out_override))
-    rows = ["check,passed,detail"]
+    out_dir = _open_run_dir(config, out_override)
     for check in checks:
-        status = "PASS" if check.passed else "FAIL"
-        print(f"{status} {check.name}: {check.detail}")
-        rows.append(f"{check.name},{str(check.passed).lower()},\"{check.detail}\"")
-    _write(out_dir / "verify_report.csv", rows)
-    _write(
-        out_dir / "summary.txt",
-        [f"verify checks: {sum(c.passed for c in checks)}/{len(checks)} passed",
-         f"wall_time_s: {time.perf_counter() - t0:.3f}"],
-    )
+        print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
+    _write_csv(out_dir / "verify_report.csv", VERIFY_HEADER,
+               [(c.name, str(c.passed).lower(), f'"{c.detail}"') for c in checks])
+    _write(out_dir / "summary.txt",
+           [f"verify checks: {sum(c.passed for c in checks)}/{len(checks)} passed",
+            f"wall_time_s: {time.perf_counter() - t0:.3f}"])
     return 0 if all(c.passed for c in checks) else 3
 
 
@@ -402,30 +414,10 @@ def cmd_verify(config: RunConfig, out_override: str | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _noise_rows_csv(rows: list[noise_stats.SweepRow]) -> list[str]:
-    out = [NOISE_HEADER]
-    for r in rows:
-        out.append(
-            ",".join(
-                [
-                    r.key,
-                    r.value,
-                    fmt(r.mean_diff),
-                    fmt(r.std_error),
-                    fmt(r.mc_variance),
-                    fmt(r.exact_variance),
-                    fmt(r.bound),
-                ]
-            )
-        )
-    return out
-
-
 def cmd_sweep(config: RunConfig, out_override: str | None = None) -> int:
     """Dispatch one of the four sweep modes."""
-    out_dir = _ensure_dir(run_directory(config, out_override))
+    out_dir = _open_run_dir(config, out_override)
     root = RngStream(config.seed)
-    _write(out_dir / "config.snapshot", config.snapshot().splitlines())
 
     if config.mode in ("sweep_rank", "sweep_size"):
         model = noise_stats.NoiseModel(config.noise_sigma_beta, config.noise_sigma_alpha)
@@ -440,12 +432,13 @@ def cmd_sweep(config: RunConfig, out_override: str | None = None) -> int:
                 [tuple(p) for p in config.sweep_sizes], config.rank, model,
                 config.noise_draws, stream, config.sweep_norm_b, config.sweep_norm_a,
             )
-        _write(out_dir / "noise_stats.csv", _noise_rows_csv(rows))
+        _write_csv(out_dir / "noise_stats.csv", NOISE_HEADER,
+                   [(r.key, r.value, r.mean_diff, r.std_error, r.mc_variance, r.exact_variance,
+                     r.bound) for r in rows])
         _write(out_dir / "summary.txt", [f"{config.mode}: {len(rows)} points"])
         return 0
 
     task = build_task(config, root)
-    combined = ["sweep_key,sweep_value,final_loss,final_mean_train_loss"]
     # (label, swept value, point settings, clip_b, clip_a); every point runs with DP.
     # Only sweep_epsilon overrides the per-factor budgets; sweep_clip keeps the
     # config's, and its sigma is recalibrated at each absolute threshold.
@@ -459,17 +452,19 @@ def cmd_sweep(config: RunConfig, out_override: str | None = None) -> int:
         key = "clip"
         points = [(f"clip_{sweep_label(c)}", c, config, c, c) for c in config.sweep_clips]
 
+    rows = []
     for label, value, point, cb, ca in points:
         point_config = replace(point, experiment_name=f"{config.experiment_name}/{label}",
                                dp_enabled=True)
         mechanism = _calibrated(point_config, cb, ca)
         result = run_experiment(point_config, task, root.child(_STREAM_EXPERIMENT), mechanism)
-        _persist_run(out_dir / label, point_config, result, mechanism)
+        _persist_run(point_config, out_override, result, mechanism)
         final_train = result.rounds[-1].mean_train_loss if result.rounds else result.initial_loss
-        combined.append(f"{key},{fmt(value)},{fmt(result.final_loss)},{fmt(final_train)}")
+        rows.append((key, value, result.final_loss, final_train))
 
-    _write(out_dir / "sweep.csv", combined)
-    _write(out_dir / "summary.txt", [f"{config.mode}: {len(points)} points", *combined])
+    table = _write_csv(out_dir / "sweep.csv",
+                       "sweep_key,sweep_value,final_loss,final_mean_train_loss", rows)
+    _write(out_dir / "summary.txt", [f"{config.mode}: {len(points)} points", *table])
     return 0
 
 
@@ -480,9 +475,8 @@ def cmd_sweep(config: RunConfig, out_override: str | None = None) -> int:
 
 def cmd_mia(config: RunConfig, out_override: str | None = None) -> int:
     """Play the distinguishing game at three noise levels and emit score/ROC CSVs."""
-    out_dir = _ensure_dir(run_directory(config, out_override))
+    out_dir = _open_run_dir(config, out_override)
     root = RngStream(config.seed)
-    _write(out_dir / "config.snapshot", config.snapshot().splitlines())
     mean0, mean1, mech = build_adversarial_game(config, root)
     reference = attacks.ScoreReference(
         *(np.concatenate([b.ravel(), a.ravel()]) for b, a in (mean0, mean1)))
@@ -495,19 +489,10 @@ def cmd_mia(config: RunConfig, out_override: str | None = None) -> int:
         accuracy = attacks.attack_accuracy(bits, scores, reference)
         curve = attacks.roc_curve(bits, scores)
         check = attacks.check_dp_bound(curve, config.mia_epsilon, config.delta, config.mia_trials)
-        _write(
-            out_dir / f"trials_{tag}.csv",
-            [TRIALS_HEADER] + [f"{i},{bit},{fmt(score)}" for i, (bit, score)
-                               in enumerate(zip(bits.tolist(), scores.tolist()))],
-        )
-        _write(
-            out_dir / f"roc_{tag}.csv",
-            [ROC_HEADER]
-            + [
-                f"{fmt(th)},{fmt(fp)},{fmt(tp)}"
-                for th, fp, tp in zip(curve.thresholds, curve.fpr, curve.tpr)
-            ],
-        )
+        _write_csv(out_dir / f"trials_{tag}.csv", TRIALS_HEADER,
+                   zip(range(len(bits)), bits.tolist(), scores.tolist()))
+        _write_csv(out_dir / f"roc_{tag}.csv", ROC_HEADER,
+                   zip(curve.thresholds, curve.fpr, curve.tpr))
         summary.append(
             f"{tag}: accuracy {fmt(accuracy)}, max_violation {fmt(check.max_violation)}, "
             f"tolerance {fmt(check.mc_tolerance)}, bound {'PASS' if check.passed else 'FAIL'}"
@@ -530,50 +515,54 @@ def cmd_report(config: RunConfig, out_override: str | None = None) -> int:
     metrics_files = sorted(run_dir.rglob("metrics.csv"))
     noise_files = sorted(run_dir.rglob("noise_stats.csv"))
     roc_files = sorted(run_dir.glob("roc_*.csv"))
-    if not metrics_files and not noise_files and not roc_files:
-        raise FileNotFoundError(f"no metrics found under {run_dir}"
-                                " (expected metrics.csv, noise_stats.csv or roc_*.csv)")
+    verify_file = run_dir / "verify_report.csv"
+    if not (metrics_files or noise_files or roc_files or verify_file.is_file()):
+        raise FileNotFoundError(f"no metrics found under {run_dir} (expected metrics.csv,"
+                                " noise_stats.csv, roc_*.csv or verify_report.csv)")
 
-    report_dir = _ensure_dir(run_dir / "report")
+    report_dir = run_dir / "report"
+    report_dir.mkdir(exist_ok=True)
     summary = []
 
-    loss_rows = ["run,round,strategy,dp_enabled,mean_loss"]
-    finals = []
-    for path in metrics_files:
-        label = str(path.parent.relative_to(run_dir)) or "."
-        lines = path.read_text().splitlines()
-        if lines and lines[0] != METRICS_HEADER:
-            raise ValueError(f"{path}: unexpected metrics header")
-        last = None
-        for line in lines[1:]:
-            parts = line.split(",")
-            loss_rows.append(f"{label},{parts[0]},{parts[1]},{parts[2]},{parts[5]}")
-            last = parts
-        if last is not None:
-            finals.append((label, last[1], last[2] == "true", float(last[5])))
     if metrics_files:
-        _write(report_dir / "loss_vs_round.csv", loss_rows)
-        for label, strategy, dp, loss in finals:
-            summary.append(f"{label}: strategy {strategy}, dp {str(dp).lower()}, final mean_loss {fmt(loss)}")
-        if len(finals) == 2 and finals[0][2] != finals[1][2]:
-            dp_loss = next(x[3] for x in finals if x[2])
-            plain = next(x[3] for x in finals if not x[2])
-            summary.append(f"dp_minus_plain: {fmt(dp_loss - plain)}")
+        loss_rows = []
+        finals = []  # (dp_enabled, final mean_loss) of each run
+        for path in metrics_files:
+            label = str(path.parent.relative_to(run_dir))
+            rows = _read_csv(path, METRICS_HEADER)
+            loss_rows += [(label, r["round"], r["strategy"], r["dp_enabled"], r["mean_loss"])
+                          for r in rows]
+            if rows:
+                last = rows[-1]
+                summary.append(f"{label}: strategy {last['strategy']}, dp {last['dp_enabled']},"
+                               f" final mean_loss {last['mean_loss']}")
+                finals.append((last["dp_enabled"], float(last["mean_loss"])))
+        _write_csv(report_dir / "loss_vs_round.csv", "run,round,strategy,dp_enabled,mean_loss",
+                   loss_rows)
+        if len(finals) == 2 and finals[0][0] != finals[1][0]:
+            loss = dict(finals)
+            summary.append(f"dp_minus_plain: {fmt(loss['true'] - loss['false'])}")
 
-    for path in noise_files:
-        lines = path.read_text().splitlines()
-        if lines and lines[0] != NOISE_HEADER:
-            raise ValueError(f"{path}: unexpected noise_stats header")
-        table = ["sweep_value,expectation,variance"]
-        for line in lines[1:]:
-            parts = line.split(",")
-            table.append(f"{parts[1]},{parts[2]},{parts[4]}")
-        _write(report_dir / "noise_summary.csv", table)
-        summary.append(f"noise sweep points: {len(lines) - 1}")
+    if noise_files:
+        noise_rows = []
+        for path in noise_files:
+            label = str(path.parent.relative_to(run_dir))
+            rows = _read_csv(path, NOISE_HEADER)
+            noise_rows += [(label, r["sweep_value"], r["mean_diff"], r["mc_variance"])
+                           for r in rows]
+            summary.append(f"noise sweep points: {len(rows)}")
+        _write_csv(report_dir / "noise_summary.csv", "run,sweep_value,expectation,variance",
+                   noise_rows)
 
     for roc in roc_files:
-        (report_dir / roc.name).write_text(roc.read_text())
+        (report_dir / roc.name).write_bytes(roc.read_bytes())
         summary.append(f"roc points copied: {roc.name}")
+
+    if verify_file.is_file():
+        checks = _read_csv(verify_file, VERIFY_HEADER)
+        (report_dir / verify_file.name).write_bytes(verify_file.read_bytes())
+        passed = sum(check["passed"] == "true" for check in checks)
+        summary.append(f"verify checks: {passed}/{len(checks)} passed")
 
     if not summary:
         summary.append("nothing to report")

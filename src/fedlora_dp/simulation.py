@@ -2,13 +2,14 @@
 
 Each round the server samples clients, every sampled client trains a fresh
 low-rank factor pair (b, a) against the effective base (frozen weights plus
-the accumulated global delta, which the server holds), optionally clips and
-noises it (``privacy``'s release), and the server stacks the released pairs
-into a dense pseudo-gradient that one of seven aggregation strategies
-applies.  Broadcast is fold-and-reset: the dense delta is accumulated
-server-side and clients draw fresh pairs, so per-round shapes never grow.
-Factor pairs are plain arrays; the LoRA scale ``lora_scale / rank`` is
-computed once per round and passed alongside them.
+the accumulated global delta, which the server holds), clips and noises it
+(``privacy``'s release, which is ``IDENTITY_MECHANISM`` in a non-private
+run), and the server stacks the released pairs into a dense pseudo-gradient
+that one of seven aggregation strategies applies.  Broadcast is
+fold-and-reset: the dense delta is accumulated server-side and clients draw
+fresh pairs, so per-round shapes never grow.  Factor pairs are plain arrays;
+the LoRA scale ``lora_scale / rank`` is computed once per round and passed
+alongside them.
 
 Client data lives on one client axis: the task holds every client's rows
 as two stacked arrays, x (clients, rows, n) and y (clients, rows, m), so
@@ -70,7 +71,7 @@ from .adapters import FrozenBase, GlobalAdapter, aggregate_stack, global_delta, 
 from .config import STRATEGIES, RunConfig
 from .linalg import RngStream, frobenius_norm
 from .noise_stats import NoiseModel, exact_total_variance
-from .privacy import MechanismParams, clip_pair, privatize
+from .privacy import IDENTITY_MECHANISM, MechanismParams, clip_pair, privatize
 
 __all__ = [
     "NumericError",
@@ -176,7 +177,7 @@ class ServerState:
 
 @dataclass(frozen=True)
 class RoundMetrics:
-    """Per-round observables."""
+    """Per-round observables; without DP, ``expectation_diff`` and ``total_variance`` are 0."""
 
     round_index: int
     mean_train_loss: float
@@ -561,7 +562,7 @@ def run_round(
     task: SyntheticTask,
     config: RunConfig,
     rng: RngStream,
-    mechanism: MechanismParams | None = None,
+    mechanism: MechanismParams = IDENTITY_MECHANISM,
 ) -> RoundMetrics:
     """One communication round of ``task``: sample, train, privatize, stack, apply, fold.
 
@@ -578,11 +579,12 @@ def run_round(
     residuals give each sampled client's control variate
     (``_update_control_variates``).  Every client holds the same number of
     rows, so each stacking weight is a data share of 1 / k times the LoRA
-    scale, (1 / k) * (lora_scale / rank).  The round is private exactly when
-    ``mechanism`` is given: each trained pair is then clipped once
-    (``clip_pair``), and the clipped pair is both released (``privatize``,
-    B noise on stream (round, cid, 3), A noise on (round, cid, 4)) and kept
-    as the clean reference for ``expectation_diff`` and ``total_variance``.
+    scale, (1 / k) * (lora_scale / rank).  Every round releases through
+    ``mechanism``: each trained pair is clipped once (``clip_pair``), and the
+    clipped pair is both released (``privatize``, B noise on stream
+    (round, cid, 3), A noise on (round, cid, 4)) and kept as the clean
+    reference for ``expectation_diff`` and ``total_variance``.  The default,
+    ``IDENTITY_MECHANISM``, returns every factor as itself, so both are 0.
     """
     t0 = time.perf_counter()
     round_index = server.round_index
@@ -614,23 +616,18 @@ def run_round(
     # rows / total * scale is; scale / k can differ in the last bit.
     weights = [1 / len(sampled) * scale] * len(sampled)
 
-    if mechanism is None:
-        released = aggregate_stack(trained, weights)
-        expectation_diff = 0.0
-        total_variance = 0.0
-    else:
-        clean = [clip_pair(pair, mechanism) for pair in trained]
-        released = aggregate_stack(
-            [privatize(pair, mechanism, rng.child(round_index, cid, _KIND_NOISE_B),
-                       rng.child(round_index, cid, _KIND_NOISE_A))
-             for cid, pair in zip(sampled, clean)],
-            weights,
-        )
-        expectation_diff = _mean_entry(released) - _mean_entry(aggregate_stack(clean, weights))
-        model = NoiseModel(sigma_beta=mechanism.sigma_b, sigma_alpha=mechanism.sigma_a)
-        total_variance = 0.0
-        for weight, (b, a) in zip(weights, clean):
-            total_variance += weight**2 * exact_total_variance(b, a, model)
+    clean = [clip_pair(pair, mechanism) for pair in trained]
+    released = aggregate_stack(
+        [privatize(pair, mechanism, rng.child(round_index, cid, _KIND_NOISE_B),
+                   rng.child(round_index, cid, _KIND_NOISE_A))
+         for cid, pair in zip(sampled, clean)],
+        weights,
+    )
+    expectation_diff = _mean_entry(released) - _mean_entry(aggregate_stack(clean, weights))
+    model = NoiseModel(sigma_beta=mechanism.sigma_b, sigma_alpha=mechanism.sigma_a)
+    total_variance = 0.0
+    for weight, (b, a) in zip(weights, clean):
+        total_variance += weight**2 * exact_total_variance(b, a, model)
     delta_t = global_delta(released)
 
     if server.client_c is not None:
@@ -681,8 +678,8 @@ def _update_control_variates(server: ServerState, x: np.ndarray, sampled: list[i
 
 
 def run_experiment(config: RunConfig, task: SyntheticTask, root: RngStream,
-                   mechanism: MechanismParams | None = None) -> ExperimentResult:
-    """Run ``config.rounds`` rounds, private exactly when ``mechanism`` is given."""
+                   mechanism: MechanismParams = IDENTITY_MECHANISM) -> ExperimentResult:
+    """Run ``config.rounds`` rounds, each releasing through ``mechanism`` (default: no DP)."""
     t0 = time.perf_counter()
     server = ServerState.fresh(task.base, config.strategy, task.n_clients)
     rounds = [run_round(server, task, config, root, mechanism) for _ in range(config.rounds)]

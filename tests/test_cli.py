@@ -96,6 +96,15 @@ class TestConfigErrors:
         assert "config error: line 2:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["{tmp}/abs", "../up", "a/../../up"])
+    def test_experiment_name_outside_the_output_dir_exits_1(self, tmp_path, capsys, name):
+        name = name.format(tmp=tmp_path)
+        config = write_config(tmp_path, TINY.replace("experiment_name = tiny",
+                                                     f"experiment_name = {name}"))
+        assert run_cli("run", config, tmp_path / "out" / "deep") == 1
+        assert "line 1: experiment_name" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
     def test_missing_config_exits_1(self, tmp_path):
         assert run_cli("run", str(tmp_path / "absent.cfg"), tmp_path / "out") == 1
 
@@ -332,6 +341,34 @@ class TestReport:
         for copy in copies:
             assert copy.read_bytes() == (run_dir / copy.name).read_bytes()
 
+    def test_report_over_verify_run_copies_its_table(self, tmp_path):
+        config = write_config(tmp_path, TINY + "verify_fast = true\n")
+        assert run_cli("verify", config, tmp_path / "out") == 0
+        run_dir = tmp_path / "out" / "tiny"
+        assert parse_text((run_dir / "config.snapshot").read_text()).mode == "verify"
+        assert run_cli("report", config, tmp_path / "out") == 0
+        report = run_dir / "report"
+        assert ((report / "verify_report.csv").read_bytes()
+                == (run_dir / "verify_report.csv").read_bytes())
+        assert (report / "summary.txt").read_text() == "verify checks: 4/4 passed\n"
+
+    def test_noise_summary_holds_every_sweep(self, tmp_path):
+        # Two noise sweeps under one directory: the table keeps both, each row led by its run.
+        for mode, sub, extra in (("sweep_rank", "rank", "sweep_ranks = 1,2,4\n"),
+                                 ("sweep_size", "size", "sweep_sizes = 3x2,4x4\n")):
+            text = TINY.replace("experiment_name = tiny", f"experiment_name = study/{sub}")
+            config = write_config(tmp_path, text + "noise_draws = 200\n" + extra)
+            assert run_cli(mode, config, tmp_path / "out") == 0
+        study = write_config(tmp_path, "experiment_name = study\n", name="study.cfg")
+        assert run_cli("report", study, tmp_path / "out") == 0
+        report = tmp_path / "out" / "study" / "report"
+        rows = (report / "noise_summary.csv").read_text().splitlines()
+        assert rows[0] == "run,sweep_value,expectation,variance"
+        assert [tuple(row.split(",")[:2]) for row in rows[1:]] == [
+            ("rank", "1"), ("rank", "2"), ("rank", "4"), ("size", "3x2"), ("size", "4x4")]
+        assert (report / "summary.txt").read_text().splitlines() == [
+            "noise sweep points: 3", "noise sweep points: 2"]
+
     def test_missing_run_directory_exits_1(self, tmp_path, capsys):
         assert run_cli("report", write_config(tmp_path), tmp_path / "absent") == 1
         assert "run directory not found" in capsys.readouterr().err
@@ -342,6 +379,7 @@ class TestSnapshot:
         RunConfig(),
         RunConfig(sweep_epsilons=(0.5, 3.25), sweep_clips=(0.01,), sweep_ranks=(2, 3, 7),
                   sweep_sizes=((3, 5), (8, 2))),
+        RunConfig(experiment_name="study/eps_5", dp_enabled=True),  # a sweep point's
     ])
     def test_round_trip(self, config):
         assert parse_text(config.snapshot()) == config
@@ -380,7 +418,7 @@ MIA_FILES = [f"{kind}_{tag}.csv" for tag in ("sigma_0", "sigma_calibrated", "sig
 # "dp_scaled" folds three clients at LoRA scale 5 / 2, where the order of the
 # weight's operations shows in the last bits.  The mia game spans two blocks of
 # trials, each rank of the rank sweep three Monte Carlo chunks, and the 40x50
-# point of the size sweep three.  The clip sweep pins each point's metrics.
+# point of the size sweep three.  The two model sweeps pin each point's metrics.
 GOLDEN_RUNS = {
     "dp": ("run", TINY, ["metrics.csv"]),
     "dp_scaled": ("run", TINY.replace("lora_scale = 2", "lora_scale = 5").replace(
@@ -394,7 +432,12 @@ GOLDEN_RUNS = {
                    ["noise_stats.csv"]),
     "sweep_clip": ("sweep_clip", TINY + "sweep_clips = 0.1,1\n",
                    ["sweep.csv", "clip_0p1/metrics.csv", "clip_1/metrics.csv"]),
+    "sweep_epsilon": ("sweep_epsilon", TINY + "sweep_epsilons = 5,25\n",
+                      ["sweep.csv", "eps_5/metrics.csv", "eps_25/metrics.csv"]),
 }
+# Golden runs whose ``report`` outputs are pinned too, under "report_<name>".
+REPORTED_RUNS = ("dp", "sweep_clip")
+REPORT_FILES = ["report/loss_vs_round.csv", "report/summary.txt"]
 # Runs at 40 x 2048, where the server step walks three row blocks (16 + 16 + 8
 # rows), without DP; at TINY's learning rate they diverge.
 WIDE = (TINY.replace("task_m = 6", "task_m = 40").replace("task_n = 4", "task_n = 2048")
@@ -426,6 +469,9 @@ GOLDEN_DIGESTS = {
     "sweep_rank": "7aa7c8b547360f3e959267f1d077652db801383c4a4086b6bfef68e7cf140e5d",
     "sweep_size": "da167b60bdc16b1de12ccb9685c969ddbd3b20d836c61899a80c4832d6b20761",
     "sweep_clip": "f77828245ec7b1ee828781409f1d9ba436e95d1dc3198a1162401844de818387",
+    "sweep_epsilon": "af0898cd692feeb1fb4af07e4b1b4db9907cbb0ca0e4e4a285f482d57662d0b3",
+    "report_dp": "1e58e4c3fdafd8c519cec47f6c81244bc34615d8231a20c12120ef62a0ad8390",
+    "report_sweep_clip": "edc630cc6b6828d44945dd1de9c413dec3815d5e4a47d6d96ea5a87ca1492b56",
     "wide_fedavg": "a8de6207018d12b895cd1555bbb7c60bd938590794604dd496e61c20511b9e5f",
     "wide_fedadam": "0ec7682d5784282a438062dbe516feda9785da16f67617e803e252aaf8dc7508",
     "concurrent_fedadam": "9ba345280f76534851c931b438d40f7811d1f8b4fb9cf3129b0a1c1348e09dc3",
@@ -433,9 +479,17 @@ GOLDEN_DIGESTS = {
 }
 
 
+def digest_of(run_dir, files):
+    digest = hashlib.sha256()
+    for f in files:
+        digest.update(f.encode() + b"\0" + (run_dir / f).read_bytes())
+    return digest.hexdigest()
+
+
 class TestGoldenDigests:
     """sha256 of the byte-stable CSVs of tiny runs: a private run, every strategy
-    without DP, the membership-inference game, a rank sweep, a size sweep and a
+    without DP, the membership-inference game, a rank sweep, a size sweep, a
+    clip sweep and an epsilon sweep; of ``report`` over the private run and the
     clip sweep; of fedavg and fedadam over several row blocks; and of fedadam
     and fedyogi at a shape whose rounds run on worker threads.
 
@@ -448,10 +502,16 @@ class TestGoldenDigests:
     def test_outputs_match_digest(self, tmp_path, name):
         mode, text, files = GOLDEN_RUNS[name]
         assert run_cli(mode, write_config(tmp_path, text), tmp_path / "out") == 0
-        digest = hashlib.sha256()
-        for f in files:
-            digest.update(f.encode() + b"\0" + (tmp_path / "out" / "tiny" / f).read_bytes())
-        assert digest.hexdigest() == GOLDEN_DIGESTS[name]
+        assert digest_of(tmp_path / "out" / "tiny", files) == GOLDEN_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", REPORTED_RUNS)
+    def test_report_matches_digest(self, tmp_path, name):
+        mode, text, _ = GOLDEN_RUNS[name]
+        config = write_config(tmp_path, text)
+        assert run_cli(mode, config, tmp_path / "out") == 0
+        assert run_cli("report", config, tmp_path / "out") == 0
+        digest = digest_of(tmp_path / "out" / "tiny", REPORT_FILES)
+        assert digest == GOLDEN_DIGESTS[f"report_{name}"]
 
     @pytest.mark.parametrize("name", sorted(SUBPROCESS_RUNS))
     def test_multi_block_run_matches_digest(self, tmp_path, name):

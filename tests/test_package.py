@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import fedlora_dp
-from fedlora_dp import attacks, noise_stats, privacy, runner, simulation
+from fedlora_dp import attacks, cli, noise_stats, privacy, runner, simulation
 from fedlora_dp.config import RunConfig
 from fedlora_dp.linalg import RngStream
 
@@ -76,3 +76,27 @@ def test_benchmark_counters_read_real_calls(monkeypatch):
     args, kwargs, result = calls["simulation.local_train"]
     assert layers.COUNTERS["simulation.local_train"](args, kwargs, result) == {
         "steps": result.steps}
+
+
+def test_cli_runs_each_command_by_its_module_level_name(monkeypatch, tmp_path):
+    # A traced benchmark run rebinds runner.cmd_run wherever the package binds it;
+    # a dispatch table of function objects made at import would keep the unwrapped one.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("tracer")
+    original = runner.cmd_run
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    patched = tracer.patch_everywhere(layers.package_modules(), original, wrapper)
+    try:
+        config = tmp_path / "run.cfg"
+        config.write_text("rounds = 1\nclients = 2\ntask_m = 4\ntask_n = 3\ntask_rank = 1\n"
+                          "rank = 2\nlocal_epochs = 1\nsamples_per_client = 4\n")
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.restore(patched)
+    assert len(calls) == 1

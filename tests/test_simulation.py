@@ -12,7 +12,7 @@ from fedlora_dp import linalg, privacy, runner, simulation
 from fedlora_dp.adapters import FrozenBase, global_delta, init_adapter
 from fedlora_dp.config import STRATEGIES, ConfigError, RunConfig, parse_text
 from fedlora_dp.linalg import RngStream, frobenius_norm
-from fedlora_dp.privacy import MechanismParams
+from fedlora_dp.privacy import IDENTITY_MECHANISM, MechanismParams
 from fedlora_dp.simulation import (
     NumericError,
     ServerState,
@@ -539,7 +539,7 @@ class TestApplyStrategy:
         assert scratch <= peak < scratch + block_bytes // 4
 
 
-def _run(config, task, seed=0, mechanism=None):
+def _run(config, task, seed=0, mechanism=IDENTITY_MECHANISM):
     return run_experiment(config, task, RngStream(seed, (7,)), mechanism)
 
 
@@ -569,6 +569,22 @@ class TestRunRound:
         assert np.all(server.delta_acc == 0.0)
         assert metrics.global_delta_norm == 0.0
 
+    def test_non_private_round_draws_no_noise(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a non-private round drew noise")
+
+        monkeypatch.setattr(linalg, "sample_gaussian", no_draws)
+        monkeypatch.setattr(privacy, "sample_gaussian", no_draws)
+        task = small_task()
+        cfg = small_config(rounds=2)
+        server = ServerState.fresh(task.base, cfg.strategy, task.n_clients)
+        root = RngStream(3, (7,))
+        for _ in range(cfg.rounds):
+            metrics = run_round(server, task, cfg, root)
+            assert metrics.expectation_diff == 0.0
+            assert metrics.total_variance == 0.0
+        assert np.any(server.delta_acc != 0.0)
+
     def test_rerun_bit_identical(self):
         task = small_task()
         cfg = small_config(rounds=3)
@@ -586,7 +602,8 @@ class TestRunRound:
         # one client per local_train call, then the whole round in one call
         task = small_task()
         cfg = small_config(rounds=3, sampled_per_round=3, batch_size=7, strategy=strategy)
-        mech = MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.2, sigma_a=0.3) if private else None
+        mech = (MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.2, sigma_a=0.3) if private
+                else IDENTITY_MECHANISM)
         runs = []
         for size in (1, cfg.sampled_per_round):
             monkeypatch.setattr(simulation, "_group_size", lambda m, n, rank, size=size: size)
@@ -844,7 +861,8 @@ class TestRoundWorkers:
         task = generate_task(700, 1024, 2, 4, 16, 0.1, 0.0, RngStream(12, (99,)))
         cfg = small_config(strategy=strategy, clients=4, sampled_per_round=3, rounds=rounds,
                            rank=32, lora_scale=4.0, local_epochs=1, lr_start=1e-3, lr_end=1e-3)
-        mech = MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.01, sigma_a=0.02) if private else None
+        mech = (MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.01, sigma_a=0.02) if private
+                else IDENTITY_MECHANISM)
         server = ServerState.fresh(task.base, strategy, task.n_clients)
         metrics = [replace(run_round(server, task, cfg, RngStream(6, (7,)), mech), wall_s=0.0)
                    for _ in range(rounds)]
