@@ -220,8 +220,8 @@ def _scaled_factors(
     gen = rng.generator()
     b = gen.standard_normal((m, r))
     a = gen.standard_normal((r, n))
-    b = b * (norm_b / np.linalg.norm(b)) if norm_b > 0 else np.zeros((m, r))
-    a = a * (norm_a / np.linalg.norm(a)) if norm_a > 0 else np.zeros((r, n))
+    b = b * (norm_b / linalg.frobenius_norm(b)) if norm_b > 0 else np.zeros((m, r))
+    a = a * (norm_a / linalg.frobenius_norm(a)) if norm_a > 0 else np.zeros((r, n))
     return b, a
 
 

@@ -9,16 +9,17 @@ Every mode writes into ``<output_dir>/<experiment_name>/``: each but
   a ``run`` directory per point (``eps_5/``, ``clip_0p1/``);
 - ``sweep_rank``, ``sweep_size``: ``noise_stats.csv``, one row per point;
 - ``mia``: ``trials_<level>.csv`` and ``roc_<level>.csv`` for each noise
-  level (``sigma_0``, ``sigma_calibrated``, ``sigma_10x``);
+  level (``sigma_0``, ``sigma_calibrated``, ``sigma_10x``) of a game against
+  the client of a one-client run (``build_adversarial_game``);
 - ``verify``: ``verify_report.csv``, one row per check.
 
-``report`` reads every ``metrics.csv`` and ``noise_stats.csv`` beneath a run
-directory, and the ``roc_*.csv`` and ``verify_report.csv`` in it, and writes
+``report`` reads every run beneath a run directory (a run is a directory
+holding a ``config.snapshot``; ``report/`` holds none) and writes
 ``report/``: ``loss_vs_round.csv`` and ``noise_summary.csv``, each row led by
-its run, copies of the ROC and verify tables, and ``summary.txt``.  Every
-table is written by ``_write_csv``, with floats at 17 significant digits so
-byte-level comparisons of repeated runs are meaningful, and read back by
-``_read_csv``.
+its run, copies of each run's ROC and verify tables at their relative paths,
+and ``summary.txt``.  Every table is written by ``_write_csv``, with floats
+at 17 significant digits so byte-level comparisons of repeated runs are
+meaningful, and read back by ``_read_csv``.
 
 Exit codes: 0 success, 1 validation error, 2 runtime or numeric failure,
 3 verify-suite failure.
@@ -285,60 +286,42 @@ def _check_rank_linearity(root: RngStream, draws: int) -> VerifyCheck:
         ratio = hi / lo
         if not 1.8 <= ratio <= 2.2:
             return VerifyCheck("rank_linearity", False, f"MC doubling ratio {ratio:.3f}")
-    r_sq = _linear_fit_r_squared(ranks, exact)
+    r_sq = np.corrcoef(ranks, exact)[0, 1] ** 2
     if r_sq < 0.99:
         return VerifyCheck("rank_linearity", False, f"linear fit R^2 {r_sq:.4f}")
     return VerifyCheck("rank_linearity", True, f"R^2 {r_sq:.6f}")
-
-
-def _linear_fit_r_squared(xs, ys) -> float:
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    coeffs = np.polyfit(x, y, 1)
-    pred = np.polyval(coeffs, x)
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0:
-        return 1.0
-    return 1.0 - ss_res / ss_tot
 
 
 def build_adversarial_game(config: RunConfig, root: RngStream, epsilon: float | None = None
                            ) -> tuple[FactorPair, FactorPair, MechanismParams]:
     """Trained means of two neighboring datasets, and the mechanism the game attacks.
 
-    The datasets are one client's ``(x, y)`` arrays and a copy whose row 0
-    is replaced by the input-scaled record ``x[0] * mia_input_scale`` with
-    its noiseless target.  Each is trained once, on one training stream.
-    The clip thresholds are the larger of the two means' factor norms, so
-    clipping is honest but mild, leaves both means unchanged, and the pair's
-    separation stays well inside the worst case.
+    The game's client is a one-client run of ``config`` (``mia_dataset_size``
+    rows, no heterogeneity, ``epsilon`` on each factor), so its task and
+    mechanism come from ``build_task`` and ``_calibrated``, as a run's do.
+    Its datasets are the client's ``(x, y)`` and a copy whose row 0 is the
+    input-scaled record ``x[0] * mia_input_scale`` with its noiseless target.
+    Each is trained once, on one training stream.  The clip thresholds are
+    the larger of the two means' factor norms, so clipping is honest but
+    mild, leaves both means unchanged, and the pair's separation stays well
+    inside the worst case.
     """
     eps = epsilon if epsilon is not None else config.mia_epsilon
+    game = replace(config, clients=1, sampled_per_round=1,
+                   samples_per_client=config.mia_dataset_size, heterogeneity=0.0,
+                   epsilon=eps, epsilon_b=0.0, epsilon_a=0.0)
     stream = root.child(_STREAM_MIA)
-    task = generate_task(
-        m=config.task_m,
-        n=config.task_n,
-        r_star=config.task_rank,
-        n_clients=1,
-        samples_per_client=config.mia_dataset_size,
-        sigma_obs=config.sigma_obs,
-        heterogeneity=0.0,
-        rng=stream.child(0),
-    )
+    # the task comes from stream.child(_STREAM_TASK), the 0 that pinned game outputs rely on
+    task = build_task(game, stream)
     x, y = task.x[0], task.y[0]
     x_prime, y_prime = x.copy(), y.copy()
     x_prime[0] *= config.mia_input_scale
     y_prime[0] = (task.base.w + task.target_delta) @ x_prime[0]
 
-    mean0 = attacks.trained_update(x, y, task.base, config, stream.child(1))
-    mean1 = attacks.trained_update(x_prime, y_prime, task.base, config, stream.child(1))
-    mechanism = MechanismParams.calibrated(
-        clip_b=max(frobenius_norm(mean0[0]), frobenius_norm(mean1[0])),
-        clip_a=max(frobenius_norm(mean0[1]), frobenius_norm(mean1[1])),
-        budget_b=PrivacyBudget(eps, config.delta),
-        budget_a=PrivacyBudget(eps, config.delta),
-    )
+    mean0 = attacks.trained_update(x, y, task.base, game, stream.child(1))
+    mean1 = attacks.trained_update(x_prime, y_prime, task.base, game, stream.child(1))
+    mechanism = _calibrated(game, max(frobenius_norm(mean0[0]), frobenius_norm(mean1[0])),
+                            max(frobenius_norm(mean0[1]), frobenius_norm(mean1[1])))
     return mean0, mean1, mechanism
 
 
@@ -346,10 +329,11 @@ def _check_dp_bound(config: RunConfig, root: RngStream, trials: int,
                     sigma_scale: float = 1.0) -> VerifyCheck:
     """Empirical (epsilon, delta) trade-off at eps = 0.5 on two pairs.
 
-    Checks both the trained adversarial neighbor pair and a synthetic
-    worst-case pair sitting antipodally on the clip sphere; the latter is the
-    sharpest configuration the clipping admits, so it is the one that exposes
-    an under-calibrated noise scale.
+    Checks the trained adversarial neighbor pair, and a synthetic pair of the
+    trained means' shapes on the clip sphere, antipodal in B and equal in A.
+    That pair separates B only (at 16x8, seed 0: mu = 2 c_b / sigma_b =
+    0.206, where a pair antipodal in both factors reaches 0.292), so it is
+    not the sharpest pair the clipping admits.
     """
     eps = 0.5
     mean0, mean1, mech = build_adversarial_game(config, root, epsilon=eps)
@@ -357,9 +341,7 @@ def _check_dp_bound(config: RunConfig, root: RngStream, trials: int,
     trained = attacks.run_game(mean0, mean1, mech, trials, root.child(_STREAM_VERIFY, 0))
     check1 = attacks.check_dp_bound(attacks.roc_curve(*trained), eps, config.delta, trials)
 
-    m, n, r = config.task_m, config.task_n, config.mia_rank
-    direction_b = np.ones((m, r)) / math.sqrt(m * r)
-    direction_a = np.ones((r, n)) / math.sqrt(r * n)
+    direction_b, direction_a = (np.ones(f.shape) / math.sqrt(f.size) for f in mean0)
     worst0 = (mech.clip_b * direction_b, mech.clip_a * direction_a)
     worst1 = (-mech.clip_b * direction_b, mech.clip_a * direction_a)
     direct = attacks.run_game(worst0, worst1, mech, trials, root.child(_STREAM_VERIFY, 1))
@@ -512,11 +494,11 @@ def cmd_report(config: RunConfig, out_override: str | None = None) -> int:
     run_dir = run_directory(config, out_override)
     if not run_dir.is_dir():
         raise FileNotFoundError(f"run directory not found: {run_dir}")
-    metrics_files = sorted(run_dir.rglob("metrics.csv"))
-    noise_files = sorted(run_dir.rglob("noise_stats.csv"))
-    roc_files = sorted(run_dir.glob("roc_*.csv"))
-    verify_file = run_dir / "verify_report.csv"
-    if not (metrics_files or noise_files or roc_files or verify_file.is_file()):
+    runs = sorted(path.parent for path in run_dir.rglob("config.snapshot"))
+    metrics_files, noise_files, roc_files, verify_files = (
+        sorted(path for run in runs for path in run.glob(pattern))
+        for pattern in ("metrics.csv", "noise_stats.csv", "roc_*.csv", "verify_report.csv"))
+    if not (metrics_files or noise_files or roc_files or verify_files):
         raise FileNotFoundError(f"no metrics found under {run_dir} (expected metrics.csv,"
                                 " noise_stats.csv, roc_*.csv or verify_report.csv)")
 
@@ -554,15 +536,22 @@ def cmd_report(config: RunConfig, out_override: str | None = None) -> int:
         _write_csv(report_dir / "noise_summary.csv", "run,sweep_value,expectation,variance",
                    noise_rows)
 
-    for roc in roc_files:
-        (report_dir / roc.name).write_bytes(roc.read_bytes())
-        summary.append(f"roc points copied: {roc.name}")
+    def copy(table: Path) -> Path:
+        """Copy ``table`` into ``report/`` at its path relative to ``run_dir``; return it."""
+        relative = table.relative_to(run_dir)
+        (report_dir / relative.parent).mkdir(parents=True, exist_ok=True)
+        (report_dir / relative).write_bytes(table.read_bytes())
+        return relative
 
-    if verify_file.is_file():
-        checks = _read_csv(verify_file, VERIFY_HEADER)
-        (report_dir / verify_file.name).write_bytes(verify_file.read_bytes())
+    for roc in roc_files:
+        summary.append(f"roc points copied: {copy(roc)}")
+
+    for path in verify_files:
+        checks = _read_csv(path, VERIFY_HEADER)
+        run = copy(path).parent
+        lead = f"{run}: " if run.parts else ""  # a top-level verify run's line has no label
         passed = sum(check["passed"] == "true" for check in checks)
-        summary.append(f"verify checks: {passed}/{len(checks)} passed")
+        summary.append(f"{lead}verify checks: {passed}/{len(checks)} passed")
 
     if not summary:
         summary.append("nothing to report")

@@ -186,7 +186,6 @@ class RoundMetrics:
     global_delta_norm: float
     expectation_diff: float
     total_variance: float
-    wall_s: float
 
 
 @dataclass(frozen=True)
@@ -586,7 +585,6 @@ def run_round(
     reference for ``expectation_diff`` and ``total_variance``.  The default,
     ``IDENTITY_MECHANISM``, returns every factor as itself, so both are 0.
     """
-    t0 = time.perf_counter()
     round_index = server.round_index
     sampled = sample_clients(task.n_clients, config.sampled_per_round,
                              rng.child(round_index, _KIND_SAMPLE))
@@ -646,7 +644,6 @@ def run_round(
         global_delta_norm=frobenius_norm(delta_t),
         expectation_diff=expectation_diff,
         total_variance=total_variance,
-        wall_s=time.perf_counter() - t0,
     )
 
 

@@ -1,7 +1,9 @@
 """Membership-inference game, ROC assembly, and the privacy-bound check."""
 
 import dataclasses
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from fedlora_dp.attacks import (
 )
 from fedlora_dp.adapters import FrozenBase
 from fedlora_dp.config import RunConfig
-from fedlora_dp.linalg import RngStream
+from fedlora_dp.linalg import RngStream, frobenius_norm
 from fedlora_dp.privacy import (
     MechanismParams,
     PrivacyBudget,
@@ -126,6 +128,39 @@ class TestAdversarialGame:
         assert np.array_equal(x[1:], x_prime[1:]) and np.array_equal(y[1:], y_prime[1:])
         assert np.array_equal(x_prime[0], x[0] * config.mia_input_scale)
         assert not np.array_equal(y_prime[0], y[0])
+
+    def test_game_client_is_a_one_client_run_the_runner_builds_and_calibrates(self, monkeypatch):
+        # The audit must run the calibration a run deploys, so the game's task and
+        # mechanism come from runner.build_task and runner._calibrated, wherever bound.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        layers = importlib.import_module("layers")
+        tracer = importlib.import_module("tracer")
+        calls = {}
+        patched = []
+        for name in ("build_task", "_calibrated"):
+            def recording(*args, _fn=getattr(runner, name), _name=name):
+                calls[_name] = (args, _fn(*args))
+                return calls[_name][1]
+            patched += tracer.patch_everywhere(layers.package_modules(), getattr(runner, name),
+                                               recording)
+        config = RunConfig(task_m=6, task_n=4, task_rank=2, clients=5, sampled_per_round=3,
+                           samples_per_client=30, heterogeneity=0.5, epsilon=9.0, epsilon_b=3.0,
+                           mia_dataset_size=5)
+        try:
+            mean0, mean1, mechanism = runner.build_adversarial_game(config, RngStream(7), 0.5)
+        finally:
+            tracer.restore(patched)
+
+        (game, stream), task = calls["build_task"]
+        assert (game.clients, game.sampled_per_round, game.samples_per_client,
+                game.heterogeneity) == (1, 1, 5, 0.0)
+        assert game.resolved_epsilon_b() == game.resolved_epsilon_a() == 0.5
+        assert stream == RngStream(7).child(runner._STREAM_MIA)
+        assert task.x.shape == (1, 5, 4)
+        (calibrated_for, clip_b, clip_a), built = calls["_calibrated"]
+        assert calibrated_for is game and built is mechanism
+        assert clip_b == max(frobenius_norm(mean0[0]), frobenius_norm(mean1[0]))
+        assert clip_a == max(frobenius_norm(mean0[1]), frobenius_norm(mean1[1]))
 
 
 class TestScoreReference:

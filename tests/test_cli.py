@@ -352,6 +352,50 @@ class TestReport:
                 == (run_dir / "verify_report.csv").read_bytes())
         assert (report / "summary.txt").read_text() == "verify checks: 4/4 passed\n"
 
+    def test_report_reads_nested_mia_and_verify_runs(self, tmp_path):
+        for mode, sub, extra in (("mia", "mia", "mia_trials = 200\n"),
+                                 ("verify", "ver", "verify_fast = true\n")):
+            text = TINY.replace("experiment_name = tiny", f"experiment_name = study/{sub}")
+            config = write_config(tmp_path, text + extra, name=f"{sub}.cfg")
+            assert run_cli(mode, config, tmp_path / "out") == 0
+        # a report of the mia run alone leaves study/mia/report/, which is not a run
+        assert run_cli("report", str(tmp_path / "mia.cfg"), tmp_path / "out") == 0
+        study = write_config(tmp_path, "experiment_name = study\n", name="study.cfg")
+        study_dir = tmp_path / "out" / "study"
+        reports = []
+        for _ in range(2):
+            assert run_cli("report", study, tmp_path / "out") == 0
+            reports.append({path.relative_to(study_dir / "report"): path.read_bytes()
+                            for path in sorted((study_dir / "report").rglob("*"))
+                            if path.is_file()})
+        assert reports[0] == reports[1]
+        tables = [Path("mia/roc_sigma_0.csv"), Path("mia/roc_sigma_10x.csv"),
+                  Path("mia/roc_sigma_calibrated.csv"), Path("ver/verify_report.csv")]
+        assert sorted(reports[0]) == sorted(tables + [Path("summary.txt")])
+        for table in tables:
+            assert reports[0][table] == (study_dir / table).read_bytes()
+        assert reports[0][Path("summary.txt")].decode().splitlines() == [
+            *(f"roc points copied: {table}" for table in tables[:3]),
+            "ver: verify checks: 4/4 passed"]
+
+    def test_report_compares_a_dp_run_with_a_plain_run(self, tmp_path):
+        finals = {}
+        for sub, dp in (("dp", "true"), ("plain", "false")):
+            text = TINY.replace("experiment_name = tiny", f"experiment_name = study/{sub}")
+            config = write_config(tmp_path, text.replace("dp_enabled = true", f"dp_enabled = {dp}"),
+                                  name=f"{sub}.cfg")
+            assert run_cli("run", config, tmp_path / "out") == 0
+            metrics = (tmp_path / "out" / "study" / sub / "metrics.csv").read_text()
+            finals[sub] = metrics.splitlines()[-1].split(",")[5]
+        study = write_config(tmp_path, "experiment_name = study\n", name="study.cfg")
+        assert run_cli("report", study, tmp_path / "out") == 0
+        summary = (tmp_path / "out" / "study" / "report" / "summary.txt").read_text()
+        assert summary.splitlines() == [
+            f"dp: strategy fedavg, dp true, final mean_loss {finals['dp']}",
+            f"plain: strategy fedavg, dp false, final mean_loss {finals['plain']}",
+            f"dp_minus_plain: {runner.fmt(float(finals['dp']) - float(finals['plain']))}"]
+        assert float(finals["dp"]) != float(finals["plain"])
+
     def test_noise_summary_holds_every_sweep(self, tmp_path):
         # Two noise sweeps under one directory: the table keeps both, each row led by its run.
         for mode, sub, extra in (("sweep_rank", "rank", "sweep_ranks = 1,2,4\n"),

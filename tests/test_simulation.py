@@ -3,7 +3,6 @@
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -608,7 +607,7 @@ class TestRunRound:
         for size in (1, cfg.sampled_per_round):
             monkeypatch.setattr(simulation, "_group_size", lambda m, n, rank, size=size: size)
             result = _run(cfg, task, seed=5, mechanism=mech)
-            runs.append(([replace(r, wall_s=0.0) for r in result.rounds], result.final_loss))
+            runs.append((result.rounds, result.final_loss))
         assert runs[0] == runs[1]
 
     def test_one_release_call_per_client_on_its_noise_streams(self, monkeypatch):
@@ -864,8 +863,7 @@ class TestRoundWorkers:
         mech = (MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.01, sigma_a=0.02) if private
                 else IDENTITY_MECHANISM)
         server = ServerState.fresh(task.base, strategy, task.n_clients)
-        metrics = [replace(run_round(server, task, cfg, RngStream(6, (7,)), mech), wall_s=0.0)
-                   for _ in range(rounds)]
+        metrics = [run_round(server, task, cfg, RngStream(6, (7,)), mech) for _ in range(rounds)]
         held = {name: getattr(server, name) for name in
                 ("delta_acc", "effective", "momentum", "second_moment", "server_c", "client_c")}
         return metrics, held
