@@ -7,7 +7,9 @@ trains under the config's ``mia_*`` keys), and the game is played on the two
 trained means: a fair coin picks one, the mean is released as a round
 releases a pair (``privacy.clip_pair``, then ``privacy.privatize``), and an
 attacker with worst-case knowledge scores the release by projecting it onto
-the difference of the two un-noised means.  This linear score is the
+the unit difference of the two clipped, un-noised means, and guesses the
+replaced dataset when the score is above their midpoint's; ``run_game``
+builds both direction and threshold, once per game.  This linear score is the
 likelihood-ratio statistic only when both factors carry the same noise scale
 (sigma_b == sigma_a); with unequal scales the unweighted projection is a
 weaker attack than the likelihood ratio, whose score weights each factor's
@@ -25,7 +27,8 @@ from child (k, 0), the B noise of its releases with bit ``bit`` from child
 releases with one bit are one ``privatize`` call, in trial order, so the
 first such trial gets the same noise as a single release on those children.
 A game's trials are two arrays in trial order: the coin flips (``bits``, 0
-or 1) and the attacker's scores.
+or 1) and the attacker's scores; the game also returns the midpoint rule's
+accuracy over them.
 """
 
 import math
@@ -42,12 +45,10 @@ from .simulation import local_train
 __all__ = [
     "RocCurve",
     "DpBoundCheck",
-    "ScoreReference",
     "trained_update",
     "run_game",
     "roc_curve",
     "check_dp_bound",
-    "attack_accuracy",
 ]
 
 
@@ -89,29 +90,6 @@ class DpBoundCheck:
         return self.max_violation <= self.mc_tolerance
 
 
-@dataclass(frozen=True)
-class ScoreReference:
-    """Attacker knowledge: flattened un-noised mean updates for both datasets."""
-
-    mu0: np.ndarray
-    mu1: np.ndarray
-
-    def __post_init__(self):
-        direction = self.mu1 - self.mu0
-        norm = np.linalg.norm(direction)
-        if norm == 0:
-            raise ValueError("reference updates coincide; scoring direction is undefined")
-        object.__setattr__(self, "_unit", direction / norm)
-
-    @property
-    def unit_direction(self) -> np.ndarray:
-        return self._unit
-
-    @property
-    def midpoint_score(self) -> float:
-        return float(self._unit @ (self.mu0 + self.mu1) / 2.0)
-
-
 def trained_update(x: np.ndarray, y: np.ndarray, base: FrozenBase, config: RunConfig,
                    stream: RngStream) -> FactorPair:
     """Un-noised, unclipped factor pair (b, a) one client trains on the rows of ``(x, y)``.
@@ -144,7 +122,7 @@ def run_game(
     mechanism: MechanismParams,
     trials: int,
     rng: RngStream,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Distinguishing game on two factor pairs, clipped, then noised per trial.
 
     The pairs are the un-noised mean updates of the two datasets: trained
@@ -155,8 +133,11 @@ def run_game(
     each bit present one ``privatize`` call draws all of that bit's releases,
     B noise from ``rng.child(k, 1, bit)`` and A noise from
     ``rng.child(k, 2, bit)``.  Each release is scored by its projection onto
-    the unit mean difference, its b entries added first, then its a entries.
-    Returns the trials' bits and scores.
+    the unit difference of the clipped means, its b entries added first, then
+    its a entries.  Returns the trials' bits, their scores, and the accuracy
+    of the midpoint rule: the share of trials where a score above the
+    clipped means' midpoint score matches bit 1.  Means that coincide after
+    clipping leave no direction to score along and are rejected.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
@@ -165,9 +146,15 @@ def run_game(
     shapes = sorted({(b.shape, a.shape) for b, a in means})
     if len(shapes) != 1 or shapes[0][0][1] != shapes[0][1][0]:
         raise ValueError(f"factor pairs must share one (m x r, r x n) shape, got {shapes}")
-    reference = ScoreReference(*(np.concatenate([b.ravel(), a.ravel()]) for b, a in means))
+    mu0, mu1 = (np.concatenate([b.ravel(), a.ravel()]) for b, a in means)
+    direction = mu1 - mu0
+    norm = np.linalg.norm(direction)
+    if norm == 0:
+        raise ValueError("clipped means coincide; scoring direction is undefined")
+    unit = direction / norm
+    midpoint = float(unit @ (mu0 + mu1) / 2.0)
     split = means[0][0].size
-    units = (reference.unit_direction[:split], reference.unit_direction[split:])
+    units = (unit[:split], unit[split:])
     block = _block_size(means[0][0].size, means[0][1].size)
     bits = np.empty(trials, dtype=np.int64)
     scores = np.zeros(trials)
@@ -180,9 +167,10 @@ def run_game(
                 continue
             releases = privatize(means[bit], mechanism, rng.child(k, 1, bit),
                                  rng.child(k, 2, bit), count=rows.size)
-            for release, unit in zip(releases, units):
-                scores[rows] += release.reshape(rows.size, -1) @ unit
-    return bits, scores
+            for release, factor_unit in zip(releases, units):
+                scores[rows] += release.reshape(rows.size, -1) @ factor_unit
+    accuracy = int(np.count_nonzero((scores > midpoint) == (bits == 1))) / trials
+    return bits, scores, accuracy
 
 
 def roc_curve(bits: np.ndarray, scores: np.ndarray) -> RocCurve:
@@ -233,11 +221,3 @@ def check_dp_bound(curve: RocCurve, epsilon: float, delta: float, trials: int) -
     max_violation = float(max(forward.max(), reverse.max()))
     return DpBoundCheck(max_violation=max_violation,
                         mc_tolerance=3.0 * math.sqrt(0.25 / trials))
-
-
-def attack_accuracy(bits: np.ndarray, scores: np.ndarray, reference: ScoreReference) -> float:
-    """Fraction of trials the midpoint-threshold rule classifies correctly."""
-    if len(scores) == 0:
-        raise ValueError("need at least one trial")
-    correct = np.count_nonzero((scores > reference.midpoint_score) == (bits == 1))
-    return int(correct) / len(scores)

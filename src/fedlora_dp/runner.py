@@ -10,7 +10,9 @@ Every mode writes into ``<output_dir>/<experiment_name>/``: each but
 - ``sweep_rank``, ``sweep_size``: ``noise_stats.csv``, one row per point;
 - ``mia``: ``trials_<level>.csv`` and ``roc_<level>.csv`` for each noise
   level (``sigma_0``, ``sigma_calibrated``, ``sigma_10x``) of a game against
-  the client of a one-client run (``build_adversarial_game``);
+  the client of a one-client run (``build_adversarial_game``), and in
+  ``summary.txt`` each level's accuracy, as ``attacks.run_game`` scores it
+  from the clipped means, and its privacy-bound check;
 - ``verify``: ``verify_report.csv``, one row per check.
 
 ``report`` reads every run beneath a run directory (a run is a directory
@@ -41,7 +43,8 @@ from .adapters import FactorPair
 from .config import RunConfig, sweep_label
 from .linalg import RngStream, frobenius_norm
 from .privacy import IDENTITY_MECHANISM, MechanismParams, PrivacyBudget, compose_budget
-from .simulation import ExperimentResult, SyntheticTask, generate_task, run_experiment
+from .simulation import (ExperimentResult, ServerState, SyntheticTask, generate_task,
+                         run_experiment, run_round)
 
 __all__ = [
     "METRICS_HEADER",
@@ -144,16 +147,18 @@ def build_task(config: RunConfig, root: RngStream) -> SyntheticTask:
 def resolve_clips(config: RunConfig, task: SyntheticTask, root: RngStream) -> tuple[float, float]:
     """Clip thresholds: fixed values, or a norm quantile from a short dry run.
 
-    The dry run is a non-private ``run_experiment`` (``IDENTITY_MECHANISM``)
-    of ``calibration_rounds`` rounds on the calibration stream; the
-    thresholds are quantiles of its ``client_norms``, the pre-clipping factor
-    norms of every sampled client.
+    The dry run plays the first ``calibration_rounds`` rounds of ``config``
+    itself, at the run's own learning rates, without DP
+    (``IDENTITY_MECHANISM``), on the calibration stream; the thresholds are
+    quantiles of its ``client_norms``, the pre-clipping factor norms of every
+    sampled client.
     """
     if config.clip_mode == "absolute":
         return config.clip_value, config.clip_value
-    dry = replace(config, rounds=config.calibration_rounds)
-    result = run_experiment(dry, task, root.child(_STREAM_CALIBRATE))
-    _, b_norms, a_norms = zip(*(norms for r in result.rounds for norms in r.client_norms))
+    server = ServerState.fresh(task.base, config.strategy, task.n_clients)
+    stream = root.child(_STREAM_CALIBRATE)
+    rounds = [run_round(server, task, config, stream) for _ in range(config.calibration_rounds)]
+    _, b_norms, a_norms = zip(*(norms for r in rounds for norms in r.client_norms))
     clip_b = float(np.quantile(b_norms, config.clip_quantile))
     clip_a = float(np.quantile(a_norms, config.clip_quantile))
     floor = 1e-12
@@ -292,12 +297,12 @@ def _check_rank_linearity(root: RngStream, draws: int) -> VerifyCheck:
     return VerifyCheck("rank_linearity", True, f"R^2 {r_sq:.6f}")
 
 
-def build_adversarial_game(config: RunConfig, root: RngStream, epsilon: float | None = None
+def build_adversarial_game(config: RunConfig, root: RngStream
                            ) -> tuple[FactorPair, FactorPair, MechanismParams]:
     """Trained means of two neighboring datasets, and the mechanism the game attacks.
 
     The game's client is a one-client run of ``config`` (``mia_dataset_size``
-    rows, no heterogeneity, ``epsilon`` on each factor), so its task and
+    rows, no heterogeneity, ``mia_epsilon`` on each factor), so its task and
     mechanism come from ``build_task`` and ``_calibrated``, as a run's do.
     Its datasets are the client's ``(x, y)`` and a copy whose row 0 is the
     input-scaled record ``x[0] * mia_input_scale`` with its noiseless target.
@@ -306,10 +311,9 @@ def build_adversarial_game(config: RunConfig, root: RngStream, epsilon: float | 
     mild, leaves both means unchanged, and the pair's separation stays well
     inside the worst case.
     """
-    eps = epsilon if epsilon is not None else config.mia_epsilon
     game = replace(config, clients=1, sampled_per_round=1,
                    samples_per_client=config.mia_dataset_size, heterogeneity=0.0,
-                   epsilon=eps, epsilon_b=0.0, epsilon_a=0.0)
+                   epsilon=config.mia_epsilon, epsilon_b=0.0, epsilon_a=0.0)
     stream = root.child(_STREAM_MIA)
     # the task comes from stream.child(_STREAM_TASK), the 0 that pinned game outputs rely on
     task = build_task(game, stream)
@@ -329,30 +333,30 @@ def _check_dp_bound(config: RunConfig, root: RngStream, trials: int,
                     sigma_scale: float = 1.0) -> VerifyCheck:
     """Empirical (epsilon, delta) trade-off at eps = 0.5 on two pairs.
 
-    Checks the trained adversarial neighbor pair, and a synthetic pair of the
-    trained means' shapes on the clip sphere, antipodal in B and equal in A.
-    That pair separates B only (at 16x8, seed 0: mu = 2 c_b / sigma_b =
-    0.206, where a pair antipodal in both factors reaches 0.292), so it is
-    not the sharpest pair the clipping admits.
+    Checks the trained adversarial neighbor pair of the run's config at
+    ``mia_epsilon = 0.5``, and a synthetic pair of the trained means' shapes
+    on the clip sphere, antipodal in B and equal in A.  That pair separates B
+    only (at 16x8, seed 0: mu = 2 c_b / sigma_b = 0.206, where a pair
+    antipodal in both factors reaches 0.292), so it is not the sharpest pair
+    the clipping admits.
     """
     eps = 0.5
-    mean0, mean1, mech = build_adversarial_game(config, root, epsilon=eps)
+    mean0, mean1, mech = build_adversarial_game(replace(config, mia_epsilon=eps), root)
     mech = replace(mech, sigma_b=mech.sigma_b * sigma_scale, sigma_a=mech.sigma_a * sigma_scale)
-    trained = attacks.run_game(mean0, mean1, mech, trials, root.child(_STREAM_VERIFY, 0))
-    check1 = attacks.check_dp_bound(attacks.roc_curve(*trained), eps, config.delta, trials)
-
     direction_b, direction_a = (np.ones(f.shape) / math.sqrt(f.size) for f in mean0)
     worst0 = (mech.clip_b * direction_b, mech.clip_a * direction_a)
     worst1 = (-mech.clip_b * direction_b, mech.clip_a * direction_a)
-    direct = attacks.run_game(worst0, worst1, mech, trials, root.child(_STREAM_VERIFY, 1))
-    check2 = attacks.check_dp_bound(attacks.roc_curve(*direct), eps, config.delta, trials)
-
-    passed = check1.passed and check2.passed
+    checks = []
+    for i, pair in enumerate(((mean0, mean1), (worst0, worst1))):
+        bits, scores, _ = attacks.run_game(*pair, mech, trials, root.child(_STREAM_VERIFY, i))
+        checks.append(attacks.check_dp_bound(attacks.roc_curve(bits, scores), eps, config.delta,
+                                             trials))
+    trained, worst = checks
     detail = (
-        f"trained pair violation {check1.max_violation:.4f}, "
-        f"worst-case violation {check2.max_violation:.4f}, tolerance {check1.mc_tolerance:.4f}"
+        f"trained pair violation {trained.max_violation:.4f}, "
+        f"worst-case violation {worst.max_violation:.4f}, tolerance {trained.mc_tolerance:.4f}"
     )
-    return VerifyCheck("dp_bound", passed, detail)
+    return VerifyCheck("dp_bound", trained.passed and worst.passed, detail)
 
 
 def verify_checks(config: RunConfig, sigma_scale: float = 1.0) -> list[VerifyCheck]:
@@ -460,15 +464,11 @@ def cmd_mia(config: RunConfig, out_override: str | None = None) -> int:
     out_dir = _open_run_dir(config, out_override)
     root = RngStream(config.seed)
     mean0, mean1, mech = build_adversarial_game(config, root)
-    reference = attacks.ScoreReference(
-        *(np.concatenate([b.ravel(), a.ravel()]) for b, a in (mean0, mean1)))
-
     summary = []
     for tag, scale in (("sigma_0", 0.0), ("sigma_calibrated", 1.0), ("sigma_10x", 10.0)):
         scaled = replace(mech, sigma_b=mech.sigma_b * scale, sigma_a=mech.sigma_a * scale)
-        bits, scores = attacks.run_game(mean0, mean1, scaled, config.mia_trials,
-                                        root.child(_STREAM_MIA, 9, int(scale * 10)))
-        accuracy = attacks.attack_accuracy(bits, scores, reference)
+        bits, scores, accuracy = attacks.run_game(mean0, mean1, scaled, config.mia_trials,
+                                                  root.child(_STREAM_MIA, 9, int(scale * 10)))
         curve = attacks.roc_curve(bits, scores)
         check = attacks.check_dp_bound(curve, config.mia_epsilon, config.delta, config.mia_trials)
         _write_csv(out_dir / f"trials_{tag}.csv", TRIALS_HEADER,

@@ -11,8 +11,6 @@ import pytest
 from fedlora_dp import attacks, runner
 from fedlora_dp.attacks import (
     RocCurve,
-    ScoreReference,
-    attack_accuracy,
     check_dp_bound,
     roc_curve,
     run_game,
@@ -80,9 +78,15 @@ def flat(mean) -> np.ndarray:
     return np.concatenate([b.ravel(), a.ravel()])
 
 
-def score_update(release, reference: ScoreReference) -> float:
+def unit_direction(mean0, mean1) -> np.ndarray:
+    """The flattened difference of two means, at unit norm."""
+    direction = flat(mean1) - flat(mean0)
+    return direction / np.linalg.norm(direction)
+
+
+def score_update(release, unit: np.ndarray) -> float:
     """Per-release oracle: projection of the flattened pair (b, a) onto the mean difference."""
-    return float(flat(release) @ reference.unit_direction)
+    return float(flat(release) @ unit)
 
 
 def roc_curve_loop(bits: np.ndarray, scores: np.ndarray) -> RocCurve:
@@ -145,9 +149,9 @@ class TestAdversarialGame:
                                                recording)
         config = RunConfig(task_m=6, task_n=4, task_rank=2, clients=5, sampled_per_round=3,
                            samples_per_client=30, heterogeneity=0.5, epsilon=9.0, epsilon_b=3.0,
-                           mia_dataset_size=5)
+                           mia_dataset_size=5, mia_epsilon=0.5)
         try:
-            mean0, mean1, mechanism = runner.build_adversarial_game(config, RngStream(7), 0.5)
+            mean0, mean1, mechanism = runner.build_adversarial_game(config, RngStream(7))
         finally:
             tracer.restore(patched)
 
@@ -163,57 +167,37 @@ class TestAdversarialGame:
         assert clip_a == max(frobenius_norm(mean0[1]), frobenius_norm(mean1[1]))
 
 
-class TestScoreReference:
-    def test_zero_direction_rejected(self):
-        mu = np.array([1.0, 2.0])
-        with pytest.raises(ValueError, match="coincide"):
-            ScoreReference(mu, mu.copy())
-
-    def test_endpoint_and_midpoint_scores(self):
-        mu0 = np.array([0.0, 0.0])
-        mu1 = np.array([2.0, 0.0])
-        ref = ScoreReference(mu0, mu1)
-        u0 = (np.array([[0.0]]), np.array([[0.0]]))
-        u1 = (np.array([[2.0]]), np.array([[0.0]]))
-        mid = (np.array([[1.0]]), np.array([[0.0]]))
-        s0 = score_update(u0, ref)
-        s1 = score_update(u1, ref)
-        sm = score_update(mid, ref)
-        assert s0 < sm < s1
-        assert sm == pytest.approx((s0 + s1) / 2)
-        assert ref.midpoint_score == pytest.approx(sm)
-
-
 class TestRunGame:
     def test_deterministic_given_seed(self):
         pair = _neighbors(_dataset(3), _record(np.random.default_rng(4)))
         cfg = _game_config(3)
-        bits1, scores1 = run_game(*trained_means(pair, cfg), cfg.mechanism, 200, RngStream(5, (1,)))
-        bits2, scores2 = run_game(*trained_means(pair, cfg), cfg.mechanism, 200, RngStream(5, (1,)))
+        bits1, scores1, acc1 = run_game(*trained_means(pair, cfg), cfg.mechanism, 200,
+                                        RngStream(5, (1,)))
+        bits2, scores2, acc2 = run_game(*trained_means(pair, cfg), cfg.mechanism, 200,
+                                        RngStream(5, (1,)))
         assert np.array_equal(bits1, bits2)
         assert np.array_equal(scores1, scores2)
+        assert acc1 == acc2
 
     def test_huge_noise_near_chance(self):
         pair = _neighbors(_dataset(6), _record(np.random.default_rng(7)))
         cfg = _game_config(6, sigma=1e6)
-        mean0, mean1 = trained_means(pair, cfg)
-        bits, scores = run_game(mean0, mean1, cfg.mechanism, 2000, RngStream(8, (1,)))
-        acc = attack_accuracy(bits, scores, ScoreReference(flat(mean0), flat(mean1)))
+        _, scores, acc = run_game(*trained_means(pair, cfg), cfg.mechanism, 2000,
+                                  RngStream(8, (1,)))
         assert abs(acc - 0.5) <= 3 / math.sqrt(len(scores))
 
     def test_no_noise_perfect_separation(self):
         pair = _neighbors(_dataset(9), (np.array([10.0, -8.0, 6.0]), np.array([4.0, -4.0])))
         cfg = _game_config(9, sigma=0.0)
-        mean0, mean1 = trained_means(pair, cfg)
-        bits, scores = run_game(mean0, mean1, cfg.mechanism, 1000, RngStream(10, (1,)))
-        assert attack_accuracy(bits, scores, ScoreReference(flat(mean0), flat(mean1))) >= 0.99
+        _, _, acc = run_game(*trained_means(pair, cfg), cfg.mechanism, 1000, RngStream(10, (1,)))
+        assert acc >= 0.99
 
     def test_score_distributions_gaussian_mean_gap(self):
         # two-sample moment check: equal variances, mean gap = ||mu1 - mu0||
         pair = _neighbors(_dataset(11), (np.array([5.0, 5.0, -5.0]), np.array([2.0, -2.0])))
         cfg = _game_config(11, sigma=0.3)
         mean0, mean1 = trained_means(pair, cfg)
-        bits, scores = run_game(mean0, mean1, cfg.mechanism, 4000, RngStream(12, (1,)))
+        bits, scores, _ = run_game(mean0, mean1, cfg.mechanism, 4000, RngStream(12, (1,)))
         gap = float(np.linalg.norm(flat(mean1) - flat(mean0)))
         s0 = scores[bits == 0]
         s1 = scores[bits == 1]
@@ -228,6 +212,35 @@ class TestRunGame:
         cfg = _game_config(1)
         with pytest.raises(ValueError, match="trials"):
             run_game(*trained_means(pair, cfg), cfg.mechanism, 10, RngStream(0))
+
+    def test_coinciding_means_rejected(self):
+        mean = (np.ones((2, 1)), np.ones((1, 2)))
+        mech = MechanismParams(clip_b=1.0, clip_a=1.0, sigma_b=0.5, sigma_a=0.5)
+        with pytest.raises(ValueError, match="coincide"):
+            run_game(mean, (mean[0].copy(), mean[1].copy()), mech, 100, RngStream(0))
+
+    # Means far outside the clip sphere: clipping moves both, and their midpoint.
+    far0 = (np.array([[6.0], [2.0]]), np.array([[3.0, -1.0]]))
+    far1 = (np.array([[-4.0], [5.0]]), np.array([[0.5, 4.0]]))
+
+    def test_binding_clip_without_noise_is_perfect(self):
+        mech = MechanismParams(clip_b=1.0, clip_a=0.5, sigma_b=0.0, sigma_a=0.0)
+        assert min(frobenius_norm(f) for f in (*self.far0, *self.far1)) > mech.clip_b
+        _, _, acc = run_game(self.far0, self.far1, mech, 500, RngStream(16, (1,)))
+        assert acc == 1.0
+
+    def test_accuracy_is_the_midpoint_rule_on_the_clipped_means(self):
+        mech = MechanismParams(clip_b=1.0, clip_a=0.5, sigma_b=0.4, sigma_a=0.3)
+        bits, scores, acc = run_game(self.far0, self.far1, mech, 3000, RngStream(17, (1,)))
+
+        def midpoint_rule(mean0, mean1):
+            threshold = unit_direction(mean0, mean1) @ (flat(mean0) + flat(mean1)) / 2.0
+            return int(np.count_nonzero((scores > threshold) == (bits == 1))) / len(scores)
+
+        clipped = [clip_pair(mean, mech) for mean in (self.far0, self.far1)]
+        assert acc == midpoint_rule(*clipped)
+        # the unclipped means' midpoint is a threshold in other coordinates
+        assert acc != midpoint_rule(self.far0, self.far1)
 
 
 class TestRocCurve:
@@ -330,7 +343,7 @@ class TestDirectGame:
         mech = MechanismParams(clip_b=clip, clip_a=clip, sigma_b=sigma, sigma_a=sigma)
         u = np.ones((2, 1)) / math.sqrt(2)
         v = np.ones((1, 2)) / math.sqrt(2)
-        bits, scores = run_game((u, v), (-u, v), mech, 10_000, RngStream(13, (1,)))
+        bits, scores, _ = run_game((u, v), (-u, v), mech, 10_000, RngStream(13, (1,)))
         check = check_dp_bound(roc_curve(bits, scores), eps, delta, 10_000)
         assert check.passed
 
@@ -341,7 +354,7 @@ class TestDirectGame:
         mech = MechanismParams(clip_b=clip, clip_a=clip, sigma_b=sigma, sigma_a=sigma)
         u = np.ones((2, 1)) / math.sqrt(2)
         v = np.ones((1, 2)) / math.sqrt(2)
-        bits, scores = run_game((u, v), (-u, v), mech, 10_000, RngStream(14, (1,)))
+        bits, scores, _ = run_game((u, v), (-u, v), mech, 10_000, RngStream(14, (1,)))
         check = check_dp_bound(roc_curve(bits, scores), eps, delta, 10_000)
         assert not check.passed
 
@@ -354,12 +367,7 @@ class TestDirectGame:
         for i, scale in enumerate((0.0, 1.0, 10.0)):
             mech = MechanismParams(clip_b=clip, clip_a=clip,
                                    sigma_b=sigma_star * scale, sigma_a=sigma_star * scale)
-            bits, scores = run_game((u, v), (-u, v), mech, 1000, RngStream(15, (i,)))
-            ref = ScoreReference(
-                np.concatenate([u.ravel(), v.ravel()]),
-                np.concatenate([(-u).ravel(), v.ravel()]),
-            )
-            accs.append(attack_accuracy(bits, scores, ref))
+            accs.append(run_game((u, v), (-u, v), mech, 1000, RngStream(15, (i,)))[2])
         se = 2 * math.sqrt(0.25 / 1000)
         assert accs[0] >= accs[1] - se >= accs[2] - 2 * se
 
@@ -382,7 +390,7 @@ class TestBlockLayout:
 
     def test_partial_last_block(self):
         trials = 3 * self.block() + 37
-        bits, scores = run_game(self.mean0, self.mean1, self.mech, trials, RngStream(22))
+        bits, scores, _ = run_game(self.mean0, self.mean1, self.mech, trials, RngStream(22))
         assert len(bits) == len(scores) == trials
         assert set(bits[-37:].tolist()) == {0, 1}
 
@@ -390,15 +398,15 @@ class TestBlockLayout:
         block = self.block()
         trials = 2 * block + 100
         rng = RngStream(23, (4,))
-        bits, scores = run_game(self.mean0, self.mean1, self.mech, trials, rng)
+        bits, scores, _ = run_game(self.mean0, self.mean1, self.mech, trials, rng)
         means = [clip_pair(mean, self.mech) for mean in (self.mean0, self.mean1)]
-        reference = ScoreReference(*(np.concatenate([b.ravel(), a.ravel()]) for b, a in means))
+        unit = unit_direction(*means)
         for k, start in enumerate(range(0, trials, block)):
             for bit in (0, 1):
                 first = start + int(np.flatnonzero(bits[start:start + block] == bit)[0])
                 release = privatize(means[bit], self.mech, rng.child(k, 1, bit),
                                     rng.child(k, 2, bit))
-                expected = score_update(release, reference)
+                expected = score_update(release, unit)
                 assert scores[first] == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_one_release_call_per_block_and_bit_present(self, monkeypatch):
@@ -411,7 +419,7 @@ class TestBlockLayout:
         monkeypatch.setattr(attacks, "privatize", spy)
         block = self.block()
         trials = 2 * block + 100
-        bits, _ = run_game(self.mean0, self.mean1, self.mech, trials, RngStream(25, (4,)))
+        bits, _, _ = run_game(self.mean0, self.mean1, self.mech, trials, RngStream(25, (4,)))
         expected = []
         for k, start in enumerate(range(0, trials, block)):
             chunk = bits[start:start + block]
@@ -430,7 +438,7 @@ class TestBlockLayout:
         monkeypatch.setattr(RngStream, "generator", counting)
         block = self.block()
         trials = 5 * block + 1
-        bits, _ = run_game(self.mean0, self.mean1, self.mech, trials, RngStream(24))
+        bits, _, _ = run_game(self.mean0, self.mean1, self.mech, trials, RngStream(24))
         # per block: one for the bits, then one each for B and A per bit present
         expected = sum(1 + 2 * len(set(bits[start:start + block].tolist()))
                        for start in range(0, trials, block))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fedlora_dp
-from fedlora_dp import cli, runner
+from fedlora_dp import cli, runner, simulation
 from fedlora_dp.adapters import init_adapter
 from fedlora_dp.config import STRATEGIES, RunConfig, parse_text
 from fedlora_dp.linalg import RngStream, frobenius_norm
@@ -455,6 +455,24 @@ class TestResolveClips:
         assert lowest == (min(b_norms), min(a_norms))
         assert highest == (max(b_norms), max(a_norms))
 
+    def test_dry_run_keeps_the_run_learning_rate_schedule(self, monkeypatch):
+        # The dry run plays the run's own first rounds, so the cosine schedule spans
+        # the run's 200 rounds, not the dry run's 3.
+        seen = []
+        cosine_lr = simulation.cosine_lr
+
+        def recording(lr_start, lr_end, round_index, rounds):
+            seen.append((round_index, rounds))
+            return cosine_lr(lr_start, lr_end, round_index, rounds)
+
+        monkeypatch.setattr(simulation, "cosine_lr", recording)
+        text = TINY.replace("clip_mode = absolute", "clip_mode = calibrated")
+        config = parse_text(text.replace("rounds = 4", "rounds = 200"))
+        root = RngStream(config.seed)
+        runner.resolve_clips(config, runner.build_task(config, root), root)
+        assert config.calibration_rounds == 3
+        assert seen == [(0, 200), (1, 200), (2, 200)]
+
 
 MIA_FILES = [f"{kind}_{tag}.csv" for tag in ("sigma_0", "sigma_calibrated", "sigma_10x")
              for kind in ("trials", "roc")]
@@ -470,6 +488,7 @@ GOLDEN_RUNS = {
     **{strategy: ("run", TINY.replace("dp_enabled = true", "dp_enabled = false")
                   + f"strategy = {strategy}\n", ["metrics.csv"]) for strategy in STRATEGIES},
     "mia": ("mia", TINY + "mia_trials = 3000\n", MIA_FILES),
+    "mia_summary": ("mia", TINY + "mia_trials = 3000\n", ["summary.txt"]),
     "sweep_rank": ("sweep_rank", TINY + "noise_draws = 45000\nsweep_ranks = 1,2,4\n",
                    ["noise_stats.csv"]),
     "sweep_size": ("sweep_size", TINY + "noise_draws = 600\nsweep_sizes = 3x2,40x50\n",
@@ -510,6 +529,7 @@ GOLDEN_DIGESTS = {
     "fedyogi": "d6b1a362e3c9863f7b44afc7d0d720ecb9283ec33e1c2c1ca7e1e50952532e6a",
     "fedadam": "125c4c6807a878457ade722d197d53cb60faa17fb7325ce178054a391d3b51ef",
     "mia": "4a1c5a2e7e5da6cec12fb6f31835b55a680a1075221ffa70296c52ecf2434b92",
+    "mia_summary": "9be19acfa09adbf017bbbb1943140f5777739fdd0c7a29e55c50d3ca03ffa933",
     "sweep_rank": "7aa7c8b547360f3e959267f1d077652db801383c4a4086b6bfef68e7cf140e5d",
     "sweep_size": "da167b60bdc16b1de12ccb9685c969ddbd3b20d836c61899a80c4832d6b20761",
     "sweep_clip": "f77828245ec7b1ee828781409f1d9ba436e95d1dc3198a1162401844de818387",
@@ -531,11 +551,12 @@ def digest_of(run_dir, files):
 
 
 class TestGoldenDigests:
-    """sha256 of the byte-stable CSVs of tiny runs: a private run, every strategy
-    without DP, the membership-inference game, a rank sweep, a size sweep, a
-    clip sweep and an epsilon sweep; of ``report`` over the private run and the
-    clip sweep; of fedavg and fedadam over several row blocks; and of fedadam
-    and fedyogi at a shape whose rounds run on worker threads.
+    """sha256 of the byte-stable outputs of tiny runs: a private run, every
+    strategy without DP, the membership-inference game and its summary, a rank
+    sweep, a size sweep, a clip sweep and an epsilon sweep; of ``report`` over
+    the private run and the clip sweep; of fedavg and fedadam over several row
+    blocks; and of fedadam and fedyogi at a shape whose rounds run on worker
+    threads.
 
     A refactor must leave every digest as it is.  A change to a random stream
     or to the order of floating-point operations changes them; such a change
