@@ -320,6 +320,7 @@ def build_adversarial_game(config: RunConfig, root: RngStream
     x, y = task.x[0], task.y[0]
     x_prime, y_prime = x.copy(), y.copy()
     x_prime[0] *= config.mia_input_scale
+    # target_delta forms the game task's m x n target from its factors, as generation did
     y_prime[0] = (task.base.w + task.target_delta) @ x_prime[0]
 
     mean0 = attacks.trained_update(x, y, task.base, game, stream.child(1))

@@ -35,17 +35,25 @@ allocates a fresh one.  Every entry goes through the same operations, in
 the same order, as the whole-matrix formulas, so the results match them bit
 for bit.
 
-Two phases of a round run on worker threads at large shapes, through
-``linalg._run_in_order``: the base residuals X effective^T - Y of every
-group, computed before training (one task per group), and the server step
-(one task per row block).  Each task writes arrays no other task touches,
-with the same operations on any thread, and each worker of the step writes
-its temporaries into scratch arrays allocated for it, so every output is
-bit-identical at any worker count.  Both phases start threads only from
-``_THREAD_FLOATS`` entries on, which small shapes never reach.  Training,
-clipping, noise and stacking run on the calling thread, in ascending client
-id order, so the ``NumericError`` a run raises and every random stream are
-the same too.
+Three phases run on worker threads at large shapes, through
+``linalg._run_in_order``: task generation (one task per client: its draws
+and its GEMM against the signal), the base residuals X effective^T - Y of
+every group, computed before training (one task per group), and the server
+step (one task per row block).  Each task writes arrays no other task
+touches, with the same operations on any thread, and each worker of the
+step writes its temporaries into scratch arrays allocated for it, so every
+output is bit-identical at any worker count.  Every phase starts threads
+only from ``_THREAD_FLOATS`` entries on, which small shapes never reach.
+Every generator is made on the calling thread.  Training, clipping, noise
+and stacking run on the calling thread, in ascending client id order, so
+the ``NumericError`` a run raises and every random stream are the same too.
+
+Each dense matrix a run reads is held once.  The task keeps its target as
+two factors, a round takes its metrics before the server step and drops
+each per-client array after its last reader, and the end-of-run losses run
+after the server's accumulators are freed.  So at its peak a large run
+holds the task, the server's accumulators and the round's dense
+``delta_t``, which the step applies.
 
 SCAFFOLD uses option I of Karimireddy et al. (arXiv:1910.06378): a sampled
 client's control variate becomes its full-batch dense gradient at the
@@ -67,7 +75,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .adapters import FrozenBase, GlobalAdapter, aggregate_stack, global_delta, init_adapter
+from .adapters import (
+    FactorPair,
+    FrozenBase,
+    GlobalAdapter,
+    aggregate_stack,
+    global_delta,
+    init_adapter,
+)
 from .config import STRATEGIES, RunConfig
 from .linalg import RngStream, frobenius_norm
 from .noise_stats import NoiseModel, exact_total_variance
@@ -107,13 +122,21 @@ class SyntheticTask:
 
     ``x`` and ``y`` are C-contiguous and stacked along a leading client axis:
     client k's inputs are ``x[k]`` and its targets ``y[k]``, and every client
-    holds the same number of rows.
+    holds the same number of rows.  The target is held as its two scaled
+    factors, so the only m x n array a task holds is ``base.w``;
+    ``target_delta`` recomputes their product on each read.
     """
 
     base: FrozenBase
-    target_delta: np.ndarray
+    target_b: np.ndarray  # (m, r_star)
+    target_a: np.ndarray  # (r_star, n)
     x: np.ndarray  # (clients, rows, n)
     y: np.ndarray  # (clients, rows, m)
+
+    @property
+    def target_delta(self) -> np.ndarray:
+        """The m x n target product, formed anew on each read; only the audit game reads it."""
+        return self.target_b @ self.target_a
 
     @property
     def m(self) -> int:
@@ -206,6 +229,20 @@ class ExperimentResult:
     wall_s: float
 
 
+# Entries of an m x n operand a phase must stream before its tasks run on
+# worker threads: m * n for task generation (one task per client) and for the
+# server step (16 row blocks), k * m * n for one group's residual GEMMs.
+# Below it a phase runs on the calling thread.  A thread costs far more inside
+# a round than its start and join: on a 2-core box (numpy 2.4.6, OpenBLAS, one
+# BLAS thread, in-process ``run_experiment``, medians of 11-15 interleaved
+# runs) threading the step alone slowed 200 x 300 fedavg from 3.9 to 4.6 ms a
+# round and 512 x 512 fedadam from 26.9 to 28.4 ms, and threading the
+# residuals alone slowed 512 x 512 (two groups of one client, 13M
+# multiply-adds each) from 13.8 to 14.1 ms and 64 x 64 with 20 of 20 clients
+# from 33.7 to 35.3 ms, while both phases together took the 1024 x 1024
+# ``fl_dense`` run from 1.51 to 1.20 s.
+_THREAD_FLOATS = 1 << 19
+
 # Task-generation draw kinds.
 _TASK_BASE = 0
 _TASK_TARGET = 1
@@ -225,10 +262,18 @@ def generate_task(
     """Build a realizable low-rank regression task with optional client shift.
 
     Base entries are N(0, 1/n); the rank-r_star target product is rescaled to
-    unit Frobenius norm.  Client k draws inputs from N(mu_k, I) where
-    ||mu_k|| equals the heterogeneity parameter (zero shift when it is 0).
-    Each client's rows are drawn from its own stream straight into its slice
-    of the stacked ``x`` and ``y``.
+    unit Frobenius norm, and the task keeps it as the factors
+    ``target_b = b_star * s`` and ``target_a = a_star * s``, never as the
+    product (``SyntheticTask.target_delta`` recomputes it, bit for bit).
+    Client k draws inputs from N(mu_k, I) where ||mu_k|| equals the
+    heterogeneity parameter (zero shift when it is 0).  Each client's rows
+    are drawn from its own stream straight into its slice of the stacked
+    ``x`` and ``y``.  Every client's generator is made on the calling
+    thread, in client order; from ``_THREAD_FLOATS`` entries of the signal
+    on, the clients' draws and GEMMs are the tasks of
+    ``linalg._run_in_order``.  Each client writes only its own slices, with
+    the same operations on any thread, so the task is the same at any
+    worker count.
     The arguments are not checked here: ``parse_text`` checks the config keys
     they come from (1 <= r_star <= min(m, n), positive sizes, sigma_obs >= 0,
     heterogeneity in [0, 1]).
@@ -241,13 +286,17 @@ def generate_task(
     a_star = gen_target.standard_normal((r_star, n)) / math.sqrt(r_star)
     product_norm = frobenius_norm(b_star @ a_star)
     scale = 1.0 / math.sqrt(product_norm)
-    target = (b_star * scale) @ (a_star * scale)
+    target_b, target_a = b_star * scale, a_star * scale
 
-    signal = w + target
+    # summed in place: IEEE addition commutes, so signal equals w + target_delta bit for bit
+    signal = target_b @ target_a
+    signal += w
     x = np.empty((n_clients, samples_per_client, n))
     y = np.empty((n_clients, samples_per_client, m))
-    for k in range(n_clients):
-        gen_k = rng.child(_TASK_CLIENT, k).generator()
+    gens = [rng.child(_TASK_CLIENT, k).generator() for k in range(n_clients)]
+
+    def run(k: int, worker: int) -> None:
+        gen_k = gens[k]
         if heterogeneity == 0:
             mu = np.zeros(n)
         else:
@@ -259,7 +308,9 @@ def generate_task(
         if sigma_obs > 0:
             y[k] += sigma_obs * gen_k.standard_normal((samples_per_client, m))
 
-    return SyntheticTask(base=FrozenBase(w), target_delta=target, x=x, y=y)
+    workers = linalg._worker_count(n_clients) if m * n >= _THREAD_FLOATS else 1
+    linalg._run_in_order(n_clients, run, workers=workers)
+    return SyntheticTask(base=FrozenBase(w), target_b=target_b, target_a=target_a, x=x, y=y)
 
 
 def dataset_loss(model: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -428,19 +479,6 @@ _BLOCK_FLOATS = 32_768
 # temporaries into; the strategies not listed need none.
 _STEP_SCRATCH = {"fedavgm": 1, "fedadagrad": 2, "fedyogi": 2, "fedadam": 2}
 
-# Entries of an m x n operand a round phase must stream before its tasks run
-# on worker threads: k * m * n for one group's residual GEMMs, m * n for the
-# server step (16 row blocks).  Below it a phase runs on the calling thread.
-# A thread costs far more inside a round than its start and join: on a 2-core
-# box (numpy 2.4.6, OpenBLAS, one BLAS thread, in-process ``run_experiment``,
-# medians of 11-15 interleaved runs) threading the step alone slowed 200 x 300
-# fedavg from 3.9 to 4.6 ms a round and 512 x 512 fedadam from 26.9 to 28.4 ms,
-# and threading the residuals alone slowed 512 x 512 (two groups of one
-# client, 13M multiply-adds each) from 13.8 to 14.1 ms and 64 x 64 with 20 of
-# 20 clients from 33.7 to 35.3 ms, while both phases together took the
-# 1024 x 1024 ``fl_dense`` run from 1.51 to 1.20 s.
-_THREAD_FLOATS = 1 << 19
-
 
 def _apply_strategy(server: ServerState, config: RunConfig, delta_t: np.ndarray) -> None:
     """Apply the round's dense update to the server's accumulators, in place.
@@ -568,6 +606,64 @@ def run_round(
     ``server`` is updated in place; every accumulator, and ``effective``,
     stays the same array.
 
+    The sampled clients train first (``_train_sampled``).  Every client
+    holds the same number of rows, so each stacking weight is a data share
+    of 1 / k times the LoRA scale, (1 / k) * (lora_scale / rank).  Every
+    round releases through ``mechanism``: each trained pair is clipped once
+    (``clip_pair``), and the clipped pair is both released (``privatize``, B
+    noise on stream (round, cid, 3), A noise on (round, cid, 4)) and kept as
+    the clean reference for ``expectation_diff`` and ``total_variance``.  The
+    default, ``IDENTITY_MECHANISM``, returns every factor as itself, so both
+    are 0.  Every metric is taken before the server step, and each
+    per-client array is dropped after its last reader: when the released
+    stacks form the dense ``delta_t`` (``global_delta``) they are the only
+    per-client arrays alive, and the step itself meets only ``delta_t``.
+    """
+    round_index = server.round_index
+    sampled = sample_clients(task.n_clients, config.sampled_per_round,
+                             rng.child(round_index, _KIND_SAMPLE))
+    scale = config.lora_scale / config.rank
+    trained, losses = _train_sampled(server, task, config, rng, sampled, scale)
+    client_norms = tuple(
+        (cid, frobenius_norm(b), frobenius_norm(a)) for cid, (b, a) in zip(sampled, trained)
+    )
+
+    # Ascending id order fixes stacking order.  Each weight is the data share
+    # times the scale: with equal rows, (1 / k) * scale, rounded as
+    # rows / total * scale is; scale / k can differ in the last bit.
+    weights = [1 / len(sampled) * scale] * len(sampled)
+
+    clean = [clip_pair(pair, mechanism) for pair in trained]
+    released = aggregate_stack(
+        [privatize(pair, mechanism, rng.child(round_index, cid, _KIND_NOISE_B),
+                   rng.child(round_index, cid, _KIND_NOISE_A))
+         for cid, pair in zip(sampled, clean)],
+        weights,
+    )
+    expectation_diff, total_variance = _noise_metrics(released, clean, weights, mechanism)
+    del trained, clean
+    delta_t = global_delta(released)
+    del released
+
+    metrics = RoundMetrics(
+        round_index=round_index,
+        mean_train_loss=float(np.mean(losses)),
+        client_losses=tuple(zip(sampled, losses)),
+        client_norms=client_norms,
+        global_delta_norm=frobenius_norm(delta_t),
+        expectation_diff=expectation_diff,
+        total_variance=total_variance,
+    )
+    _apply_strategy(server, config, delta_t)
+    server.round_index += 1
+    return metrics
+
+
+def _train_sampled(server: ServerState, task: SyntheticTask, config: RunConfig,
+                   rng: RngStream, sampled: list[int],
+                   scale: float) -> tuple[list[FactorPair], list[float]]:
+    """The round's trained pairs and mean losses, in ``sampled``'s (ascending id) order.
+
     Every sampled client trains a fresh factor pair (drawn from its round's
     stream) against the server's held effective base W + delta_acc
     (``server.effective``), which the previous round's strategy step left
@@ -575,22 +671,13 @@ def run_round(
     (``_base_residuals``, on worker threads at large shapes); the sampled
     clients then train in ascending id order, in groups of ``_group_size``
     clients, one ``local_train`` call per group.  Under SCAFFOLD the same
-    residuals give each sampled client's control variate
-    (``_update_control_variates``).  Every client holds the same number of
-    rows, so each stacking weight is a data share of 1 / k times the LoRA
-    scale, (1 / k) * (lora_scale / rank).  Every round releases through
-    ``mechanism``: each trained pair is clipped once (``clip_pair``), and the
-    clipped pair is both released (``privatize``, B noise on stream
-    (round, cid, 3), A noise on (round, cid, 4)) and kept as the clean
-    reference for ``expectation_diff`` and ``total_variance``.  The default,
-    ``IDENTITY_MECHANISM``, returns every factor as itself, so both are 0.
+    residuals then give each sampled client's control variate
+    (``_update_control_variates``).  The residuals, initial pairs and
+    SCAFFOLD corrections die on return.
     """
     round_index = server.round_index
-    sampled = sample_clients(task.n_clients, config.sampled_per_round,
-                             rng.child(round_index, _KIND_SAMPLE))
     lr = cosine_lr(config.lr_start, config.lr_end, round_index, config.rounds)
     m, n = server.base.shape
-    scale = config.lora_scale / config.rank
     prox_mu = config.prox_mu if config.strategy == "fedprox" else 0.0
 
     size = _group_size(m, n, config.rank)
@@ -609,42 +696,20 @@ def run_round(
         trained += zip(result.b, result.a)
         losses += result.mean_loss.tolist()
 
-    # Ascending id order fixes stacking order.  Each weight is the data share
-    # times the scale: with equal rows, (1 / k) * scale, rounded as
-    # rows / total * scale is; scale / k can differ in the last bit.
-    weights = [1 / len(sampled) * scale] * len(sampled)
+    if server.client_c is not None:
+        _update_control_variates(server, task.x, sampled, [r for resid in resids for r in resid])
+    return trained, losses
 
-    clean = [clip_pair(pair, mechanism) for pair in trained]
-    released = aggregate_stack(
-        [privatize(pair, mechanism, rng.child(round_index, cid, _KIND_NOISE_B),
-                   rng.child(round_index, cid, _KIND_NOISE_A))
-         for cid, pair in zip(sampled, clean)],
-        weights,
-    )
+
+def _noise_metrics(released: GlobalAdapter, clean: list[FactorPair], weights: list[float],
+                   mechanism: MechanismParams) -> tuple[float, float]:
+    """``expectation_diff`` and ``total_variance`` of the release against the clean pairs."""
     expectation_diff = _mean_entry(released) - _mean_entry(aggregate_stack(clean, weights))
     model = NoiseModel(sigma_beta=mechanism.sigma_b, sigma_alpha=mechanism.sigma_a)
     total_variance = 0.0
     for weight, (b, a) in zip(weights, clean):
         total_variance += weight**2 * exact_total_variance(b, a, model)
-    delta_t = global_delta(released)
-
-    if server.client_c is not None:
-        _update_control_variates(server, task.x, sampled, [r for resid in resids for r in resid])
-
-    _apply_strategy(server, config, delta_t)
-    server.round_index += 1
-
-    return RoundMetrics(
-        round_index=round_index,
-        mean_train_loss=float(np.mean(losses)),
-        client_losses=tuple(zip(sampled, losses)),
-        client_norms=tuple(
-            (cid, frobenius_norm(b), frobenius_norm(a)) for cid, (b, a) in zip(sampled, trained)
-        ),
-        global_delta_norm=frobenius_norm(delta_t),
-        expectation_diff=expectation_diff,
-        total_variance=total_variance,
-    )
+    return expectation_diff, total_variance
 
 
 def _mean_entry(g: GlobalAdapter) -> float:
@@ -676,15 +741,23 @@ def _update_control_variates(server: ServerState, x: np.ndarray, sampled: list[i
 
 def run_experiment(config: RunConfig, task: SyntheticTask, root: RngStream,
                    mechanism: MechanismParams = IDENTITY_MECHANISM) -> ExperimentResult:
-    """Run ``config.rounds`` rounds, each releasing through ``mechanism`` (default: no DP)."""
+    """Run ``config.rounds`` rounds, each releasing through ``mechanism`` (default: no DP).
+
+    The initial and final losses are taken over every client's rows after
+    the last round.  They read only W and the effective base, so the server
+    state is dropped first and its other accumulators are freed before
+    either loss forms its error array.
+    """
     t0 = time.perf_counter()
     server = ServerState.fresh(task.base, config.strategy, task.n_clients)
     rounds = [run_round(server, task, config, root, mechanism) for _ in range(config.rounds)]
+    effective = server.effective
+    del server
     # every client's rows as one dataset: views of the stacked arrays, no copy
     x = task.x.reshape(-1, task.n)
     y = task.y.reshape(-1, task.m)
     initial_loss = dataset_loss(task.base.w, x, y)
-    final_loss = dataset_loss(server.effective, x, y)
+    final_loss = dataset_loss(effective, x, y)
     return ExperimentResult(
         rounds=tuple(rounds),
         initial_loss=initial_loss,

@@ -1,5 +1,6 @@
 """Federated loop: training gradients, strategies, determinism, sampling."""
 
+import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -65,6 +66,16 @@ class TestGenerateTask:
         model = task.base.w + task.target_delta
         for x, y in zip(task.x, task.y):
             assert dataset_loss(model, x, y) <= 1e-28
+
+    def test_task_holds_the_target_as_factors(self):
+        # x, y, W and the two scaled target factors: W is the task's one m x n array,
+        # and target_delta is formed anew on each read
+        task = small_task(m=9, n=7, r_star=3)
+        assert [f.name for f in dataclasses.fields(task)] == ["base", "target_b", "target_a",
+                                                              "x", "y"]
+        assert task.target_b.shape == (9, 3) and task.target_a.shape == (3, 7)
+        assert task.target_delta is not task.target_delta
+        assert np.array_equal(task.target_delta, task.target_b @ task.target_a)
 
     def test_regeneration_is_bit_identical(self):
         t1 = small_task(seed=5, n_clients=20, samples_per_client=100)
@@ -745,6 +756,29 @@ class TestRunExperiment:
         server_bytes = 2 * task.base.w.nbytes  # fedavg's delta_acc and effective
         assert peak < server_bytes + 1.5 * task.y.nbytes
 
+    def test_final_losses_run_without_the_accumulators(self, monkeypatch):
+        # The losses read W and the effective base only: fedadam's other three
+        # m x n accumulators are freed before either loss forms its error array.
+        task = generate_task(256, 256, 4, 20, 10, 0.0, 0.0, RngStream(8, (99,)))
+        cfg = small_config(strategy="fedadam", rounds=1, clients=20, rank=4, lora_scale=4.0,
+                           local_epochs=1)
+        peaks = []
+
+        def traced_loss(*args):
+            tracemalloc.reset_peak()
+            loss = dataset_loss(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return loss
+
+        monkeypatch.setattr(simulation, "dataset_loss", traced_loss)
+        tracemalloc.start()
+        try:
+            _run(cfg, task)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 2
+        assert max(peaks) < 4 * task.base.w.nbytes
+
     def test_all_strategies_improve(self):
         task = generate_task(16, 8, 4, 8, 40, 0.0, 0.0, RngStream(6, (99,)))
         for strategy in STRATEGIES:
@@ -875,8 +909,9 @@ class TestRoundWorkers:
         for count in (1, 2, 3):
             cpus(count)
             runs.append(self._rounds(strategy, private))
-        # each of two rounds starts count - 1 threads in each of its two phases
-        assert len(started) == sum(2 * 2 * (count - 1) for count in (1, 2, 3))
+        # generating the four-client task starts count - 1 threads, and each of
+        # two rounds count - 1 in each of its two phases
+        assert len(started) == sum(5 * (count - 1) for count in (1, 2, 3))
         (metrics, held), *others = runs
         for other_metrics, other_held in others:
             assert other_metrics == metrics
@@ -899,9 +934,47 @@ class TestRoundWorkers:
         for name, array in held.items():
             assert array is None or np.array_equal(array, expected[1][name]), name
 
+    @pytest.mark.parametrize("heterogeneity,sigma_obs", [(0.0, 0.0), (0.6, 0.2)])
+    def test_generation_bit_identical_at_any_worker_count(self, cpus, started, heterogeneity,
+                                                          sigma_obs):
+        # 700 x 1024 is above the cut-off: five clients' draws and GEMMs on up to three workers
+        tasks = []
+        for count in (1, 2, 3):
+            cpus(count)
+            tasks.append(generate_task(700, 1024, 3, 5, 12, sigma_obs, heterogeneity,
+                                       RngStream(13, (99,))))
+        assert len(started) == sum(count - 1 for count in (1, 2, 3))
+        first, *others = tasks
+        for other in others:
+            for name in ("x", "y", "target_b", "target_a"):
+                assert np.array_equal(getattr(other, name), getattr(first, name)), name
+            assert np.array_equal(other.base.w, first.base.w)
+
+    def test_round_peak_is_delta_t_and_the_released_stacks(self, cpus):
+        # Every metric is taken before the step, and each per-client array dies after
+        # its last reader: the stacks global_delta multiplies are the last ones alive.
+        cpus(2)
+        task = generate_task(700, 1024, 2, 4, 16, 0.1, 0.0, RngStream(12, (99,)))
+        cfg = small_config(strategy="fedadam", clients=4, sampled_per_round=3, rank=32,
+                           lora_scale=4.0, local_epochs=1, lr_start=1e-3, lr_end=1e-3)
+        mech = MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.01, sigma_a=0.02)
+        server = ServerState.fresh(task.base, cfg.strategy, task.n_clients)
+        root = RngStream(6, (7,))
+        run_round(server, task, cfg, root, mech)
+        tracemalloc.start()
+        try:
+            run_round(server, task, cfg, root, mech)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one released pair per client, and a quarter more for the round's small arrays
+        stacks = cfg.sampled_per_round * (task.m + task.n) * cfg.rank * 8
+        assert peak < task.base.w.nbytes + 1.25 * stacks
+
     def test_small_shapes_start_no_thread(self, cpus, started):
         cpus(2)
-        # the default 16 x 8 config, private, and 64 x 64 with all 20 clients a round
+        # the default 16 x 8 config, private, and 64 x 64 with all 20 clients a round;
+        # each task is generated in the counted region too
         default = RunConfig(rounds=3)
         task = runner.build_task(default, RngStream(default.seed))
         mech = MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.2, sigma_a=0.3)
