@@ -51,11 +51,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         if config.mode == "run":
             return cmd_run(config, args.out)
         if config.mode == "verify":

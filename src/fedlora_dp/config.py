@@ -381,8 +381,12 @@ def _validate(config: RunConfig, lines_seen: dict[str, int]) -> None:
 
 
 def parse_config(path: str | Path, mode: str | None = None) -> RunConfig:
-    """Parse a config file for ``mode`` (see ``parse_text``); a missing file is an error."""
+    """Parse a config file for ``mode`` (``parse_text``); a missing or undecodable file is an error."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return parse_text(path.read_text(), mode=mode)
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot decode {path}: {exc}") from None
+    return parse_text(text, mode=mode)

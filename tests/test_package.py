@@ -4,12 +4,14 @@ import importlib
 import inspect
 import math
 import pkgutil
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fedlora_dp
-from fedlora_dp import attacks, cli, noise_stats, privacy, runner, simulation
+from fedlora_dp import attacks, cli, linalg, noise_stats, privacy, runner, simulation
 from fedlora_dp.config import RunConfig
 from fedlora_dp.linalg import RngStream
 
@@ -100,3 +102,47 @@ def test_cli_runs_each_command_by_its_module_level_name(monkeypatch, tmp_path):
     finally:
         tracer.restore(patched)
     assert len(calls) == 1
+
+
+def test_traced_functions_run_on_the_calling_thread(monkeypatch):
+    # The benchmark's tracer keeps one span stack, so every function it wraps must
+    # run on the thread that called the package; only untraced helpers may run on
+    # the workers of a threaded generation, round or Monte Carlo wave.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("tracer")
+    monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(linalg.threading, "Thread", CountedThread)
+    threads = []
+    patched = []
+    for _, fn in layers.traced_functions():
+        def recording(*args, _fn=fn, **kwargs):
+            threads.append(threading.get_ident())
+            return _fn(*args, **kwargs)
+        patched += tracer.patch_everywhere(layers.package_modules() + [RngStream], fn, recording)
+    try:
+        # 700 x 1024 at rank 32, as the round worker tests run it: generation and
+        # both phases of each round go through the worker pool
+        task = simulation.generate_task(700, 1024, 2, 4, 16, 0.1, 0.0, RngStream(12, (99,)))
+        config = RunConfig(strategy="fedadam", clients=4, sampled_per_round=3, rounds=2,
+                           local_epochs=1, batch_size=8, lr_start=1e-3, lr_end=1e-3, rank=32,
+                           lora_scale=4.0)
+        mechanism = privacy.MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.01, sigma_a=0.02)
+        server = simulation.ServerState.fresh(task.base, config.strategy, task.n_clients)
+        for _ in range(2):
+            simulation.run_round(server, task, config, RngStream(6, (7,)), mechanism)
+        gen = np.random.default_rng(18)
+        b, a = gen.standard_normal((100, 2)), gen.standard_normal((2, 100))
+        noise_stats.noise_product_stats(b, a, noise_stats.NoiseModel(0.7, 1.3), 230,
+                                        RngStream(21))  # five chunks of 50 draws
+    finally:
+        tracer.restore(patched)
+    assert started
+    assert threads and set(threads) == {threading.get_ident()}
