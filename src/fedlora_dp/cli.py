@@ -4,7 +4,7 @@ The command names the mode; a ``mode`` line in the config file that names
 another is a config error.  Seed precedence, lowest first: config file,
 FEDLORA_DP_SEED environment variable, --seed flag; from any of them, a seed
 outside [0, 2**64) is a config error.  Exit codes: 0 success, 1 validation
-error, 2 runtime or numeric failure, 3 verify-suite failure.
+error, 2 runtime, numeric or out-of-memory failure, 3 verify-suite failure.
 """
 
 import argparse
@@ -71,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, ValueError, OSError) as exc:
+    except (RuntimeError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ runner read it directly and check none of its values again.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_text", "check_seed", "sweep_label",
@@ -33,98 +33,6 @@ class ConfigError(ValueError):
         self.line = line
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Every knob of the command-line runner, with federation-scale defaults."""
-
-    experiment_name: str = "run"
-    output_dir: str = "runs"
-    mode: str = "run"
-    seed: int = 0
-
-    rounds: int = 200
-    clients: int = 20
-    sampled_per_round: int = 2
-    local_epochs: int = 10
-    batch_size: int = 16
-    lr_start: float = 5e-5
-    lr_end: float = 1e-6
-    strategy: str = "fedavg"
-
-    dp_enabled: bool = False
-    epsilon: float = 25.0
-    epsilon_b: float = 0.0  # 0 means "use epsilon"
-    epsilon_a: float = 0.0
-    delta: float = 1e-5
-    clip_mode: str = "calibrated"
-    clip_value: float = 0.1
-    clip_quantile: float = 0.9
-    calibration_rounds: int = 3
-
-    rank: int = 32
-    lora_scale: float = 64.0
-    prox_mu: float = 0.01
-    server_lr: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.99
-    tau: float = 1e-3
-    momentum: float = 0.9
-
-    task_m: int = 16
-    task_n: int = 8
-    task_rank: int = 4
-    samples_per_client: int = 50
-    sigma_obs: float = 0.0
-    heterogeneity: float = 0.0
-
-    verify_fast: bool = False
-
-    sweep_epsilons: tuple[float, ...] = (5.0, 10.0, 15.0, 25.0)
-    sweep_clips: tuple[float, ...] = (0.1, 1.0)
-    sweep_ranks: tuple[int, ...] = (8, 16, 32, 64, 128)
-    sweep_sizes: tuple[tuple[int, int], ...] = ((32, 32), (40, 40))
-    noise_draws: int = 100_000
-    noise_sigma_beta: float = 1.0
-    noise_sigma_alpha: float = 1.0
-    sweep_norm_b: float = 1.0
-    sweep_norm_a: float = 1.0
-
-    mia_trials: int = 10_000
-    mia_epsilon: float = 1.0
-    mia_rank: int = 4
-    mia_epochs: int = 5
-    mia_batch_size: int = 4
-    mia_lr: float = 0.002  # at 0.01 the probe training diverges on about 4% of seeds
-    mia_dataset_size: int = 8
-    mia_input_scale: float = 10.0
-
-    def resolved_epsilon_b(self) -> float:
-        return self.epsilon_b if self.epsilon_b > 0 else self.epsilon
-
-    def resolved_epsilon_a(self) -> float:
-        return self.epsilon_a if self.epsilon_a > 0 else self.epsilon
-
-    def snapshot(self) -> str:
-        """Canonical key = value text re-parsing to an equal config."""
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            lines.append(f"{f.name} = {_format_value(value)}")
-        return "\n".join(lines) + "\n"
-
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    if isinstance(value, tuple):
-        if value and isinstance(value[0], tuple):
-            return ",".join(f"{m}x{n}" for m, n in value)
-        return ",".join(_format_value(v) for v in value)
-    return str(value)
 
 
 def _parse_bool(raw: str, key: str, line: int) -> bool:
@@ -160,15 +68,15 @@ def _split_list(raw: str, key: str, line: int) -> list[str]:
     return parts
 
 
-def _parse_float_list(raw: str, key: str, line: int) -> tuple[float, ...]:
+def _parse_floats(raw: str, key: str, line: int) -> tuple[float, ...]:
     return tuple(_parse_float(p, key, line) for p in _split_list(raw, key, line))
 
 
-def _parse_int_list(raw: str, key: str, line: int) -> tuple[int, ...]:
+def _parse_ints(raw: str, key: str, line: int) -> tuple[int, ...]:
     return tuple(_parse_int(p, key, line) for p in _split_list(raw, key, line))
 
 
-def _parse_size_list(raw: str, key: str, line: int) -> tuple[tuple[int, int], ...]:
+def _parse_sizes(raw: str, key: str, line: int) -> tuple[tuple[int, int], ...]:
     pairs = []
     for p in _split_list(raw, key, line):
         if "x" not in p:
@@ -185,35 +93,33 @@ _PARSERS = {
     str: lambda raw, key, line: raw,
 }
 
-_LIST_PARSERS = {
-    "sweep_epsilons": _parse_float_list,
-    "sweep_clips": _parse_float_list,
-    "sweep_ranks": _parse_int_list,
-    "sweep_sizes": _parse_size_list,
-}
+
+def _positive(value, name, line):
+    if not value > 0:
+        raise ConfigError(f"{name} must be > 0, got {value}", line)
 
 
-def _positive(name):
-    def check(cfg_value, line):
-        if not cfg_value > 0:
-            raise ConfigError(f"{name} must be > 0, got {cfg_value}", line)
+def _at_least(low):
+    def check(value, name, line):
+        if value < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}", line)
     return check
 
 
-def _at_least(name, low):
-    def check(cfg_value, line):
-        if cfg_value < low:
-            raise ConfigError(f"{name} must be >= {low}, got {cfg_value}", line)
-    return check
-
-
-def _in_unit_interval(name, open_ends=False):
-    def check(cfg_value, line):
+def _in_unit_interval(open_ends=False):
+    def check(value, name, line):
         if open_ends:
-            if not 0 < cfg_value < 1:
-                raise ConfigError(f"{name} must lie strictly in (0, 1), got {cfg_value}", line)
-        elif not 0 <= cfg_value <= 1:
-            raise ConfigError(f"{name} must lie in [0, 1], got {cfg_value}", line)
+            if not 0 < value < 1:
+                raise ConfigError(f"{name} must lie strictly in (0, 1), got {value}", line)
+        elif not 0 <= value <= 1:
+            raise ConfigError(f"{name} must lie in [0, 1], got {value}", line)
+    return check
+
+
+def _choice(options):
+    def check(value, name, line):
+        if value not in options:
+            raise ConfigError(f"{name} must be one of {options}, got {value!r}", line)
     return check
 
 
@@ -228,60 +134,132 @@ def sweep_label(value: float) -> str:
     return f"{value:g}".replace(".", "p").replace("-", "m")
 
 
-def _choice(name, options):
-    def check(cfg_value, line):
-        if cfg_value not in options:
-            raise ConfigError(f"{name} must be one of {options}, got {cfg_value!r}", line)
-    return check
+def _relative_path(value, name, line):
+    # The run directory is output_dir / experiment_name; a nested name is a sweep point's.
+    path = Path(value)
+    if path.is_absolute() or ".." in path.parts:
+        raise ConfigError(f"{name} must be a relative path without '..', got {value!r}", line)
 
 
-_VALIDATORS = {
-    "mode": _choice("mode", MODES),
-    "strategy": _choice("strategy", STRATEGIES),
-    "clip_mode": _choice("clip_mode", CLIP_MODES),
-    "seed": lambda value, line: check_seed(value, "seed", line),
-    "rounds": _at_least("rounds", 0),
-    "clients": _positive("clients"),
-    "sampled_per_round": _positive("sampled_per_round"),
-    "local_epochs": _at_least("local_epochs", 0),
-    "batch_size": _positive("batch_size"),
-    "lr_start": _positive("lr_start"),
-    "lr_end": _positive("lr_end"),
-    "epsilon": _positive("epsilon"),
-    "epsilon_b": _at_least("epsilon_b", 0),
-    "epsilon_a": _at_least("epsilon_a", 0),
-    "delta": _in_unit_interval("delta", open_ends=True),
-    "clip_value": _positive("clip_value"),
-    "clip_quantile": _in_unit_interval("clip_quantile"),
-    "calibration_rounds": _positive("calibration_rounds"),
-    "rank": _positive("rank"),
-    "lora_scale": _positive("lora_scale"),
-    "prox_mu": _at_least("prox_mu", 0),
-    "server_lr": _positive("server_lr"),
-    "beta1": _in_unit_interval("beta1"),
-    "beta2": _in_unit_interval("beta2"),
-    "tau": _positive("tau"),
-    "momentum": _in_unit_interval("momentum"),
-    "task_m": _positive("task_m"),
-    "task_n": _positive("task_n"),
-    "task_rank": _positive("task_rank"),
-    "samples_per_client": _positive("samples_per_client"),
-    "sigma_obs": _at_least("sigma_obs", 0),
-    "heterogeneity": _in_unit_interval("heterogeneity"),
-    "noise_draws": _at_least("noise_draws", 2),  # a variance needs two draws
-    "noise_sigma_beta": _at_least("noise_sigma_beta", 0),
-    "noise_sigma_alpha": _at_least("noise_sigma_alpha", 0),
-    "sweep_norm_b": _at_least("sweep_norm_b", 0),
-    "sweep_norm_a": _at_least("sweep_norm_a", 0),
-    "mia_trials": _at_least("mia_trials", 100),  # run_game's floor
-    "mia_epsilon": _positive("mia_epsilon"),
-    "mia_rank": _positive("mia_rank"),
-    "mia_epochs": _positive("mia_epochs"),  # an untrained B is 0, which no clip fits
-    "mia_batch_size": _positive("mia_batch_size"),
-    "mia_lr": _positive("mia_lr"),
-    "mia_dataset_size": _positive("mia_dataset_size"),
-    "mia_input_scale": _positive("mia_input_scale"),
-}
+def _sweep_points(values, name, line):
+    """Positive points, no two of which share a run directory (``sweep_label``)."""
+    labels: dict[str, float] = {}
+    for v in values:
+        if not v > 0:
+            raise ConfigError(f"{name} entries must be > 0, got {v}", line)
+        label = sweep_label(v)
+        if label in labels:
+            raise ConfigError(f"{name} entries {labels[label]!r} and {v!r} share the run"
+                              f" directory label {label!r}", line)
+        labels[label] = v
+
+
+def _ascending_ranks(values, name, line):
+    if list(values) != sorted(values) or any(r < 1 for r in values):
+        raise ConfigError(f"{name} must be positive and ascending, got {list(values)}", line)
+
+
+def _positive_sizes(values, name, line):
+    for m, n in values:
+        if m < 1 or n < 1:
+            raise ConfigError(f"{name} entries must be positive, got {m}x{n}", line)
+
+
+def _key(default, check=None, parse=None):
+    """A key's field: default, check(value, key, line) and a list key's parse(raw, key, line)."""
+    return field(default=default, metadata={"check": check, "parse": parse})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Every knob of the command-line runner, with federation-scale defaults and range checks."""
+
+    experiment_name: str = _key("run", _relative_path)
+    output_dir: str = "runs"
+    mode: str = _key("run", _choice(MODES))
+    seed: int = _key(0, check_seed)
+
+    rounds: int = _key(200, _at_least(0))
+    clients: int = _key(20, _positive)
+    sampled_per_round: int = _key(2, _positive)
+    local_epochs: int = _key(10, _at_least(0))
+    batch_size: int = _key(16, _positive)
+    lr_start: float = _key(5e-5, _positive)
+    lr_end: float = _key(1e-6, _positive)
+    strategy: str = _key("fedavg", _choice(STRATEGIES))
+
+    dp_enabled: bool = False
+    epsilon: float = _key(25.0, _positive)
+    epsilon_b: float = _key(0.0, _at_least(0))  # 0 means "use epsilon"
+    epsilon_a: float = _key(0.0, _at_least(0))
+    delta: float = _key(1e-5, _in_unit_interval(open_ends=True))
+    clip_mode: str = _key("calibrated", _choice(CLIP_MODES))
+    clip_value: float = _key(0.1, _positive)
+    clip_quantile: float = _key(0.9, _in_unit_interval())
+    calibration_rounds: int = _key(3, _positive)
+
+    rank: int = _key(32, _positive)
+    lora_scale: float = _key(64.0, _positive)
+    prox_mu: float = _key(0.01, _at_least(0))
+    server_lr: float = _key(0.1, _positive)
+    beta1: float = _key(0.9, _in_unit_interval())
+    beta2: float = _key(0.99, _in_unit_interval())
+    tau: float = _key(1e-3, _positive)
+    momentum: float = _key(0.9, _in_unit_interval())
+
+    task_m: int = _key(16, _positive)
+    task_n: int = _key(8, _positive)
+    task_rank: int = _key(4, _positive)
+    samples_per_client: int = _key(50, _positive)
+    sigma_obs: float = _key(0.0, _at_least(0))
+    heterogeneity: float = _key(0.0, _in_unit_interval())
+
+    verify_fast: bool = False
+
+    sweep_epsilons: tuple[float, ...] = _key((5.0, 10.0, 15.0, 25.0), _sweep_points, _parse_floats)
+    sweep_clips: tuple[float, ...] = _key((0.1, 1.0), _sweep_points, _parse_floats)
+    sweep_ranks: tuple[int, ...] = _key((8, 16, 32, 64, 128), _ascending_ranks, _parse_ints)
+    sweep_sizes: tuple[tuple[int, int], ...] = _key(((32, 32), (40, 40)), _positive_sizes, _parse_sizes)
+    noise_draws: int = _key(100_000, _at_least(2))  # a variance needs two draws
+    noise_sigma_beta: float = _key(1.0, _at_least(0))
+    noise_sigma_alpha: float = _key(1.0, _at_least(0))
+    sweep_norm_b: float = _key(1.0, _at_least(0))
+    sweep_norm_a: float = _key(1.0, _at_least(0))
+
+    mia_trials: int = _key(10_000, _at_least(100))  # run_game's floor
+    mia_epsilon: float = _key(1.0, _positive)
+    mia_rank: int = _key(4, _positive)
+    mia_epochs: int = _key(5, _positive)  # an untrained B is 0, which no clip fits
+    mia_batch_size: int = _key(4, _positive)
+    mia_lr: float = _key(0.002, _positive)  # at 0.01 the probe training diverges on about 4% of seeds
+    mia_dataset_size: int = _key(8, _positive)
+    mia_input_scale: float = _key(10.0, _positive)
+
+    def resolved_epsilon_b(self) -> float:
+        return self.epsilon_b if self.epsilon_b > 0 else self.epsilon
+
+    def resolved_epsilon_a(self) -> float:
+        return self.epsilon_a if self.epsilon_a > 0 else self.epsilon
+
+    def snapshot(self) -> str:
+        """Canonical key = value text re-parsing to an equal config."""
+        lines = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            lines.append(f"{f.name} = {_format_value(value)}")
+        return "\n".join(lines) + "\n"
+
+
+def _format_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, tuple):
+        if value and isinstance(value[0], tuple):
+            return ",".join(f"{m}x{n}" for m, n in value)
+        return ",".join(_format_value(v) for v in value)
+    return str(value)
 
 
 def parse_text(text: str, mode: str | None = None) -> RunConfig:
@@ -290,8 +268,7 @@ def parse_text(text: str, mode: str | None = None) -> RunConfig:
     ``mode``, when given, is the mode that will run, and the config is
     checked against it: a ``mode`` line naming another mode is an error.
     """
-    field_types = {f.name: f.type for f in fields(RunConfig)}
-    known = set(field_types)
+    known = {f.name: f for f in fields(RunConfig)}
     values: dict[str, object] = {}
     lines_seen: dict[str, int] = {}
 
@@ -310,12 +287,9 @@ def parse_text(text: str, mode: str | None = None) -> RunConfig:
             raise ConfigError(f"duplicate key {key!r} (already set on line {lines_seen[key]})", lineno)
         if not raw_value:
             raise ConfigError(f"{key} has no value", lineno)
-        if key in _LIST_PARSERS:
-            values[key] = _LIST_PARSERS[key](raw_value, key, lineno)
-        else:
-            default = getattr(RunConfig, key)
-            parser = _PARSERS[type(default)]
-            values[key] = parser(raw_value, key, lineno)
+        f = known[key]
+        parser = f.metadata.get("parse") or _PARSERS[type(f.default)]
+        values[key] = parser(raw_value, key, lineno)
         lines_seen[key] = lineno
 
     if mode is not None:
@@ -329,13 +303,11 @@ def parse_text(text: str, mode: str | None = None) -> RunConfig:
 
 
 def _validate(config: RunConfig, lines_seen: dict[str, int]) -> None:
-    for key, validator in _VALIDATORS.items():
-        validator(getattr(config, key), lines_seen.get(key))
-    # The run directory is output_dir / experiment_name; a nested name is a sweep point's.
-    name = Path(config.experiment_name)
-    if name.is_absolute() or ".." in name.parts:
-        raise ConfigError(f"experiment_name must be a relative path without '..', got "
-                          f"{config.experiment_name!r}", lines_seen.get("experiment_name"))
+    """Each key's own check in declaration order, then the conditions between keys."""
+    for f in fields(config):
+        check = f.metadata.get("check")
+        if check is not None:
+            check(getattr(config, f.name), f.name, lines_seen.get(f.name))
     line = lines_seen.get("sampled_per_round", lines_seen.get("clients"))
     if config.sampled_per_round > config.clients:
         raise ConfigError(
@@ -352,24 +324,6 @@ def _validate(config: RunConfig, lines_seen: dict[str, int]) -> None:
             f"task_rank ({config.task_rank}) cannot exceed min(task_m, task_n)",
             lines_seen.get("task_rank"),
         )
-    for key in ("sweep_epsilons", "sweep_clips"):
-        labels: dict[str, float] = {}
-        for v in getattr(config, key):
-            if not v > 0:
-                raise ConfigError(f"{key} entries must be > 0, got {v}", lines_seen.get(key))
-            label = sweep_label(v)
-            if label in labels:
-                raise ConfigError(f"{key} entries {labels[label]!r} and {v!r} share the run"
-                                  f" directory label {label!r}", lines_seen.get(key))
-            labels[label] = v
-    ranks = config.sweep_ranks
-    if list(ranks) != sorted(ranks) or any(r < 1 for r in ranks):
-        raise ConfigError(f"sweep_ranks must be positive and ascending, got {list(ranks)}",
-                          lines_seen.get("sweep_ranks"))
-    for m, n in config.sweep_sizes:
-        if m < 1 or n < 1:
-            raise ConfigError(f"sweep_sizes entries must be positive, got {m}x{n}",
-                              lines_seen.get("sweep_sizes"))
     # SCAFFOLD's control variates are each client's dense m x n gradient, which
     # the factor mechanism cannot release, so a private run would send them un-noised.
     if config.strategy == "scaffold" and (config.dp_enabled or config.mode in PRIVATE_MODES):

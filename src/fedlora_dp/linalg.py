@@ -76,7 +76,14 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
 
 
 def frobenius_norm(m: np.ndarray) -> float:
-    """sqrt of the sum of squared entries."""
+    """sqrt of the sum of squared entries.
+
+    ``np.linalg.norm(m, "fro")`` is a BLAS dot product, which OpenBLAS splits
+    across threads, so its last bits can change between one and two BLAS
+    threads: a 1024x16 factor's norm does, a matrix of 8,192 entries' does
+    not.  That is why perfbench and ``test_multi_block_run_matches_digest``
+    pin one BLAS thread; ROADMAP item 15 owns the fix.
+    """
     return float(np.linalg.norm(m, "fro"))
 
 

@@ -98,7 +98,7 @@ def _write_csv(path: Path, header: str, rows: Iterable[tuple]) -> list[str]:
     Each column's format is chosen once, from its first row, so each column
     holds one type: a float column prints as ``fmt`` does, any other as
     ``str``.  Every row then goes through one format string, with no Python
-    call per value.  The caller quotes a cell that may hold a comma.
+    call per value.  The caller quotes a cell that may hold a comma (``_csv_cell``).
     """
     rows = list(rows)
     line = ",".join("{:" + _FLOAT_SPEC + "}" if isinstance(value, float) else "{}"
@@ -106,6 +106,13 @@ def _write_csv(path: Path, header: str, rows: Iterable[tuple]) -> list[str]:
     lines = [header, *starmap(line.format, rows)]
     _write(path, lines)
     return lines
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as one CSV field: quoted, with inner quotes doubled, if it holds , " or a newline."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _read_csv(path: Path, header: str) -> list[dict[str, str]]:
@@ -497,8 +504,8 @@ def cmd_report(config: RunConfig, out_override: str | None = None) -> int:
         for path in metrics_files:
             label = str(path.parent.relative_to(run_dir))
             rows = _read_csv(path, METRICS_HEADER)
-            loss_rows += [(label, r["round"], r["strategy"], r["dp_enabled"], r["mean_loss"])
-                          for r in rows]
+            loss_rows += [(_csv_cell(label), r["round"], r["strategy"], r["dp_enabled"],
+                           r["mean_loss"]) for r in rows]
             if rows:
                 last = rows[-1]
                 summary.append(f"{label}: strategy {last['strategy']}, dp {last['dp_enabled']},"
@@ -515,8 +522,8 @@ def cmd_report(config: RunConfig, out_override: str | None = None) -> int:
         for path in noise_files:
             label = str(path.parent.relative_to(run_dir))
             rows = _read_csv(path, NOISE_HEADER)
-            noise_rows += [(label, r["sweep_value"], r["mean_diff"], r["mc_variance"])
-                           for r in rows]
+            noise_rows += [(_csv_cell(label), r["sweep_value"], r["mean_diff"],
+                            r["mc_variance"]) for r in rows]
             summary.append(f"noise sweep points: {len(rows)}")
         _write_csv(report_dir / "noise_summary.csv", "run,sweep_value,expectation,variance",
                    noise_rows)

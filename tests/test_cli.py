@@ -1,5 +1,6 @@
 """Command line: every mode on a tiny config, exit codes, byte-stable reruns, seed precedence."""
 
+import csv
 import hashlib
 import math
 import os
@@ -81,6 +82,14 @@ class TestRun:
         config = write_config(tmp_path, TINY.replace("lr_start = 0.05", "lr_start = 1e6"))
         assert run_cli("run", config, tmp_path / "out") == 2
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_2(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.11 PiB for an array")
+
+        monkeypatch.setattr(noise_stats, "rank_sweep", refuse)
+        assert run_cli("sweep_rank", write_config(tmp_path), tmp_path / "out") == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 7.11 PiB for an array\n"
 
 
 class TestConfigErrors:
@@ -455,6 +464,27 @@ class TestReport:
             ("rank", "1"), ("rank", "2"), ("rank", "4"), ("size", "3x2"), ("size", "4x4")]
         assert (report / "summary.txt").read_text().splitlines() == [
             "noise sweep points: 3", "noise sweep points: 2"]
+
+    def test_run_labels_holding_a_comma_or_quote_are_quoted(self, tmp_path):
+        names = ["a,b", 'q"t']
+        for i, name in enumerate(names):
+            text = TINY.replace("experiment_name = tiny", f"experiment_name = grid/{name}")
+            assert run_cli("run", write_config(tmp_path, text, name=f"{i}.cfg"),
+                           tmp_path / "out") == 0
+        text = TINY.replace("experiment_name = tiny", "experiment_name = grid/r,1")
+        config = write_config(tmp_path, text + "noise_draws = 200\nsweep_ranks = 1,2\n",
+                              name="rank.cfg")
+        assert run_cli("sweep_rank", config, tmp_path / "out") == 0
+        grid = write_config(tmp_path, "experiment_name = grid\n", name="grid.cfg")
+        assert run_cli("report", grid, tmp_path / "out") == 0
+        report = tmp_path / "out" / "grid" / "report"
+        for table, header, runs in (
+                ("loss_vs_round.csv", "run,round,strategy,dp_enabled,mean_loss", names),
+                ("noise_summary.csv", "run,sweep_value,expectation,variance", ["r,1"])):
+            with (report / table).open(newline="") as f:
+                assert {len(row) for row in csv.reader(f)} == {len(header.split(","))}
+            rows = runner._read_csv(report / table, header)
+            assert sorted({row["run"] for row in rows}) == runs
 
     def test_missing_run_directory_exits_1(self, tmp_path, capsys):
         assert run_cli("report", write_config(tmp_path), tmp_path / "absent") == 1
