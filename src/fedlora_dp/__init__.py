@@ -11,66 +11,9 @@ Library layout:
 - ``noise_stats``: expectation/variance analysis of noisy factor products
 - ``attacks``: trained updates, the membership-inference game, the privacy-bound check
 - ``runner`` / ``cli``: experiment orchestration and the command line
+
+The package root re-exports nothing: import each name from the module that
+defines it, as in ``from fedlora_dp.config import RunConfig``.
 """
 
-from .adapters import FrozenBase, GlobalAdapter, aggregate_stack, global_delta, init_adapter
-from .config import STRATEGIES, RunConfig
-from .linalg import RngStream, frobenius_norm, sample_gaussian
-from .noise_stats import (
-    NoiseModel,
-    exact_total_variance,
-    rank_sweep,
-    size_sweep,
-    variance_bound,
-)
-from .privacy import (
-    MechanismParams,
-    PrivacyBudget,
-    calibrate_sigma,
-    clip_frobenius,
-    clip_pair,
-    compose_budget,
-    privatize,
-)
-from .simulation import (
-    ExperimentResult,
-    SyntheticTask,
-    generate_task,
-    local_train,
-    run_experiment,
-    run_round,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "RngStream",
-    "frobenius_norm",
-    "sample_gaussian",
-    "PrivacyBudget",
-    "MechanismParams",
-    "clip_frobenius",
-    "clip_pair",
-    "calibrate_sigma",
-    "privatize",
-    "compose_budget",
-    "GlobalAdapter",
-    "FrozenBase",
-    "aggregate_stack",
-    "global_delta",
-    "init_adapter",
-    "NoiseModel",
-    "exact_total_variance",
-    "variance_bound",
-    "rank_sweep",
-    "size_sweep",
-    "STRATEGIES",
-    "RunConfig",
-    "SyntheticTask",
-    "ExperimentResult",
-    "generate_task",
-    "local_train",
-    "run_round",
-    "run_experiment",
-    "__version__",
-]

@@ -10,7 +10,10 @@ type and range and the conditions between keys, against the mode that will
 run.  The command line names that mode; a file whose ``mode`` line names
 another is an error.  ``RunConfig`` is then the one record of a run's
 settings.  The round loop (``simulation``), the attack (``attacks``) and the
-runner read it directly and check none of its values again.
+runner read it directly and check none of its values again, with one
+exception: ``simulation._apply_strategy`` raises on an unknown ``strategy``,
+because a config built by ``RunConfig(...)`` or ``dataclasses.replace``
+skips ``parse_text``.
 """
 
 import math

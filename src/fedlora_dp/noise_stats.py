@@ -58,7 +58,6 @@ class NoiseStats:
     mean_diff: float
     std_error: float
     total_variance: float
-    n_draws: int
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,7 @@ def noise_product_stats(
     m, r = b.shape
     n = a.shape[1]
     if model.sigma_beta == 0 and model.sigma_alpha == 0:
-        return NoiseStats(mean_diff=0.0, std_error=0.0, total_variance=0.0, n_draws=n_draws)
+        return NoiseStats(mean_diff=0.0, std_error=0.0, total_variance=0.0)
     clean = b @ a
     starts = range(0, n_draws, _chunk_size(m, n, r))
     per_draw_mean = np.empty(n_draws)
@@ -176,12 +175,7 @@ def noise_product_stats(
     std_error = float(per_draw_mean.std(ddof=1) / math.sqrt(n_draws))
     var_entries = (sum_sq - sum_prod * sum_prod / n_draws) / (n_draws - 1)
     total_variance = float(np.maximum(var_entries, 0.0).sum())
-    return NoiseStats(
-        mean_diff=mean_diff,
-        std_error=std_error,
-        total_variance=total_variance,
-        n_draws=n_draws,
-    )
+    return NoiseStats(mean_diff=mean_diff, std_error=std_error, total_variance=total_variance)
 
 
 def _three_term_variance(b: np.ndarray, a: np.ndarray, model: NoiseModel,

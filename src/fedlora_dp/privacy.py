@@ -43,7 +43,12 @@ class PrivacyBudget:
 
 @dataclass(frozen=True)
 class MechanismParams:
-    """Per-matrix clip thresholds and calibrated noise scales for an update pair."""
+    """Per-matrix clip thresholds and noise scales for an update pair.
+
+    A private run's comes from ``runner._calibrated``, which calibrates each
+    factor's sigma from its clip and budget; a non-private run's is
+    ``IDENTITY_MECHANISM``.
+    """
 
     clip_b: float
     clip_a: float
@@ -55,16 +60,6 @@ class MechanismParams:
         _check_clip(self.clip_a)
         if self.sigma_b < 0 or self.sigma_a < 0:
             raise ValueError("noise scales must be >= 0")
-
-    @classmethod
-    def calibrated(cls, clip_b: float, clip_a: float, budget_b: PrivacyBudget,
-                   budget_a: PrivacyBudget) -> "MechanismParams":
-        return cls(
-            clip_b=clip_b,
-            clip_a=clip_a,
-            sigma_b=calibrate_sigma(clip_b, budget_b),
-            sigma_a=calibrate_sigma(clip_a, budget_a),
-        )
 
 
 def _check_clip(c: float) -> None:

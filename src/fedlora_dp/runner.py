@@ -42,7 +42,8 @@ from . import attacks, noise_stats
 from .adapters import FactorPair
 from .config import RunConfig, sweep_label
 from .linalg import RngStream, frobenius_norm
-from .privacy import IDENTITY_MECHANISM, MechanismParams, PrivacyBudget, compose_budget
+from .privacy import (IDENTITY_MECHANISM, MechanismParams, PrivacyBudget, calibrate_sigma,
+                      compose_budget)
 from .simulation import (ExperimentResult, ServerState, SyntheticTask, generate_task,
                          run_experiment, run_round)
 
@@ -174,11 +175,10 @@ def resolve_clips(config: RunConfig, task: SyntheticTask, root: RngStream) -> tu
 
 def _calibrated(config: RunConfig, clip_b: float, clip_a: float) -> MechanismParams:
     """Mechanism at the given clips, each factor's sigma calibrated to the config's budget."""
-    return MechanismParams.calibrated(
-        clip_b=clip_b,
-        clip_a=clip_a,
-        budget_b=PrivacyBudget(config.resolved_epsilon_b(), config.delta),
-        budget_a=PrivacyBudget(config.resolved_epsilon_a(), config.delta),
+    return MechanismParams(
+        clip_b, clip_a,
+        calibrate_sigma(clip_b, PrivacyBudget(config.resolved_epsilon_b(), config.delta)),
+        calibrate_sigma(clip_a, PrivacyBudget(config.resolved_epsilon_a(), config.delta)),
     )
 
 
@@ -316,8 +316,7 @@ def build_adversarial_game(config: RunConfig, root: RngStream
     return mean0, mean1, mechanism
 
 
-def _check_dp_bound(config: RunConfig, root: RngStream, trials: int,
-                    sigma_scale: float = 1.0) -> VerifyCheck:
+def _check_dp_bound(config: RunConfig, root: RngStream, trials: int) -> VerifyCheck:
     """Empirical (epsilon, delta) trade-off at eps = 0.5 on two pairs.
 
     Checks the trained adversarial neighbor pair of the run's config at
@@ -329,7 +328,6 @@ def _check_dp_bound(config: RunConfig, root: RngStream, trials: int,
     """
     eps = 0.5
     mean0, mean1, mech = build_adversarial_game(replace(config, mia_epsilon=eps), root)
-    mech = replace(mech, sigma_b=mech.sigma_b * sigma_scale, sigma_a=mech.sigma_a * sigma_scale)
     direction_b, direction_a = (np.ones(f.shape) / math.sqrt(f.size) for f in mean0)
     worst0 = (mech.clip_b * direction_b, mech.clip_a * direction_a)
     worst1 = (-mech.clip_b * direction_b, mech.clip_a * direction_a)
@@ -346,7 +344,7 @@ def _check_dp_bound(config: RunConfig, root: RngStream, trials: int,
     return VerifyCheck("dp_bound", trained.passed and worst.passed, detail)
 
 
-def verify_checks(config: RunConfig, sigma_scale: float = 1.0) -> list[VerifyCheck]:
+def verify_checks(config: RunConfig) -> list[VerifyCheck]:
     """The statistical oracles, with sample sizes reduced under verify_fast.
 
     Verify reports Monte Carlo verdicts only.  Exact identities are unit
@@ -364,15 +362,14 @@ def verify_checks(config: RunConfig, sigma_scale: float = 1.0) -> list[VerifyChe
     return [
         *_check_noise_product(root.child(3), instances, draws),
         _check_rank_linearity(root.child(5), draws),
-        _check_dp_bound(config, RngStream(config.seed), trials, sigma_scale=sigma_scale),
+        _check_dp_bound(config, RngStream(config.seed), trials),
     ]
 
 
-def cmd_verify(config: RunConfig, out_override: str | None = None,
-               sigma_scale: float = 1.0) -> int:
+def cmd_verify(config: RunConfig, out_override: str | None = None) -> int:
     """Run the invariant suite; exit 0 only if every check passes."""
     t0 = time.perf_counter()
-    checks = verify_checks(config, sigma_scale=sigma_scale)
+    checks = verify_checks(config)
     out_dir = _open_run_dir(config, out_override)
     for check in checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")

@@ -65,7 +65,9 @@ All randomness flows through streams keyed by (round, client, draw kind),
 which makes runs bit-reproducible regardless of client scheduling.
 
 The loop reads its settings from the parsed ``RunConfig``, whose values
-``config`` has already checked, and checks none of them again.
+``config`` has already checked, and checks none of them again but one:
+``_apply_strategy`` raises on an unknown ``strategy``, because a config
+built by ``RunConfig(...)`` or ``dataclasses.replace`` skips ``parse_text``.
 """
 
 import math

@@ -278,11 +278,26 @@ class TestVerify:
             ' tolerance 0.0335"',
         ]
 
-    def test_quartered_noise_fails_dp_bound_with_exit_3(self, tmp_path):
+    def test_quartered_noise_fails_dp_bound_with_exit_3(self, tmp_path, monkeypatch):
+        calibrated = runner._calibrated
+
+        def quartered(config, clip_b, clip_a):
+            mech = calibrated(config, clip_b, clip_a)
+            return replace(mech, sigma_b=mech.sigma_b * 0.25, sigma_a=mech.sigma_a * 0.25)
+
+        monkeypatch.setattr(runner, "_calibrated", quartered)
         config = replace(parse_text(TINY + "verify_fast = true\n"), mode="verify")
-        assert runner.cmd_verify(config, str(tmp_path / "out"), sigma_scale=0.25) == 3
+        assert runner.cmd_verify(config, str(tmp_path / "out")) == 3
         rows = (tmp_path / "out" / "tiny" / "verify_report.csv").read_text().splitlines()
-        assert [row.split(",")[0] for row in rows if ",false," in row] == ["dp_bound"]
+        # The noise oracles draw no mechanism, so only dp_bound's row moves.
+        assert rows == [
+            "check,passed,detail",
+            'unbiasedness,true,"worst |mean|/5SE ratio 0.272"',
+            'variance_oracle,true,"worst MC rel err 0.0133"',
+            'rank_linearity,true,"MC doubling ratios 1.967-1.996"',
+            'dp_bound,false,"trained pair violation 0.0100, worst-case violation 0.1939,'
+            ' tolerance 0.0335"',
+        ]
 
     @pytest.mark.parametrize("check", sorted(TAMPERED_NOISE_STATS))
     def test_each_noise_oracle_fails_alone_with_exit_3(self, tmp_path, monkeypatch, check):
@@ -557,6 +572,11 @@ MIA_FILES = [f"{kind}_{tag}.csv" for tag in ("sigma_0", "sigma_calibrated", "sig
 # by row.  The mia game spans two blocks of
 # trials, each rank of the rank sweep three Monte Carlo chunks, and the 40x50
 # point of the size sweep three.  The two model sweeps pin each point's metrics.
+# The "*_calibrated" runs take the default clip mode, so they pin the clip
+# dry run and the epsilon sweep's shared clips, with client shift and
+# observation noise on.
+CALIBRATED = (TINY.replace("clip_mode = absolute\nclip_value = 1.0\n", "clip_mode = calibrated\n")
+              + "heterogeneity = 0.5\nsigma_obs = 0.1\n")
 GOLDEN_RUNS = {
     "dp": ("run", TINY, ["metrics.csv"]),
     "dp_scaled": ("run", TINY.replace("lora_scale = 2", "lora_scale = 5").replace(
@@ -576,6 +596,9 @@ GOLDEN_RUNS = {
                    ["sweep.csv", "clip_0p1/metrics.csv", "clip_1/metrics.csv"]),
     "sweep_epsilon": ("sweep_epsilon", TINY + "sweep_epsilons = 5,25\n",
                       ["sweep.csv", "eps_5/metrics.csv", "eps_25/metrics.csv"]),
+    "dp_calibrated": ("run", CALIBRATED, ["metrics.csv"]),
+    "sweep_epsilon_calibrated": ("sweep_epsilon", CALIBRATED + "sweep_epsilons = 5,25\n",
+                                 ["sweep.csv", "eps_5/metrics.csv", "eps_25/metrics.csv"]),
 }
 # Golden runs whose ``report`` outputs are pinned too, under "report_<name>".
 REPORTED_RUNS = ("dp", "sweep_clip")
@@ -614,6 +637,9 @@ GOLDEN_DIGESTS = {
     "sweep_size": "da167b60bdc16b1de12ccb9685c969ddbd3b20d836c61899a80c4832d6b20761",
     "sweep_clip": "f77828245ec7b1ee828781409f1d9ba436e95d1dc3198a1162401844de818387",
     "sweep_epsilon": "af0898cd692feeb1fb4af07e4b1b4db9907cbb0ca0e4e4a285f482d57662d0b3",
+    "dp_calibrated": "13da14db0d8f9da9d109cd9291e0732f6578dbdf9910a503a2f5bfb6d79cfb94",
+    "sweep_epsilon_calibrated":
+        "d43808ad775d204b4ad2622b71170c4b8660395704e024d16d4179cd591d55a6",
     "report_dp": "1e58e4c3fdafd8c519cec47f6c81244bc34615d8231a20c12120ef62a0ad8390",
     "report_sweep_clip": "edc630cc6b6828d44945dd1de9c413dec3815d5e4a47d6d96ea5a87ca1492b56",
     "wide_fedavg": "a8de6207018d12b895cd1555bbb7c60bd938590794604dd496e61c20511b9e5f",
@@ -633,8 +659,10 @@ def digest_of(run_dir, files):
 class TestGoldenDigests:
     """sha256 of the byte-stable outputs of tiny runs: private runs at rank 2 and 1, every
     strategy without DP, the membership-inference game and its summary, a rank
-    sweep, a size sweep, a clip sweep and an epsilon sweep; of ``report`` over
-    the private run and the clip sweep; of fedavg and fedadam over several row
+    sweep, a size sweep, a clip sweep and an epsilon sweep; of a run and an
+    epsilon sweep at calibrated clips, with client shift and observation
+    noise; of ``report`` over the private run and the clip sweep; of fedavg
+    and fedadam over several row
     blocks; and of fedadam and fedyogi at a shape whose rounds run on worker
     threads.
 

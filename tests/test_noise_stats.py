@@ -229,7 +229,6 @@ def sequential_stats(b, a, model, n_draws, rng):
         mean_diff=float(per_draw_mean.mean()),
         std_error=float(per_draw_mean.std(ddof=1) / math.sqrt(n_draws)),
         total_variance=float(np.maximum(var_entries, 0.0).sum()),
-        n_draws=n_draws,
     )
 
 

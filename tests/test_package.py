@@ -28,6 +28,18 @@ def test_every_export_resolves(name):
     assert missing == []
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_each_module_exports_only_what_it_defines(name):
+    # perfbench traces a function only under the module that defines it, so a
+    # re-exported function in an __all__ would drop out of the per-layer table.
+    module = importlib.import_module(name)
+    if name == "fedlora_dp":
+        assert not hasattr(module, "__all__")
+    foreign = [attr for attr in getattr(module, "__all__", ())
+               if getattr(getattr(module, attr), "__module__", name) != name]
+    assert foreign == []
+
+
 def test_benchmark_hooks_are_exported_and_shared():
     # perfbench wraps every __all__ function wherever the package binds it, and
     # stamps the end of set-up at the first call of a main loop.

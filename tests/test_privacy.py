@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedlora_dp import runner
+from fedlora_dp.config import RunConfig
 from fedlora_dp.linalg import RngStream, frobenius_norm
 from fedlora_dp.privacy import (
     MechanismParams,
@@ -252,11 +254,7 @@ class TestComposeBudget:
 
 class TestMechanismParams:
     def test_calibrated_scales(self):
-        params = MechanismParams.calibrated(
-            clip_b=2.0, clip_a=1.0,
-            budget_b=PrivacyBudget(1.0, 1e-5),
-            budget_a=PrivacyBudget(1.0, 1e-5),
-        )
+        params = runner._calibrated(RunConfig(epsilon=1.0, delta=1e-5), 2.0, 1.0)
         assert params.sigma_b == 2.0 * params.sigma_a
 
     def test_rejects_negative_sigma(self):
