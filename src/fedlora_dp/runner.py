@@ -158,17 +158,17 @@ def resolve_clips(config: RunConfig, task: SyntheticTask, root: RngStream) -> tu
     The dry run plays the first ``calibration_rounds`` rounds of ``config``
     itself, at the run's own learning rates, without DP
     (``IDENTITY_MECHANISM``), on the calibration stream; the thresholds are
-    quantiles of its ``client_norms``, the pre-clipping factor norms of every
-    sampled client.
+    quantiles of the ``norm_b`` and ``norm_a`` of every ``Release`` record it
+    reports, the factor norms of every sampled client taken before clipping.
     """
     if config.clip_mode == "absolute":
         return config.clip_value, config.clip_value
     server = ServerState.fresh(task.base, config.strategy, task.n_clients)
     stream = root.child(_STREAM_CALIBRATE)
     rounds = [run_round(server, task, config, stream) for _ in range(config.calibration_rounds)]
-    _, b_norms, a_norms = zip(*(norms for r in rounds for norms in r.client_norms))
-    clip_b = float(np.quantile(b_norms, config.clip_quantile))
-    clip_a = float(np.quantile(a_norms, config.clip_quantile))
+    releases = [rel for r in rounds for rel in r.releases]
+    clip_b = float(np.quantile([rel.norm_b for rel in releases], config.clip_quantile))
+    clip_a = float(np.quantile([rel.norm_a for rel in releases], config.clip_quantile))
     floor = 1e-12
     return max(clip_b, floor), max(clip_a, floor)
 

@@ -11,6 +11,10 @@ fresh pairs, so per-round shapes never grow.  Factor pairs are plain arrays;
 the LoRA scale ``lora_scale / rank`` is computed once per round and passed
 alongside them.
 
+A round reports one ``Release`` record per sampled client, in ascending id
+order: the client's mean training loss over its last local epoch and the
+Frobenius norms of its trained B and A, taken before clipping.
+
 Client data lives on one client axis: the task holds every client's rows
 as two stacked arrays, x (clients, rows, n) and y (clients, rows, m), so
 every client holds the same number of rows and client k's data is x[k] and
@@ -94,6 +98,7 @@ __all__ = [
     "NumericError",
     "SyntheticTask",
     "ServerState",
+    "Release",
     "RoundMetrics",
     "LocalTrainResult",
     "ExperimentResult",
@@ -201,13 +206,32 @@ class ServerState:
 
 
 @dataclass(frozen=True)
+class Release:
+    """One sampled client's release in a round: its training loss and pre-clip factor norms.
+
+    ``mean_loss`` is the client's mean batch loss over its last local epoch;
+    ``norm_b`` and ``norm_a`` are the Frobenius norms of its trained B and A
+    taken before clipping, so they can exceed the mechanism's clips.
+    """
+
+    client_id: int
+    mean_loss: float
+    norm_b: float
+    norm_a: float
+
+
+@dataclass(frozen=True)
 class RoundMetrics:
-    """Per-round observables; without DP, ``expectation_diff`` and ``total_variance`` are 0."""
+    """Per-round observables; without DP, ``expectation_diff`` and ``total_variance`` are 0.
+
+    ``releases`` holds one ``Release`` per sampled client, in ascending client
+    id order, with its factor norms taken before clipping.
+    ``mean_train_loss`` is the mean of their ``mean_loss``.
+    """
 
     round_index: int
     mean_train_loss: float
-    client_losses: tuple[tuple[int, float], ...]
-    client_norms: tuple[tuple[int, float, float], ...]  # (cid, ||B||_F, ||A||_F) before clipping
+    releases: tuple[Release, ...]
     global_delta_norm: float
     expectation_diff: float
     total_variance: float
@@ -608,10 +632,12 @@ def run_round(
     ``server`` is updated in place; every accumulator, and ``effective``,
     stays the same array.
 
-    The sampled clients train first (``_train_sampled``).  Every client
-    holds the same number of rows, so each stacking weight is a data share
-    of 1 / k times the LoRA scale, (1 / k) * (lora_scale / rank).  Every
-    round releases through ``mechanism``: each trained pair is clipped once
+    The sampled clients train first (``_train_sampled``), and each one's
+    ``Release`` record is made from its mean loss and the norms of its
+    trained pair, taken before clipping, in ascending client id order.
+    Every client holds the same number of rows, so each stacking weight is a
+    data share of 1 / k times the LoRA scale, (1 / k) * (lora_scale / rank).
+    Every round releases through ``mechanism``: each trained pair is clipped once
     (``clip_pair``), and the clipped pair is both released (``privatize``, B
     noise on stream (round, cid, 3), A noise on (round, cid, 4)) and kept as
     the clean reference for ``expectation_diff`` and ``total_variance``.  The
@@ -626,9 +652,8 @@ def run_round(
                              rng.child(round_index, _KIND_SAMPLE))
     scale = config.lora_scale / config.rank
     trained, losses = _train_sampled(server, task, config, rng, sampled, scale)
-    client_norms = tuple(
-        (cid, frobenius_norm(b), frobenius_norm(a)) for cid, (b, a) in zip(sampled, trained)
-    )
+    releases = tuple(Release(cid, loss, frobenius_norm(b), frobenius_norm(a))
+                     for cid, loss, (b, a) in zip(sampled, losses, trained))
 
     # Ascending id order fixes stacking order.  Each weight is the data share
     # times the scale: with equal rows, (1 / k) * scale, rounded as
@@ -650,8 +675,7 @@ def run_round(
     metrics = RoundMetrics(
         round_index=round_index,
         mean_train_loss=float(np.mean(losses)),
-        client_losses=tuple(zip(sampled, losses)),
-        client_norms=client_norms,
+        releases=releases,
         global_delta_norm=frobenius_norm(delta_t),
         expectation_diff=expectation_diff,
         total_variance=total_variance,
@@ -705,19 +729,23 @@ def _train_sampled(server: ServerState, task: SyntheticTask, config: RunConfig,
 
 def _noise_metrics(released: GlobalAdapter, clean: list[FactorPair], weights: list[float],
                    mechanism: MechanismParams) -> tuple[float, float]:
-    """``expectation_diff`` and ``total_variance`` of the release against the clean pairs."""
-    expectation_diff = _mean_entry(released) - _mean_entry(aggregate_stack(clean, weights))
+    """``expectation_diff`` and ``total_variance`` of the release against the clean pairs.
+
+    Each mean entry of a stacked product B @ A is (1^T B)(A 1) / (m n), formed
+    without B @ A.  The clean pairs are not stacked: their weighted column
+    sums ``(w * b).sum(0)`` and row sums ``a.sum(1)`` are concatenated in
+    stacking order and dotted once.
+    """
+    m, n = released.b_stacked.shape[0], released.a_stacked.shape[1]
+    clean_b = np.concatenate([(w * b).sum(0) for w, (b, _) in zip(weights, clean)])
+    clean_a = np.concatenate([a.sum(1) for _, a in clean])
+    released_mean = float(released.b_stacked.sum(0) @ released.a_stacked.sum(1)) / (m * n)
+    expectation_diff = released_mean - float(clean_b @ clean_a) / (m * n)
     model = NoiseModel(sigma_beta=mechanism.sigma_b, sigma_alpha=mechanism.sigma_a)
     total_variance = 0.0
     for weight, (b, a) in zip(weights, clean):
         total_variance += weight**2 * exact_total_variance(b, a, model)
     return expectation_diff, total_variance
-
-
-def _mean_entry(g: GlobalAdapter) -> float:
-    """Mean entry of the stacked product, (1^T B)(A 1) / (m n), without forming B @ A."""
-    m, n = g.b_stacked.shape[0], g.a_stacked.shape[1]
-    return float(g.b_stacked.sum(0) @ g.a_stacked.sum(1)) / (m * n)
 
 
 def _update_control_variates(server: ServerState, x: np.ndarray, sampled: list[int],

@@ -567,9 +567,9 @@ MIA_FILES = [f"{kind}_{tag}.csv" for tag in ("sigma_0", "sigma_calibrated", "sig
 # name: (mode, config text, byte-stable outputs under the run directory).
 # "dp_scaled" folds three clients at LoRA scale 5 / 2, where the order of the
 # weight's operations shows in the last bits.  "dp_rank1" pins the order of
-# expectation_diff's sums at rank 1, where numpy sums a lone 40 x 1 factor
-# pairwise but the stack of three row by row; at rank 2 or more both run row
-# by row.  The mia game spans two blocks of
+# expectation_diff's sums at rank 1, where numpy sums each clean 40 x 1 factor
+# on its own pairwise but the released stack of three row by row; at rank 2 or
+# more both run row by row.  The mia game spans two blocks of
 # trials, each rank of the rank sweep three Monte Carlo chunks, and the 40x50
 # point of the size sweep three.  The two model sweeps pin each point's metrics.
 # The "*_calibrated" runs take the default clip mode, so they pin the clip
@@ -623,7 +623,7 @@ SUBPROCESS_RUNS = {
 GOLDEN_DIGESTS = {
     "dp": "b10a309e8fc4abeb66e925850a42e306b33b8a9abb2311e91a020b9ad8c492b0",
     "dp_scaled": "abd768ebf2cafc5e49a1a8990781cd9088f59eafc19f4ec91321367c50480876",
-    "dp_rank1": "a2aa0b5e11ed785a7638fba8a15948a40bfd35dcee99dc4b68de2d5dddcb923a",
+    "dp_rank1": "469afdab89e85c65c768f4aee6031e1f580bbfaa98a99cdb6de00217d1a614c4",
     "fedavg": "04891b5351d681df6acfc95060474bd402131a2be75cd31f770a19bcb9dde99d",
     "fedprox": "f0cd23b137de93950236d45588ed29a9425dec70afa11f8ba55139725c9f6d32",
     "scaffold": "05a75d0e134e9871e788c02ebcf3c0593d26e0398459433944e95ae459c42c61",

@@ -15,6 +15,7 @@ from fedlora_dp.linalg import RngStream, frobenius_norm
 from fedlora_dp.privacy import IDENTITY_MECHANISM, MechanismParams
 from fedlora_dp.simulation import (
     NumericError,
+    Release,
     ServerState,
     cosine_lr,
     dataset_loss,
@@ -562,14 +563,60 @@ class TestRunRound:
             server = ServerState.fresh(task.base, cfg.strategy, task.n_clients)
             root = RngStream(0, (7,))
             b, a = init_adapter(task.m, task.n, cfg.rank, root.child(0, 0, 1))
-            b, a, _, _ = _train_one(0, task.x[0], task.y[0], b, a, scale, task.base.w,
-                                    root.child(0, 0, 2), epochs=cfg.local_epochs,
-                                    batch_size=cfg.batch_size,
-                                    lr=cosine_lr(cfg.lr_start, cfg.lr_end, 0, cfg.rounds))
+            b, a, loss, _ = _train_one(0, task.x[0], task.y[0], b, a, scale, task.base.w,
+                                       root.child(0, 0, 2), epochs=cfg.local_epochs,
+                                       batch_size=cfg.batch_size,
+                                       lr=cosine_lr(cfg.lr_start, cfg.lr_end, 0, cfg.rounds))
             metrics = run_round(server, task, cfg, root)
             expected = scale * (b @ a)
             assert np.allclose(server.delta_acc, expected, rtol=1e-12, atol=1e-15)
-            assert metrics.client_norms == ((0, frobenius_norm(b), frobenius_norm(a)),)
+            assert metrics.releases == (Release(0, loss, frobenius_norm(b), frobenius_norm(a)),)
+
+    def test_releases_hold_pre_clip_norms_under_a_binding_clip(self, monkeypatch):
+        # Both clips bind on every trained factor; each record still holds its
+        # client's loss and trained pair's norms, one record per sampled client
+        # in ascending id order.
+        losses, trained, clipped = [], [], []
+        original_train, original_clip = simulation.local_train, simulation.clip_pair
+
+        def recording_train(*args, **kwargs):
+            result = original_train(*args, **kwargs)
+            losses.extend(result.mean_loss.tolist())
+            return result
+
+        def recording_clip(pair, mechanism):
+            trained.append(pair)
+            clipped.append(original_clip(pair, mechanism))
+            return clipped[-1]
+
+        monkeypatch.setattr(simulation, "local_train", recording_train)
+        monkeypatch.setattr(simulation, "clip_pair", recording_clip)
+        task = small_task()
+        cfg = small_config(rounds=1, sampled_per_round=3)
+        mech = MechanismParams(clip_b=1e-3, clip_a=1e-3, sigma_b=0.2, sigma_a=0.3)
+        server = ServerState.fresh(task.base, cfg.strategy, task.n_clients)
+        root = RngStream(5, (7,))
+        metrics = run_round(server, task, cfg, root, mech)
+        sampled = sample_clients(task.n_clients, cfg.sampled_per_round, root.child(0, 0))
+        assert [rel.client_id for rel in metrics.releases] == sampled
+        assert len(trained) == len(losses) == len(sampled)
+        assert len(set(losses)) == len(losses)
+        for rel, loss, (b, a), (cb, ca) in zip(metrics.releases, losses, trained, clipped):
+            assert (rel.mean_loss, rel.norm_b, rel.norm_a) == (loss, frobenius_norm(b),
+                                                               frobenius_norm(a))
+            assert rel.norm_b > mech.clip_b and rel.norm_a > mech.clip_a
+            assert frobenius_norm(cb) <= mech.clip_b and frobenius_norm(ca) <= mech.clip_a
+
+    def test_mean_train_loss_is_the_mean_of_the_release_losses(self):
+        # mean_train_loss feeds metrics.csv's mean_loss column
+        task = small_task()
+        cfg = small_config(rounds=3, sampled_per_round=3)
+        mech = MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.2, sigma_a=0.3)
+        result = _run(cfg, task, seed=5, mechanism=mech)
+        for metrics in result.rounds:
+            losses = [rel.mean_loss for rel in metrics.releases]
+            assert len(set(losses)) == cfg.sampled_per_round
+            assert metrics.mean_train_loss == float(np.mean(losses))
 
     def test_zero_epoch_round_keeps_delta(self):
         task = small_task()
@@ -603,7 +650,7 @@ class TestRunRound:
         for m1, m2 in zip(r1.rounds, r2.rounds):
             assert m1.mean_train_loss == m2.mean_train_loss
             assert m1.global_delta_norm == m2.global_delta_norm
-            assert m1.client_losses == m2.client_losses
+            assert m1.releases == m2.releases
 
 
     @pytest.mark.parametrize("strategy,private", [("fedavg", True), ("fedprox", False),
@@ -633,8 +680,9 @@ class TestRunRound:
         cfg = small_config(rounds=2, sampled_per_round=3)
         mech = MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.2, sigma_a=0.3)
         result = _run(cfg, task, seed=5, mechanism=mech)
-        assert calls == [((7, r.round_index, cid, 3), (7, r.round_index, cid, 4), None)
-                         for r in result.rounds for cid, _ in r.client_losses]
+        assert calls == [((7, r.round_index, rel.client_id, 3),
+                          (7, r.round_index, rel.client_id, 4), None)
+                         for r in result.rounds for rel in r.releases]
 
     @pytest.mark.parametrize("strategy", ["fedavg", "fedadam"])
     def test_round_allocates_less_than_two_matrices(self, strategy):
@@ -677,7 +725,7 @@ class TestRunRound:
             base = server.effective.copy()
             before = server.client_c.copy()
             metrics = run_round(server, task, cfg, root)
-            sampled = {cid for cid, _ in metrics.client_losses}
+            sampled = {rel.client_id for rel in metrics.releases}
             for k in range(task.n_clients):
                 if k not in sampled:
                     assert (server.client_c[k] == before[k]).all()
@@ -818,24 +866,33 @@ class TestRunExperiment:
             assert np.isfinite(metrics.expectation_diff)
 
     def test_expectation_diff_matches_dense_formula(self, monkeypatch):
-        # run_round takes the mean of delta_t - clean_delta from the factors; the
-        # dense products of the two stacked pairs are the reference.
-        stacks = []
-        original = simulation.aggregate_stack
+        # run_round takes the mean of delta_t - clean_delta from factor sums; the
+        # dense product of the released stack and the weighted dense products
+        # of the clipped pairs are the reference.
+        stacks, clipped = [], []
+        original_stack, original_clip = simulation.aggregate_stack, simulation.clip_pair
 
         def recording_stack(pairs, weights):
-            stacked = original(pairs, weights)
-            stacks.append(stacked)
-            return stacked
+            stacks.append(original_stack(pairs, weights))
+            return stacks[-1]
+
+        def recording_clip(pair, mechanism):
+            clipped.append(original_clip(pair, mechanism))
+            return clipped[-1]
 
         monkeypatch.setattr(simulation, "aggregate_stack", recording_stack)
+        monkeypatch.setattr(simulation, "clip_pair", recording_clip)
         task = small_task()
         mech = MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.2, sigma_a=0.3)
         cfg = small_config(rounds=3, sampled_per_round=3)
         result = _run(cfg, task, seed=8, mechanism=mech)
-        assert len(stacks) == 2 * cfg.rounds  # released then clean, each round
-        for metrics, released, clean in zip(result.rounds, stacks[::2], stacks[1::2]):
-            dense = np.mean(global_delta(released) - global_delta(clean))
+        k = cfg.sampled_per_round
+        assert len(stacks) == cfg.rounds  # the released pairs only
+        assert len(clipped) == k * cfg.rounds
+        weight = 1 / k * (cfg.lora_scale / cfg.rank)
+        for i, (metrics, released) in enumerate(zip(result.rounds, stacks)):
+            clean = sum(weight * (b @ a) for b, a in clipped[i * k:(i + 1) * k])
+            dense = np.mean(global_delta(released) - clean)
             assert metrics.expectation_diff != 0.0
             assert metrics.expectation_diff == pytest.approx(dense, rel=1e-9)
 
