@@ -14,7 +14,11 @@ whenever m == n but is not an upper bound on asymmetric shapes.
 The Monte Carlo chunks of ``noise_product_stats`` run concurrently through
 the package's in-order worker helper, ``linalg._run_in_order``; their sums are
 folded in chunk order, so the statistics are bit-identical at any worker
-count.
+count.  A chunk holds its whole tall draw plus one block of wide draws,
+products and squares at a time.  The wide draws come in blocks from the
+chunk's one generator, with the values of a single draw, and each block's
+running sums ride in row 0 of the next block's buffers, so every sum adds
+the same numbers in the same order as one sum over the whole chunk.
 """
 
 import math
@@ -78,8 +82,14 @@ _WAVE_PER_WORKER = 64
 
 
 def _chunk_size(m: int, n: int, r: int) -> int:
+    """Draws per chunk: at most 500,000 floats in any one operand's draws."""
     biggest = max(m * r, r * n, m * n)
     return max(1, 500_000 // biggest)
+
+
+# Floats in one block's products or wide draws: a chunk's tall draw plus one
+# block is what it holds at once.
+_BLOCK_FLOATS = 65_536
 
 
 def _chunk_sums(b: np.ndarray, a: np.ndarray, clean: np.ndarray, model: NoiseModel,
@@ -88,6 +98,18 @@ def _chunk_sums(b: np.ndarray, a: np.ndarray, clean: np.ndarray, model: NoiseMod
     """One chunk of ``len(per_draw_mean)`` draws: (sum of products, sum of squares).
 
     Fills ``per_draw_mean`` with each draw's entry-averaged (B+beta)(A+alpha) - BA.
+
+    The chunk's generator yields every tall draw before any wide one, so the
+    tall draws are taken whole; the wide draws then come from the same
+    generator in blocks of ``_BLOCK_FLOATS // max(m*n, r*n)`` draws, with the
+    values of a single draw.  Each block's products and their squares go
+    into one pair of buffers reused for the whole chunk, so the chunk holds
+    its tall draw plus one block at a time.  numpy sums an (draws, m, n)
+    array along axis 0 row by row, in order, so the running sums ride in
+    row 0 of the next block's buffers: every sum adds the same numbers in
+    the same order as one sum over the whole chunk.  A chunk that fits one
+    block needs no carry row.  A lone entry (m*n == 1) is not blocked,
+    because numpy sums a column of single entries pairwise, not in order.
     """
     count = len(per_draw_mean)
     m, r = b.shape
@@ -98,17 +120,29 @@ def _chunk_sums(b: np.ndarray, a: np.ndarray, clean: np.ndarray, model: NoiseMod
         tall += b
     else:
         tall = np.broadcast_to(b, (count, m, r))
-    if model.sigma_alpha > 0:
-        wide = gen.standard_normal((count, r, n))
-        wide *= model.sigma_alpha
-        wide += a
-    else:
-        wide = np.broadcast_to(a, (count, r, n))
-    prods = tall @ wide
-    del tall, wide  # freed before the reductions, so two chunks in flight fit in one's old peak
-    sums = prods.sum(axis=0), (prods * prods).sum(axis=0)
-    prods -= clean
-    per_draw_mean[:] = prods.mean(axis=(1, 2))
+    block = max(1, _BLOCK_FLOATS // max(m * n, r * n)) if m * n > 1 else count
+    carry = int(count > block)
+    prods = np.empty((carry + min(count, block), m, n))
+    squares = np.empty_like(prods)
+    sums = None
+    for start in range(0, count, block):
+        size = min(block, count - start)
+        if model.sigma_alpha > 0:
+            wide = gen.standard_normal((size, r, n))
+            wide *= model.sigma_alpha
+            wide += a
+        else:
+            wide = np.broadcast_to(a, (size, r, n))
+        rows = slice(carry, carry + size)
+        np.matmul(tall[start:start + size], wide, out=prods[rows])
+        np.multiply(prods[rows], prods[rows], out=squares[rows])
+        first = rows.start
+        if sums is not None:
+            prods[0], squares[0] = sums
+            first = 0
+        sums = prods[first:rows.stop].sum(axis=0), squares[first:rows.stop].sum(axis=0)
+        prods[rows] -= clean
+        per_draw_mean[start:start + size] = prods[rows].mean(axis=(1, 2))
     return sums
 
 
@@ -122,7 +156,11 @@ def noise_product_stats(
     """Single-pass Monte Carlo over perturbed products.
 
     Draws are generated in chunks of ``_chunk_size`` draws; chunk i draws from
-    sub-stream ``rng.child(i)``.  The chunks run in waves of
+    sub-stream ``rng.child(i)``.  A chunk holds its tall draw plus one block
+    of draws at a time (see ``_chunk_sums``): the wide draws come in blocks
+    from the chunk's one generator, with the values of a single draw, and
+    the running sums ride in row 0 of each next block, so they are added in
+    the order of one sum over the chunk.  The chunks run in waves of
     ``_WAVE_PER_WORKER`` chunks per CPU this process may use.  The calling
     thread creates a wave's generators, in chunk order, before any of its
     chunks runs, so at most one wave of generators exists at a time.  A

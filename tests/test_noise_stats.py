@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,19 +233,25 @@ def sequential_stats(b, a, model, n_draws, rng):
     )
 
 
-# At 100 x 100 a chunk holds 50 draws: 230 draws are 5 chunks, the last one
-# short, which neither 2 nor 3 workers divide; 40 draws are a single chunk.
+# At 100 x 100, rank 2, a chunk holds 50 draws in blocks of 6.  230 draws are
+# 5 chunks, the last one short, which neither 2 nor 3 workers divide; 40 draws
+# are a single chunk; 56 draws end in a chunk of exactly one block, which has
+# no carry row.  At 800 x 700 every chunk is one draw.  A lone entry (1 x 1)
+# is summed unblocked, in one chunk here.
 PARALLEL_CASES = {
-    "five_chunks": (NoiseModel(0.7, 1.3), 230),
-    "single_chunk": (NoiseModel(0.7, 1.3), 40),
-    "no_tall_noise": (NoiseModel(0.0, 1.3), 230),
-    "no_wide_noise": (NoiseModel(0.7, 0.0), 230),
+    "five_chunks": (NoiseModel(0.7, 1.3), 230, (100, 100, 2)),
+    "single_chunk": (NoiseModel(0.7, 1.3), 40, (100, 100, 2)),
+    "no_tall_noise": (NoiseModel(0.0, 1.3), 230, (100, 100, 2)),
+    "no_wide_noise": (NoiseModel(0.7, 0.0), 230, (100, 100, 2)),
+    "last_chunk_one_block": (NoiseModel(0.7, 1.3), 56, (100, 100, 2)),
+    "one_draw_chunks": (NoiseModel(0.7, 1.3), 3, (800, 700, 2)),
+    "lone_entry": (NoiseModel(0.7, 1.3), 100_000, (1, 1, 3)),
 }
 
 
-def parallel_factors():
+def parallel_factors(m=100, n=100, r=2):
     gen = np.random.default_rng(18)
-    return gen.standard_normal((100, 2)), gen.standard_normal((2, 100))
+    return gen.standard_normal((m, r)), gen.standard_normal((r, n))
 
 
 class TestWorkers:
@@ -256,8 +263,8 @@ class TestWorkers:
 
     @pytest.mark.parametrize("case", sorted(PARALLEL_CASES))
     def test_bit_identical_at_any_worker_count(self, cpus, case):
-        model, draws = PARALLEL_CASES[case]
-        b, a = parallel_factors()
+        model, draws, shape = PARALLEL_CASES[case]
+        b, a = parallel_factors(*shape)
         rng = RngStream(19, (2,))
         expected = sequential_stats(b, a, model, draws, rng)
         for count in (1, 2, 3):
@@ -377,3 +384,33 @@ class TestWaves:
         # the largest chunk count of a 10,000-draw rank sweep at the default 16 x 8, rank 128
         chunks = math.ceil(10_000 / noise_stats._chunk_size(16, 8, 128))
         assert chunks == 41 <= noise_stats._WAVE_PER_WORKER
+
+
+class TestChunkMemory:
+    """A chunk holds its tall draw plus one block; tracemalloc counts numpy's buffers."""
+
+    @staticmethod
+    def peak_bytes(m, n, r, count):
+        gen = np.random.default_rng(27)
+        b = gen.standard_normal((m, r))
+        a = gen.standard_normal((r, n))
+        clean = b @ a
+        per_draw_mean = np.empty(count)
+        tracemalloc.start()
+        try:
+            noise_stats._chunk_sums(b, a, clean, NoiseModel(1.0, 1.0), gen, per_draw_mean)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_noise_sweep_rank_8_chunk(self):
+        # the tall draw alone is 3.8 MiB; the whole chunk's products and squares at once, 9.5 MiB
+        count = noise_stats._chunk_size(16, 8, 8)
+        assert count == 3_906
+        assert self.peak_bytes(16, 8, 8, count) < 6 * 2**20
+
+    def test_one_draw_chunk_holds_what_it_did_unblocked(self):
+        # one draw is one block: products, squares and their two sums, four m x n arrays
+        m, n = 800, 700
+        assert noise_stats._chunk_size(m, n, 2) == 1
+        assert self.peak_bytes(m, n, 2, 1) <= 1.01 * 4 * m * n * 8
