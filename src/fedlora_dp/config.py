@@ -327,6 +327,16 @@ def _validate(config: RunConfig, lines_seen: dict[str, int]) -> None:
             f"task_rank ({config.task_rank}) cannot exceed min(task_m, task_n)",
             lines_seen.get("task_rank"),
         )
+    # The clip dry run plays the run's own first calibration_rounds rounds.  Past
+    # the run's last round, cosine_lr wraps back to lr_start, and the clips would
+    # take norms from rounds the run never plays.
+    dry_run = config.mode == "sweep_epsilon" or (config.mode == "run" and config.dp_enabled)
+    if config.clip_mode == "calibrated" and dry_run and config.calibration_rounds > config.rounds:
+        raise ConfigError(
+            f"calibration_rounds ({config.calibration_rounds}) cannot exceed rounds "
+            f"({config.rounds}) when the clips are calibrated",
+            lines_seen.get("calibration_rounds", lines_seen.get("rounds")),
+        )
     # SCAFFOLD's control variates are each client's dense m x n gradient, which
     # the factor mechanism cannot release, so a private run would send them un-noised.
     if config.strategy == "scaffold" and (config.dp_enabled or config.mode in PRIVATE_MODES):

@@ -6,7 +6,8 @@ Every mode writes into ``<output_dir>/<experiment_name>/``: each but
 
 - ``run``: ``metrics.csv``, one row per round;
 - ``sweep_epsilon``, ``sweep_clip``: ``sweep.csv``, one row per point, and
-  a ``run`` directory per point (``eps_5/``, ``clip_0p1/``);
+  a ``run`` directory per point (``eps_5/``, ``clip_0p1/``).  A point runs
+  the way ``run`` runs its ``config.snapshot``, on the sweep's one task;
 - ``sweep_rank``, ``sweep_size``: ``noise_stats.csv``, one row per point;
 - ``mia``: ``trials_<level>.csv`` and ``roc_<level>.csv`` for each noise
   level (``sigma_0``, ``sigma_calibrated``, ``sigma_10x``) of a game against
@@ -160,6 +161,9 @@ def resolve_clips(config: RunConfig, task: SyntheticTask, root: RngStream) -> tu
     (``IDENTITY_MECHANISM``), on the calibration stream; the thresholds are
     quantiles of the ``norm_b`` and ``norm_a`` of every ``Release`` record it
     reports, the factor norms of every sampled client taken before clipping.
+    Every private run calibrates its own clips, each point of ``sweep_epsilon``
+    included; the dry run reads none of the keys that sweep varies, so every
+    point gets the same clips.
     """
     if config.clip_mode == "absolute":
         return config.clip_value, config.clip_value
@@ -224,13 +228,22 @@ def _persist_run(config: RunConfig, out_override: str | None, result: Experiment
     _write(out_dir / "summary.txt", summary)
 
 
-def cmd_run(config: RunConfig, out_override: str | None = None) -> int:
-    """Run one experiment and persist metrics plus a summary."""
-    root = RngStream(config.seed)
-    task = build_task(config, root)
+def _run(config: RunConfig, task: SyntheticTask, root: RngStream,
+         out_override: str | None) -> ExperimentResult:
+    """Run ``config`` on ``task`` and persist its metrics and summary.
+
+    This is ``run``'s one code path, and each run-sweep point's.
+    """
     mechanism = build_mechanism(config, task, root) if config.dp_enabled else IDENTITY_MECHANISM
     result = run_experiment(config, task, root.child(_STREAM_EXPERIMENT), mechanism)
     _persist_run(config, out_override, result, mechanism)
+    return result
+
+
+def cmd_run(config: RunConfig, out_override: str | None = None) -> int:
+    """Run one experiment and persist metrics plus a summary."""
+    root = RngStream(config.seed)
+    _run(config, build_task(config, root), root, out_override)
     return 0
 
 
@@ -386,8 +399,26 @@ def cmd_verify(config: RunConfig, out_override: str | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Each run sweep's sweep.csv key, point-directory prefix, RunConfig field of
+# its values, and the settings of its point at value v.  Only sweep_epsilon
+# overrides the per-factor budgets; sweep_clip keeps the config's, and each of
+# its points is an absolute threshold at which sigma is recalibrated.
+_RUN_SWEEPS = {
+    "sweep_epsilon": ("epsilon", "eps", "sweep_epsilons",
+                      lambda v: {"epsilon": v, "epsilon_b": 0.0, "epsilon_a": 0.0}),
+    "sweep_clip": ("clip", "clip", "sweep_clips",
+                   lambda v: {"clip_mode": "absolute", "clip_value": v}),
+}
+
+
 def cmd_sweep(config: RunConfig, out_override: str | None = None) -> int:
-    """Dispatch one of the four sweep modes."""
+    """Dispatch one of the four sweep modes.
+
+    A noise sweep writes one ``noise_stats.csv`` row per point.  A run sweep
+    runs each point as ``run`` runs it (``_run``), at the point's settings
+    from ``_RUN_SWEEPS``, with DP, on the sweep's one task, and writes one
+    ``sweep.csv`` row per point.
+    """
     out_dir = _open_run_dir(config, out_override)
     root = RngStream(config.seed)
 
@@ -410,36 +441,19 @@ def cmd_sweep(config: RunConfig, out_override: str | None = None) -> int:
         _write(out_dir / "summary.txt", [f"{config.mode}: {len(rows)} points"])
         return 0
 
+    key, prefix, values, settings = _RUN_SWEEPS[config.mode]
     task = build_task(config, root)
-    # (label, swept value, point settings, clip_b, clip_a); every point is a private
-    # run whose config.snapshot reruns it under ``run``.  Only sweep_epsilon
-    # overrides the per-factor budgets; sweep_clip keeps the config's, and each of
-    # its points is an absolute threshold at which sigma is recalibrated.
-    if config.mode == "sweep_epsilon":
-        clip_b, clip_a = resolve_clips(config, task, root)
-        key = "epsilon"
-        points = [(f"eps_{sweep_label(eps)}", eps,
-                   replace(config, epsilon=eps, epsilon_b=0.0, epsilon_a=0.0), clip_b, clip_a)
-                  for eps in config.sweep_epsilons]
-    else:
-        key = "clip"
-        points = [(f"clip_{sweep_label(c)}", c,
-                   replace(config, clip_mode="absolute", clip_value=c), c, c)
-                  for c in config.sweep_clips]
-
     rows = []
-    for label, value, point, cb, ca in points:
-        point_config = replace(point, experiment_name=f"{config.experiment_name}/{label}",
-                               mode="run", dp_enabled=True)
-        mechanism = _calibrated(point_config, cb, ca)
-        result = run_experiment(point_config, task, root.child(_STREAM_EXPERIMENT), mechanism)
-        _persist_run(point_config, out_override, result, mechanism)
+    for value in getattr(config, values):
+        point = replace(config, **settings(value), mode="run", dp_enabled=True,
+                        experiment_name=f"{config.experiment_name}/{prefix}_{sweep_label(value)}")
+        result = _run(point, task, root, out_override)
         final_train = result.rounds[-1].mean_train_loss if result.rounds else result.initial_loss
         rows.append((key, value, result.final_loss, final_train))
 
     table = _write_csv(out_dir / "sweep.csv",
                        "sweep_key,sweep_value,final_loss,final_mean_train_loss", rows)
-    _write(out_dir / "summary.txt", [f"{config.mode}: {len(points)} points", *table])
+    _write(out_dir / "summary.txt", [f"{config.mode}: {len(rows)} points", *table])
     return 0
 
 

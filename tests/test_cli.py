@@ -150,6 +150,23 @@ class TestConfigErrors:
         rows = (tmp_path / "out" / "tiny" / "metrics.csv").read_text().splitlines()
         assert [row.split(",")[1:3] for row in rows[1:]] == [["scaffold", "false"]] * 4
 
+    @pytest.mark.parametrize("mode,dp", [
+        ("run", "true"),
+        ("sweep_epsilon", "false"),  # every point runs with DP and calibrates its clips
+    ])
+    def test_calibration_rounds_beyond_rounds_exits_1_before_the_dry_run(
+            self, tmp_path, monkeypatch, capsys, mode, dp):
+        def no_round(*args, **kwargs):
+            raise AssertionError("played a round before the config was rejected")
+
+        monkeypatch.setattr(runner, "run_round", no_round)
+        text = (TINY.replace("clip_mode = absolute", "clip_mode = calibrated")
+                .replace("dp_enabled = true", f"dp_enabled = {dp}") + "calibration_rounds = 5\n")
+        assert run_cli(mode, write_config(tmp_path, text), tmp_path / "out") == 1
+        assert capsys.readouterr().err == ("config error: line 18: calibration_rounds (5) cannot"
+                                           " exceed rounds (4) when the clips are calibrated\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("file_mode,mode,extra", [
         # checked against sweep_clip, this file would fail the SCAFFOLD check
         ("sweep_clip", "run", "dp_enabled = false\nstrategy = scaffold\n"),
@@ -358,18 +375,28 @@ class TestSweeps:
         assert len(snapshots) == len(SWEEPS[mode][1])
         for snapshot in snapshots:
             assert run_cli("run", str(snapshot), tmp_path / "rerun") == 0
-            rerun = tmp_path / "rerun" / "tiny" / snapshot.parent.name / "metrics.csv"
-            assert rerun.read_bytes() == (snapshot.parent / "metrics.csv").read_bytes()
+            rerun = tmp_path / "rerun" / "tiny" / snapshot.parent.name
+            assert (rerun / "metrics.csv").read_bytes() == (
+                snapshot.parent / "metrics.csv").read_bytes()
+            # clips, sigmas and config_hash too: every summary line but the wall time
+            point_summary, rerun_summary = (
+                [line for line in (run / "summary.txt").read_text().splitlines()
+                 if not line.startswith("wall_time_s: ")]
+                for run in (snapshot.parent, rerun))
+            assert rerun_summary == point_summary
 
-    @pytest.mark.parametrize("mode,calls", [("sweep_clip", 0), ("sweep_epsilon", 1)])
+    # resolve_clips reaches its dry run only at calibrated clips: never in a clip sweep,
+    # whose points are absolute thresholds, and once per point of an epsilon sweep.
+    @pytest.mark.parametrize("mode,calls", [("sweep_clip", 0), ("sweep_epsilon", 2)])
     def test_calibration_dry_run_only_where_its_clips_are_used(self, tmp_path, monkeypatch,
                                                                mode, calls):
         seen = []
         resolve = runner.resolve_clips
 
-        def counting_resolve(*args):
-            seen.append(args)
-            return resolve(*args)
+        def counting_resolve(config, *args):
+            if config.clip_mode == "calibrated":
+                seen.append(config.experiment_name)
+            return resolve(config, *args)
 
         monkeypatch.setattr(runner, "resolve_clips", counting_resolve)
         text = TINY.replace("clip_mode = absolute", "clip_mode = calibrated") + SWEEPS[mode][0]
@@ -573,8 +600,9 @@ MIA_FILES = [f"{kind}_{tag}.csv" for tag in ("sigma_0", "sigma_calibrated", "sig
 # trials, each rank of the rank sweep three Monte Carlo chunks, and the 40x50
 # point of the size sweep three.  The two model sweeps pin each point's metrics.
 # The "*_calibrated" runs take the default clip mode, so they pin the clip
-# dry run and the epsilon sweep's shared clips, with client shift and
-# observation noise on.
+# dry run, and that each point of the epsilon sweep, calibrating its own,
+# gets the same clips (its metrics.csv clip column holds clip_b), with client
+# shift and observation noise on.
 CALIBRATED = (TINY.replace("clip_mode = absolute\nclip_value = 1.0\n", "clip_mode = calibrated\n")
               + "heterogeneity = 0.5\nsigma_obs = 0.1\n")
 GOLDEN_RUNS = {

@@ -90,3 +90,26 @@ def test_several_bad_keys_report_the_first_declared(text, first):
 def test_parsed_config_pickles():
     config = parse_text("sweep_ranks = 2,4\nsweep_sizes = 3x2\n")
     assert pickle.loads(pickle.dumps(config)) == config
+
+
+# The clip dry run plays the first calibration_rounds (default 3) rounds of the
+# run, so wherever one happens the run must have that many.
+@pytest.mark.parametrize("text", [
+    "dp_enabled = true\nrounds = 2\n",
+    "mode = sweep_epsilon\nrounds = 2\n",
+    "dp_enabled = true\nrounds = 0\n",
+])
+def test_calibration_rounds_beyond_rounds_rejected_where_a_dry_run_happens(text):
+    with pytest.raises(ConfigError) as info:
+        parse_text(text)
+    assert "calibration_rounds (3) cannot exceed rounds" in str(info.value)
+
+
+@pytest.mark.parametrize("text", [
+    "mode = sweep_clip\nrounds = 2\n",
+    "rounds = 2\n",
+    "dp_enabled = true\nclip_mode = absolute\nrounds = 2\n",
+    "dp_enabled = true\nrounds = 3\n",
+])
+def test_calibration_rounds_beyond_rounds_accepted_where_none_happens(text):
+    parse_text(text)
