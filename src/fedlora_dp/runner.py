@@ -24,8 +24,8 @@ and ``summary.txt``.  Every table is written by ``_write_csv``, with floats
 at 17 significant digits so byte-level comparisons of repeated runs are
 meaningful, and read back by ``_read_csv``.
 
-Exit codes: 0 success, 1 validation error, 2 runtime or numeric failure,
-3 verify-suite failure.
+Exit codes: 0 success, 1 usage or validation error, 2 runtime, numeric or
+out-of-memory failure, 3 verify-suite failure.
 """
 
 import csv
@@ -171,10 +171,22 @@ def resolve_clips(config: RunConfig, task: SyntheticTask, root: RngStream) -> tu
     stream = root.child(_STREAM_CALIBRATE)
     rounds = [run_round(server, task, config, stream) for _ in range(config.calibration_rounds)]
     releases = [rel for r in rounds for rel in r.releases]
-    clip_b = float(np.quantile([rel.norm_b for rel in releases], config.clip_quantile))
-    clip_a = float(np.quantile([rel.norm_a for rel in releases], config.clip_quantile))
+    clip_b = _quantile([rel.norm_b for rel in releases], config.clip_quantile)
+    clip_a = _quantile([rel.norm_a for rel in releases], config.clip_quantile)
     floor = 1e-12
     return max(clip_b, floor), max(clip_a, floor)
+
+
+def _quantile(values: list[float], q: float) -> float:
+    """``float(np.quantile(values, q))`` bit for bit for values without NaN or -0.0, as norms
+    are, without the numpy.ma import (~20 ms) that ``np.quantile`` pays in numpy 2.4."""
+    ordered = sorted(values)
+    virtual = (len(ordered) - 1) * q
+    below = math.floor(virtual)
+    a, b = ordered[below], ordered[min(below + 1, len(ordered) - 1)]
+    gamma = virtual - below
+    diff = b - a
+    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
 def _calibrated(config: RunConfig, clip_b: float, clip_a: float) -> MechanismParams:

@@ -1,6 +1,7 @@
 """Command line: every mode on a tiny config, exit codes, byte-stable reruns, seed precedence."""
 
 import csv
+import gc
 import hashlib
 import math
 import os
@@ -9,6 +10,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fedlora_dp
@@ -48,6 +50,15 @@ def write_config(tmp_path, text=TINY, name="run.cfg"):
 
 def run_cli(mode, config, out, *extra):
     return cli.main([mode, "--config", config, "--out", str(out), *extra])
+
+
+def run_python(*args):
+    """``python *args`` in a child process on one BLAS thread, with this package's source on its path."""
+    src = str(Path(fedlora_dp.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, check=True, timeout=120,
+                          capture_output=True, text=True)
 
 
 def snapshot_seed(run_dir):
@@ -114,6 +125,17 @@ class TestConfigErrors:
         assert run_cli("run", config, tmp_path / "out" / "deep") == 1
         assert "line 1: experiment_name" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    @pytest.mark.parametrize("argv", [["no_such_mode"], ["run", "--seed", "abc"],
+                                      ["run", "--no-such-flag"]])
+    def test_usage_error_exits_1(self, capsys, argv):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fedlora-dp ") and "fedlora-dp: error: " in err
+
+    def test_help_exits_0(self, capsys):
+        assert cli.main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: fedlora-dp ")
 
     def test_missing_config_exits_1(self, tmp_path):
         assert run_cli("run", str(tmp_path / "absent.cfg"), tmp_path / "out") == 1
@@ -588,6 +610,21 @@ class TestResolveClips:
         assert config.calibration_rounds == 3
         assert seen == [(0, 200), (1, 200), (2, 200)]
 
+    def test_quantile_is_numpys_bit_for_bit(self):
+        # resolve_clips takes its quantiles without np.quantile, which imports numpy.ma
+        gen = np.random.default_rng(0)
+        pool = gen.lognormal(0, 3, 4)
+        for case in range(10_000):
+            n = int(gen.choice([1, 2, 3, 5, 12, 60]))
+            values = (gen.choice(pool, n) if case % 3 == 0  # duplicates
+                      else gen.lognormal(0, 3, n) if case % 3 == 1
+                      else np.append(gen.uniform(-5, 5, n - 1), 0.0)).tolist()
+            q = float(gen.choice([0.0, 0.5, 0.9, 1.0, gen.random()]))
+            expected = float(np.quantile(values, q))
+            got = runner._quantile(values, q)
+            assert got == expected and math.copysign(1, got) == math.copysign(1, expected), (
+                values, q)
+
 
 MIA_FILES = [f"{kind}_{tag}.csv" for tag in ("sigma_0", "sigma_calibrated", "sigma_10x")
              for kind in ("trials", "roc")]
@@ -725,13 +762,38 @@ class TestGoldenDigests:
         every round on one thread, so they pin that the worker threads change
         no byte.
         """
-        src = str(Path(fedlora_dp.__file__).resolve().parent.parent)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         config = write_config(tmp_path, SUBPROCESS_RUNS[name])
-        subprocess.run([sys.executable, "-m", "fedlora_dp.cli", "run", "--config", config,
-                        "--out", str(tmp_path / "out")], env=env, check=True, timeout=120)
+        run_python("-m", "fedlora_dp.cli", "run", "--config", config, "--out", str(tmp_path / "out"))
         metrics = (tmp_path / "out" / "tiny" / "metrics.csv").read_bytes()
         digest = hashlib.sha256(b"metrics.csv\0" + metrics).hexdigest()
         assert digest == GOLDEN_DIGESTS[name]
+
+
+class TestProcessExit:
+    """A ``fedlora-dp`` process freezes its heap only at exit, and a calibrated run
+    never imports numpy.ma; both are costs a process pays once."""
+
+    def test_heap_is_frozen_when_the_process_exits(self, tmp_path):
+        # atexit handlers run last-registered first, so this one runs after cli's
+        script = ("import atexit, gc, sys\n"
+                  "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+                  "from fedlora_dp import cli\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        out = run_python("-c", script, "run", "--config", write_config(tmp_path),
+                         "--out", str(tmp_path / "out")).stdout
+        assert int(out.splitlines()[-1]) > 10_000
+
+    def test_main_freezes_nothing_while_it_runs(self, tmp_path):
+        frozen = gc.get_freeze_count()
+        assert run_cli("run", write_config(tmp_path), tmp_path / "out") == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_calibrated_run_does_not_import_numpy_ma(self, tmp_path):
+        script = ("import sys\n"
+                  "from fedlora_dp import cli\n"
+                  "assert cli.main(sys.argv[1:]) == 0\n"
+                  "print('numpy.ma' in sys.modules)\n")
+        out = run_python("-c", script, "run", "--config", write_config(tmp_path, CALIBRATED),
+                         "--out", str(tmp_path / "out")).stdout
+        assert out.splitlines()[-1] == "False"
+        assert "clip_b: " in (tmp_path / "out" / "tiny" / "summary.txt").read_text()
