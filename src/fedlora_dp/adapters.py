@@ -87,7 +87,5 @@ def init_adapter(m: int, n: int, rank: int, rng: RngStream) -> FactorPair:
 
     The zero b factor makes a fresh pair's delta exactly zero.
     """
-    if m < 1 or n < 1 or rank < 1:
-        raise ValueError(f"dimensions must be positive, got m={m}, n={n}, rank={rank}")
     a = rng.generator().standard_normal((rank, n)) / np.sqrt(rank)
     return np.zeros((m, rank)), a

@@ -209,10 +209,6 @@ def check_dp_bound(curve: RocCurve, epsilon: float, delta: float, trials: int) -
     1 - e^-eps * (1 - fpr - delta))``, not the forward line alone.  The pass
     tolerance absorbs binomial sampling error at the given trial count.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     fpr = np.array(curve.fpr)
     tpr = np.array(curve.tpr)
     scale = math.exp(epsilon)

@@ -8,23 +8,24 @@ config canonically so that re-parsing reproduces an equal value.
 A config is checked once, where it enters: ``parse_text`` checks every key's
 type and range and the conditions between keys, against the mode that will
 run.  The command line names that mode; a file whose ``mode`` line names
-another is an error.  ``RunConfig`` is then the one record of a run's
-settings.  The round loop (``simulation``), the attack (``attacks``) and the
-runner read it directly and check none of its values again, with one
-exception: ``simulation._apply_strategy`` raises on an unknown ``strategy``,
-because a config built by ``RunConfig(...)`` or ``dataclasses.replace``
-skips ``parse_text``.
+another is an error.  A run sweep is checked point by point, each point
+(``sweep_runs``) as the ``run`` it is.  ``RunConfig`` is then the one record
+of a run's settings.  The round loop (``simulation``), the attack
+(``attacks``) and the runner read it directly and check none of its values
+again, with one exception: ``simulation._apply_strategy`` raises on an
+unknown ``strategy``, because a config built by ``RunConfig(...)`` or
+``dataclasses.replace`` skips ``parse_text``.  ``attacks.run_game`` (100
+trials) and ``noise_stats.noise_product_stats`` (2 draws) keep their own floors.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "parse_text", "check_seed", "sweep_label",
+__all__ = ["ConfigError", "RunConfig", "parse_config", "parse_text", "check_seed", "sweep_runs",
            "MODES", "STRATEGIES"]
 
 MODES = ("run", "verify", "sweep_epsilon", "sweep_clip", "sweep_rank", "sweep_size", "mia", "report")
-PRIVATE_MODES = ("sweep_epsilon", "sweep_clip")  # every point of these sweeps runs with DP
 STRATEGIES = ("fedavg", "fedprox", "scaffold", "fedavgm", "fedadagrad", "fedyogi", "fedadam")
 CLIP_MODES = ("calibrated", "absolute")
 
@@ -132,7 +133,7 @@ def check_seed(value: int, name: str, line: int | None = None) -> None:
         raise ConfigError(f"{name} must lie in [0, 2**64), got {value}", line)
 
 
-def sweep_label(value: float) -> str:
+def _sweep_label(value: float) -> str:
     """A sweep point's run-directory suffix: ``value`` to 6 significant digits, path-safe."""
     return f"{value:g}".replace(".", "p").replace("-", "m")
 
@@ -145,12 +146,12 @@ def _relative_path(value, name, line):
 
 
 def _sweep_points(values, name, line):
-    """Positive points, no two of which share a run directory (``sweep_label``)."""
+    """Positive points, no two of which share a run directory (``_sweep_label``)."""
     labels: dict[str, float] = {}
     for v in values:
         if not v > 0:
             raise ConfigError(f"{name} entries must be > 0, got {v}", line)
-        label = sweep_label(v)
+        label = _sweep_label(v)
         if label in labels:
             raise ConfigError(f"{name} entries {labels[label]!r} and {v!r} share the run"
                               f" directory label {label!r}", line)
@@ -265,6 +266,28 @@ def _format_value(value) -> str:
     return str(value)
 
 
+# Each run sweep's sweep.csv key, point-directory prefix, RunConfig field of
+# its values, and the settings of its point at value v.  Only sweep_epsilon
+# overrides the per-factor budgets; sweep_clip keeps the config's, and each of
+# its points is an absolute threshold at which sigma is recalibrated.
+_RUN_SWEEPS = {
+    "sweep_epsilon": ("epsilon", "eps", "sweep_epsilons",
+                      lambda v: {"epsilon": v, "epsilon_b": 0.0, "epsilon_a": 0.0}),
+    "sweep_clip": ("clip", "clip", "sweep_clips",
+                   lambda v: {"clip_mode": "absolute", "clip_value": v}),
+}
+
+
+def sweep_runs(config: RunConfig) -> list[tuple[str, float, RunConfig]]:
+    """Each run-sweep point's ``sweep.csv`` key and value, and the ``run`` it is, with DP."""
+    if config.mode not in _RUN_SWEEPS:
+        return []
+    key, prefix, values, settings = _RUN_SWEEPS[config.mode]
+    return [(key, v, replace(config, **settings(v), mode="run", dp_enabled=True,
+                             experiment_name=f"{config.experiment_name}/{prefix}_{_sweep_label(v)}"))
+            for v in getattr(config, values)]
+
+
 def parse_text(text: str, mode: str | None = None) -> RunConfig:
     """Parse config text; unknown keys, malformed lines and bad values are errors.
 
@@ -306,11 +329,16 @@ def parse_text(text: str, mode: str | None = None) -> RunConfig:
 
 
 def _validate(config: RunConfig, lines_seen: dict[str, int]) -> None:
-    """Each key's own check in declaration order, then the conditions between keys."""
+    """Each key's own check in declaration order, then the conditions between keys,
+    which a run sweep meets at each of its points, each checked as a ``run``."""
     for f in fields(config):
         check = f.metadata.get("check")
         if check is not None:
             check(getattr(config, f.name), f.name, lines_seen.get(f.name))
+    if config.mode in _RUN_SWEEPS:
+        for *_, point in sweep_runs(config):
+            _validate(point, lines_seen)
+        return
     line = lines_seen.get("sampled_per_round", lines_seen.get("clients"))
     if config.sampled_per_round > config.clients:
         raise ConfigError(
@@ -330,8 +358,8 @@ def _validate(config: RunConfig, lines_seen: dict[str, int]) -> None:
     # The clip dry run plays the run's own first calibration_rounds rounds.  Past
     # the run's last round, cosine_lr wraps back to lr_start, and the clips would
     # take norms from rounds the run never plays.
-    dry_run = config.mode == "sweep_epsilon" or (config.mode == "run" and config.dp_enabled)
-    if config.clip_mode == "calibrated" and dry_run and config.calibration_rounds > config.rounds:
+    dry_run = config.mode == "run" and config.dp_enabled and config.clip_mode == "calibrated"
+    if dry_run and config.calibration_rounds > config.rounds:
         raise ConfigError(
             f"calibration_rounds ({config.calibration_rounds}) cannot exceed rounds "
             f"({config.rounds}) when the clips are calibrated",
@@ -339,7 +367,7 @@ def _validate(config: RunConfig, lines_seen: dict[str, int]) -> None:
         )
     # SCAFFOLD's control variates are each client's dense m x n gradient, which
     # the factor mechanism cannot release, so a private run would send them un-noised.
-    if config.strategy == "scaffold" and (config.dp_enabled or config.mode in PRIVATE_MODES):
+    if config.strategy == "scaffold" and config.dp_enabled:
         raise ConfigError(
             "strategy scaffold cannot run with DP: its control variates are un-noised dense "
             "gradients",

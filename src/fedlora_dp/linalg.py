@@ -5,9 +5,10 @@ Matrices are plain 2-D float64 ``numpy.ndarray`` values in C (row-major)
 order, combined with numpy's ``@``, ``np.hstack`` and ``np.vstack``.  Arrays
 are checked by ``as_matrix`` only where they enter the program: the base
 weight (``FrozenBase``), the factors given to ``noise_product_stats``, and the
-two means given to ``attacks.run_game``.  Inside the round loop nothing is
-re-checked; a non-finite number produced by training is caught once in
-``simulation.local_train`` and raised as ``NumericError`` (exit code 2).
+two means given to ``attacks.run_game``.  Inside the round loop no entry
+check runs and no ``RunConfig`` value is checked again; a non-finite number
+produced by training is caught once in ``simulation.local_train`` and raised
+as ``NumericError`` (exit code 2).
 
 ``_run_in_order`` runs tasks on up to one thread per CPU, the calling thread
 among them, and folds their results on the calling thread in task order.  It

@@ -257,20 +257,16 @@ def _scaled_factors(
     return b, a
 
 
-def rank_sweep(ranks: list[int], m: int, n: int, model: NoiseModel, n_draws: int,
+def rank_sweep(ranks: tuple[int, ...], m: int, n: int, model: NoiseModel, n_draws: int,
                rng: RngStream, norm_b: float = 1.0, norm_a: float = 1.0) -> list[SweepRow]:
     """Noise statistics across inner ranks at fixed factor norms and noise scales."""
-    if sorted(ranks) != list(ranks) or any(r < 1 for r in ranks):
-        raise ValueError(f"ranks must be positive and ascending, got {ranks}")
     return _sweep("rank", [(str(r), m, n, r) for r in ranks], model, n_draws, rng,
                   norm_b, norm_a)
 
 
-def size_sweep(dim_pairs: list[tuple[int, int]], rank: int, model: NoiseModel, n_draws: int,
+def size_sweep(dim_pairs: tuple[tuple[int, int], ...], rank: int, model: NoiseModel, n_draws: int,
                rng: RngStream, norm_b: float = 1.0, norm_a: float = 1.0) -> list[SweepRow]:
     """Noise statistics across outer dimensions at a fixed rank."""
-    if not dim_pairs:
-        raise ValueError("need at least one (m, n) pair")
     return _sweep("size", [(f"{m}x{n}", m, n, rank) for m, n in dim_pairs], model, n_draws,
                   rng, norm_b, norm_a)
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import attacks, noise_stats
 from .adapters import FactorPair
-from .config import RunConfig, sweep_label
+from .config import RunConfig, sweep_runs
 from .linalg import RngStream, frobenius_norm
 from .privacy import (IDENTITY_MECHANISM, MechanismParams, PrivacyBudget, calibrate_sigma,
                       compose_budget)
@@ -411,25 +411,13 @@ def cmd_verify(config: RunConfig, out_override: str | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Each run sweep's sweep.csv key, point-directory prefix, RunConfig field of
-# its values, and the settings of its point at value v.  Only sweep_epsilon
-# overrides the per-factor budgets; sweep_clip keeps the config's, and each of
-# its points is an absolute threshold at which sigma is recalibrated.
-_RUN_SWEEPS = {
-    "sweep_epsilon": ("epsilon", "eps", "sweep_epsilons",
-                      lambda v: {"epsilon": v, "epsilon_b": 0.0, "epsilon_a": 0.0}),
-    "sweep_clip": ("clip", "clip", "sweep_clips",
-                   lambda v: {"clip_mode": "absolute", "clip_value": v}),
-}
-
-
 def cmd_sweep(config: RunConfig, out_override: str | None = None) -> int:
     """Dispatch one of the four sweep modes.
 
     A noise sweep writes one ``noise_stats.csv`` row per point.  A run sweep
-    runs each point as ``run`` runs it (``_run``), at the point's settings
-    from ``_RUN_SWEEPS``, with DP, on the sweep's one task, and writes one
-    ``sweep.csv`` row per point.
+    runs each of its points (``config.sweep_runs``) as ``run`` runs it
+    (``_run``), on the sweep's one task, and writes one ``sweep.csv`` row per
+    point.
     """
     out_dir = _open_run_dir(config, out_override)
     root = RngStream(config.seed)
@@ -439,12 +427,12 @@ def cmd_sweep(config: RunConfig, out_override: str | None = None) -> int:
         stream = root.child(_STREAM_SWEEP)
         if config.mode == "sweep_rank":
             rows = noise_stats.rank_sweep(
-                list(config.sweep_ranks), config.task_m, config.task_n, model,
+                config.sweep_ranks, config.task_m, config.task_n, model,
                 config.noise_draws, stream, config.sweep_norm_b, config.sweep_norm_a,
             )
         else:
             rows = noise_stats.size_sweep(
-                [tuple(p) for p in config.sweep_sizes], config.rank, model,
+                config.sweep_sizes, config.rank, model,
                 config.noise_draws, stream, config.sweep_norm_b, config.sweep_norm_a,
             )
         _write_csv(out_dir / "noise_stats.csv", NOISE_HEADER,
@@ -453,12 +441,9 @@ def cmd_sweep(config: RunConfig, out_override: str | None = None) -> int:
         _write(out_dir / "summary.txt", [f"{config.mode}: {len(rows)} points"])
         return 0
 
-    key, prefix, values, settings = _RUN_SWEEPS[config.mode]
     task = build_task(config, root)
     rows = []
-    for value in getattr(config, values):
-        point = replace(config, **settings(value), mode="run", dp_enabled=True,
-                        experiment_name=f"{config.experiment_name}/{prefix}_{sweep_label(value)}")
+    for key, value, point in sweep_runs(config):
         result = _run(point, task, root, out_override)
         final_train = result.rounds[-1].mean_train_loss if result.rounds else result.initial_loss
         rows.append((key, value, result.final_loss, final_train))

@@ -490,8 +490,6 @@ def local_train(
 
 def sample_clients(n_clients: int, k: int, rng: RngStream) -> list[int]:
     """Uniform sample of k distinct client ids, returned in ascending order."""
-    if not 1 <= k <= n_clients:
-        raise ValueError(f"cannot sample {k} of {n_clients} clients")
     gen = rng.generator()
     return sorted(int(i) for i in gen.choice(n_clients, size=k, replace=False))
 
@@ -500,10 +498,6 @@ def sample_clients(n_clients: int, k: int, rng: RngStream) -> list[int]:
 # operands stay in cache across the strategy's passes over it.  Blocks of 8
 # and of 128 rows at width 1024 ran slower.
 _BLOCK_FLOATS = 32_768
-
-# Block-sized scratch arrays each worker of the server step writes its
-# temporaries into; the strategies not listed need none.
-_STEP_SCRATCH = {"fedavgm": 1, "fedadagrad": 2, "fedyogi": 2, "fedadam": 2}
 
 
 def _apply_strategy(server: ServerState, config: RunConfig, delta_t: np.ndarray) -> None:
@@ -539,8 +533,9 @@ def _apply_strategy(server: ServerState, config: RunConfig, delta_t: np.ndarray)
     rows = max(1, _BLOCK_FLOATS // n)
     starts = range(0, m, rows)
     workers = linalg._worker_count(len(starts)) if m * n >= _THREAD_FLOATS else 1
-    scratch = [[np.empty((min(rows, m), n)) for _ in range(_STEP_SCRATCH.get(strategy, 0))]
-               for _ in range(workers)]
+    # one block of scratch per moment accumulator the strategy keeps
+    blocks = (strategy in _MOMENTUM_STRATEGIES) + (strategy in _ADAPTIVE_STRATEGIES)
+    scratch = [[np.empty((min(rows, m), n)) for _ in range(blocks)] for _ in range(workers)]
 
     def run(i: int, worker: int) -> None:
         block = slice(starts[i], starts[i] + rows)

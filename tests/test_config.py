@@ -5,7 +5,8 @@ from dataclasses import fields
 
 import pytest
 
-from fedlora_dp.config import ConfigError, RunConfig, parse_text
+from fedlora_dp import config as config_module
+from fedlora_dp.config import ConfigError, RunConfig, parse_text, sweep_runs
 
 # One value per checked key that parses as the key's type but fails its check.
 BAD_VALUES = {
@@ -113,3 +114,31 @@ def test_calibration_rounds_beyond_rounds_rejected_where_a_dry_run_happens(text)
 ])
 def test_calibration_rounds_beyond_rounds_accepted_where_none_happens(text):
     parse_text(text)
+
+
+@pytest.mark.parametrize("mode,key,values", [
+    ("sweep_epsilon", "epsilon", (5.0, 10.0, 15.0, 25.0)),
+    ("sweep_clip", "clip", (0.1, 1.0)),
+])
+def test_each_run_sweep_point_is_the_run_its_snapshot_parses_to(mode, key, values):
+    config = parse_text(f"mode = {mode}\nclip_mode = calibrated\n")
+    points = sweep_runs(config)
+    assert [(k, v) for k, v, _ in points] == [(key, v) for v in values]
+    for *_, point in points:
+        assert parse_text(point.snapshot(), mode="run") == point
+
+
+@pytest.mark.parametrize("extra,key", [
+    ("strategy = scaffold\n", "strategy"),
+    ("calibration_rounds = 5\n", "calibration_rounds"),
+])
+def test_a_run_sweep_added_to_the_table_meets_every_rule_for_a_run(monkeypatch, extra, key):
+    text = f"rounds = 4\n{extra}"
+    parse_text(text, mode="sweep_size")  # a noise sweep runs neither DP nor a dry run
+    # MODES is fixed at import, so the new row, a clip sweep that keeps calibrated
+    # clips, takes the name of a mode that is not a run sweep.
+    monkeypatch.setitem(config_module._RUN_SWEEPS, "sweep_size",
+                        ("clip", "clip", "sweep_clips", lambda v: {"clip_value": v}))
+    with pytest.raises(ConfigError) as info:
+        parse_text(text, mode="sweep_size")
+    assert str(info.value).startswith(f"line 2: {key} ")

@@ -151,10 +151,6 @@ class TestRankSweep:
         for row in rows:
             assert abs(row.mean_diff) <= 5 * row.std_error
 
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError, match="ascending"):
-            rank_sweep([4, 2], 3, 3, NoiseModel(1, 1), 2000, RngStream(0))
-
 
 class TestSizeSweep:
     def test_pure_noise_quadruples_when_doubling_both_dims(self):
