@@ -8,9 +8,10 @@ different ranks by concatenating the ``b`` factors horizontally and the ``a``
 factors vertically; the stacked product equals the weighted sum of the
 pairs' products.
 
-Only ``FrozenBase`` checks its entries (2-D, non-empty, finite).  The factor
-pairs come from training, which raises ``NumericError`` on a non-finite
-number, so ``aggregate_stack`` checks only their shapes.
+Only ``FrozenBase`` checks its entries (2-D, non-empty, finite).  Every
+factor pair comes from ``simulation.local_train``, at the round's shapes,
+and training raises ``NumericError`` on a non-finite number, so
+``aggregate_stack`` checks neither entries nor shapes.
 """
 
 from dataclasses import dataclass
@@ -60,17 +61,6 @@ def aggregate_stack(pairs: list[FactorPair], weights: list[float]) -> GlobalAdap
     Each pair's weight is folded into its b factor only, so the stacked
     product equals sum_k weights[k] * b_k @ a_k.
     """
-    if not pairs:
-        raise ValueError("need at least one factor pair to aggregate")
-    m = pairs[0][0].shape[0]
-    n = pairs[0][1].shape[1]
-    for i, (b, a) in enumerate(pairs):
-        if b.shape[1] != a.shape[0]:
-            raise ValueError(f"pair {i}: factor shapes {b.shape} and {a.shape} do not chain")
-        if b.shape[0] != m:
-            raise ValueError(f"pair {i}: b has {b.shape[0]} rows, expected {m}")
-        if a.shape[1] != n:
-            raise ValueError(f"pair {i}: a has {a.shape[1]} cols, expected {n}")
     return GlobalAdapter(
         b_stacked=np.hstack([w * b for (b, _), w in zip(pairs, weights)]),
         a_stacked=np.vstack([a for _, a in pairs]),

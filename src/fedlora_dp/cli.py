@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import MODES, ConfigError, RunConfig, check_seed, parse_config
+from .config import MODES, ConfigError, RunConfig, check_seed, parse_config, parse_text
 from .runner import cmd_mia, cmd_report, cmd_run, cmd_sweep, cmd_verify
 from .simulation import NumericError
 
@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
-    config = parse_config(args.config, args.mode) if args.config else RunConfig(mode=args.mode)
+    config = parse_config(args.config, args.mode) if args.config else parse_text("", args.mode)
     seed = config.seed
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:

@@ -8,14 +8,18 @@ config canonically so that re-parsing reproduces an equal value.
 A config is checked once, where it enters: ``parse_text`` checks every key's
 type and range and the conditions between keys, against the mode that will
 run.  The command line names that mode; a file whose ``mode`` line names
-another is an error.  A run sweep is checked point by point, each point
-(``sweep_runs``) as the ``run`` it is.  ``RunConfig`` is then the one record
-of a run's settings.  The round loop (``simulation``), the attack
-(``attacks``) and the runner read it directly and check none of its values
-again, with one exception: ``simulation._apply_strategy`` raises on an
-unknown ``strategy``, because a config built by ``RunConfig(...)`` or
-``dataclasses.replace`` skips ``parse_text``.  ``attacks.run_game`` (100
-trials) and ``noise_stats.noise_product_stats`` (2 draws) keep their own floors.
+another is an error, and a command given no file parses the empty text, so
+the defaults are checked the same way.  A run sweep is checked point by
+point, each point (``sweep_runs``) as the ``run`` it is.  ``RunConfig`` is
+then the one record of a run's settings.  The round loop (``simulation``),
+the attack (``attacks``) and the runner read it directly and check none of
+its values again, with one exception: ``simulation._apply_strategy`` raises
+on an unknown ``strategy``, because a config built by ``RunConfig(...)`` or
+``dataclasses.replace`` skips ``parse_text``.  Downstream there remain only
+each type's own invariant (``PrivacyBudget``, ``MechanismParams`` for the
+clips and sigmas of a release, ``NoiseModel``, ``RngStream``) and the entry
+floors of ``attacks.run_game`` (100 trials) and
+``noise_stats.noise_product_stats`` (2 draws).
 """
 
 import math

@@ -6,9 +6,12 @@ order, combined with numpy's ``@``, ``np.hstack`` and ``np.vstack``.  Arrays
 are checked by ``as_matrix`` only where they enter the program: the base
 weight (``FrozenBase``), the factors given to ``noise_product_stats``, and the
 two means given to ``attacks.run_game``.  Inside the round loop no entry
-check runs and no ``RunConfig`` value is checked again; a non-finite number
-produced by training is caught once in ``simulation.local_train`` and raised
-as ``NumericError`` (exit code 2).
+check runs and no value of a release is checked again: each clip and sigma
+was checked once, by ``privacy.MechanismParams``, and every factor pair
+comes from ``simulation.local_train`` at the round's shapes.  The round
+still checks a type's own invariant (``NoiseModel``), ``_apply_strategy``'s
+strategy, and for a non-finite number produced by training, caught once in
+``local_train`` and raised as ``NumericError`` (exit code 2).
 
 ``_run_in_order`` runs tasks on up to one thread per CPU, the calling thread
 among them, and folds their results on the calling thread in task order.  It
@@ -94,11 +97,9 @@ def sample_gaussian(rows: int, cols: int, sigma: float, rng: RngStream,
 
     With ``count``, one draw of ``count`` such matrices stacked as
     (count, rows, cols); the first equals the matrix drawn without ``count``.
+    Nothing is checked here: ``privacy.privatize`` passes a factor's shape
+    and a ``MechanismParams`` sigma, which is >= 0.
     """
-    if rows < 1 or cols < 1:
-        raise ValueError(f"matrix shape must be positive, got {rows}x{cols}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
     shape = (rows, cols) if count is None else (count, rows, cols)
     if sigma == 0:
         return np.zeros(shape)

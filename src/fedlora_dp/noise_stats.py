@@ -219,8 +219,6 @@ def noise_product_stats(
 def _three_term_variance(b: np.ndarray, a: np.ndarray, model: NoiseModel,
                          exchanged: bool) -> float:
     """c_b*sa^2*||B||^2 + c_a*sb^2*||A||^2 + m*n*r*sb^2*sa^2, (c_b, c_a) = (n, m) or (m, n)."""
-    if b.shape[1] != a.shape[0]:
-        raise ValueError(f"factor shapes {b.shape} and {a.shape} do not chain")
     m, r = b.shape
     n = a.shape[1]
     coef_b, coef_a = (m, n) if exchanged else (n, m)

@@ -5,6 +5,12 @@ budget, and ``privatize`` adds isotropic Gaussian noise to each, at a scale
 calibrated from its clip (the sensitivity) and an (epsilon, delta) budget.
 The federated round and the membership-inference game both release through
 these two functions, so the game audits the mechanism the round deploys.
+
+Each value of a release is checked once, where it enters: ``PrivacyBudget``
+checks a budget, and ``MechanismParams`` each clip (> 0) and sigma (>= 0).
+``clip_frobenius``, ``calibrate_sigma`` and ``privatize`` check none of them
+again.  Nothing here composes a budget over rounds: a run prints no epsilon
+until one is computed for the mechanism it deployed (ROADMAP item 1).
 """
 
 import math
@@ -23,7 +29,6 @@ __all__ = [
     "clip_pair",
     "calibrate_sigma",
     "privatize",
-    "compose_budget",
 ]
 
 
@@ -56,15 +61,11 @@ class MechanismParams:
     sigma_a: float
 
     def __post_init__(self):
-        _check_clip(self.clip_b)
-        _check_clip(self.clip_a)
+        for c in (self.clip_b, self.clip_a):
+            if not c > 0:
+                raise ValueError(f"clip threshold must be > 0, got {c}")
         if self.sigma_b < 0 or self.sigma_a < 0:
             raise ValueError("noise scales must be >= 0")
-
-
-def _check_clip(c: float) -> None:
-    if not c > 0:
-        raise ValueError(f"clip threshold must be > 0, got {c}")
 
 
 # The non-private release: no clip binds and no noise is drawn, so ``clip_pair``
@@ -78,9 +79,9 @@ def clip_frobenius(m: np.ndarray, c: float) -> np.ndarray:
     A matrix already within the budget is returned unchanged (the identical
     object, not a copy), so the non-clipped path is bit-exact.  Rescaling can
     overshoot the threshold by an ulp, so it is repeated until the norm is at
-    or below ``c``; that makes clipping idempotent at the bit level.
+    or below ``c``; that makes clipping idempotent at the bit level.  ``c``
+    is a ``MechanismParams`` clip, checked > 0 there and not here.
     """
-    _check_clip(c)
     norm = frobenius_norm(m)
     if norm <= c:
         return m
@@ -107,8 +108,9 @@ def calibrate_sigma(c: float, budget: PrivacyBudget) -> float:
     it, this sigma can fall short of the budget.  At sensitivity ``c`` and
     delta = 1e-5, the exact delta of this sigma is 2.3e-5 at epsilon = 10 and
     7.7e-3 at epsilon = 25.  Nothing checks the delta a run's sigma reaches yet.
+    ``c`` is not checked here: ``runner._calibrated`` puts it in the
+    ``MechanismParams`` it builds, which rejects a clip <= 0.
     """
-    _check_clip(c)
     return c * math.sqrt(2.0 * math.log(1.25 / budget.delta)) / budget.epsilon
 
 
@@ -120,9 +122,9 @@ def privatize(pair: FactorPair, mechanism: MechanismParams, stream_b: RngStream,
     comes back itself and draws nothing.  With ``count``, each factor comes
     back as ``count`` releases stacked as (count, rows, cols) from one draw
     of its stream, the first equal to the single release bit for bit.
+    ``count`` must be >= 1 and is not checked: ``attacks.run_game``, the one
+    caller that passes it, skips a bit that has no trials.
     """
-    if count is not None and count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
     b, a = pair
     return (_noised(b, mechanism.sigma_b, stream_b, count),
             _noised(a, mechanism.sigma_a, stream_a, count))
@@ -134,15 +136,3 @@ def _noised(m: np.ndarray, sigma: float, rng: RngStream, count: int | None) -> n
     releases = sample_gaussian(m.shape[0], m.shape[1], sigma, rng, count=count)
     releases += m
     return releases
-
-
-def compose_budget(eps_b: float, eps_a: float, rounds: int) -> float:
-    """Naive sequential composition: rounds * (eps_b + eps_a).
-
-    Reported in run summaries as the total spent budget; never enforced.
-    """
-    if not eps_b > 0 or not eps_a > 0:
-        raise ValueError(f"per-matrix budgets must be > 0, got ({eps_b}, {eps_a})")
-    if not isinstance(rounds, int) or rounds < 1:
-        raise ValueError(f"rounds must be a positive integer, got {rounds}")
-    return rounds * (eps_b + eps_a)

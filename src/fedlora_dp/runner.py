@@ -43,8 +43,7 @@ from . import attacks, noise_stats
 from .adapters import FactorPair
 from .config import RunConfig, sweep_runs
 from .linalg import RngStream, frobenius_norm
-from .privacy import (IDENTITY_MECHANISM, MechanismParams, PrivacyBudget, calibrate_sigma,
-                      compose_budget)
+from .privacy import IDENTITY_MECHANISM, MechanismParams, PrivacyBudget, calibrate_sigma
 from .simulation import (ExperimentResult, ServerState, SyntheticTask, generate_task,
                          run_experiment, run_round)
 
@@ -232,10 +231,6 @@ def _persist_run(config: RunConfig, out_override: str | None, result: Experiment
             f"sigma_b: {fmt(mechanism.sigma_b)}",
             f"sigma_a: {fmt(mechanism.sigma_a)}",
         ]
-        if config.rounds > 0:
-            naive = compose_budget(config.resolved_epsilon_b(), config.resolved_epsilon_a(),
-                                   config.rounds)
-            summary.append(f"naive_composed_epsilon: {fmt(naive)}")
     summary.append(f"wall_time_s: {result.wall_s:.3f}")
     _write(out_dir / "summary.txt", summary)
 

@@ -62,23 +62,6 @@ class TestAggregateStack:
         result = global_delta(aggregate_stack(pairs, [1.0, 1.0]))
         assert frobenius_norm(result - total) / frobenius_norm(total) <= 1e-12
 
-    def test_mismatch_names_pair(self):
-        pairs = [(np.ones((3, 1)), np.ones((1, 4))), (np.ones((2, 1)), np.ones((1, 4)))]
-        with pytest.raises(ValueError, match="pair 1: b has 2 rows, expected 3"):
-            aggregate_stack(pairs, [1.0, 1.0])
-
-    def test_unchained_pair_rejected(self):
-        with pytest.raises(ValueError, match=r"pair 0: factor shapes \(3, 2\) and \(3, 4\)"):
-            aggregate_stack([(np.ones((3, 2)), np.ones((3, 4)))], [1.0])
-        # ranks 1 + 2 on each side: the stacks would chain, but neither pair does
-        pairs = [(np.ones((3, 1)), np.ones((2, 4))), (np.ones((3, 2)), np.ones((1, 4)))]
-        with pytest.raises(ValueError, match="pair 0: .* do not chain"):
-            aggregate_stack(pairs, [1.0, 1.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            aggregate_stack([], [])
-
     def test_permutation_invariance(self):
         gen = np.random.default_rng(8)
         pairs, weights = _random_pairs(gen, k=4, m=6, n=5)

@@ -381,7 +381,6 @@ class TestSweeps:
         rows = (point / "metrics.csv").read_text().splitlines()
         assert {row.split(",")[3] for row in rows[1:]} == {"5"}
         summary = (point / "summary.txt").read_text().splitlines()
-        assert "naive_composed_epsilon: 21" in summary  # 3 rounds * (5 + 2)
         for factor, eps in (("b", 5.0), ("a", 2.0)):
             sigma = calibrate_sigma(0.5, PrivacyBudget(eps, 1e-5))
             assert f"sigma_{factor}: {runner.fmt(sigma)}" in summary

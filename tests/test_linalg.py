@@ -45,7 +45,7 @@ class TestFrobeniusNorm:
 
 
 def product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The dense product of one pair at unit weight, which checks that the pair chains."""
+    """The dense product of one pair at unit weight; numpy's matmul checks that the pair chains."""
     return global_delta(aggregate_stack([(left, right)], [1.0]))
 
 
@@ -63,10 +63,6 @@ class TestMatmul:
         # oracle: hand-computed outer product
         out = product(np.array([[1.0], [2.0]]), np.array([[3.0, 4.0]]))
         assert np.array_equal(out, np.array([[3.0, 4.0], [6.0, 8.0]]))
-
-    def test_mismatch_reports_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 2\)"):
-            product(np.ones((2, 3)), np.ones((4, 2)))
 
     def test_associativity(self):
         gen = np.random.default_rng(7)
@@ -108,16 +104,6 @@ class TestStacking:
                   [np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])])
         assert np.array_equal(g.a_stacked, np.array([[1.0, 2.0], [3.0, 4.0]]))
 
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            stack([], [])
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="rows"):
-            stack([np.ones((2, 1)), np.ones((3, 1))], [np.ones((1, 2)), np.ones((1, 2))])
-        with pytest.raises(ValueError, match="cols"):
-            stack([np.ones((2, 1)), np.ones((2, 1))], [np.ones((1, 2)), np.ones((1, 3))])
-
     @given(st.integers(1, 5), st.lists(st.integers(1, 4), min_size=1, max_size=5),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -156,10 +142,6 @@ class TestSampleGaussian:
     def test_sigma_zero_exact(self):
         m = sample_gaussian(4, 5, 0.0, RngStream(0))
         assert np.all(m == 0.0)
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError, match="sigma"):
-            sample_gaussian(2, 2, -0.1, RngStream(0))
 
     def test_moments(self):
         n = 10**6

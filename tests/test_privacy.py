@@ -14,7 +14,6 @@ from fedlora_dp.privacy import (
     calibrate_sigma,
     clip_frobenius,
     clip_pair,
-    compose_budget,
     privatize,
 )
 
@@ -47,10 +46,6 @@ class TestClipFrobenius:
         m = np.array([[3.0, 4.0], [0.0, 0.0]])
         out = clip_frobenius(m, 2.5)
         assert np.array_equal(out, np.array([[1.5, 2.0], [0.0, 0.0]]))
-
-    def test_nonpositive_threshold_rejected(self):
-        with pytest.raises(ValueError, match="clip threshold"):
-            clip_frobenius(np.ones((1, 1)), 0.0)
 
     @given(
         st.integers(1, 8),
@@ -229,28 +224,6 @@ class TestPrivatizeCount:
         assert np.all(np.abs(out_b.mean(axis=0) - self.clipped) <= 5 * mean_se)
         assert np.all(np.abs(out_b.var(axis=0, ddof=1) - sigma**2) <= 5 * var_se)
 
-    def test_count_below_one_rejected(self):
-        with pytest.raises(ValueError, match="count"):
-            privatize(self.pair, mechanism(0.7, 0.7), RngStream(0), RngStream(0, (1,)),
-                      count=0)
-
-
-class TestComposeBudget:
-    def test_single_round(self):
-        assert compose_budget(1.0, 1.0, 1) == 2.0
-
-    def test_linear_in_rounds(self):
-        assert compose_budget(1.0, 1.0, 10) == 20.0
-
-    def test_arithmetic(self):
-        assert compose_budget(0.5, 1.5, 3) == 6.0
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            compose_budget(0.0, 1.0, 1)
-        with pytest.raises(ValueError):
-            compose_budget(1.0, 1.0, 0)
-
 
 class TestMechanismParams:
     def test_calibrated_scales(self):
@@ -260,3 +233,11 @@ class TestMechanismParams:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             MechanismParams(clip_b=1.0, clip_a=1.0, sigma_b=-0.1, sigma_a=0.0)
+
+    @pytest.mark.parametrize("clip", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("factor", ["clip_b", "clip_a"])
+    def test_rejects_nonpositive_clip(self, factor, clip):
+        # the one clip check: clip_frobenius and calibrate_sigma take their clips from here
+        clips = {"clip_b": 1.0, "clip_a": 1.0, factor: clip}
+        with pytest.raises(ValueError, match="clip threshold must be > 0"):
+            MechanismParams(**clips, sigma_b=0.0, sigma_a=0.0)

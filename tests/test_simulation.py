@@ -850,14 +850,6 @@ class TestRunExperiment:
             assert m1.total_variance == m2.total_variance == 0.0
         assert plain.final_loss == dp.final_loss
 
-    def test_naive_epsilon_reported(self, tmp_path):
-        cfg = small_config(rounds=3, dp_enabled=True, epsilon_b=1.0, epsilon_a=2.0,
-                           clip_mode="absolute", clip_value=1.0, task_m=6, task_n=4,
-                           task_rank=2, samples_per_client=20, output_dir=str(tmp_path))
-        assert runner.cmd_run(cfg) == 0
-        summary = (tmp_path / "run" / "summary.txt").read_text().splitlines()
-        assert "naive_composed_epsilon: 9" in summary  # 3 rounds * (1 + 2)
-
     def test_dp_metrics_track_noise(self):
         task = small_task()
         mech = MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.2, sigma_a=0.2)
