@@ -28,20 +28,27 @@ ENV_SEED = "FEDLORA_DP_SEED"
 atexit.register(gc.freeze)
 
 
+def _path(value: str) -> str:
+    """A path option's value; an empty one is a usage error, not the option left out."""
+    if not value:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedlora-dp",
         description="Differentially private federated low-rank adapter simulator",
     )
     parser.add_argument("mode", choices=MODES, help="what to run")
-    parser.add_argument("--config", help="path to a key = value config file")
+    parser.add_argument("--config", type=_path, help="path to a key = value config file")
     parser.add_argument("--seed", type=int, help="override the run seed")
-    parser.add_argument("--out", help="override the output directory")
+    parser.add_argument("--out", type=_path, help="override the output directory")
     return parser
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
-    config = parse_config(args.config, args.mode) if args.config else parse_text("", args.mode)
+    config = parse_text("", args.mode) if args.config is None else parse_config(args.config, args.mode)
     seed = config.seed
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:

@@ -5,17 +5,18 @@ other line must be ``key = value``.  Unknown keys and out-of-range values are
 errors that carry the offending line number.  ``snapshot()`` serialises a
 config canonically so that re-parsing reproduces an equal value.
 
-A config is checked once, where it enters: ``parse_text`` checks every key's
-type and range and the conditions between keys, against the mode that will
-run.  The command line names that mode; a file whose ``mode`` line names
+A config is checked once, when it is made, however it is built: by
+``parse_text``, ``RunConfig(...)`` or ``dataclasses.replace``.  ``RunConfig``
+checks each key's value in declaration order, then the conditions between
+keys.  ``parse_text`` reads each value as its key's type and passes each
+key's line, so that an error names it.  It parses against the mode that will
+run: the command line names that mode, a file whose ``mode`` line names
 another is an error, and a command given no file parses the empty text, so
 the defaults are checked the same way.  A run sweep is checked point by
-point, each point (``sweep_runs``) as the ``run`` it is.  ``RunConfig`` is
-then the one record of a run's settings.  The round loop (``simulation``),
-the attack (``attacks``) and the runner read it directly and check none of
-its values again, with one exception: ``simulation._apply_strategy`` raises
-on an unknown ``strategy``, because a config built by ``RunConfig(...)`` or
-``dataclasses.replace`` skips ``parse_text``.  Downstream there remain only
+point, each point (``sweep_runs``) made, and so checked, as the ``run`` it
+is.  ``RunConfig`` is then the one record of a run's settings.  The round
+loop (``simulation``), the attack (``attacks``) and the runner read it
+directly and check none of its values again.  Downstream there remain only
 each type's own invariant (``PrivacyBudget``, ``MechanismParams`` for the
 clips and sigmas of a release, ``NoiseModel``, ``RngStream``) and the entry
 floors of ``attacks.run_game`` (100 trials) and
@@ -23,7 +24,7 @@ floors of ``attacks.run_game`` (100 trials) and
 """
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import InitVar, dataclass, field, fields, replace
 from pathlib import Path
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_text", "check_seed", "sweep_runs",
@@ -243,6 +244,12 @@ class RunConfig:
     mia_dataset_size: int = _key(8, _positive)
     mia_input_scale: float = _key(10.0, _positive)
 
+    # Each key's source line, which parse_text passes so that an error names it; not a field.
+    lines: InitVar[dict[str, int] | None] = None
+
+    def __post_init__(self, lines: dict[str, int] | None) -> None:
+        _validate(self, lines or {})
+
     def resolved_epsilon_b(self) -> float:
         return self.epsilon_b if self.epsilon_b > 0 else self.epsilon
 
@@ -282,12 +289,16 @@ _RUN_SWEEPS = {
 }
 
 
-def sweep_runs(config: RunConfig) -> list[tuple[str, float, RunConfig]]:
-    """Each run-sweep point's ``sweep.csv`` key and value, and the ``run`` it is, with DP."""
+def sweep_runs(config: RunConfig,
+               lines: dict[str, int] | None = None) -> list[tuple[str, float, RunConfig]]:
+    """Each run-sweep point's ``sweep.csv`` key and value, and the ``run`` it is, with DP.
+
+    Each point checks itself as it is made; an error names its key's line in ``lines``.
+    """
     if config.mode not in _RUN_SWEEPS:
         return []
     key, prefix, values, settings = _RUN_SWEEPS[config.mode]
-    return [(key, v, replace(config, **settings(v), mode="run", dp_enabled=True,
+    return [(key, v, replace(config, **settings(v), mode="run", dp_enabled=True, lines=lines,
                              experiment_name=f"{config.experiment_name}/{prefix}_{_sweep_label(v)}"))
             for v in getattr(config, values)]
 
@@ -327,21 +338,18 @@ def parse_text(text: str, mode: str | None = None) -> RunConfig:
             raise ConfigError(f"mode is {values['mode']!r}, but the command runs {mode!r}",
                               lines_seen["mode"])
         values["mode"] = mode
-    config = RunConfig(**values)
-    _validate(config, lines_seen)
-    return config
+    return RunConfig(**values, lines=lines_seen)
 
 
 def _validate(config: RunConfig, lines_seen: dict[str, int]) -> None:
     """Each key's own check in declaration order, then the conditions between keys,
-    which a run sweep meets at each of its points, each checked as a ``run``."""
+    which a run sweep meets at each of its points, each made, and so checked, as a ``run``."""
     for f in fields(config):
         check = f.metadata.get("check")
         if check is not None:
             check(getattr(config, f.name), f.name, lines_seen.get(f.name))
     if config.mode in _RUN_SWEEPS:
-        for *_, point in sweep_runs(config):
-            _validate(point, lines_seen)
+        sweep_runs(config, lines_seen)
         return
     line = lines_seen.get("sampled_per_round", lines_seen.get("clients"))
     if config.sampled_per_round > config.clients:

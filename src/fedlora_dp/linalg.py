@@ -9,9 +9,9 @@ two means given to ``attacks.run_game``.  Inside the round loop no entry
 check runs and no value of a release is checked again: each clip and sigma
 was checked once, by ``privacy.MechanismParams``, and every factor pair
 comes from ``simulation.local_train`` at the round's shapes.  The round
-still checks a type's own invariant (``NoiseModel``), ``_apply_strategy``'s
-strategy, and for a non-finite number produced by training, caught once in
-``local_train`` and raised as ``NumericError`` (exit code 2).
+still checks a type's own invariant (``NoiseModel``), and for a non-finite
+number produced by training, caught once in ``local_train`` and raised as
+``NumericError`` (exit code 2).
 
 ``_run_in_order`` runs tasks on up to one thread per CPU, the calling thread
 among them, and folds their results on the calling thread in task order.  It
@@ -93,16 +93,15 @@ def frobenius_norm(m: np.ndarray) -> float:
 
 def sample_gaussian(rows: int, cols: int, sigma: float, rng: RngStream,
                     count: int | None = None) -> np.ndarray:
-    """i.i.d. N(0, sigma^2) matrix; sigma == 0 returns an exact zero matrix.
+    """i.i.d. N(0, sigma^2) matrix, for sigma > 0.
 
     With ``count``, one draw of ``count`` such matrices stacked as
     (count, rows, cols); the first equals the matrix drawn without ``count``.
     Nothing is checked here: ``privacy.privatize`` passes a factor's shape
-    and a ``MechanismParams`` sigma, which is >= 0.
+    and a ``MechanismParams`` sigma, and its ``_noised`` handles sigma == 0
+    without drawing.
     """
     shape = (rows, cols) if count is None else (count, rows, cols)
-    if sigma == 0:
-        return np.zeros(shape)
     out = rng.generator().standard_normal(shape)
     out *= sigma
     return out

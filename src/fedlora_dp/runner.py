@@ -135,7 +135,7 @@ def _open_run_dir(config: RunConfig, out_override: str | None) -> Path:
 
 
 def run_directory(config: RunConfig, out_override: str | None = None) -> Path:
-    base = Path(out_override) if out_override else Path(config.output_dir)
+    base = Path(config.output_dir if out_override is None else out_override)
     return base / config.experiment_name
 
 

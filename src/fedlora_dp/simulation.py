@@ -68,10 +68,8 @@ DP stays a config error.
 All randomness flows through streams keyed by (round, client, draw kind),
 which makes runs bit-reproducible regardless of client scheduling.
 
-The loop reads its settings from the parsed ``RunConfig``, whose values
-``config`` has already checked, and checks none of them again but one:
-``_apply_strategy`` raises on an unknown ``strategy``, because a config
-built by ``RunConfig(...)`` or ``dataclasses.replace`` skips ``parse_text``.
+The loop reads its settings from a ``RunConfig``, which checked every value
+when it was made, and checks none of them again.
 """
 
 import math
@@ -89,7 +87,7 @@ from .adapters import (
     global_delta,
     init_adapter,
 )
-from .config import STRATEGIES, RunConfig
+from .config import RunConfig
 from .linalg import RngStream, frobenius_norm
 from .noise_stats import NoiseModel, exact_total_variance
 from .privacy import IDENTITY_MECHANISM, MechanismParams, clip_pair, privatize
@@ -159,8 +157,8 @@ class SyntheticTask:
 
 
 # Strategies that keep a first moment, and those that also keep a second.
-_MOMENTUM_STRATEGIES = ("fedavgm", "fedadagrad", "fedyogi", "fedadam")
-_ADAPTIVE_STRATEGIES = ("fedadagrad", "fedyogi", "fedadam")
+_WITH_MOMENTUM = ("fedavgm", "fedadagrad", "fedyogi", "fedadam")
+_ADAPTIVE = ("fedadagrad", "fedyogi", "fedadam")
 
 
 @dataclass
@@ -198,8 +196,8 @@ class ServerState:
             base=base,
             delta_acc=delta_acc,
             effective=base.w + delta_acc,
-            momentum=np.zeros(shape) if strategy in _MOMENTUM_STRATEGIES else None,
-            second_moment=np.zeros(shape) if strategy in _ADAPTIVE_STRATEGIES else None,
+            momentum=np.zeros(shape) if strategy in _WITH_MOMENTUM else None,
+            second_moment=np.zeros(shape) if strategy in _ADAPTIVE else None,
             server_c=np.zeros(shape) if scaffold else None,
             client_c=np.zeros((n_clients, *shape)) if scaffold else None,
         )
@@ -527,14 +525,12 @@ def _apply_strategy(server: ServerState, config: RunConfig, delta_t: np.ndarray)
     array.
     """
     strategy = config.strategy
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
     m, n = delta_t.shape
     rows = max(1, _BLOCK_FLOATS // n)
     starts = range(0, m, rows)
     workers = linalg._worker_count(len(starts)) if m * n >= _THREAD_FLOATS else 1
     # one block of scratch per moment accumulator the strategy keeps
-    blocks = (strategy in _MOMENTUM_STRATEGIES) + (strategy in _ADAPTIVE_STRATEGIES)
+    blocks = (strategy in _WITH_MOMENTUM) + (strategy in _ADAPTIVE)
     scratch = [[np.empty((min(rows, m), n)) for _ in range(blocks)] for _ in range(workers)]
 
     def run(i: int, worker: int) -> None:
@@ -546,7 +542,7 @@ def _apply_strategy(server: ServerState, config: RunConfig, delta_t: np.ndarray)
             v *= config.momentum
             v += d
             step = np.multiply(v, config.server_lr, out=tmp[0])
-        elif strategy in _ADAPTIVE_STRATEGIES:
+        elif strategy in _ADAPTIVE:
             step, root = tmp
             v = server.momentum[block]
             v *= config.beta1

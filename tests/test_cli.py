@@ -16,7 +16,7 @@ import pytest
 import fedlora_dp
 from fedlora_dp import cli, noise_stats, runner, simulation
 from fedlora_dp.adapters import init_adapter
-from fedlora_dp.config import STRATEGIES, RunConfig, parse_text
+from fedlora_dp.config import MODES, STRATEGIES, RunConfig, parse_text
 from fedlora_dp.linalg import RngStream, frobenius_norm
 from fedlora_dp.privacy import PrivacyBudget, calibrate_sigma
 from fedlora_dp.simulation import local_train
@@ -89,6 +89,22 @@ class TestRun:
         second = (tmp_path / "second" / "tiny" / "metrics.csv").read_bytes()
         assert first == second
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_mode_runs_its_command(self, tmp_path, monkeypatch, mode):
+        calls = []
+
+        def stub(name):
+            def command(config, out):
+                calls.append((name, config.mode, out))
+                return 0
+            return command
+
+        for name in ("cmd_run", "cmd_verify", "cmd_sweep", "cmd_mia", "cmd_report"):
+            monkeypatch.setattr(cli, name, stub(name))
+        assert cli.main([mode, "--out", str(tmp_path)]) == 0
+        command = "cmd_sweep" if mode.startswith("sweep_") else f"cmd_{mode}"
+        assert calls == [(command, mode, str(tmp_path))]
+
     def test_diverging_run_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, TINY.replace("lr_start = 0.05", "lr_start = 1e6"))
         assert run_cli("run", config, tmp_path / "out") == 2
@@ -132,6 +148,17 @@ class TestConfigErrors:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage: fedlora-dp ") and "fedlora-dp: error: " in err
+
+    @pytest.mark.parametrize("option", ["--config", "--out"])
+    def test_empty_path_option_exits_1(self, tmp_path, monkeypatch, capsys, option):
+        # An empty path is not the option left out, which would run the defaults or write
+        # under the config's output_dir, here the working directory's runs/.
+        monkeypatch.chdir(tmp_path)
+        paths = {"--config": write_config(tmp_path), "--out": str(tmp_path / "out")}
+        paths[option] = ""
+        assert run_cli("run", paths["--config"], paths["--out"]) == 1
+        assert f"fedlora-dp: error: argument {option}: must not be empty" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_help_exits_0(self, capsys):
         assert cli.main(["--help"]) == 0

@@ -1,7 +1,7 @@
 """Config keys: every checked key rejects a bad value on the line that set it."""
 
 import pickle
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -86,6 +86,26 @@ def test_several_bad_keys_report_the_first_declared(text, first):
     with pytest.raises(ConfigError) as info:
         parse_text(text)
     assert str(info.value).startswith(first)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RunConfig(strategy="sgd"),
+    lambda: replace(parse_text(""), sampled_per_round=99),
+    lambda: replace(parse_text("dp_enabled = true\n"), strategy="scaffold"),
+    lambda: replace(parse_text("", "sweep_epsilon"), strategy="scaffold"),  # at each point
+])
+def test_a_config_is_checked_however_it_is_made(make):
+    with pytest.raises(ConfigError) as info:
+        make()
+    assert info.value.line is None
+
+
+def test_source_lines_are_not_a_setting():
+    config = parse_text("rounds = 4\n")
+    assert "lines" not in {f.name for f in fields(config)}
+    assert "lines" not in config.snapshot()
+    with pytest.raises(ConfigError, match="^line 1: unknown key 'lines'$"):
+        parse_text("lines = 1\n")
 
 
 def test_parsed_config_pickles():

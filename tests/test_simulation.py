@@ -891,7 +891,8 @@ class TestRunExperiment:
 
 
 class TestConfigValidation:
-    """The loop's settings are checked once, by ``parse_text``, with the offending line."""
+    """The loop's settings are checked once, when the config is made; a parsed one names
+    the offending line."""
 
     def _error(self, text):
         with pytest.raises(ConfigError) as info:
