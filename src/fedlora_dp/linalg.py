@@ -15,7 +15,8 @@ number produced by training, caught once in ``local_train`` and raised as
 
 ``_run_in_order`` runs tasks on up to one thread per CPU, the calling thread
 among them, and folds their results on the calling thread in task order.  It
-serves ``noise_stats.noise_product_stats`` (Monte Carlo chunks) and
+serves ``noise_stats.noise_product_stats`` (Monte Carlo chunks),
+``simulation.generate_task`` (one task per client) and
 ``simulation.run_round`` (base residuals and server-step row blocks).  Tasks
 call numpy only, which releases the GIL while it computes.  Each task writes
 arrays no other task touches, and every floating-point operation is the same,
@@ -119,14 +120,17 @@ def _worker_count(n_tasks: int) -> int:
     return min(n_tasks, _cpu_count())
 
 
-def _run_in_order(n_tasks: int, run: Callable[[int, int], object],
+# Marks a task whose result is not in yet; a task may return None.
+_PENDING = object()
+
+
+def _run_in_order(n_tasks: int, run: Callable[[int], object],
                   fold: Callable[[object], None] = lambda result: None,
                   workers: int | None = None) -> None:
-    """``run(i, worker)`` for each task on ``workers`` threads; ``fold`` on the caller in order.
+    """``run(i)`` for each task on ``workers`` threads; ``fold`` on the caller in order.
 
-    ``workers`` defaults to ``_worker_count(n_tasks)``.  Worker 0 is the
-    calling thread, so one worker starts no thread; ``worker`` lets a task
-    use scratch arrays the caller allocated for that worker.  Workers take
+    ``workers`` defaults to ``_worker_count(n_tasks)``.  The calling thread
+    is one of the workers, so one worker starts no thread.  Workers take
     the next task index as they come free, and the caller folds each result
     as soon as every earlier one has been folded, so only the results that
     finished out of order wait in memory.  Tasks that write into arrays the
@@ -138,11 +142,11 @@ def _run_in_order(n_tasks: int, run: Callable[[int, int], object],
         workers = _worker_count(n_tasks)
     tasks = iter(range(n_tasks))
     taking = threading.Lock()
-    results: list = [None] * n_tasks
+    results: list = [_PENDING] * n_tasks
     failed: list[BaseException] = []
     folded = 0
 
-    def work(worker: int) -> None:
+    def work(caller: bool) -> None:
         nonlocal folded
         try:
             while not failed:
@@ -150,18 +154,18 @@ def _run_in_order(n_tasks: int, run: Callable[[int, int], object],
                     i = next(tasks, None)
                 if i is None:
                     return
-                results[i] = run(i, worker)
-                while worker == 0 and folded < n_tasks and results[folded] is not None:
+                results[i] = run(i)
+                while caller and folded < n_tasks and results[folded] is not _PENDING:
                     fold(results[folded])
                     results[folded] = None
                     folded += 1
         except BaseException as exc:
             failed.append(exc)
 
-    threads = [threading.Thread(target=work, args=(worker,)) for worker in range(1, workers)]
+    threads = [threading.Thread(target=work, args=(False,)) for _ in range(workers - 1)]
     for thread in threads:
         thread.start()
-    work(0)
+    work(True)
     for thread in threads:
         thread.join()
     if failed:

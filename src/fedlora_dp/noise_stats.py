@@ -202,7 +202,7 @@ def noise_product_stats(
         chunks = starts[first:first + wave]
         generators = [rng.child(first + j).generator() for j in range(len(chunks))]
 
-        def run(j: int, worker: int) -> tuple[np.ndarray, np.ndarray]:
+        def run(j: int) -> tuple[np.ndarray, np.ndarray]:
             span = per_draw_mean[chunks[j]:chunks[j] + starts.step]
             return _chunk_sums(b, a, clean, model, generators[j], span)
 

@@ -44,10 +44,9 @@ Three phases run on worker threads at large shapes, through
 and its GEMM against the signal), the base residuals X effective^T - Y of
 every group, computed before training (one task per group), and the server
 step (one task per row block).  Each task writes arrays no other task
-touches, with the same operations on any thread, and each worker of the
-step writes its temporaries into scratch arrays allocated for it, so every
-output is bit-identical at any worker count.  Every phase starts threads
-only from ``_THREAD_FLOATS`` entries on, which small shapes never reach.
+touches, with the same operations on any thread, so every output is
+bit-identical at any worker count.  Every phase starts threads only from
+``_THREAD_FLOATS`` entries on, which small shapes never reach.
 Every generator is made on the calling thread.  Training, clipping, noise
 and stacking run on the calling thread, in ascending client id order, so
 the ``NumericError`` a run raises and every random stream are the same too.
@@ -290,9 +289,9 @@ def generate_task(
     ``target_b = b_star * s`` and ``target_a = a_star * s``, never as the
     product (``SyntheticTask.target_delta`` recomputes it, bit for bit).
     Client k draws inputs from N(mu_k, I) where ||mu_k|| equals the
-    heterogeneity parameter (zero shift when it is 0).  Each client's rows
-    are drawn from its own stream straight into its slice of the stacked
-    ``x`` and ``y``.  Every client's generator is made on the calling
+    heterogeneity parameter; at 0 no shift is drawn or added.  Each client's
+    rows are drawn from its own stream straight into its slice of the
+    stacked ``x`` and ``y``.  Every client's generator is made on the calling
     thread, in client order; from ``_THREAD_FLOATS`` entries of the signal
     on, the clients' draws and GEMMs are the tasks of
     ``linalg._run_in_order``.  Each client writes only its own slices, with
@@ -319,15 +318,12 @@ def generate_task(
     y = np.empty((n_clients, samples_per_client, m))
     gens = [rng.child(_TASK_CLIENT, k).generator() for k in range(n_clients)]
 
-    def run(k: int, worker: int) -> None:
+    def run(k: int) -> None:
         gen_k = gens[k]
-        if heterogeneity == 0:
-            mu = np.zeros(n)
-        else:
-            direction = gen_k.standard_normal(n)
-            mu = heterogeneity * direction / np.linalg.norm(direction)
+        direction = gen_k.standard_normal(n) if heterogeneity > 0 else None
         gen_k.standard_normal(out=x[k])
-        x[k] += mu
+        if direction is not None:
+            x[k] += heterogeneity * direction / np.linalg.norm(direction)
         np.matmul(x[k], signal.T, out=y[k])
         if sigma_obs > 0:
             y[k] += sigma_obs * gen_k.standard_normal((samples_per_client, m))
@@ -515,44 +511,40 @@ def _apply_strategy(server: ServerState, config: RunConfig, delta_t: np.ndarray)
                     delta_acc += server_lr * v / (sqrt(s) + tau)
 
     Then that block of ``effective`` is set to W + delta_acc while the block
-    is still in cache.  From ``_THREAD_FLOATS`` entries on, the blocks are
-    the tasks of ``linalg._run_in_order``: each worker takes the next block
-    as it comes free, and writes its temporaries into block-sized scratch
-    arrays allocated here for it, so a worker allocates nothing.  No two
-    blocks share an entry, and each goes through the same operations on any
-    worker, so the result is the same at any worker count.  ``delta_t`` is
-    not mutated, and each accumulator, and ``effective``, stays the same
-    array.
+    is still in cache.  The step consumes ``delta_t``: a block's
+    temporaries are written into its own blocks of ``delta_t`` and of
+    ``effective``, after their last read and before ``effective``'s
+    refresh, so the step allocates no array.  From ``_THREAD_FLOATS``
+    entries on, the blocks are the tasks of ``linalg._run_in_order``.  No
+    two blocks share an entry, and each goes through the same operations on
+    any thread, so the result is the same at any worker count.  Each
+    accumulator, and ``effective``, stays the same array.
     """
     strategy = config.strategy
     m, n = delta_t.shape
     rows = max(1, _BLOCK_FLOATS // n)
     starts = range(0, m, rows)
     workers = linalg._worker_count(len(starts)) if m * n >= _THREAD_FLOATS else 1
-    # one block of scratch per moment accumulator the strategy keeps
-    blocks = (strategy in _WITH_MOMENTUM) + (strategy in _ADAPTIVE)
-    scratch = [[np.empty((min(rows, m), n)) for _ in range(blocks)] for _ in range(workers)]
 
-    def run(i: int, worker: int) -> None:
+    def run(i: int) -> None:
         block = slice(starts[i], starts[i] + rows)
-        d, acc = delta_t[block], server.delta_acc[block]
-        tmp = [t[:len(d)] for t in scratch[worker]]
+        d, acc, eff = delta_t[block], server.delta_acc[block], server.effective[block]
         if strategy == "fedavgm":
             v = server.momentum[block]
             v *= config.momentum
             v += d
-            step = np.multiply(v, config.server_lr, out=tmp[0])
+            np.multiply(v, config.server_lr, out=d)
         elif strategy in _ADAPTIVE:
-            step, root = tmp
+            sq = np.multiply(d, d, out=eff)
             v = server.momentum[block]
             v *= config.beta1
-            v += np.multiply(d, 1.0 - config.beta1, out=step)
+            d *= 1.0 - config.beta1
+            v += d
             s = server.second_moment[block]
-            sq = np.multiply(d, d, out=root)
             if strategy == "fedadagrad":
                 s += sq
             elif strategy == "fedyogi":
-                sign = np.sign(np.subtract(s, sq, out=step), out=step)
+                sign = np.sign(np.subtract(s, sq, out=d), out=d)
                 sq *= 1.0 - config.beta2
                 sq *= sign
                 s -= sq
@@ -560,14 +552,12 @@ def _apply_strategy(server: ServerState, config: RunConfig, delta_t: np.ndarray)
                 s *= config.beta2
                 sq *= 1.0 - config.beta2
                 s += sq
-            np.multiply(v, config.server_lr, out=step)
-            np.sqrt(s, out=root)
-            root += config.tau
-            step /= root
-        else:
-            step = d
-        acc += step
-        np.add(server.base.w[block], acc, out=server.effective[block])
+            np.multiply(v, config.server_lr, out=d)
+            np.sqrt(s, out=eff)
+            eff += config.tau
+            d /= eff
+        acc += d
+        np.add(server.base.w[block], acc, out=eff)
 
     linalg._run_in_order(len(starts), run, workers=workers)
 
@@ -602,7 +592,7 @@ def _base_residuals(groups: list[list[int]], task: SyntheticTask,
     resids = [np.empty((len(ids), task.x.shape[1], m)) for ids in groups]
     workers = linalg._worker_count(len(groups)) if len(groups[0]) * m * n >= _THREAD_FLOATS else 1
 
-    def run(g: int, worker: int) -> None:
+    def run(g: int) -> None:
         for cid, r in zip(groups[g], resids[g]):
             np.matmul(task.x[cid], effective.T, out=r)
             r -= task.y[cid]

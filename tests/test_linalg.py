@@ -7,6 +7,7 @@ The product and the stacking are numpy's ``@``, ``np.hstack`` and
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -191,36 +192,79 @@ class TestEntryCheck:
 
 
 class TestRunInOrder:
-    """The package's one worker helper: which thread runs which task, and the fold order."""
+    """The package's one worker helper: which threads run the tasks, the fold order, a failure."""
 
-    def _record(self, monkeypatch, n_tasks, cpu_count, **kwargs):
-        monkeypatch.setattr(linalg, "_cpu_count", lambda: cpu_count)
-        seen, folded = [], []
+    @pytest.fixture
+    def started(self, monkeypatch):
+        threads = []
 
-        def run(i, worker):
-            seen.append((i, worker, threading.get_ident()))
-            return i
+        class CountedThread(threading.Thread):
+            def start(self):
+                threads.append(self)
+                super().start()
 
-        linalg._run_in_order(n_tasks, run, folded.append, **kwargs)
-        return seen, folded
+        monkeypatch.setattr(linalg.threading, "Thread", CountedThread)
+        return threads
 
     @pytest.mark.parametrize("n_tasks,cpu_count,workers,expected", [
         (7, 3, None, 3), (2, 3, None, 2), (7, 1, None, 1), (7, 3, 1, 1), (7, 3, 2, 2),
     ])
-    def test_each_worker_index_is_one_thread_and_0_is_the_caller(self, monkeypatch, n_tasks,
-                                                                 cpu_count, workers, expected):
-        seen, folded = self._record(monkeypatch, n_tasks, cpu_count, workers=workers)
+    def test_each_worker_index_is_one_thread_and_0_is_the_caller(self, monkeypatch, started,
+                                                                 n_tasks, cpu_count, workers,
+                                                                 expected):
+        # the workers are the caller and the threads the helper starts, no others
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: cpu_count)
+        seen, folded = [], []
+
+        def run(i):
+            seen.append((i, threading.get_ident()))
+            return i
+
+        linalg._run_in_order(n_tasks, run, folded.append, workers=workers)
         assert folded == list(range(n_tasks))
-        assert sorted(i for i, _, _ in seen) == list(range(n_tasks))
-        threads = {}
-        for _, worker, ident in seen:
-            assert threads.setdefault(worker, ident) == ident
-        assert set(threads) <= set(range(expected))
-        assert threads.get(0, threading.get_ident()) == threading.get_ident()
-        assert len(set(threads.values())) == len(threads)
+        assert sorted(i for i, _ in seen) == list(range(n_tasks))
+        assert len(started) == expected - 1
+        workers_seen = {ident for _, ident in seen}
+        assert workers_seen <= {threading.get_ident()} | {thread.ident for thread in started}
 
     def test_default_fold_discards(self, monkeypatch):
         monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
         done = []
-        linalg._run_in_order(5, lambda i, worker: done.append(i))
+        linalg._run_in_order(5, lambda i: done.append(i))
         assert sorted(done) == list(range(5))
+
+    def test_a_result_of_none_is_folded_at_once(self):
+        # A task that returns None is done too: at one worker each result is
+        # folded before the next task runs, so no finished result waits.
+        events = []
+        linalg._run_in_order(4, lambda i: events.append(("run", i)),
+                             lambda result: events.append(("fold", result)), workers=1)
+        assert events == [event for i in range(4) for event in (("run", i), ("fold", None))]
+
+    def test_a_failure_starts_no_new_task_and_waits_for_every_thread(self, started):
+        # Each worker holds one of the first tasks when a started thread's task
+        # raises; the other workers' tasks end only after that thread has exited.
+        workers = 3
+        caller = threading.current_thread()
+        holding = threading.Barrier(workers, timeout=10)
+        taken, starts_before_raise = [], []
+
+        def run(i):
+            taken.append(i)
+            if i < workers:
+                holding.wait()
+            thread = threading.current_thread()
+            if thread is started[0]:
+                starts_before_raise.append(len(taken))
+                raise RuntimeError("task failed")
+            started[0].join(timeout=10)
+            if thread is not caller:
+                time.sleep(0.05)  # still running when a helper that skipped the join would raise
+            return i
+
+        with pytest.raises(RuntimeError, match="task failed"):
+            linalg._run_in_order(20, run, workers=workers)
+        assert len(started) == workers - 1
+        assert not any(thread.is_alive() for thread in started)
+        assert starts_before_raise == [workers]
+        assert sorted(taken) == list(range(workers))
