@@ -208,10 +208,15 @@ def check_dp_bound(curve: RocCurve, epsilon: float, delta: float, trials: int) -
     boundary is therefore ``min(1, e^eps * fpr + delta,
     1 - e^-eps * (1 - fpr - delta))``, not the forward line alone.  The pass
     tolerance absorbs binomial sampling error at the given trial count.
+
+    e^eps overflows a float past eps = 709.78, so eps is capped at 700.  The
+    cap moves no verdict: at e^700 ~ 1e304, every point with fpr > 0 meets
+    the forward line and every point with tpr < 1 the reverse one, as at any
+    larger eps, while the fpr = 0 and tpr = 1 edges keep their delta.
     """
     fpr = np.array(curve.fpr)
     tpr = np.array(curve.tpr)
-    scale = math.exp(epsilon)
+    scale = math.exp(min(epsilon, 700.0))
     forward = tpr - (scale * fpr + delta)
     reverse = (1.0 - fpr) - (scale * (1.0 - tpr) + delta)
     max_violation = float(max(forward.max(), reverse.max()))

@@ -4,8 +4,9 @@ The command names the mode; a ``mode`` line in the config file that names
 another is a config error.  Seed precedence, lowest first: config file,
 FEDLORA_DP_SEED environment variable, --seed flag; from any of them, a seed
 outside [0, 2**64) is a config error.  Exit codes: 0 success (``--help``
-too), 1 usage or validation error, 2 runtime, numeric or out-of-memory
-failure, 3 verify-suite failure.
+too), 1 usage or validation error, 2 runtime, numeric, arithmetic (a float
+overflow at extreme settings) or out-of-memory failure, 3 verify-suite
+failure.
 
 Importing this module registers ``gc.freeze`` at exit: finalization's collections
 then skip every object still alive, ~22,500 of them made at import, which saves
@@ -19,7 +20,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import MODES, ConfigError, RunConfig, check_seed, parse_config, parse_text
+from .config import MODES, SWEEP_MODES, ConfigError, RunConfig, check_seed, parse_config, parse_text
 from .runner import cmd_mia, cmd_report, cmd_run, cmd_sweep, cmd_verify
 from .simulation import NumericError
 
@@ -74,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_run(config, args.out)
         if config.mode == "verify":
             return cmd_verify(config, args.out)
-        if config.mode in ("sweep_epsilon", "sweep_clip", "sweep_rank", "sweep_size"):
+        if config.mode in SWEEP_MODES:
             return cmd_sweep(config, args.out)
         if config.mode == "mia":
             return cmd_mia(config, args.out)
@@ -92,6 +93,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (RuntimeError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # a float overflow, say, at extreme settings
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

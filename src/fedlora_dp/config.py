@@ -21,6 +21,10 @@ each type's own invariant (``PrivacyBudget``, ``MechanismParams`` for the
 clips and sigmas of a release, ``NoiseModel``, ``RngStream``) and the entry
 floors of ``attacks.run_game`` (100 trials) and
 ``noise_stats.noise_product_stats`` (2 draws).
+
+Each sweep mode is declared once, in a sweep table: ``_RUN_SWEEPS`` makes its
+points ``run`` configs (``sweep_runs``), ``_NOISE_SWEEPS`` factor shapes
+(``noise_sweep``).  ``MODES`` and ``SWEEP_MODES`` are built from the two tables.
 """
 
 import math
@@ -28,9 +32,8 @@ from dataclasses import InitVar, dataclass, field, fields, replace
 from pathlib import Path
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_text", "check_seed", "sweep_runs",
-           "MODES", "STRATEGIES"]
+           "noise_sweep", "MODES", "SWEEP_MODES", "STRATEGIES"]
 
-MODES = ("run", "verify", "sweep_epsilon", "sweep_clip", "sweep_rank", "sweep_size", "mia", "report")
 STRATEGIES = ("fedavg", "fedprox", "scaffold", "fedavgm", "fedadagrad", "fedyogi", "fedadam")
 CLIP_MODES = ("calibrated", "absolute")
 
@@ -141,6 +144,27 @@ def check_seed(value: int, name: str, line: int | None = None) -> None:
 def _sweep_label(value: float) -> str:
     """A sweep point's run-directory suffix: ``value`` to 6 significant digits, path-safe."""
     return f"{value:g}".replace(".", "p").replace("-", "m")
+
+
+# Each run sweep's sweep.csv key, point-directory prefix, RunConfig field of
+# its values, and the settings of its point at value v.  Only sweep_epsilon
+# overrides the per-factor budgets; sweep_clip keeps the config's, and each of
+# its points is an absolute threshold at which sigma is recalibrated.
+_RUN_SWEEPS = {
+    "sweep_epsilon": ("epsilon", "eps", "sweep_epsilons",
+                      lambda v: {"epsilon": v, "epsilon_b": 0.0, "epsilon_a": 0.0}),
+    "sweep_clip": ("clip", "clip", "sweep_clips",
+                   lambda v: {"clip_mode": "absolute", "clip_value": v}),
+}
+
+# Each noise sweep's noise_stats.csv key and its points' (label, m, n, r).
+_NOISE_SWEEPS = {
+    "sweep_rank": ("rank", lambda c: [(str(r), c.task_m, c.task_n, r) for r in c.sweep_ranks]),
+    "sweep_size": ("size", lambda c: [(f"{m}x{n}", m, n, c.rank) for m, n in c.sweep_sizes]),
+}
+
+SWEEP_MODES = (*_RUN_SWEEPS, *_NOISE_SWEEPS)
+MODES = ("run", "verify", *SWEEP_MODES, "mia", "report")
 
 
 def _relative_path(value, name, line):
@@ -277,18 +301,6 @@ def _format_value(value) -> str:
     return str(value)
 
 
-# Each run sweep's sweep.csv key, point-directory prefix, RunConfig field of
-# its values, and the settings of its point at value v.  Only sweep_epsilon
-# overrides the per-factor budgets; sweep_clip keeps the config's, and each of
-# its points is an absolute threshold at which sigma is recalibrated.
-_RUN_SWEEPS = {
-    "sweep_epsilon": ("epsilon", "eps", "sweep_epsilons",
-                      lambda v: {"epsilon": v, "epsilon_b": 0.0, "epsilon_a": 0.0}),
-    "sweep_clip": ("clip", "clip", "sweep_clips",
-                   lambda v: {"clip_mode": "absolute", "clip_value": v}),
-}
-
-
 def sweep_runs(config: RunConfig,
                lines: dict[str, int] | None = None) -> list[tuple[str, float, RunConfig]]:
     """Each run-sweep point's ``sweep.csv`` key and value, and the ``run`` it is, with DP.
@@ -301,6 +313,14 @@ def sweep_runs(config: RunConfig,
     return [(key, v, replace(config, **settings(v), mode="run", dp_enabled=True, lines=lines,
                              experiment_name=f"{config.experiment_name}/{prefix}_{_sweep_label(v)}"))
             for v in getattr(config, values)]
+
+
+def noise_sweep(config: RunConfig) -> tuple[str, list[tuple[str, int, int, int]]] | None:
+    """A noise sweep's ``noise_stats.csv`` key and (label, m, n, r) points; None in other modes."""
+    if config.mode not in _NOISE_SWEEPS:
+        return None
+    key, points = _NOISE_SWEEPS[config.mode]
+    return key, points(config)
 
 
 def parse_text(text: str, mode: str | None = None) -> RunConfig:

@@ -36,8 +36,7 @@ __all__ = [
     "noise_product_stats",
     "exact_total_variance",
     "variance_bound",
-    "rank_sweep",
-    "size_sweep",
+    "sweep",
 ]
 
 
@@ -66,9 +65,8 @@ class NoiseStats:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One sweep point: configuration label plus its noise statistics."""
+    """One sweep point: its label plus its noise statistics."""
 
-    key: str
     value: str
     mean_diff: float
     std_error: float
@@ -255,33 +253,20 @@ def _scaled_factors(
     return b, a
 
 
-def rank_sweep(ranks: tuple[int, ...], m: int, n: int, model: NoiseModel, n_draws: int,
-               rng: RngStream, norm_b: float = 1.0, norm_a: float = 1.0) -> list[SweepRow]:
-    """Noise statistics across inner ranks at fixed factor norms and noise scales."""
-    return _sweep("rank", [(str(r), m, n, r) for r in ranks], model, n_draws, rng,
-                  norm_b, norm_a)
-
-
-def size_sweep(dim_pairs: tuple[tuple[int, int], ...], rank: int, model: NoiseModel, n_draws: int,
-               rng: RngStream, norm_b: float = 1.0, norm_a: float = 1.0) -> list[SweepRow]:
-    """Noise statistics across outer dimensions at a fixed rank."""
-    return _sweep("size", [(f"{m}x{n}", m, n, rank) for m, n in dim_pairs], model, n_draws,
-                  rng, norm_b, norm_a)
-
-
-def _sweep(key: str, points: list[tuple[str, int, int, int]], model: NoiseModel,
-           n_draws: int, rng: RngStream, norm_b: float, norm_a: float) -> list[SweepRow]:
-    """One row per (label, m, n, r) point.
+def sweep(points: list[tuple[str, int, int, int]], model: NoiseModel, n_draws: int,
+          rng: RngStream, norm_b: float = 1.0, norm_a: float = 1.0) -> list[SweepRow]:
+    """One row per (label, m, n, r) point, as a row of ``config._NOISE_SWEEPS`` gives them.
 
     Point i draws its factors from ``rng.child(i, 0)`` and its Monte Carlo
-    noise from ``rng.child(i, 1)``.
+    noise from ``rng.child(i, 1)``, at fixed factor norms and noise scales.
     """
     rows = []
     for i, (label, m, n, r) in enumerate(points):
         b, a = _scaled_factors(m, n, r, norm_b, norm_a, rng.child(i, 0))
+        # the closed forms first: a scale whose square overflows fails before any draw
+        exact, bound = exact_total_variance(b, a, model), variance_bound(b, a, model)
         stats = noise_product_stats(b, a, model, n_draws, rng.child(i, 1))
-        rows.append(SweepRow(key=key, value=label, mean_diff=stats.mean_diff,
+        rows.append(SweepRow(value=label, mean_diff=stats.mean_diff,
                              std_error=stats.std_error, mc_variance=stats.total_variance,
-                             exact_variance=exact_total_variance(b, a, model),
-                             bound=variance_bound(b, a, model)))
+                             exact_variance=exact, bound=bound))
     return rows

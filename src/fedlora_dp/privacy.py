@@ -64,8 +64,9 @@ class MechanismParams:
         for c in (self.clip_b, self.clip_a):
             if not c > 0:
                 raise ValueError(f"clip threshold must be > 0, got {c}")
-        if self.sigma_b < 0 or self.sigma_a < 0:
-            raise ValueError("noise scales must be >= 0")
+        for s in (self.sigma_b, self.sigma_a):
+            if not 0 <= s < math.inf:  # an inf sigma comes from a subnormal epsilon
+                raise ValueError(f"noise scale must be finite and >= 0, got {s}")
 
 
 # The non-private release: no clip binds and no noise is drawn, so ``clip_pair``

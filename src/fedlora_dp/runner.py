@@ -24,8 +24,8 @@ and ``summary.txt``.  Every table is written by ``_write_csv``, with floats
 at 17 significant digits so byte-level comparisons of repeated runs are
 meaningful, and read back by ``_read_csv``.
 
-Exit codes: 0 success, 1 usage or validation error, 2 runtime, numeric or
-out-of-memory failure, 3 verify-suite failure.
+Exit codes: 0 success, 1 usage or validation error, 2 runtime, numeric,
+arithmetic or out-of-memory failure, 3 verify-suite failure.
 """
 
 import csv
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import attacks, noise_stats
 from .adapters import FactorPair
-from .config import RunConfig, sweep_runs
+from .config import RunConfig, noise_sweep, sweep_runs
 from .linalg import RngStream, frobenius_norm
 from .privacy import IDENTITY_MECHANISM, MechanismParams, PrivacyBudget, calibrate_sigma
 from .simulation import (ExperimentResult, ServerState, SyntheticTask, generate_task,
@@ -295,8 +295,8 @@ def _check_noise_product(root: RngStream, instances: int, draws: int
 def _check_rank_linearity(root: RngStream, draws: int) -> VerifyCheck:
     """Monte Carlo total variance doubles (within 1.8-2.2) with each doubling of the rank."""
     model = noise_stats.NoiseModel(1.0, 1.0)
-    mc = [row.mc_variance for row in noise_stats.rank_sweep([8, 16, 32, 64, 128], 8, 8, model,
-                                                            draws, root)]
+    points = [(str(r), 8, 8, r) for r in (8, 16, 32, 64, 128)]
+    mc = [row.mc_variance for row in noise_stats.sweep(points, model, draws, root)]
     ratios = [hi / lo for lo, hi in zip(mc, mc[1:])]
     low, high = float(np.min(ratios)), float(np.max(ratios))
     return VerifyCheck("rank_linearity", 1.8 <= low and high <= 2.2,
@@ -407,31 +407,23 @@ def cmd_verify(config: RunConfig, out_override: str | None = None) -> int:
 
 
 def cmd_sweep(config: RunConfig, out_override: str | None = None) -> int:
-    """Dispatch one of the four sweep modes.
+    """Run the points of a sweep mode's row of a ``config`` sweep table.
 
-    A noise sweep writes one ``noise_stats.csv`` row per point.  A run sweep
-    runs each of its points (``config.sweep_runs``) as ``run`` runs it
-    (``_run``), on the sweep's one task, and writes one ``sweep.csv`` row per
-    point.
+    A noise sweep writes one ``noise_stats.csv`` row per point of its
+    ``_NOISE_SWEEPS`` row (``config.noise_sweep``).  A run sweep runs each of
+    its points (``config.sweep_runs``) as ``run`` runs it (``_run``), on the
+    sweep's one task, and writes one ``sweep.csv`` row per point.
     """
     out_dir = _open_run_dir(config, out_override)
     root = RngStream(config.seed)
 
-    if config.mode in ("sweep_rank", "sweep_size"):
+    if (noise := noise_sweep(config)) is not None:
+        key, points = noise
         model = noise_stats.NoiseModel(config.noise_sigma_beta, config.noise_sigma_alpha)
-        stream = root.child(_STREAM_SWEEP)
-        if config.mode == "sweep_rank":
-            rows = noise_stats.rank_sweep(
-                config.sweep_ranks, config.task_m, config.task_n, model,
-                config.noise_draws, stream, config.sweep_norm_b, config.sweep_norm_a,
-            )
-        else:
-            rows = noise_stats.size_sweep(
-                config.sweep_sizes, config.rank, model,
-                config.noise_draws, stream, config.sweep_norm_b, config.sweep_norm_a,
-            )
+        rows = noise_stats.sweep(points, model, config.noise_draws, root.child(_STREAM_SWEEP),
+                                 config.sweep_norm_b, config.sweep_norm_a)
         _write_csv(out_dir / "noise_stats.csv", NOISE_HEADER,
-                   [(r.key, r.value, r.mean_diff, r.std_error, r.mc_variance, r.exact_variance,
+                   [(key, r.value, r.mean_diff, r.std_error, r.mc_variance, r.exact_variance,
                      r.bound) for r in rows])
         _write(out_dir / "summary.txt", [f"{config.mode}: {len(rows)} points"])
         return 0

@@ -297,9 +297,9 @@ def generate_task(
     ``linalg._run_in_order``.  Each client writes only its own slices, with
     the same operations on any thread, so the task is the same at any
     worker count.
-    The arguments are not checked here: ``parse_text`` checks the config keys
-    they come from (1 <= r_star <= min(m, n), positive sizes, sigma_obs >= 0,
-    heterogeneity in [0, 1]).
+    The arguments are not checked here: the ``RunConfig`` they come from
+    checked its keys when it was made (1 <= r_star <= min(m, n), positive
+    sizes, sigma_obs >= 0, heterogeneity in [0, 1]).
     """
     gen_base = rng.child(_TASK_BASE).generator()
     w = gen_base.standard_normal((m, n)) / math.sqrt(n)
@@ -717,15 +717,16 @@ def _noise_metrics(released: GlobalAdapter, clean: list[FactorPair], weights: li
     sums ``(w * b).sum(0)`` and row sums ``a.sum(1)`` are concatenated in
     stacking order and dotted once.
     """
+    # the closed form first: a sigma whose square overflows fails before the release's sums
+    model = NoiseModel(sigma_beta=mechanism.sigma_b, sigma_alpha=mechanism.sigma_a)
+    total_variance = 0.0
+    for weight, (b, a) in zip(weights, clean):
+        total_variance += weight**2 * exact_total_variance(b, a, model)
     m, n = released.b_stacked.shape[0], released.a_stacked.shape[1]
     clean_b = np.concatenate([(w * b).sum(0) for w, (b, _) in zip(weights, clean)])
     clean_a = np.concatenate([a.sum(1) for _, a in clean])
     released_mean = float(released.b_stacked.sum(0) @ released.a_stacked.sum(1)) / (m * n)
     expectation_diff = released_mean - float(clean_b @ clean_a) / (m * n)
-    model = NoiseModel(sigma_beta=mechanism.sigma_b, sigma_alpha=mechanism.sigma_a)
-    total_variance = 0.0
-    for weight, (b, a) in zip(weights, clean):
-        total_variance += weight**2 * exact_total_variance(b, a, model)
     return expectation_diff, total_variance
 
 

@@ -335,6 +335,23 @@ class TestCheckDpBound:
         assert check.max_violation >= (1 - 0.9) - math.exp(0.1) * (1 - 0.1) - 1e-5
 
 
+    def test_huge_epsilon_leaves_only_the_edges(self):
+        # e^1000 overflows a float.  In the closed form every point with fpr > 0 meets the
+        # forward line and every point with tpr < 1 the reverse one, so the violation is the
+        # fpr = 0 edge's tpr - delta or the tpr = 1 edge's 1 - fpr - delta.
+        delta = 1e-5
+        fpr = (0.0, 0.0, 1e-4, 0.2, 0.6, 1.0)
+        tpr = (0.0, 0.3, 0.5, 0.9999, 1.0, 1.0)
+        curve = RocCurve(thresholds=tuple(math.inf for _ in fpr), fpr=fpr, tpr=tpr)
+        check = check_dp_bound(curve, 1000.0, delta, 10_000)
+        edges = ([t - delta for f, t in zip(fpr, tpr) if f == 0]
+                 + [1 - f - delta for f, t in zip(fpr, tpr) if t == 1])
+        assert check.max_violation == max(edges) == 0.4 - delta
+        inside = RocCurve(thresholds=(math.inf,) * 3, fpr=(0.0, 1e-4, 1.0),
+                          tpr=(0.0, 0.9999, 1.0))
+        assert check_dp_bound(inside, 1000.0, delta, 10_000).max_violation == -delta
+
+
 class TestDirectGame:
     def test_calibrated_antipodal_pair_passes_at_half(self):
         eps, delta = 0.5, 1e-5

@@ -114,9 +114,22 @@ class TestRun:
         def refuse(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.11 PiB for an array")
 
-        monkeypatch.setattr(noise_stats, "rank_sweep", refuse)
+        monkeypatch.setattr(noise_stats, "sweep", refuse)
         assert run_cli("sweep_rank", write_config(tmp_path), tmp_path / "out") == 2
         assert capsys.readouterr().err == "error: Unable to allocate 7.11 PiB for an array\n"
+
+    # Settings the config accepts but whose floats overflow: sigma^2 at epsilon = 1e-305 and
+    # at noise_sigma_beta = 1e200, sigma itself at the subnormal epsilon = 1e-320.
+    @pytest.mark.parametrize("mode,line,message", [
+        ("run", "epsilon = 1e-305", "error: OverflowError: "),
+        ("sweep_rank", "noise_sigma_beta = 1e200", "error: OverflowError: "),
+        ("run", "epsilon = 1e-320", "error: noise scale must be finite and >= 0, got inf"),
+    ])
+    def test_overflow_exits_2_with_one_error_line(self, tmp_path, capsys, mode, line, message):
+        config = write_config(tmp_path, TINY + f"{line}\nnoise_draws = 100\n")
+        assert run_cli(mode, config, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
 
 
 class TestConfigErrors:
@@ -316,6 +329,16 @@ class TestMia:
         assert run_cli("mia", config, tmp_path / "out", "--seed", str(seed)) == 0
         trials = (tmp_path / "out" / "mia" / "trials_sigma_calibrated.csv").read_text()
         assert len(trials.splitlines()) == 1 + 200
+
+    def test_epsilon_past_the_float_range_runs(self, tmp_path):
+        # e^1000 overflows a float; the bound check caps the exponent
+        config = write_config(tmp_path, "experiment_name = mia\nmia_trials = 200\n"
+                                        "mia_epsilon = 1000\n")
+        assert run_cli("mia", config, tmp_path / "out") == 0
+        # sigma is so small that each level separates the pair: its curve reaches the corner
+        # fpr = 0, tpr = 1, outside the region by 1 - delta at any epsilon
+        summary = (tmp_path / "out" / "mia" / "summary.txt").read_text().splitlines()
+        assert [line.split(", ")[1] for line in summary] == [f"max_violation {1 - 1e-5:.17g}"] * 3
 
 
 # check: a change to noise_product_stats's result (stats, b factor) that check alone catches

@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import pytest
 
 from fedlora_dp import config as config_module
-from fedlora_dp.config import ConfigError, RunConfig, parse_text, sweep_runs
+from fedlora_dp.config import ConfigError, RunConfig, noise_sweep, parse_text, sweep_runs
 
 # One value per checked key that parses as the key's type but fails its check.
 BAD_VALUES = {
@@ -146,6 +146,23 @@ def test_each_run_sweep_point_is_the_run_its_snapshot_parses_to(mode, key, value
     assert [(k, v) for k, v, _ in points] == [(key, v) for v in values]
     for *_, point in points:
         assert parse_text(point.snapshot(), mode="run") == point
+
+
+@pytest.mark.parametrize("mode,key,points", [
+    ("sweep_rank", "rank", [("2", 12, 5, 2), ("7", 12, 5, 7)]),
+    ("sweep_size", "size", [("3x9", 3, 9, 4), ("10x2", 10, 2, 4)]),
+])
+def test_each_noise_sweep_point_is_the_shape_its_table_row_gives(mode, key, points):
+    config = parse_text("task_m = 12\ntask_n = 5\nrank = 4\nsweep_ranks = 2,7\n"
+                        "sweep_sizes = 3x9,10x2\n", mode=mode)
+    assert noise_sweep(config) == (key, points)
+
+
+def test_only_sweep_modes_have_sweep_points():
+    assert config_module.SWEEP_MODES == ("sweep_epsilon", "sweep_clip", "sweep_rank", "sweep_size")
+    for mode in config_module.MODES:
+        config = parse_text("", mode=mode)
+        assert (mode in config_module.SWEEP_MODES) == bool(sweep_runs(config) or noise_sweep(config))
 
 
 @pytest.mark.parametrize("extra,key", [

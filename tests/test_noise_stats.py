@@ -15,8 +15,7 @@ from fedlora_dp.noise_stats import (
     NoiseStats,
     exact_total_variance,
     noise_product_stats,
-    rank_sweep,
-    size_sweep,
+    sweep,
     variance_bound,
 )
 
@@ -132,46 +131,55 @@ class TestVarianceBound:
         assert exact_total_variance(b, a, model) == pytest.approx(expected)
 
 
+def rank_points(ranks, m, n):
+    return [(str(r), m, n, r) for r in ranks]
+
+
+def size_points(dim_pairs, rank):
+    return [(f"{m}x{n}", m, n, rank) for m, n in dim_pairs]
+
+
 class TestRankSweep:
     def test_exact_linear_in_rank_pure_noise(self):
-        rows = rank_sweep([1, 2, 4], 3, 5, NoiseModel(1.0, 1.0), 2000, RngStream(10),
-                          norm_b=0.0, norm_a=0.0)
+        rows = sweep(rank_points([1, 2, 4], 3, 5), NoiseModel(1.0, 1.0), 2000, RngStream(10),
+                     norm_b=0.0, norm_a=0.0)
         exact = [r.exact_variance for r in rows]
         assert exact[1] == pytest.approx(2 * exact[0])
         assert exact[2] == pytest.approx(4 * exact[0])
 
     def test_doubling_pattern(self):
-        rows = rank_sweep([4, 8, 16], 8, 8, NoiseModel(1.0, 1.0), 40_000, RngStream(11))
+        rows = sweep(rank_points([4, 8, 16], 8, 8), NoiseModel(1.0, 1.0), 40_000, RngStream(11))
         mc = [r.mc_variance for r in rows]
         for lo, hi in zip(mc, mc[1:]):
             assert 1.8 <= hi / lo <= 2.2
 
     def test_unbiased_at_each_rank(self):
-        rows = rank_sweep([2, 4], 4, 4, NoiseModel(1.0, 1.0), 20_000, RngStream(12))
+        rows = sweep(rank_points([2, 4], 4, 4), NoiseModel(1.0, 1.0), 20_000, RngStream(12))
         for row in rows:
             assert abs(row.mean_diff) <= 5 * row.std_error
 
 
 class TestSizeSweep:
     def test_pure_noise_quadruples_when_doubling_both_dims(self):
-        rows = size_sweep([(4, 6), (8, 12)], 3, NoiseModel(1.0, 1.0), 2000, RngStream(13),
-                          norm_b=0.0, norm_a=0.0)
+        rows = sweep(size_points([(4, 6), (8, 12)], 3), NoiseModel(1.0, 1.0), 2000, RngStream(13),
+                     norm_b=0.0, norm_a=0.0)
         assert rows[1].exact_variance == pytest.approx(4 * rows[0].exact_variance)
 
     def test_row_growth_invisible_to_wide_noise_term(self):
         # with a zero wide factor and tall noise off, only n * sa^2 * ||B||^2 remains
         model = NoiseModel(0.0, 1.0)
-        rows = size_sweep([(4, 6), (8, 6)], 2, model, 2000, RngStream(14),
-                          norm_b=1.0, norm_a=0.0)
+        rows = sweep(size_points([(4, 6), (8, 6)], 2), model, 2000, RngStream(14),
+                     norm_b=1.0, norm_a=0.0)
         assert rows[0].exact_variance == pytest.approx(rows[1].exact_variance)
 
     def test_expectation_near_zero_all_sizes(self):
-        rows = size_sweep([(4, 4), (8, 8)], 2, NoiseModel(1.0, 1.0), 20_000, RngStream(15))
+        rows = sweep(size_points([(4, 4), (8, 8)], 2), NoiseModel(1.0, 1.0), 20_000, RngStream(15))
         for row in rows:
             assert abs(row.mean_diff) <= 5 * row.std_error
 
     def test_variance_monotone_in_area(self):
-        rows = size_sweep([(4, 4), (6, 6), (8, 8)], 2, NoiseModel(1.0, 1.0), 20_000, RngStream(16))
+        rows = sweep(size_points([(4, 4), (6, 6), (8, 8)], 2), NoiseModel(1.0, 1.0), 20_000,
+                     RngStream(16))
         exact = [r.exact_variance for r in rows]
         mc = [r.mc_variance for r in rows]
         assert exact == sorted(exact)

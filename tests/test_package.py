@@ -76,7 +76,8 @@ def test_benchmark_counters_read_real_calls(monkeypatch):
         root = RngStream(0)
         mechanism = privacy.MechanismParams(clip_b=0.5, clip_a=0.5, sigma_b=0.1, sigma_a=0.1)
         simulation.run_experiment(config, runner.build_task(config, root), root, mechanism)
-        noise_stats.rank_sweep([1, 2], 4, 3, noise_stats.NoiseModel(1.0, 1.0), 200, root)
+        noise_stats.sweep([("1", 4, 3, 1), ("2", 4, 3, 2)], noise_stats.NoiseModel(1.0, 1.0), 200,
+                          root)
     finally:
         tracer.restore(patched)
 

@@ -1,5 +1,7 @@
 """Clipping and Gaussian-mechanism calibration contracts."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,6 +235,15 @@ class TestMechanismParams:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             MechanismParams(clip_b=1.0, clip_a=1.0, sigma_b=-0.1, sigma_a=0.0)
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    @pytest.mark.parametrize("factor", ["sigma_b", "sigma_a"])
+    def test_rejects_non_finite_sigma(self, factor, sigma):
+        # a subnormal epsilon calibrates an infinite sigma
+        assert calibrate_sigma(1.0, PrivacyBudget(1e-320, 1e-5)) == math.inf
+        sigmas = {"sigma_b": 0.0, "sigma_a": 0.0, factor: sigma}
+        with pytest.raises(ValueError, match="noise scale must be finite and >= 0"):
+            MechanismParams(clip_b=1.0, clip_a=1.0, **sigmas)
 
     @pytest.mark.parametrize("clip", [0.0, -1.0, float("nan")])
     @pytest.mark.parametrize("factor", ["clip_b", "clip_a"])
