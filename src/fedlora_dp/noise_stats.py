@@ -195,23 +195,33 @@ def noise_product_stats(
         np.add(sum_prod, sums[0], out=sum_prod)
         np.add(sum_sq, sums[1], out=sum_sq)
 
+    # An overflow is not trapped per operation: it shows as a non-finite
+    # statistic, which raises below.  The error state is per thread, so each
+    # chunk sets its own.
+    ignore = dict(over="ignore", invalid="ignore")
     wave = _WAVE_PER_WORKER * linalg._cpu_count()
-    for first in range(0, len(starts), wave):
-        chunks = starts[first:first + wave]
-        generators = [rng.child(first + j).generator() for j in range(len(chunks))]
+    with np.errstate(**ignore):
+        for first in range(0, len(starts), wave):
+            chunks = starts[first:first + wave]
+            generators = [rng.child(first + j).generator() for j in range(len(chunks))]
 
-        def run(j: int) -> tuple[np.ndarray, np.ndarray]:
-            span = per_draw_mean[chunks[j]:chunks[j] + starts.step]
-            return _chunk_sums(b, a, clean, model, generators[j], span)
+            def run(j: int) -> tuple[np.ndarray, np.ndarray]:
+                span = per_draw_mean[chunks[j]:chunks[j] + starts.step]
+                with np.errstate(**ignore):
+                    return _chunk_sums(b, a, clean, model, generators[j], span)
 
-        linalg._run_in_order(len(chunks), run, fold)
-        del generators  # freed before the next wave's are created
+            linalg._run_in_order(len(chunks), run, fold)
+            del generators  # freed before the next wave's are created
 
-    mean_diff = float(per_draw_mean.mean())
-    std_error = float(per_draw_mean.std(ddof=1) / math.sqrt(n_draws))
-    var_entries = (sum_sq - sum_prod * sum_prod / n_draws) / (n_draws - 1)
-    total_variance = float(np.maximum(var_entries, 0.0).sum())
-    return NoiseStats(mean_diff=mean_diff, std_error=std_error, total_variance=total_variance)
+        mean_diff = float(per_draw_mean.mean())
+        std_error = float(per_draw_mean.std(ddof=1) / math.sqrt(n_draws))
+        var_entries = (sum_sq - sum_prod * sum_prod / n_draws) / (n_draws - 1)
+        total_variance = float(np.maximum(var_entries, 0.0).sum())
+    stats = NoiseStats(mean_diff=mean_diff, std_error=std_error, total_variance=total_variance)
+    if not all(map(math.isfinite, (mean_diff, std_error, total_variance))):
+        raise OverflowError(f"Monte Carlo statistics overflow at noise scales "
+                            f"({model.sigma_beta}, {model.sigma_alpha}): {stats}")
+    return stats
 
 
 def _three_term_variance(b: np.ndarray, a: np.ndarray, model: NoiseModel,
@@ -224,7 +234,11 @@ def _three_term_variance(b: np.ndarray, a: np.ndarray, model: NoiseModel,
     sa2 = model.sigma_alpha**2
     norm_b2 = float(np.sum(b * b))
     norm_a2 = float(np.sum(a * a))
-    return coef_b * sa2 * norm_b2 + coef_a * sb2 * norm_a2 + m * n * r * sb2 * sa2
+    value = coef_b * sa2 * norm_b2 + coef_a * sb2 * norm_a2 + m * n * r * sb2 * sa2
+    if not math.isfinite(value):
+        raise OverflowError(f"closed-form variance overflows at noise scales "
+                            f"({model.sigma_beta}, {model.sigma_alpha})")
+    return value
 
 
 def exact_total_variance(b: np.ndarray, a: np.ndarray, model: NoiseModel) -> float:

@@ -23,7 +23,11 @@ axis: ``local_train`` takes a group's rows x[ids] with its factors stacked
 as (k, m, r) and (k, r, n), and each step is one batched matmul over that
 axis instead of k interpreted steps.  Equal row counts give the group one
 batch schedule, while each client keeps its own shuffling stream; the
-results are bit-identical to training each client alone.  The group size
+results are bit-identical to training each client alone.  Each client's B
+and A are views of one parameter row, so a step is five batched matmuls
+into buffers made once per call and five in-place updates of the whole
+group; the batch losses are reduced once per epoch, and the trained
+factors come back as views of the group's parameter array.  The group size
 is set by the shape (``_group_size``): a small shape trains a whole round in
 one call, and a large one falls back to small groups, down to one client.
 A non-finite loss or factor names the client and epoch that training the
@@ -402,17 +406,34 @@ def local_train(
     (k, m, n) with entry i equal to c - c_k for the server's variate c and
     client i's c_k, every client's drift-corrected G + c - c_k is used, which
     adds scale*(c - c_k)@A.T and scale*B.T@(c - c_k) to the two gradients.
-    Neither ``resid`` nor the given factors are mutated; the trained
-    factors come back as new arrays (the given ones when ``epochs`` is 0),
-    with each client's mean batch loss over the last epoch (its loss over
-    all its rows when ``epochs`` is 0).  ``steps`` counts client-steps: k
-    times each client's steps.
+
+    A step is five ``np.matmul(..., out=...)`` calls, one per line above
+    plus err @ B, and five in-place updates, each over the whole group.
+    Client i's B and A are reshaped views of row i of one (k, m*r + r*n)
+    parameter array, and its gradients of the same row of a gradient array
+    of that layout, so scaling, learning rate and update are one call each.
+    The buffers are made once per call: the epoch's shuffled rows of ``x``
+    and ``resid`` (gathered with ``np.take`` from every epoch's permutations,
+    drawn up front), xa and err @ B, one batch deep, and err, which holds
+    each batch's error at the batch's own rows.  Each batch's views into them
+    are made once too.  The batch losses are reduced from err once per
+    epoch, each over the same run of numbers as a sum over that batch
+    alone; the fedprox term is taken at each step, before the update.  Every
+    entry goes through the same IEEE operations, in the same order, as one
+    step at a time with fresh arrays, so the results match that bit for bit.
+
+    Neither ``x``, ``resid`` nor the given factors are mutated.  The trained
+    factors come back as views of the group's parameter array (the given
+    ones when ``epochs`` is 0), with each client's mean batch loss over the
+    last epoch (its loss over all its rows when ``epochs`` is 0).  ``steps``
+    counts client-steps: k times each client's steps.
     A non-finite batch loss, or a non-finite factor after the last step,
     raises ``NumericError`` naming the client and epoch the sequential loop
     would have named: the first client of the group with a non-finite loss
     in any epoch, at its first such epoch, unless a client before it ends
-    with a non-finite factor.  This is the only finiteness check between the
-    task and the server step.
+    with a non-finite factor.  Both come from one pass over every epoch's
+    losses and the final factors after training.  This is the only
+    finiteness check between the task and the server step.
     """
     k, n_samples = x.shape[:2]
     batch_size = min(batch_size, n_samples)
@@ -426,60 +447,90 @@ def local_train(
             losses += 0.5 * prox_mu * (_sum_sq(b) + _sum_sq(a))
         return LocalTrainResult(b, a, mean_loss=losses, steps=0)
 
-    gens = [rng.generator() for rng in rngs]
-    rows = np.arange(k)[:, np.newaxis]
-    n_batches = -(-n_samples // batch_size)
-    first_bad_epoch = np.full(k, -1)
-    # Trained in place: the transposes are views that follow every step.
-    b, a = b.copy(), a.copy()
+    m, r = b.shape[1:]
+    n = x.shape[2]
+    sizes = [min(batch_size, n_samples - start) for start in range(0, n_samples, batch_size)]
+    full = n_samples // batch_size  # batches of batch_size rows; a ragged last one follows
+    # One parameter row per client, B then A, and one gradient row of the same
+    # layout: the step's scaling, learning rate and update are one call each.
+    params = np.concatenate([b.reshape(k, -1), a.reshape(k, -1)], axis=1)
+    grads = np.empty_like(params)
+    b, a = params[:, :m * r].reshape(k, m, r), params[:, m * r:].reshape(k, r, n)
+    grad_b, grad_a = grads[:, :m * r].reshape(k, m, r), grads[:, m * r:].reshape(k, r, n)
     b_t, a_t = b.transpose(0, 2, 1), a.transpose(0, 2, 1)
+
+    # Each generator draws only its client's permutations, so all of them can
+    # be drawn first; they index the group's rows as one flat (k * rows) axis.
+    gens = [rng.generator() for rng in rngs]
+    order = np.array([[gen.permutation(n_samples) for gen in gens] for _ in range(epochs)])
+    order += n_samples * np.arange(k)[:, np.newaxis]
+    x_rows, resid_rows = x.reshape(k * n_samples, n), resid.reshape(k * n_samples, m)
+
+    # Buffers and each batch's views into them, made once: every batch of an
+    # epoch writes its error at its own rows of err, whose squares give the
+    # epoch's batch losses.
+    x_epoch, resid_epoch = np.empty((k, n_samples, n)), np.empty((k, n_samples, m))
+    err = np.empty((k, n_samples, m))
+    xa, eb = np.empty((k, batch_size, r)), np.empty((k, batch_size, r))
+    views = []
+    for start, bs in zip(range(0, n_samples, batch_size), sizes):
+        rows = slice(start, start + bs)
+        views.append((x_epoch[:, rows], xa[:, :bs], err[:, rows], err[:, rows].transpose(0, 2, 1),
+                      resid_epoch[:, rows], eb[:, :bs], eb[:, :bs].transpose(0, 2, 1),
+                      scale / bs))
+    losses = np.empty((epochs, k, len(sizes)))
+    prox = np.empty_like(losses) if prox_mu > 0 else None
+
     # Overflow is not trapped per operation: a non-finite residual or step
     # shows as a non-finite batch loss, and a last step that leaves a
     # non-finite factor is caught after the loop.  A client that goes
     # non-finite trains on; the batched matmuls keep the clients apart.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
-            order = np.stack([gen.permutation(n_samples) for gen in gens])
-            x_epoch, resid_epoch = x[rows, order], resid[rows, order]
-            epoch_losses = np.empty((k, n_batches))
-            for j, start in enumerate(range(0, n_samples, batch_size)):
-                xb = x_epoch[:, start:start + batch_size]
-                bs = xb.shape[1]
-
-                xa = xb @ a_t
-                err = xa @ b_t
-                err *= scale
-                err += resid_epoch[:, start:start + batch_size]
-                loss = 0.5 * _sum_sq(err) / bs
-                if prox_mu > 0:
-                    loss += 0.5 * prox_mu * (_sum_sq(b) + _sum_sq(a))
-                epoch_losses[:, j] = loss
-
-                grad_b = err.transpose(0, 2, 1) @ xa
-                grad_b *= scale / bs
-                grad_a = (err @ b).transpose(0, 2, 1) @ xb
-                grad_a *= scale / bs
+            # every index is in range; mode="raise" would copy through a buffer
+            np.take(x_rows, order[epoch], axis=0, out=x_epoch, mode="clip")
+            np.take(resid_rows, order[epoch], axis=0, out=resid_epoch, mode="clip")
+            for j, (xb, xa_b, err_b, err_bt, resid_b, eb_b, eb_bt, step_scale) in enumerate(views):
+                np.matmul(xb, a_t, out=xa_b)
+                np.matmul(xa_b, b_t, out=err_b)
+                err_b *= scale
+                err_b += resid_b
+                if prox is not None:
+                    prox[epoch, :, j] = 0.5 * prox_mu * (_sum_sq(b) + _sum_sq(a))
+                np.matmul(err_bt, xa_b, out=grad_b)
+                np.matmul(err_b, b, out=eb_b)
+                np.matmul(eb_bt, xb, out=grad_a)
+                grads *= step_scale
                 if correction is not None:
                     grad_b += scale * (correction @ a_t)
                     grad_a += scale * (b_t @ correction)
-                if prox_mu > 0:
-                    grad_b += prox_mu * b
-                    grad_a += prox_mu * a
-                grad_b *= lr
-                grad_a *= lr
-                b -= grad_b
-                a -= grad_a
-            went_bad = ~np.isfinite(epoch_losses).all(axis=1) & (first_bad_epoch < 0)
-            first_bad_epoch[went_bad] = epoch
-    finite = np.isfinite(b).all(axis=(1, 2)) & np.isfinite(a).all(axis=(1, 2))
+                if prox is not None:
+                    grads += prox_mu * params
+                grads *= lr
+                params -= grads
+            # each batch's sum of squares runs over that batch's rows alone,
+            # in the order a sum over its own error array would take
+            err *= err
+            sums = losses[epoch]
+            err[:, :full * batch_size].reshape(k, full, -1).sum(axis=2, out=sums[:, :full])
+            if full < len(sizes):
+                err[:, full * batch_size:].reshape(k, -1).sum(axis=1, out=sums[:, full])
+        losses *= 0.5
+        losses /= sizes
+        if prox is not None:
+            losses += prox
+
+    bad = ~np.isfinite(losses).all(axis=2)
+    first_bad_epoch = np.where(bad.any(axis=0), bad.argmax(axis=0), -1)
+    finite = np.isfinite(params).all(axis=1)
     for cid, bad_epoch, ok in zip(client_ids, first_bad_epoch, finite):
         if bad_epoch >= 0:
             raise NumericError(f"client {cid}: non-finite loss at epoch {bad_epoch}")
         if not ok:
             raise NumericError(f"client {cid}: non-finite factors after training")
 
-    return LocalTrainResult(b, a, mean_loss=epoch_losses.mean(axis=1),
-                            steps=k * epochs * n_batches)
+    return LocalTrainResult(b, a, mean_loss=losses[-1].mean(axis=1),
+                            steps=k * epochs * len(sizes))
 
 
 def sample_clients(n_clients: int, k: int, rng: RngStream) -> list[int]:

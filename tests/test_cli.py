@@ -131,6 +131,19 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
 
+    # Noise scales whose squares are finite, at 16 x 8 and rank 2: at 1e154 the closed form
+    # overflows before any draw; at 1e76 it is 2.56e306, and only the Monte Carlo sums of
+    # 10,000 draws overflow.  Neither writes a row.
+    @pytest.mark.parametrize("sigma,draws", [("1e154", 100), ("1e76", 10_000)])
+    def test_overflowing_noise_sweep_exits_2_without_rows(self, tmp_path, capsys, sigma, draws):
+        config = write_config(tmp_path, f"experiment_name = ovf\nsweep_ranks = 2\n"
+                                        f"noise_sigma_beta = {sigma}\nnoise_sigma_alpha = {sigma}\n"
+                                        f"noise_draws = {draws}\n")
+        assert run_cli("sweep_rank", config, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "ovf" / "noise_stats.csv").exists()
+
 
 class TestConfigErrors:
     # Then three values no mode can run: an untrained B, too few trials or draws.  The last

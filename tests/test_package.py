@@ -1,10 +1,13 @@
 """Every name a module exports resolves, and the names the benchmark hooks into are bound."""
 
 import importlib
+import importlib.metadata
 import inspect
 import math
 import pkgutil
+import re
 import threading
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,8 @@ from fedlora_dp.linalg import RngStream
 MODULES = ["fedlora_dp"] + [
     f"fedlora_dp.{info.name}" for info in pkgutil.iter_modules(fedlora_dp.__path__)
 ]
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -159,3 +163,19 @@ def test_traced_functions_run_on_the_calling_thread(monkeypatch):
         tracer.restore(patched)
     assert started
     assert threads and set(threads) == {threading.get_ident()}
+
+
+def _python_floor(spec: str) -> tuple[int, int]:
+    """(major, minor) of a ``>=X.Y`` Requires-Python specifier."""
+    match = re.fullmatch(r">=\s*(\d+)\.(\d+)(\.\d+)?", spec.strip())
+    assert match, f"not a plain >=X.Y floor: {spec!r}"
+    return int(match[1]), int(match[2])
+
+
+def test_declared_python_floor_is_not_below_numpys():
+    # The golden digests were recorded on the installed numpy; a Python below
+    # its own floor could not install it.
+    with (ROOT / "pyproject.toml").open("rb") as f:
+        declared = tomllib.load(f)["project"]["requires-python"]
+    numpy_floor = importlib.metadata.metadata("numpy")["Requires-Python"]
+    assert _python_floor(declared) >= _python_floor(numpy_floor)

@@ -178,14 +178,19 @@ def _dense_reference_train(x, y, b, a, s, effective, rng, epochs, batch_size, lr
 
 def _loop_reference_train(x, y, b, a, s, effective, rng, epochs, batch_size, lr,
                           prox_mu=0.0, correction=None):
-    """Oracle for local_train's bytes: one client, 2-D arrays, the same operations in order."""
+    """Oracle for local_train's bytes: one client, 2-D arrays, the same operations in order.
+
+    Returns the trained pair and every epoch's list of batch losses.
+    """
     n_samples = x.shape[0]
     batch_size = min(batch_size, n_samples)
     gen = rng.generator()
     resid = x @ effective.T - y
+    losses = []
     for _ in range(epochs):
         order = gen.permutation(n_samples)
         epoch_losses = []
+        losses.append(epoch_losses)
         for start in range(0, n_samples, batch_size):
             idx = order[start:start + batch_size]
             xb = x[idx]
@@ -206,7 +211,7 @@ def _loop_reference_train(x, y, b, a, s, effective, rng, epochs, batch_size, lr,
                 grad_a = grad_a + prox_mu * a
             b = b - lr * grad_b
             a = a - lr * grad_a
-    return b, a, float(np.mean(epoch_losses))
+    return b, a, losses
 
 
 def _group_task(gen, k=3, m=6, n=4, samples=20):
@@ -328,10 +333,11 @@ class TestLocalTrain:
             assert group.mean_loss[i] == loss
             assert group.steps == 3 * steps
             # and both equal one client's 2-D steps, bit for bit
-            ref_b, ref_a, ref_loss = _loop_reference_train(x[i], y[i], b0[i], a0[i], 1.5,
-                                                           effective, streams[i],
-                                                           correction=one, **settings)
-            assert np.array_equal(b, ref_b) and np.array_equal(a, ref_a) and loss == ref_loss
+            ref_b, ref_a, ref_losses = _loop_reference_train(x[i], y[i], b0[i], a0[i], 1.5,
+                                                             effective, streams[i],
+                                                             correction=one, **settings)
+            assert np.array_equal(b, ref_b) and np.array_equal(a, ref_a)
+            assert loss == float(np.mean(ref_losses[-1]))
 
     def test_group_leaves_inputs_unchanged(self):
         gen = np.random.default_rng(32)
@@ -342,9 +348,11 @@ class TestLocalTrain:
         correction = server_c - client_c
         inputs = (x, b0, a0, resid, correction)
         before = [array.copy() for array in inputs]
-        local_train(ids, x, b0, a0, 1.0, resid, [RngStream(0, (i,)) for i in range(3)],
-                    epochs=2, batch_size=8, lr=0.05, correction=correction)
+        result = local_train(ids, x, b0, a0, 1.0, resid, [RngStream(0, (i,)) for i in range(3)],
+                             epochs=2, batch_size=8, lr=0.05, correction=correction)
         assert all(np.array_equal(old, new) for old, new in zip(before, inputs))
+        assert not any(np.shares_memory(factor, array)
+                       for factor in (result.b, result.a) for array in (b0, a0, x, resid))
 
     def test_single_client_converges_to_optimum(self):
         task = small_task(n_clients=1, samples_per_client=60)
@@ -418,6 +426,38 @@ class TestLocalTrain:
             with pytest.raises(NumericError, match=f"^client {10 + i}: non-finite loss at "
                                                    f"epoch {epoch}$"):
                 local_train(**alone, epochs=2)
+
+    def test_group_names_a_later_epochs_middle_batch(self):
+        # 20 rows in batches of 7, 7 and 6; client 10 has a zero residual and
+        # b = 0, so it never moves, client 12 has small inputs and stays
+        # finite, and client 11 first goes non-finite in batch 1 of epoch 2
+        gen = np.random.default_rng(35)
+        draws = [(gen.standard_normal((20, 4)), gen.standard_normal((20, 6))) for _ in range(3)]
+        x, y = (np.stack(arrays) for arrays in zip(*draws))
+        x[2] *= 0.1
+        y[0] = 0.0
+        b0 = 0.1 * gen.standard_normal((3, 6, 2))
+        b0[0] = 0.0
+        a0 = gen.standard_normal((3, 2, 4))
+        effective = np.zeros((6, 4))
+        streams = [RngStream(0, (i,)) for i in range(3)]
+        settings = dict(epochs=4, batch_size=7, lr=0.8)
+        first_bad = []
+        for i in range(3):
+            with np.errstate(over="ignore", invalid="ignore"):
+                _, _, losses = _loop_reference_train(x[i], y[i], b0[i], a0[i], 1.0, effective,
+                                                     streams[i], **settings)
+            first_bad.append(np.argwhere(~np.isfinite(losses))[:1].tolist())
+        assert first_bad == [[], [[2, 1]], []]  # (epoch, batch)
+        group = dict(client_ids=[10, 11, 12], x=x, b=b0, a=a0, scale=1.0,
+                     resid=_resid(x, y, effective), rngs=streams, **settings)
+        with pytest.raises(NumericError, match=r"^client 11: non-finite loss at epoch 2$"):
+            local_train(**group)
+        alone = {key: value[1:2] if key in ("client_ids", "x", "b", "a", "resid", "rngs")
+                 else value
+                 for key, value in group.items()}
+        with pytest.raises(NumericError, match=r"^client 11: non-finite loss at epoch 2$"):
+            local_train(**alone)
 
     def test_group_names_the_lowest_non_finite_factor(self):
         # after one step, clients 11 and 12 end with overflowed factors
