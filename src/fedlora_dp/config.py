@@ -34,7 +34,7 @@ from pathlib import Path
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_text", "check_seed", "sweep_runs",
            "noise_sweep", "MODES", "SWEEP_MODES", "STRATEGIES"]
 
-STRATEGIES = ("fedavg", "fedprox", "scaffold", "fedavgm", "fedadagrad", "fedyogi", "fedadam")
+STRATEGIES = ("fedavg", "fedprox", "fedavgm", "fedadagrad", "fedyogi", "fedadam")
 CLIP_MODES = ("calibrated", "absolute")
 
 
@@ -396,14 +396,6 @@ def _validate(config: RunConfig, lines_seen: dict[str, int]) -> None:
             f"calibration_rounds ({config.calibration_rounds}) cannot exceed rounds "
             f"({config.rounds}) when the clips are calibrated",
             lines_seen.get("calibration_rounds", lines_seen.get("rounds")),
-        )
-    # SCAFFOLD's control variates are each client's dense m x n gradient, which
-    # the factor mechanism cannot release, so a private run would send them un-noised.
-    if config.strategy == "scaffold" and config.dp_enabled:
-        raise ConfigError(
-            "strategy scaffold cannot run with DP: its control variates are un-noised dense "
-            "gradients",
-            lines_seen.get("strategy"),
         )
 
 

@@ -44,8 +44,8 @@ from .adapters import FactorPair
 from .config import RunConfig, noise_sweep, sweep_runs
 from .linalg import RngStream, frobenius_norm
 from .privacy import IDENTITY_MECHANISM, MechanismParams, PrivacyBudget, calibrate_sigma
-from .simulation import (ExperimentResult, ServerState, SyntheticTask, generate_task,
-                         run_experiment, run_round)
+from .simulation import (ExperimentResult, NumericError, ServerState, SyntheticTask,
+                         generate_task, run_experiment, run_round)
 
 __all__ = [
     "METRICS_HEADER",
@@ -162,13 +162,19 @@ def resolve_clips(config: RunConfig, task: SyntheticTask, root: RngStream) -> tu
     reports, the factor norms of every sampled client taken before clipping.
     Every private run calibrates its own clips, each point of ``sweep_epsilon``
     included; the dry run reads none of the keys that sweep varies, so every
-    point gets the same clips.
+    point gets the same clips.  A ``NumericError`` in the dry run is raised
+    again marked as the dry run's (``clip dry run: round 1: ...``), so it is
+    not read as the run's own round.
     """
     if config.clip_mode == "absolute":
         return config.clip_value, config.clip_value
-    server = ServerState.fresh(task.base, config.strategy, task.n_clients)
+    server = ServerState.fresh(task.base, config.strategy)
     stream = root.child(_STREAM_CALIBRATE)
-    rounds = [run_round(server, task, config, stream) for _ in range(config.calibration_rounds)]
+    try:
+        rounds = [run_round(server, task, config, stream)
+                  for _ in range(config.calibration_rounds)]
+    except NumericError as exc:
+        raise NumericError(f"clip dry run: {exc}") from None
     releases = [rel for r in rounds for rel in r.releases]
     clip_b = _quantile([rel.norm_b for rel in releases], config.clip_quantile)
     clip_a = _quantile([rel.norm_a for rel in releases], config.clip_quantile)

@@ -5,7 +5,7 @@ low-rank factor pair (b, a) against the effective base (frozen weights plus
 the accumulated global delta, which the server holds), clips and noises it
 (``privacy``'s release, which is ``IDENTITY_MECHANISM`` in a non-private
 run), and the server stacks the released pairs into a dense pseudo-gradient
-that one of seven aggregation strategies applies.  Broadcast is
+that one of six aggregation strategies applies.  Broadcast is
 fold-and-reset: the dense delta is accumulated server-side and clients draw
 fresh pairs, so per-round shapes never grow.  Factor pairs are plain arrays;
 the LoRA scale ``lora_scale / rank`` is computed once per round and passed
@@ -31,7 +31,8 @@ factors come back as views of the group's parameter array.  The group size
 is set by the shape (``_group_size``): a small shape trains a whole round in
 one call, and a large one falls back to small groups, down to one client.
 A non-finite loss or factor names the client and epoch that training the
-clients one by one, in ascending id order, would have named.
+clients one by one, in ascending id order, would have named, and
+``run_round`` puts its round index before them.
 
 The server step (``_apply_strategy``) updates the accumulators in place,
 in row blocks of about 256 KB per operand (``_BLOCK_FLOATS``), and finishes
@@ -61,12 +62,6 @@ each per-client array after its last reader, and the end-of-run losses run
 after the server's accumulators are freed.  So at its peak a large run
 holds the task, the server's accumulators and the round's dense
 ``delta_t``, which the step applies.
-
-SCAFFOLD uses option I of Karimireddy et al. (arXiv:1910.06378): a sampled
-client's control variate becomes its full-batch dense gradient at the
-round's base, R^T X / N from its base residual.  The variate is a dense
-m x n matrix, which the factor mechanism cannot release, so SCAFFOLD with
-DP stays a config error.
 
 All randomness flows through streams keyed by (round, client, draw kind),
 which makes runs bit-reproducible regardless of client scheduling.
@@ -166,19 +161,14 @@ _ADAPTIVE = ("fedadagrad", "fedyogi", "fedadam")
 
 @dataclass
 class ServerState:
-    """Server-side accumulators, m x n (``client_c`` one per client); unread ones are None.
+    """Server-side accumulators, m x n; unread ones are None.
 
     ``_apply_strategy`` updates ``delta_acc``, ``momentum`` and
-    ``second_moment`` in place, one row block at a time, and
-    ``_update_control_variates`` adds to ``server_c`` and writes
-    ``client_c`` in place; each stays the same array for the whole run.
-    ``client_c`` (clients, m, n) holds every client's SCAFFOLD control
-    variate c_k along the task's client axis; a deployment keeps c_k on
-    client k, and the simulation holds them here.  ``effective`` is not an
-    accumulator: it is the derived copy W + delta_acc that clients train
-    against, and the step refreshes each of its blocks right after the same
-    block of ``delta_acc``, so it stays equal to ``base.w + delta_acc`` bit
-    for bit.
+    ``second_moment`` in place, one row block at a time; each stays the same
+    array for the whole run.  ``effective`` is not an accumulator: it is the
+    derived copy W + delta_acc that clients train against, and the step
+    refreshes each of its blocks right after the same block of
+    ``delta_acc``, so it stays equal to ``base.w + delta_acc`` bit for bit.
     """
 
     base: FrozenBase
@@ -186,14 +176,11 @@ class ServerState:
     effective: np.ndarray
     momentum: np.ndarray | None = None
     second_moment: np.ndarray | None = None
-    server_c: np.ndarray | None = None
-    client_c: np.ndarray | None = None
     round_index: int = 0
 
     @classmethod
-    def fresh(cls, base: FrozenBase, strategy: str, n_clients: int) -> "ServerState":
+    def fresh(cls, base: FrozenBase, strategy: str) -> "ServerState":
         shape = base.shape
-        scaffold = strategy == "scaffold"
         delta_acc = np.zeros(shape)
         return cls(
             base=base,
@@ -201,8 +188,6 @@ class ServerState:
             effective=base.w + delta_acc,
             momentum=np.zeros(shape) if strategy in _WITH_MOMENTUM else None,
             second_moment=np.zeros(shape) if strategy in _ADAPTIVE else None,
-            server_c=np.zeros(shape) if scaffold else None,
-            client_c=np.zeros((n_clients, *shape)) if scaffold else None,
         )
 
 
@@ -376,7 +361,6 @@ def local_train(
     batch_size: int,
     lr: float,
     prox_mu: float = 0.0,
-    correction: np.ndarray | None = None,
 ) -> LocalTrainResult:
     """Mini-batch gradient descent on a group of clients' factor pairs, in lockstep.
 
@@ -402,10 +386,7 @@ def local_train(
         dL/dA = (scale / bs) * (err @ B).T @ xb
 
     These are scale*G@A.T and scale*B.T@G for the batch-mean error outer
-    product G = err.T @ xb / bs.  When SCAFFOLD's ``correction`` is supplied,
-    (k, m, n) with entry i equal to c - c_k for the server's variate c and
-    client i's c_k, every client's drift-corrected G + c - c_k is used, which
-    adds scale*(c - c_k)@A.T and scale*B.T@(c - c_k) to the two gradients.
+    product G = err.T @ xb / bs.
 
     A step is five ``np.matmul(..., out=...)`` calls, one per line above
     plus err @ B, and five in-place updates, each over the whole group.
@@ -501,9 +482,6 @@ def local_train(
                 np.matmul(err_b, b, out=eb_b)
                 np.matmul(eb_bt, xb, out=grad_a)
                 grads *= step_scale
-                if correction is not None:
-                    grad_b += scale * (correction @ a_t)
-                    grad_a += scale * (b_t @ correction)
                 if prox is not None:
                     grads += prox_mu * params
                 grads *= lr
@@ -553,7 +531,7 @@ def _apply_strategy(server: ServerState, config: RunConfig, delta_t: np.ndarray)
     as these whole-matrix formulas (d = delta_t, v = momentum,
     s = second_moment; the other names are ``config`` fields):
 
-        fedavg, fedprox, scaffold   delta_acc += d
+        fedavg, fedprox   delta_acc += d
         fedavgm     v = mu * v + d;  delta_acc += server_lr * v   (mu = config.momentum)
         adaptive    v = beta1 * v + (1 - beta1) * d
           fedadagrad  s = s + d * d
@@ -669,6 +647,8 @@ def run_round(
     trained pair, taken before clipping, in ascending client id order.
     Every client holds the same number of rows, so each stacking weight is a
     data share of 1 / k times the LoRA scale, (1 / k) * (lora_scale / rank).
+    A training ``NumericError`` is raised again with the round index before
+    its message (``round 3: client 4: non-finite loss at epoch 4``).
     Every round releases through ``mechanism``: each trained pair is clipped once
     (``clip_pair``), and the clipped pair is both released (``privatize``, B
     noise on stream (round, cid, 3), A noise on (round, cid, 4)) and kept as
@@ -683,7 +663,10 @@ def run_round(
     sampled = sample_clients(task.n_clients, config.sampled_per_round,
                              rng.child(round_index, _KIND_SAMPLE))
     scale = config.lora_scale / config.rank
-    trained, losses = _train_sampled(server, task, config, rng, sampled, scale)
+    try:
+        trained, losses = _train_sampled(server, task, config, rng, sampled, scale)
+    except NumericError as exc:
+        raise NumericError(f"round {round_index}: {exc}") from None
     releases = tuple(Release(cid, loss, frobenius_norm(b), frobenius_norm(a))
                      for cid, loss, (b, a) in zip(sampled, losses, trained))
 
@@ -728,10 +711,8 @@ def _train_sampled(server: ServerState, task: SyntheticTask, config: RunConfig,
     current.  Every group's base residual is computed first
     (``_base_residuals``, on worker threads at large shapes); the sampled
     clients then train in ascending id order, in groups of ``_group_size``
-    clients, one ``local_train`` call per group.  Under SCAFFOLD the same
-    residuals then give each sampled client's control variate
-    (``_update_control_variates``).  The residuals, initial pairs and
-    SCAFFOLD corrections die on return.
+    clients, one ``local_train`` call per group.  The residuals and initial
+    pairs die on return.
     """
     round_index = server.round_index
     lr = cosine_lr(config.lr_start, config.lr_end, round_index, config.rounds)
@@ -745,17 +726,13 @@ def _train_sampled(server: ServerState, task: SyntheticTask, config: RunConfig,
     for ids, resid in zip(groups, resids):
         init = [init_adapter(m, n, config.rank, rng.child(round_index, cid, _KIND_INIT))
                 for cid in ids]
-        correction = None if server.client_c is None else server.server_c - server.client_c[ids]
         result = local_train(ids, task.x[ids], np.stack([b for b, _ in init]),
                              np.stack([a for _, a in init]), scale, resid,
                              [rng.child(round_index, cid, _KIND_TRAIN) for cid in ids],
                              epochs=config.local_epochs, batch_size=config.batch_size,
-                             lr=lr, prox_mu=prox_mu, correction=correction)
+                             lr=lr, prox_mu=prox_mu)
         trained += zip(result.b, result.a)
         losses += result.mean_loss.tolist()
-
-    if server.client_c is not None:
-        _update_control_variates(server, task.x, sampled, [r for resid in resids for r in resid])
     return trained, losses
 
 
@@ -781,27 +758,6 @@ def _noise_metrics(released: GlobalAdapter, clean: list[FactorPair], weights: li
     return expectation_diff, total_variance
 
 
-def _update_control_variates(server: ServerState, x: np.ndarray, sampled: list[int],
-                             resids: list[np.ndarray]) -> None:
-    """SCAFFOLD's option I, before the server step: c_k <- R_k^T X_k / N_k.
-
-    Each sampled client's control variate ``client_c[k]`` becomes its
-    full-batch dense gradient at the round's base, from its rows ``x[k]``
-    and its base residual R_k (``resids``, in ``sampled``'s order).
-    ``server_c`` moves by the mean change over all clients, so it stays the
-    mean of every client's variate.
-    """
-    shift = np.zeros_like(server.server_c)
-    for cid, resid in zip(sampled, resids):
-        grad = resid.T @ x[cid]
-        grad /= len(resid)
-        shift += grad
-        shift -= server.client_c[cid]
-        server.client_c[cid] = grad
-    shift /= len(server.client_c)
-    server.server_c += shift
-
-
 def run_experiment(config: RunConfig, task: SyntheticTask, root: RngStream,
                    mechanism: MechanismParams = IDENTITY_MECHANISM) -> ExperimentResult:
     """Run ``config.rounds`` rounds, each releasing through ``mechanism`` (default: no DP).
@@ -812,7 +768,7 @@ def run_experiment(config: RunConfig, task: SyntheticTask, root: RngStream,
     either loss forms its error array.
     """
     t0 = time.perf_counter()
-    server = ServerState.fresh(task.base, config.strategy, task.n_clients)
+    server = ServerState.fresh(task.base, config.strategy)
     rounds = [run_round(server, task, config, root, mechanism) for _ in range(config.rounds)]
     effective = server.effective
     del server

@@ -91,8 +91,8 @@ def test_several_bad_keys_report_the_first_declared(text, first):
 @pytest.mark.parametrize("make", [
     lambda: RunConfig(strategy="sgd"),
     lambda: replace(parse_text(""), sampled_per_round=99),
-    lambda: replace(parse_text("dp_enabled = true\n"), strategy="scaffold"),
-    lambda: replace(parse_text("", "sweep_epsilon"), strategy="scaffold"),  # at each point
+    lambda: replace(parse_text("dp_enabled = true\n"), calibration_rounds=300),
+    lambda: replace(parse_text("", "sweep_epsilon"), calibration_rounds=300),  # at each point
 ])
 def test_a_config_is_checked_however_it_is_made(make):
     with pytest.raises(ConfigError) as info:
@@ -166,7 +166,6 @@ def test_only_sweep_modes_have_sweep_points():
 
 
 @pytest.mark.parametrize("extra,key", [
-    ("strategy = scaffold\n", "strategy"),
     ("calibration_rounds = 5\n", "calibration_rounds"),
 ])
 def test_a_run_sweep_added_to_the_table_meets_every_rule_for_a_run(monkeypatch, extra, key):

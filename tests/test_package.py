@@ -152,7 +152,7 @@ def test_traced_functions_run_on_the_calling_thread(monkeypatch):
                            local_epochs=1, batch_size=8, lr_start=1e-3, lr_end=1e-3, rank=32,
                            lora_scale=4.0)
         mechanism = privacy.MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.01, sigma_a=0.02)
-        server = simulation.ServerState.fresh(task.base, config.strategy, task.n_clients)
+        server = simulation.ServerState.fresh(task.base, config.strategy)
         for _ in range(2):
             simulation.run_round(server, task, config, RngStream(6, (7,)), mechanism)
         gen = np.random.default_rng(18)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fedlora_dp import linalg, privacy, runner, simulation
-from fedlora_dp.adapters import FrozenBase, global_delta, init_adapter
+from fedlora_dp.adapters import FrozenBase, aggregate_stack, global_delta, init_adapter
 from fedlora_dp.config import STRATEGIES, ConfigError, RunConfig, parse_text
 from fedlora_dp.linalg import RngStream, frobenius_norm
 from fedlora_dp.privacy import IDENTITY_MECHANISM, MechanismParams
@@ -133,18 +133,15 @@ def _resid(x, y, effective):
     return np.stack([xk @ effective.T - yk for xk, yk in zip(x, y)])
 
 
-def _train_one(cid, x, y, b, a, scale, effective, rng, correction=None, **kwargs):
+def _train_one(cid, x, y, b, a, scale, effective, rng, **kwargs):
     """``local_train`` on a group of one client, its result unstacked to (b, a, loss, steps)."""
-    if correction is not None:
-        correction = correction[np.newaxis]
     result = local_train([cid], x[np.newaxis], b[np.newaxis], a[np.newaxis], scale,
-                         _resid(x[np.newaxis], y[np.newaxis], effective), [rng],
-                         correction=correction, **kwargs)
+                         _resid(x[np.newaxis], y[np.newaxis], effective), [rng], **kwargs)
     return result.b[0], result.a[0], float(result.mean_loss[0]), result.steps
 
 
 def _dense_reference_train(x, y, b, a, s, effective, rng, epochs, batch_size, lr,
-                           prox_mu=0.0, correction=None):
+                           prox_mu=0.0):
     """Oracle for local_train: every step forms the dense model and the dense gradient G."""
     n_samples = x.shape[0]
     batch_size = min(batch_size, n_samples)
@@ -163,8 +160,6 @@ def _dense_reference_train(x, y, b, a, s, effective, rng, epochs, batch_size, lr
                 loss += 0.5 * prox_mu * (np.sum(b * b) + np.sum(a * a))
             epoch_losses.append(float(loss))
             g = err.T @ xb / bs
-            if correction is not None:
-                g = g + correction
             grad_b = s * (g @ a.T)
             grad_a = s * (b.T @ g)
             if prox_mu > 0:
@@ -177,7 +172,7 @@ def _dense_reference_train(x, y, b, a, s, effective, rng, epochs, batch_size, lr
 
 
 def _loop_reference_train(x, y, b, a, s, effective, rng, epochs, batch_size, lr,
-                          prox_mu=0.0, correction=None):
+                          prox_mu=0.0):
     """Oracle for local_train's bytes: one client, 2-D arrays, the same operations in order.
 
     Returns the trained pair and every epoch's list of batch losses.
@@ -203,9 +198,6 @@ def _loop_reference_train(x, y, b, a, s, effective, rng, epochs, batch_size, lr,
             epoch_losses.append(float(loss))
             grad_b = (s / bs) * (err.T @ xa)
             grad_a = (s / bs) * ((err @ b).T @ xb)
-            if correction is not None:
-                grad_b = grad_b + s * (correction @ a.T)
-                grad_a = grad_a + s * (b.T @ correction)
             if prox_mu > 0:
                 grad_b = grad_b + prox_mu * b
                 grad_a = grad_a + prox_mu * a
@@ -215,13 +207,12 @@ def _loop_reference_train(x, y, b, a, s, effective, rng, epochs, batch_size, lr,
 
 
 def _group_task(gen, k=3, m=6, n=4, samples=20):
-    """Clients 10, 11, ...: their stacked rows x and y and control variates, and a server's."""
-    draws = [(gen.standard_normal((samples, n)), gen.standard_normal((samples, m)),
-              0.1 * gen.standard_normal((m, n))) for _ in range(k)]
-    x, y, client_c = (np.stack(arrays) for arrays in zip(*draws))
+    """Clients 10, 11, ...: their stacked rows x and y, and an effective base."""
+    draws = [(gen.standard_normal((samples, n)), gen.standard_normal((samples, m)))
+             for _ in range(k)]
+    x, y = (np.stack(arrays) for arrays in zip(*draws))
     effective = gen.standard_normal((m, n))
-    server_c = 0.1 * gen.standard_normal((m, n))
-    return [10 + i for i in range(k)], x, y, client_c, effective, server_c
+    return [10 + i for i in range(k)], x, y, effective
 
 
 class TestLocalTrain:
@@ -278,7 +269,7 @@ class TestLocalTrain:
             assert np.abs(grad_b - fd_b).max() <= 1e-6
             assert np.abs(grad_a - fd_a).max() <= 1e-6
 
-    @pytest.mark.parametrize("case", ["plain", "prox", "scaffold", "epochs", "ragged_batch"])
+    @pytest.mark.parametrize("case", ["plain", "prox", "epochs", "ragged_batch"])
     def test_matches_dense_reference(self, case):
         gen = np.random.default_rng(23)
         task = small_task(seed=3, sigma_obs=0.1)
@@ -287,11 +278,7 @@ class TestLocalTrain:
         a0 = gen.standard_normal((rank, task.n))
         scale = 6.0 / rank
         delta_acc = 0.2 * gen.standard_normal((task.m, task.n))
-        client_c = 0.1 * gen.standard_normal((task.m, task.n))
         prox_mu = 0.05 if case == "prox" else 0.0
-        correction = None
-        if case == "scaffold":
-            correction = 0.1 * gen.standard_normal((task.m, task.n)) - client_c
         # 20 samples: batches of 5 divide them, batches of 7 leave a last batch of 6
         epochs = 6 if case == "epochs" else 2
         batch_size = 7 if case == "ragged_batch" else 5
@@ -301,33 +288,30 @@ class TestLocalTrain:
         x, y = task.x[1], task.y[1]
         b, a, loss, steps = _dense_reference_train(x, y, b0, a0, scale, effective,
                                                    RngStream(9, (2,)), epochs, batch_size, lr,
-                                                   prox_mu, correction)
+                                                   prox_mu)
         b1, a1, loss1, steps1 = _train_one(4, x, y, b0, a0, scale, effective, RngStream(9, (2,)),
                                            epochs=epochs, batch_size=batch_size, lr=lr,
-                                           prox_mu=prox_mu, correction=correction)
+                                           prox_mu=prox_mu)
         assert steps1 == steps
         np.testing.assert_allclose(b1, b, rtol=1e-10, atol=0)
         np.testing.assert_allclose(a1, a, rtol=1e-10, atol=0)
         assert loss1 == pytest.approx(loss, rel=1e-10)
 
-    @pytest.mark.parametrize("case", ["plain", "prox", "scaffold"])
+    @pytest.mark.parametrize("case", ["plain", "prox"])
     def test_group_equals_groups_of_one(self, case):
         # 20 rows in batches of 7 leave a partial last batch of 6
         gen = np.random.default_rng(31)
-        ids, x, y, client_c, effective, server_c = _group_task(gen)
+        ids, x, y, effective = _group_task(gen)
         b0 = 0.3 * gen.standard_normal((3, 6, 2))
         a0 = gen.standard_normal((3, 2, 4))
         streams = [RngStream(5, (2, i)) for i in range(3)]
         settings = dict(epochs=3, batch_size=7, lr=0.05,
                         prox_mu=0.05 if case == "prox" else 0.0)
-        correction = server_c - client_c if case == "scaffold" else None
-        group = local_train(ids, x, b0, a0, 1.5, _resid(x, y, effective), streams,
-                            correction=correction, **settings)
+        group = local_train(ids, x, b0, a0, 1.5, _resid(x, y, effective), streams, **settings)
         assert group.steps == 3 * 3 * 3
         for i, cid in enumerate(ids):
-            one = None if correction is None else correction[i]
             b, a, loss, steps = _train_one(cid, x[i], y[i], b0[i], a0[i], 1.5, effective,
-                                           streams[i], correction=one, **settings)
+                                           streams[i], **settings)
             assert np.array_equal(group.b[i], b)
             assert np.array_equal(group.a[i], a)
             assert group.mean_loss[i] == loss
@@ -335,21 +319,20 @@ class TestLocalTrain:
             # and both equal one client's 2-D steps, bit for bit
             ref_b, ref_a, ref_losses = _loop_reference_train(x[i], y[i], b0[i], a0[i], 1.5,
                                                              effective, streams[i],
-                                                             correction=one, **settings)
+                                                             **settings)
             assert np.array_equal(b, ref_b) and np.array_equal(a, ref_a)
             assert loss == float(np.mean(ref_losses[-1]))
 
     def test_group_leaves_inputs_unchanged(self):
         gen = np.random.default_rng(32)
-        ids, x, y, client_c, effective, server_c = _group_task(gen)
+        ids, x, y, effective = _group_task(gen)
         b0 = gen.standard_normal((3, 6, 2))
         a0 = gen.standard_normal((3, 2, 4))
         resid = _resid(x, y, effective)
-        correction = server_c - client_c
-        inputs = (x, b0, a0, resid, correction)
+        inputs = (x, b0, a0, resid)
         before = [array.copy() for array in inputs]
         result = local_train(ids, x, b0, a0, 1.0, resid, [RngStream(0, (i,)) for i in range(3)],
-                             epochs=2, batch_size=8, lr=0.05, correction=correction)
+                             epochs=2, batch_size=8, lr=0.05)
         assert all(np.array_equal(old, new) for old, new in zip(before, inputs))
         assert not any(np.shares_memory(factor, array)
                        for factor in (result.b, result.a) for array in (b0, a0, x, resid))
@@ -361,23 +344,6 @@ class TestLocalTrain:
                                    RngStream(2, (1,)),
                                    epochs=300, batch_size=60, lr=0.2)
         assert loss <= 1e-3
-
-    def test_scaffold_correction_enters_gradient(self):
-        task = small_task()
-        b0 = np.zeros((task.m, 2))
-        a0 = RngStream(3, (0,)).generator().standard_normal((2, task.n))
-        correction_c = np.ones((task.m, task.n)) * 0.3
-        x, y = task.x[0], task.y[0]
-        lr = 0.05
-        batch = len(x)
-        plain, _, _, _ = _train_one(0, x, y, b0, a0, 1.0, task.base.w, RngStream(3, (1,)),
-                                    epochs=1, batch_size=batch, lr=lr)
-        corrected, _, _, _ = _train_one(0, x, y, b0, a0, 1.0, task.base.w, RngStream(3, (1,)),
-                                        epochs=1, batch_size=batch, lr=lr, correction=correction_c)
-        # G shifts by +c, so the b update shifts by -lr * s * c @ a0.T, here with s = 1
-        expected_shift = -lr * 1.0 * (correction_c @ a0.T)
-        observed_shift = corrected - plain
-        assert np.allclose(observed_shift, expected_shift, rtol=1e-10, atol=1e-12)
 
     def test_nan_loss_aborts_with_diagnostic(self):
         task = small_task()
@@ -493,7 +459,7 @@ class TestSampleClients:
 def _whole_matrix_strategy(server, config, delta_t):
     """The server step as whole-matrix expressions: the reference for the blocked step."""
     strategy = config.strategy
-    if strategy in ("fedavg", "fedprox", "scaffold"):
+    if strategy in ("fedavg", "fedprox"):
         server.delta_acc = server.delta_acc + delta_t
     elif strategy == "fedavgm":
         server.momentum = config.momentum * server.momentum + delta_t
@@ -526,8 +492,8 @@ class TestApplyStrategy:
         base = FrozenBase(gen.standard_normal(shape))
         cfg = small_config(strategy=strategy, server_lr=0.3, beta1=0.8, beta2=0.95,
                            tau=1e-2, momentum=0.7)
-        server = ServerState.fresh(base, strategy, n_clients=1)
-        oracle = ServerState.fresh(base, strategy, n_clients=1)
+        server = ServerState.fresh(base, strategy)
+        oracle = ServerState.fresh(base, strategy)
         held = [name for name in ("delta_acc", "momentum", "second_moment")
                 if getattr(server, name) is not None]
         effective = server.effective
@@ -548,7 +514,7 @@ class TestApplyStrategy:
         monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
         for shape in ((256, 1024), (1024, 1024)):
             gen = np.random.default_rng(3)
-            server = ServerState.fresh(FrozenBase(gen.standard_normal(shape)), "fedadam", 1)
+            server = ServerState.fresh(FrozenBase(gen.standard_normal(shape)), "fedadam")
             delta_t = gen.standard_normal(shape)
             tracemalloc.start()
             try:
@@ -574,7 +540,7 @@ class TestApplyStrategy:
         monkeypatch.setattr(linalg.threading, "Thread", CountedThread)
         shape = (1024, 1024)
         gen = np.random.default_rng(4)
-        server = ServerState.fresh(FrozenBase(gen.standard_normal(shape)), strategy, 1)
+        server = ServerState.fresh(FrozenBase(gen.standard_normal(shape)), strategy)
         delta_t = gen.standard_normal(shape)
         tracemalloc.start()
         try:
@@ -596,7 +562,7 @@ class TestRunRound:
         task = small_task(n_clients=1)
         for lora_scale, scale in ((2.0, 1.0), (3.0, 1.5)):
             cfg = small_config(clients=1, sampled_per_round=1, rounds=1, lora_scale=lora_scale)
-            server = ServerState.fresh(task.base, cfg.strategy, task.n_clients)
+            server = ServerState.fresh(task.base, cfg.strategy)
             root = RngStream(0, (7,))
             b, a = init_adapter(task.m, task.n, cfg.rank, root.child(0, 0, 1))
             b, a, loss, _ = _train_one(0, task.x[0], task.y[0], b, a, scale, task.base.w,
@@ -630,7 +596,7 @@ class TestRunRound:
         task = small_task()
         cfg = small_config(rounds=1, sampled_per_round=3)
         mech = MechanismParams(clip_b=1e-3, clip_a=1e-3, sigma_b=0.2, sigma_a=0.3)
-        server = ServerState.fresh(task.base, cfg.strategy, task.n_clients)
+        server = ServerState.fresh(task.base, cfg.strategy)
         root = RngStream(5, (7,))
         metrics = run_round(server, task, cfg, root, mech)
         sampled = sample_clients(task.n_clients, cfg.sampled_per_round, root.child(0, 0))
@@ -657,7 +623,7 @@ class TestRunRound:
     def test_zero_epoch_round_keeps_delta(self):
         task = small_task()
         cfg = small_config(local_epochs=0, rounds=1)
-        server = ServerState.fresh(task.base, cfg.strategy, task.n_clients)
+        server = ServerState.fresh(task.base, cfg.strategy)
         metrics = run_round(server, task, cfg, RngStream(1, (7,)))
         assert np.all(server.delta_acc == 0.0)
         assert metrics.global_delta_norm == 0.0
@@ -670,7 +636,7 @@ class TestRunRound:
         monkeypatch.setattr(privacy, "sample_gaussian", no_draws)
         task = small_task()
         cfg = small_config(rounds=2)
-        server = ServerState.fresh(task.base, cfg.strategy, task.n_clients)
+        server = ServerState.fresh(task.base, cfg.strategy)
         root = RngStream(3, (7,))
         for _ in range(cfg.rounds):
             metrics = run_round(server, task, cfg, root)
@@ -690,7 +656,7 @@ class TestRunRound:
 
 
     @pytest.mark.parametrize("strategy,private", [("fedavg", True), ("fedprox", False),
-                                                  ("scaffold", False), ("fedadam", True)])
+                                                  ("fedadam", True)])
     def test_group_size_leaves_rounds_unchanged(self, monkeypatch, strategy, private):
         # one client per local_train call, then the whole round in one call
         task = small_task()
@@ -727,7 +693,7 @@ class TestRunRound:
         task = generate_task(256, 1024, 4, 4, 16, 0.0, 0.0, RngStream(8, (99,)))
         cfg = small_config(strategy=strategy, rank=4, lora_scale=4.0, local_epochs=1,
                            lr_start=1e-3, lr_end=1e-3)
-        server = ServerState.fresh(task.base, strategy, task.n_clients)
+        server = ServerState.fresh(task.base, strategy)
         root = RngStream(2, (7,))
         run_round(server, task, cfg, root)
         tracemalloc.start()
@@ -738,60 +704,107 @@ class TestRunRound:
             tracemalloc.stop()
         assert peak < 2 * task.base.w.nbytes
 
-    def test_scaffold_keeps_its_server_correction_array(self):
-        task = small_task()
-        cfg = small_config(strategy="scaffold", rounds=2)
-        server = ServerState.fresh(task.base, cfg.strategy, task.n_clients)
-        server_c, client_c = server.server_c, server.client_c
-        root = RngStream(4, (7,))
-        for _ in range(cfg.rounds):
-            run_round(server, task, cfg, root)
-        assert server.server_c is server_c and server.client_c is client_c
-        assert np.any(server_c != 0.0)
-
-    def test_control_variate_is_the_full_batch_gradient(self):
-        # SCAFFOLD option I: a sampled client's variate becomes the dense gradient of
-        # its half mean squared error at the round's base; server_c is the mean variate.
-        task = generate_task(12, 9, 2, 5, 30, 0.1, 0.5, RngStream(9, (99,)))
-        cfg = small_config(strategy="scaffold", clients=5, sampled_per_round=3, rounds=3,
-                           rank=2, batch_size=7)
-        server = ServerState.fresh(task.base, cfg.strategy, task.n_clients)
-        root = RngStream(3, (7,))
-        for _ in range(cfg.rounds):
-            base = server.effective.copy()
-            before = server.client_c.copy()
-            metrics = run_round(server, task, cfg, root)
-            sampled = {rel.client_id for rel in metrics.releases}
-            for k in range(task.n_clients):
-                if k not in sampled:
-                    assert (server.client_c[k] == before[k]).all()
-                    continue
-                oracle = np.zeros_like(base)
-                for x_i, y_i in zip(task.x[k], task.y[k]):
-                    oracle += np.outer(base @ x_i - y_i, x_i)
-                oracle /= task.x.shape[1]
-                np.testing.assert_allclose(server.client_c[k], oracle, rtol=1e-12, atol=1e-13)
-            mean = server.client_c.sum(axis=0) / task.n_clients
-            np.testing.assert_allclose(server.server_c, mean, rtol=1e-12, atol=1e-14)
-
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_scaffold_tracks_fedavg_where_option_ii_diverged(self, seed):
-        # Option II's variates, -delta_k / (K lr), read 280 and 16.4 here at seeds 0 and 3.
-        task = generate_task(200, 300, 4, 20, 50, 0.0, 0.0,
-                             RngStream(seed).child(runner._STREAM_TASK))
-        losses = {}
-        for strategy in ("fedavg", "scaffold"):
-            cfg = RunConfig(rounds=10, task_m=200, task_n=300, task_rank=4, rank=4,
-                            lora_scale=4.0, strategy=strategy, seed=seed)
-            result = run_experiment(cfg, task, RngStream(seed).child(runner._STREAM_EXPERIMENT))
-            losses[strategy] = result.final_loss
-        assert losses["scaffold"] < result.initial_loss
-        assert abs(losses["scaffold"] - losses["fedavg"]) < 0.05 * losses["fedavg"]
-
     def test_group_size_falls_back_at_large_shapes(self):
         assert simulation._group_size(16, 8, 32) >= 20
         assert simulation._group_size(1024, 1024, 16) == 1
         assert simulation._group_size(4096, 4096, 64) == 1
+
+
+class TestReleaseOracle:
+    """The round's release seen from outside: fixed trained pairs, many private rounds.
+
+    Training is replaced by a fixed pair per client, some factors outside their
+    clips, and each round's released pairs are taken from what ``aggregate_stack``
+    receives.  A release minus ``clip_pair`` of its client's fixed pair must be
+    fresh N(0, sigma^2) noise in every entry: mean 0, variance sigma_b^2 on B and
+    sigma_a^2 on A, uncorrelated across a round's clients, across rounds and
+    between B and A.  Each bound is 5 Monte Carlo standard errors, and no stream
+    key is pinned.
+    """
+
+    MECH = MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.2, sigma_a=0.3)
+    Z = 5.0
+
+    @pytest.fixture(scope="class")
+    def release(self):
+        """Each round's sampled ids (rounds, k), the residuals of B (rounds, k, m, r) and of
+        A (rounds, k, r, n), and each client's clipped pair."""
+        task = small_task()  # four clients at 6 x 4
+        cfg = small_config(rounds=400, sampled_per_round=3)  # rank 2
+        gen = np.random.default_rng(41)
+        fixed = []
+        # per client, the norms of B and A: B outside its clip, A, both, neither
+        for norm_b, norm_a in [(2.0, 0.5), (0.3, 3.0), (1.5, 2.5), (0.4, 0.8)]:
+            b = gen.standard_normal((task.m, cfg.rank))
+            a = gen.standard_normal((cfg.rank, task.n))
+            fixed.append((b * (norm_b / frobenius_norm(b)), a * (norm_a / frobenius_norm(a))))
+        sampled, released = [], []
+
+        def fixed_training(server, task, config, rng, ids, scale):
+            sampled.append(ids)
+            return [fixed[cid] for cid in ids], [0.0] * len(ids)
+
+        def recording_stack(pairs, weights):
+            released.append(pairs)
+            return aggregate_stack(pairs, weights)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulation, "_train_sampled", fixed_training)
+            patch.setattr(simulation, "aggregate_stack", recording_stack)
+            _run(cfg, task, seed=11, mechanism=self.MECH)
+        clipped = [privacy.clip_pair(pair, self.MECH) for pair in fixed]
+        residuals = [np.array([[pair[f] - clipped[cid][f] for cid, pair in zip(ids, pairs)]
+                               for ids, pairs in zip(sampled, released)]) for f in (0, 1)]
+        return np.array(sampled), *residuals, clipped
+
+    def _factors(self, release):
+        _, res_b, res_a, _ = release
+        return (res_b, self.MECH.sigma_b), (res_a, self.MECH.sigma_a)
+
+    def test_residual_has_mean_zero_for_each_client(self, release):
+        ids = release[0]
+        for res, sigma in self._factors(release):
+            for cid in range(4):
+                own = res[ids == cid]
+                assert np.abs(own.mean(axis=0)).max() < self.Z * sigma / np.sqrt(len(own)), cid
+
+    def test_residual_variance_is_sigma_squared_in_every_entry(self, release):
+        for res, sigma in self._factors(release):
+            entries = res.reshape(-1, *res.shape[2:])
+            variance = (entries * entries).mean(axis=0)
+            assert np.abs(variance / sigma**2 - 1).max() < self.Z * np.sqrt(2 / len(entries))
+
+    def test_residuals_uncorrelated_across_a_rounds_clients(self, release):
+        for res, sigma in self._factors(release):
+            k = res.shape[1]
+            products = np.array([res[:, i] * res[:, j] for i in range(k) for j in range(i)])
+            assert abs(products.mean() / sigma**2) < self.Z / np.sqrt(products.size)
+
+    def test_residuals_uncorrelated_across_rounds(self, release):
+        # each client's releases in round order, against its next one
+        ids = release[0]
+        for res, sigma in self._factors(release):
+            products = np.concatenate([(own[1:] * own[:-1]).ravel()
+                                       for own in (res[ids == cid] for cid in range(4))])
+            assert abs(products.mean() / sigma**2) < self.Z / np.sqrt(products.size)
+
+    def test_b_and_a_residuals_uncorrelated(self, release):
+        _, res_b, res_a, _ = release
+        b = res_b.reshape(-1, res_b[0, 0].size) / self.MECH.sigma_b
+        a = res_a.reshape(-1, res_a[0, 0].size) / self.MECH.sigma_a
+        assert np.abs(b.T @ a / len(b)).max() < self.Z / np.sqrt(len(b))
+
+    def test_each_client_releases_around_a_pair_within_the_clips(self, release):
+        # a release's mean over a client's rounds is its clipped pair plus noise of
+        # norm about sigma * sqrt(entries / releases); twice that bounds it
+        ids, res_b, res_a, clipped = release
+        clips = (self.MECH.clip_b, self.MECH.clip_a)
+        for f, (res, sigma) in enumerate(self._factors(release)):
+            for cid in range(4):
+                own = res[ids == cid]
+                centre = clipped[cid][f] + own.mean(axis=0)
+                slack = 2 * sigma * np.sqrt(own[0].size / len(own))
+                assert frobenius_norm(centre) <= clips[f] + slack, (f, cid)
 
 
 class TestRunExperiment:
@@ -808,21 +821,10 @@ class TestRunExperiment:
         assert np.array_equal(task.base.w, before)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_control_variates_only_under_scaffold(self, strategy):
-        # every client's c_k starts at zero in one array along the task's client axis
-        task = small_task()
-        client_c = ServerState.fresh(task.base, strategy, task.n_clients).client_c
-        if strategy == "scaffold":
-            assert client_c.shape == (task.n_clients, task.m, task.n) and not client_c.any()
-        else:
-            assert client_c is None
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_server_holds_only_what_its_strategy_reads(self, strategy):
-        server = ServerState.fresh(small_task().base, strategy, 4)
-        held = {name for name in ("momentum", "second_moment", "server_c", "client_c")
-                if getattr(server, name) is not None}
-        expected = {"fedavg": set(), "fedprox": set(), "scaffold": {"server_c", "client_c"},
+        server = ServerState.fresh(small_task().base, strategy)
+        held = {name for name in ("momentum", "second_moment") if getattr(server, name) is not None}
+        expected = {"fedavg": set(), "fedprox": set(),
                     "fedavgm": {"momentum"}}.get(strategy, {"momentum", "second_moment"})
         assert held == expected
 
@@ -982,14 +984,14 @@ class TestRoundWorkers:
                            rank=32, lora_scale=4.0, local_epochs=1, lr_start=1e-3, lr_end=1e-3)
         mech = (MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.01, sigma_a=0.02) if private
                 else IDENTITY_MECHANISM)
-        server = ServerState.fresh(task.base, strategy, task.n_clients)
+        server = ServerState.fresh(task.base, strategy)
         metrics = [run_round(server, task, cfg, RngStream(6, (7,)), mech) for _ in range(rounds)]
         held = {name: getattr(server, name) for name in
-                ("delta_acc", "effective", "momentum", "second_moment", "server_c", "client_c")}
+                ("delta_acc", "effective", "momentum", "second_moment")}
         return metrics, held
 
     @pytest.mark.parametrize("strategy,private", [("fedadam", True), ("fedyogi", False),
-                                                  ("fedavgm", False), ("scaffold", False)])
+                                                  ("fedavgm", False)])
     def test_round_bit_identical_at_any_worker_count(self, cpus, started, strategy, private):
         runs = []
         for count in (1, 2, 3):
@@ -1044,7 +1046,7 @@ class TestRoundWorkers:
         cfg = small_config(strategy="fedadam", clients=4, sampled_per_round=3, rank=32,
                            lora_scale=4.0, local_epochs=1, lr_start=1e-3, lr_end=1e-3)
         mech = MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.01, sigma_a=0.02)
-        server = ServerState.fresh(task.base, cfg.strategy, task.n_clients)
+        server = ServerState.fresh(task.base, cfg.strategy)
         root = RngStream(6, (7,))
         run_round(server, task, cfg, root, mech)
         tracemalloc.start()
