@@ -5,12 +5,12 @@ that differ only in row 0, the replaced record.  Each is trained once into
 its un-noised mean update (``trained_update``: the factor pair one client
 trains under the config's ``mia_*`` keys), and the game is played on the two
 trained means: a fair coin picks one, the mean is released as a round
-releases a pair (``privacy.clip_pair``, then ``privacy.privatize``), and an
-attacker with worst-case knowledge scores the release by projecting it onto
-the unit difference of the two clipped, un-noised means, and guesses the
-replaced dataset when the score is above their midpoint's; ``run_game``
-builds both direction and threshold, once per game.  This linear score is the
-likelihood-ratio statistic only when both factors carry the same noise scale
+releases a pair (``privacy.privatize``), and an attacker with worst-case
+knowledge scores the release by projecting it onto the unit difference of
+the two clipped, un-noised means, and guesses the replaced dataset when the
+score is above their midpoint's; ``run_game`` builds both direction and
+threshold, once per game.  This linear score is the likelihood-ratio
+statistic only when both factors carry the same noise scale
 (sigma_b == sigma_a); with unequal scales the unweighted projection is a
 weaker attack than the likelihood ratio, whose score weights each factor's
 block by 1/sigma^2.  The ROC is checked against the two-sided (eps, delta)
@@ -128,16 +128,17 @@ def run_game(
     The pairs are the un-noised mean updates of the two datasets: trained
     ones (``trained_update``), or synthetic ones such as antipodes on the clip
     sphere.  They are checked (``as_matrix``) and clipped once per game
-    (``clip_pair``).  Trials run in blocks of ``_block_size`` (the last block
-    may be shorter); block k draws its bits from ``rng.child(k, 0)``, and for
-    each bit present one ``privatize`` call draws all of that bit's releases,
-    B noise from ``rng.child(k, 1, bit)`` and A noise from
-    ``rng.child(k, 2, bit)``.  Each release is scored by its projection onto
-    the unit difference of the clipped means, its b entries added first, then
-    its a entries.  Returns the trials' bits, their scores, and the accuracy
-    of the midpoint rule: the share of trials where a score above the
-    clipped means' midpoint score matches bit 1.  Means that coincide after
-    clipping leave no direction to score along and are rejected.
+    (``clip_pair``), for the attacker's scoring reference; ``privatize``'s
+    clip hands the clipped means back unchanged.  Trials run in blocks of
+    ``_block_size`` (the last block may be shorter); block k draws its bits
+    from ``rng.child(k, 0)``, and for each bit present one ``privatize`` call
+    draws all of that bit's releases, B noise from ``rng.child(k, 1, bit)``
+    and A noise from ``rng.child(k, 2, bit)``.  Each release is scored by
+    its projection onto the unit difference of the clipped means, b entries
+    first.  Returns the trials' bits, their scores, and the accuracy of the
+    midpoint rule: the share of trials where a score above the clipped
+    means' midpoint score matches bit 1.  Means that coincide after clipping
+    leave no direction to score along and are rejected.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
@@ -165,8 +166,8 @@ def run_game(
             rows = start + np.flatnonzero(bits[start:stop] == bit)
             if rows.size == 0:
                 continue
-            releases = privatize(means[bit], mechanism, rng.child(k, 1, bit),
-                                 rng.child(k, 2, bit), count=rows.size)
+            _, releases = privatize(means[bit], mechanism, rng.child(k, 1, bit),
+                                    rng.child(k, 2, bit), count=rows.size)
             for release, factor_unit in zip(releases, units):
                 scores[rows] += release.reshape(rows.size, -1) @ factor_unit
     accuracy = int(np.count_nonzero((scores > midpoint) == (bits == 1))) / trials

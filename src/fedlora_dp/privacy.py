@@ -1,10 +1,11 @@
 """The release of a factor pair: per-factor Frobenius-norm clipping, then Gaussian noise.
 
-``clip_pair`` clips each factor of a trained pair (B, A) to its own norm
-budget, and ``privatize`` adds isotropic Gaussian noise to each, at a scale
-calibrated from its clip (the sensitivity) and an (epsilon, delta) budget.
-The federated round and the membership-inference game both release through
-these two functions, so the game audits the mechanism the round deploys.
+``privatize`` is the one release step: it clips each factor of a pair (B, A)
+to its own norm budget (``clip_pair``), then adds isotropic Gaussian noise to
+each clipped factor, at a scale calibrated from its clip (the sensitivity)
+and an (epsilon, delta) budget, and returns ``(clean, released)``: the
+clipped pair and its release.  The round and the membership-inference game
+both release through it, so the game audits the mechanism the round deploys.
 
 Each value of a release is checked once, where it enters: ``PrivacyBudget``
 checks a budget, and ``MechanismParams`` each clip (> 0) and sigma (>= 0).
@@ -69,8 +70,8 @@ class MechanismParams:
                 raise ValueError(f"noise scale must be finite and >= 0, got {s}")
 
 
-# The non-private release: no clip binds and no noise is drawn, so ``clip_pair``
-# and ``privatize`` hand every factor back as itself.
+# The non-private release: no clip binds and no noise is drawn, so ``privatize``
+# hands every factor back as itself.
 IDENTITY_MECHANISM = MechanismParams(clip_b=math.inf, clip_a=math.inf, sigma_b=0.0, sigma_a=0.0)
 
 
@@ -116,19 +117,19 @@ def calibrate_sigma(c: float, budget: PrivacyBudget) -> float:
 
 
 def privatize(pair: FactorPair, mechanism: MechanismParams, stream_b: RngStream,
-              stream_a: RngStream, count: int | None = None) -> FactorPair:
-    """Add N(0, sigma_b^2) noise to B from ``stream_b`` and N(0, sigma_a^2) to A from ``stream_a``.
+              stream_a: RngStream, count: int | None = None) -> tuple[FactorPair, FactorPair]:
+    """``(clip_pair(pair), release)``: N(0, sigma^2) noise on each clipped factor.
 
-    The caller clips the pair (``clip_pair``) once.  A factor whose sigma is 0
-    comes back itself and draws nothing.  With ``count``, each factor comes
-    back as ``count`` releases stacked as (count, rows, cols) from one draw
-    of its stream, the first equal to the single release bit for bit.
-    ``count`` must be >= 1 and is not checked: ``attacks.run_game``, the one
-    caller that passes it, skips a bit that has no trials.
+    B's noise comes from ``stream_b`` and A's from ``stream_a``; a factor whose
+    sigma is 0 is released as its clipped self and draws nothing.  With
+    ``count``, each factor is released ``count`` times, stacked as (count,
+    rows, cols) from one draw of its stream, the first release equal to the
+    single one bit for bit.  ``count`` must be >= 1 and is not checked:
+    ``attacks.run_game``, the one caller that passes it, skips an empty bit.
     """
-    b, a = pair
-    return (_noised(b, mechanism.sigma_b, stream_b, count),
-            _noised(a, mechanism.sigma_a, stream_a, count))
+    b, a = clean = clip_pair(pair, mechanism)
+    return clean, (_noised(b, mechanism.sigma_b, stream_b, count),
+                   _noised(a, mechanism.sigma_a, stream_a, count))
 
 
 def _noised(m: np.ndarray, sigma: float, rng: RngStream, count: int | None) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Each round the server samples clients, every sampled client trains a fresh
 low-rank factor pair (b, a) against the effective base (frozen weights plus
-the accumulated global delta, which the server holds), clips and noises it
-(``privacy``'s release, which is ``IDENTITY_MECHANISM`` in a non-private
-run), and the server stacks the released pairs into a dense pseudo-gradient
+the accumulated global delta, which the server holds) and releases it
+through ``privacy.privatize`` (``IDENTITY_MECHANISM`` in a non-private run),
+and the server stacks the released pairs into a dense pseudo-gradient
 that one of six aggregation strategies applies.  Broadcast is
 fold-and-reset: the dense delta is accumulated server-side and clients draw
 fresh pairs, so per-round shapes never grow.  Factor pairs are plain arrays;
@@ -88,7 +88,7 @@ from .adapters import (
 from .config import RunConfig
 from .linalg import RngStream, frobenius_norm
 from .noise_stats import NoiseModel, exact_total_variance
-from .privacy import IDENTITY_MECHANISM, MechanismParams, clip_pair, privatize
+from .privacy import IDENTITY_MECHANISM, MechanismParams, privatize
 
 __all__ = [
     "NumericError",
@@ -649,15 +649,15 @@ def run_round(
     data share of 1 / k times the LoRA scale, (1 / k) * (lora_scale / rank).
     A training ``NumericError`` is raised again with the round index before
     its message (``round 3: client 4: non-finite loss at epoch 4``).
-    Every round releases through ``mechanism``: each trained pair is clipped once
-    (``clip_pair``), and the clipped pair is both released (``privatize``, B
-    noise on stream (round, cid, 3), A noise on (round, cid, 4)) and kept as
-    the clean reference for ``expectation_diff`` and ``total_variance``.  The
-    default, ``IDENTITY_MECHANISM``, returns every factor as itself, so both
-    are 0.  Every metric is taken before the server step, and each
-    per-client array is dropped after its last reader: when the released
-    stacks form the dense ``delta_t`` (``global_delta``) they are the only
-    per-client arrays alive, and the step itself meets only ``delta_t``.
+    Each trained pair is released through ``mechanism`` by one ``privatize``
+    call (B noise on stream (round, cid, 3), A noise on (round, cid, 4)),
+    whose clean pair is the reference for ``expectation_diff`` and
+    ``total_variance``.  The default, ``IDENTITY_MECHANISM``, returns every
+    factor as itself, so both are 0.  Every metric is taken before the
+    server step, and each per-client array is dropped after its last reader:
+    when the released stacks form the dense ``delta_t`` (``global_delta``)
+    they are the only per-client arrays alive, and the step itself meets
+    only ``delta_t``.
     """
     round_index = server.round_index
     sampled = sample_clients(task.n_clients, config.sampled_per_round,
@@ -675,13 +675,11 @@ def run_round(
     # rows / total * scale is; scale / k can differ in the last bit.
     weights = [1 / len(sampled) * scale] * len(sampled)
 
-    clean = [clip_pair(pair, mechanism) for pair in trained]
-    released = aggregate_stack(
-        [privatize(pair, mechanism, rng.child(round_index, cid, _KIND_NOISE_B),
-                   rng.child(round_index, cid, _KIND_NOISE_A))
-         for cid, pair in zip(sampled, clean)],
-        weights,
-    )
+    clean, released = zip(*[
+        privatize(pair, mechanism, rng.child(round_index, cid, _KIND_NOISE_B),
+                  rng.child(round_index, cid, _KIND_NOISE_A))
+        for cid, pair in zip(sampled, trained)])
+    released = aggregate_stack(released, weights)
     expectation_diff, total_variance = _noise_metrics(released, clean, weights, mechanism)
     del trained, clean
     delta_t = global_delta(released)
@@ -736,7 +734,7 @@ def _train_sampled(server: ServerState, task: SyntheticTask, config: RunConfig,
     return trained, losses
 
 
-def _noise_metrics(released: GlobalAdapter, clean: list[FactorPair], weights: list[float],
+def _noise_metrics(released: GlobalAdapter, clean: tuple[FactorPair, ...], weights: list[float],
                    mechanism: MechanismParams) -> tuple[float, float]:
     """``expectation_diff`` and ``total_variance`` of the release against the clean pairs.
 

@@ -421,8 +421,8 @@ class TestBlockLayout:
         for k, start in enumerate(range(0, trials, block)):
             for bit in (0, 1):
                 first = start + int(np.flatnonzero(bits[start:start + block] == bit)[0])
-                release = privatize(means[bit], self.mech, rng.child(k, 1, bit),
-                                    rng.child(k, 2, bit))
+                _, release = privatize(means[bit], self.mech, rng.child(k, 1, bit),
+                                       rng.child(k, 2, bit))
                 expected = score_update(release, unit)
                 assert scores[first] == pytest.approx(expected, rel=1e-12, abs=0)
 

@@ -120,9 +120,9 @@ class TestCalibrateSigma:
             assert calibrate_sigma(c * 1.5, PrivacyBudget(eps, delta)) > base
 
 
-def mechanism(sigma_b: float, sigma_a: float) -> MechanismParams:
-    """A mechanism with the given noise scales; ``privatize`` reads no clip."""
-    return MechanismParams(clip_b=1.0, clip_a=1.0, sigma_b=sigma_b, sigma_a=sigma_a)
+def mechanism(sigma_b: float, sigma_a: float, clip: float = math.inf) -> MechanismParams:
+    """A mechanism with the given noise scales and one clip for both factors (none by default)."""
+    return MechanismParams(clip_b=clip, clip_a=clip, sigma_b=sigma_b, sigma_a=sigma_a)
 
 
 class TestClipPair:
@@ -146,21 +146,29 @@ class TestPrivatize:
     def test_sigma_zero_within_budget_identity(self):
         b = np.array([[0.1, 0.2], [0.0, 0.1]])
         a = np.array([[0.2, 0.0], [0.1, 0.1]])
-        out = privatize((b, a), mechanism(0.0, 0.0), RngStream(0, (1,)), RngStream(0, (2,)))
+        clean, out = privatize((b, a), mechanism(0.0, 0.0, clip=1.0), RngStream(0, (1,)),
+                               RngStream(0, (2,)))
         assert out[0] is b and out[1] is a
+        assert clean[0] is b and clean[1] is a
 
-    def test_sigma_zero_does_not_clip(self):
-        # the caller clips once; privatize only adds noise, whatever the norm
-        b = np.array([[3.0, 4.0], [0.0, 0.0]])
-        a = np.array([[30.0], [40.0]])
-        out = privatize((b, a), mechanism(0.0, 0.0), RngStream(0, (1,)), RngStream(0, (2,)))
-        assert out[0] is b and out[1] is a
+    def test_sigma_zero_releases_the_clipped_pair(self):
+        # the step clips before it noises: without noise, a pair outside its
+        # clips is released as the clipped pair
+        b = np.array([[3.0, 4.0], [0.0, 0.0]])  # norm 5
+        a = np.array([[30.0], [40.0]])  # norm 50
+        mech = MechanismParams(clip_b=2.5, clip_a=1.0, sigma_b=0.0, sigma_a=0.0)
+        clean, out = privatize((b, a), mech, RngStream(0, (1,)), RngStream(0, (2,)))
+        assert np.array_equal(out[0], np.array([[1.5, 2.0], [0.0, 0.0]]))
+        assert np.array_equal(out[1], clip_frobenius(a, 1.0))
+        assert frobenius_norm(out[1]) <= 1.0
+        assert out[0] is clean[0] and out[1] is clean[1]
 
     def test_sigma_b_zero_returns_b_and_noises_a(self):
         b = np.array([[3.0, 4.0], [0.0, 0.0]])
         a = np.array([[1.0, -2.0, 0.5], [0.0, 1.5, -1.0]])
         stream_a = RngStream(6, (2,))
-        out_b, out_a = privatize((b, a), mechanism(0.0, 0.7), RngStream(6, (1,)), stream_a)
+        _, (out_b, out_a) = privatize((b, a), mechanism(0.0, 0.7), RngStream(6, (1,)),
+                                      stream_a)
         assert out_b is b
         assert np.array_equal(out_a, a + 0.7 * stream_a.generator().standard_normal((2, 3)))
 
@@ -169,17 +177,16 @@ class TestPrivatize:
         sigma = 1.0
         z = np.zeros((100, 10))
         root = RngStream(11)
-        draws = np.concatenate(
-            [privatize((z, z.T), mechanism(sigma, 0.0), root.child(i), root.child(i, 0))[0].ravel()
-             for i in range(100)]
-        )
+        releases = [privatize((z, z.T), mechanism(sigma, 0.0), root.child(i), root.child(i, 0))[1]
+                    for i in range(100)]
+        draws = np.concatenate([b.ravel() for b, _ in releases])
         assert draws.size == 10**5
         assert abs(draws.mean()) <= 5 * sigma / np.sqrt(draws.size)
 
     def test_deterministic_given_stream(self):
         pair = (np.ones((2, 3)), np.ones((3, 2)))
-        first = privatize(pair, mechanism(0.7, 0.7), RngStream(5, (1,)), RngStream(5, (2,)))
-        second = privatize(pair, mechanism(0.7, 0.7), RngStream(5, (1,)), RngStream(5, (2,)))
+        _, first = privatize(pair, mechanism(0.7, 0.7), RngStream(5, (1,)), RngStream(5, (2,)))
+        _, second = privatize(pair, mechanism(0.7, 0.7), RngStream(5, (1,)), RngStream(5, (2,)))
         assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
 
 
@@ -190,16 +197,16 @@ class TestPrivatizeCount:
     pair = (clipped, clipped.T)
 
     def test_shape(self):
-        out = privatize(self.pair, mechanism(0.7, 0.7), RngStream(3), RngStream(3, (1,)),
-                        count=5)
+        _, out = privatize(self.pair, mechanism(0.7, 0.7), RngStream(3), RngStream(3, (1,)),
+                           count=5)
         assert out[0].shape == (5, 2, 3) and out[1].shape == (5, 3, 2)
 
     def test_first_release_equals_single_release(self):
         for seed in range(10):
             stream_b, stream_a = RngStream(seed, (2, seed)), RngStream(seed, (3, seed))
-            single = privatize((self.m, self.m.T), mechanism(0.7, 0.3), stream_b, stream_a)
-            stacked = privatize((self.m, self.m.T), mechanism(0.7, 0.3), stream_b, stream_a,
-                                count=7)
+            _, single = privatize((self.m, self.m.T), mechanism(0.7, 0.3), stream_b, stream_a)
+            _, stacked = privatize((self.m, self.m.T), mechanism(0.7, 0.3), stream_b, stream_a,
+                                   count=7)
             # each single release is its factor, unclipped, plus sigma * one standard-normal
             # draw of its own stream
             formula = (self.m + 0.7 * stream_b.generator().standard_normal((2, 3)),
@@ -210,8 +217,8 @@ class TestPrivatizeCount:
                 assert not np.array_equal(stacked[factor][1], single[factor])
 
     def test_sigma_zero_repeats_clipped(self):
-        out = privatize(self.pair, mechanism(0.0, 0.0), RngStream(0), RngStream(0, (1,)),
-                        count=4)
+        _, out = privatize(self.pair, mechanism(0.0, 0.0), RngStream(0), RngStream(0, (1,)),
+                           count=4)
         assert out[0].shape == (4, 2, 3) and out[1].shape == (4, 3, 2)
         for factor, released in zip(self.pair, out):
             for release in released:
@@ -219,8 +226,8 @@ class TestPrivatizeCount:
 
     def test_moments_match_clipped_and_sigma(self):
         sigma, count = 0.7, 20_000
-        out_b, _ = privatize(self.pair, mechanism(sigma, 0.0), RngStream(8, (1,)),
-                             RngStream(8, (2,)), count=count)
+        _, (out_b, _) = privatize(self.pair, mechanism(sigma, 0.0), RngStream(8, (1,)),
+                                  RngStream(8, (2,)), count=count)
         mean_se = sigma / np.sqrt(count)
         var_se = sigma**2 * np.sqrt(2.0 / (count - 1))
         assert np.all(np.abs(out_b.mean(axis=0) - self.clipped) <= 5 * mean_se)

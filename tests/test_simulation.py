@@ -1,6 +1,7 @@
 """Federated loop: training gradients, strategies, determinism, sampling."""
 
 import dataclasses
+import math
 import sys
 import threading
 import tracemalloc
@@ -8,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedlora_dp import linalg, privacy, runner, simulation
+from fedlora_dp import attacks, linalg, privacy, runner, simulation
 from fedlora_dp.adapters import FrozenBase, aggregate_stack, global_delta, init_adapter
 from fedlora_dp.config import STRATEGIES, ConfigError, RunConfig, parse_text
 from fedlora_dp.linalg import RngStream, frobenius_norm
@@ -579,20 +580,21 @@ class TestRunRound:
         # client's loss and trained pair's norms, one record per sampled client
         # in ascending id order.
         losses, trained, clipped = [], [], []
-        original_train, original_clip = simulation.local_train, simulation.clip_pair
+        original_train, original_privatize = simulation.local_train, simulation.privatize
 
         def recording_train(*args, **kwargs):
             result = original_train(*args, **kwargs)
             losses.extend(result.mean_loss.tolist())
             return result
 
-        def recording_clip(pair, mechanism):
+        def recording_privatize(pair, *args, **kwargs):
             trained.append(pair)
-            clipped.append(original_clip(pair, mechanism))
-            return clipped[-1]
+            clean, released = original_privatize(pair, *args, **kwargs)
+            clipped.append(clean)
+            return clean, released
 
         monkeypatch.setattr(simulation, "local_train", recording_train)
-        monkeypatch.setattr(simulation, "clip_pair", recording_clip)
+        monkeypatch.setattr(simulation, "privatize", recording_privatize)
         task = small_task()
         cfg = small_config(rounds=1, sampled_per_round=3)
         mech = MechanismParams(clip_b=1e-3, clip_a=1e-3, sigma_b=0.2, sigma_a=0.3)
@@ -710,52 +712,64 @@ class TestRunRound:
         assert simulation._group_size(4096, 4096, 64) == 1
 
 
-class TestReleaseOracle:
-    """The round's release seen from outside: fixed trained pairs, many private rounds.
+ORACLE_MECH = MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.2, sigma_a=0.3)
+
+
+def release_oracle():
+    """400 private rounds of fixed trained pairs under ``ORACLE_MECH``, seen from outside.
 
     Training is replaced by a fixed pair per client, some factors outside their
     clips, and each round's released pairs are taken from what ``aggregate_stack``
-    receives.  A release minus ``clip_pair`` of its client's fixed pair must be
-    fresh N(0, sigma^2) noise in every entry: mean 0, variance sigma_b^2 on B and
+    receives.  Returns each round's sampled ids (rounds, k), the residuals of B
+    (rounds, k, m, r) and of A (rounds, k, r, n) against ``clip_pair`` of the
+    fixed pairs, and those clipped pairs.  Called under a patch, it sees the
+    release the patched code makes.
+    """
+    task = small_task()  # four clients at 6 x 4
+    cfg = small_config(rounds=400, sampled_per_round=3)  # rank 2
+    gen = np.random.default_rng(41)
+    fixed = []
+    # per client, the norms of B and A: B outside its clip, A, both, neither
+    for norm_b, norm_a in [(2.0, 0.5), (0.3, 3.0), (1.5, 2.5), (0.4, 0.8)]:
+        b = gen.standard_normal((task.m, cfg.rank))
+        a = gen.standard_normal((cfg.rank, task.n))
+        fixed.append((b * (norm_b / frobenius_norm(b)), a * (norm_a / frobenius_norm(a))))
+    sampled, released = [], []
+
+    def fixed_training(server, task, config, rng, ids, scale):
+        sampled.append(ids)
+        return [fixed[cid] for cid in ids], [0.0] * len(ids)
+
+    def recording_stack(pairs, weights):
+        released.append(pairs)
+        return aggregate_stack(pairs, weights)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "_train_sampled", fixed_training)
+        patch.setattr(simulation, "aggregate_stack", recording_stack)
+        _run(cfg, task, seed=11, mechanism=ORACLE_MECH)
+    clipped = [privacy.clip_pair(pair, ORACLE_MECH) for pair in fixed]
+    residuals = [np.array([[pair[f] - clipped[cid][f] for cid, pair in zip(ids, pairs)]
+                           for ids, pairs in zip(sampled, released)]) for f in (0, 1)]
+    return np.array(sampled), *residuals, clipped
+
+
+class TestReleaseOracle:
+    """The round's release seen from outside (``release_oracle``).
+
+    A release minus ``clip_pair`` of its client's fixed pair must be fresh
+    N(0, sigma^2) noise in every entry: mean 0, variance sigma_b^2 on B and
     sigma_a^2 on A, uncorrelated across a round's clients, across rounds and
     between B and A.  Each bound is 5 Monte Carlo standard errors, and no stream
     key is pinned.
     """
 
-    MECH = MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.2, sigma_a=0.3)
+    MECH = ORACLE_MECH
     Z = 5.0
 
     @pytest.fixture(scope="class")
     def release(self):
-        """Each round's sampled ids (rounds, k), the residuals of B (rounds, k, m, r) and of
-        A (rounds, k, r, n), and each client's clipped pair."""
-        task = small_task()  # four clients at 6 x 4
-        cfg = small_config(rounds=400, sampled_per_round=3)  # rank 2
-        gen = np.random.default_rng(41)
-        fixed = []
-        # per client, the norms of B and A: B outside its clip, A, both, neither
-        for norm_b, norm_a in [(2.0, 0.5), (0.3, 3.0), (1.5, 2.5), (0.4, 0.8)]:
-            b = gen.standard_normal((task.m, cfg.rank))
-            a = gen.standard_normal((cfg.rank, task.n))
-            fixed.append((b * (norm_b / frobenius_norm(b)), a * (norm_a / frobenius_norm(a))))
-        sampled, released = [], []
-
-        def fixed_training(server, task, config, rng, ids, scale):
-            sampled.append(ids)
-            return [fixed[cid] for cid in ids], [0.0] * len(ids)
-
-        def recording_stack(pairs, weights):
-            released.append(pairs)
-            return aggregate_stack(pairs, weights)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(simulation, "_train_sampled", fixed_training)
-            patch.setattr(simulation, "aggregate_stack", recording_stack)
-            _run(cfg, task, seed=11, mechanism=self.MECH)
-        clipped = [privacy.clip_pair(pair, self.MECH) for pair in fixed]
-        residuals = [np.array([[pair[f] - clipped[cid][f] for cid, pair in zip(ids, pairs)]
-                               for ids, pairs in zip(sampled, released)]) for f in (0, 1)]
-        return np.array(sampled), *residuals, clipped
+        return release_oracle()
 
     def _factors(self, release):
         _, res_b, res_a, _ = release
@@ -805,6 +819,120 @@ class TestReleaseOracle:
                 centre = clipped[cid][f] + own.mean(axis=0)
                 slack = 2 * sigma * np.sqrt(own[0].size / len(own))
                 assert frobenius_norm(centre) <= clips[f] + slack, (f, cid)
+
+
+def _a_unnoised(release):
+    def privatize(pair, mechanism, stream_b, stream_a, count=None):
+        return release(pair, dataclasses.replace(mechanism, sigma_a=0.0), stream_b, stream_a,
+                       count)
+    return privatize
+
+
+def _a_noised_from_b_stream(release):
+    def privatize(pair, mechanism, stream_b, stream_a, count=None):
+        return release(pair, mechanism, stream_b, stream_b, count)
+    return privatize
+
+
+def _given_pair_noised(release):
+    # the clean reference is still the clipped pair; the noise lands on the pair as given
+    def privatize(pair, mechanism, stream_b, stream_a, count=None):
+        unclipped = dataclasses.replace(mechanism, clip_b=math.inf, clip_a=math.inf)
+        return (privacy.clip_pair(pair, mechanism),
+                release(pair, unclipped, stream_b, stream_a, count)[1])
+    return privatize
+
+
+def _sigma_halved(calibrate):
+    return lambda c, budget: calibrate(c, budget) / 2
+
+
+def _a_unclipped(clip_pair):
+    return lambda pair, mechanism: (clip_pair(pair, mechanism)[0], pair[1])
+
+
+def _noise_rekeyed(rekey):
+    """run_round's noise streams, their keys (..., round, client, kind) rewritten by ``rekey``."""
+    def make(release):
+        def privatize(pair, mechanism, stream_b, stream_a, count=None):
+            b, a = (RngStream(s.root_seed, rekey(s.stream_path)) for s in (stream_b, stream_a))
+            return release(pair, mechanism, b, a, count)
+        return privatize
+    return make
+
+
+def _defect(name, make, *modules):
+    """Inject a defect: ``privacy.<name>`` becomes ``make(original)`` where ``modules`` bind it."""
+    def inject(monkeypatch):
+        replacement = make(getattr(privacy, name))
+        for module in modules:
+            monkeypatch.setattr(module, name, replacement)
+    return inject
+
+
+def _calibration_formula():
+    """A calibrated mechanism's sigmas are c sqrt(2 ln(1.25 / delta)) / epsilon."""
+    mech = runner._calibrated(RunConfig(epsilon=2.0, delta=1e-5), 0.5, 3.0)
+    for clip, sigma in ((0.5, mech.sigma_b), (3.0, mech.sigma_a)):
+        assert sigma == pytest.approx(clip * math.sqrt(2 * math.log(1.25 / 1e-5)) / 2.0, rel=1e-12)
+
+
+def _verify_dp_bound():
+    """Fast verify's dp_bound check passes on the default config."""
+    [check] = [c for c in runner.verify_checks(RunConfig(verify_fast=True))
+               if c.name == "dp_bound"]
+    assert check.passed, check.detail
+
+
+def _oracle(check):
+    """A ``TestReleaseOracle`` statistic, on a fresh ``release_oracle`` run."""
+    return lambda: getattr(TestReleaseOracle(), check)(release_oracle())
+
+
+_RELEASE_BINDINGS = (privacy, simulation, attacks)
+
+# Each privacy defect, injected where it lives, and the semantic checks it must fail:
+# never a golden digest, a pinned row or a stream key.
+DEFECTS = {
+    "privatize_adds_no_noise_to_a": (
+        _defect("privatize", _a_unnoised, *_RELEASE_BINDINGS),
+        [_oracle("test_residual_variance_is_sigma_squared_in_every_entry")]),
+    "privatize_draws_a_noise_from_b_stream": (
+        _defect("privatize", _a_noised_from_b_stream, *_RELEASE_BINDINGS),
+        [_oracle("test_b_and_a_residuals_uncorrelated")]),
+    "privatize_noises_the_unclipped_pair": (
+        _defect("privatize", _given_pair_noised, *_RELEASE_BINDINGS),
+        [_oracle("test_residual_has_mean_zero_for_each_client"),
+         _oracle("test_each_client_releases_around_a_pair_within_the_clips")]),
+    "calibrate_sigma_halves_sigma": (
+        _defect("calibrate_sigma", _sigma_halved, privacy, runner),
+        [_calibration_formula, _verify_dp_bound]),
+    "clip_pair_leaves_a_unclipped": (
+        _defect("clip_pair", _a_unclipped, privacy, attacks),
+        [_oracle("test_each_client_releases_around_a_pair_within_the_clips")]),
+    "run_round_shares_one_noise_key_across_clients": (
+        _defect("privatize", _noise_rekeyed(lambda path: (*path[:-2], 0, path[-1])), simulation),
+        [_oracle("test_residuals_uncorrelated_across_a_rounds_clients")]),
+    "run_round_reuses_one_noise_key_every_round": (
+        _defect("privatize", _noise_rekeyed(lambda path: (*path[:-3], 0, *path[-2:])), simulation),
+        [_oracle("test_residuals_uncorrelated_across_rounds")]),
+}
+
+
+class TestDefectTable:
+    """Each row of ``DEFECTS`` passes its checks on the unchanged code and fails them under
+    its defect: a privacy defect fails a check of what the mechanism must do, not only a
+    byte digest."""
+
+    @pytest.mark.parametrize("defect", list(DEFECTS))
+    def test_defect_fails_its_named_checks(self, monkeypatch, defect):
+        inject, checks = DEFECTS[defect]
+        for check in checks:
+            check()  # the unchanged code passes
+        inject(monkeypatch)
+        for check in checks:
+            with pytest.raises(AssertionError):
+                check()
 
 
 class TestRunExperiment:
@@ -900,18 +1028,19 @@ class TestRunExperiment:
         # dense product of the released stack and the weighted dense products
         # of the clipped pairs are the reference.
         stacks, clipped = [], []
-        original_stack, original_clip = simulation.aggregate_stack, simulation.clip_pair
+        original_stack, original_privatize = simulation.aggregate_stack, simulation.privatize
 
         def recording_stack(pairs, weights):
             stacks.append(original_stack(pairs, weights))
             return stacks[-1]
 
-        def recording_clip(pair, mechanism):
-            clipped.append(original_clip(pair, mechanism))
-            return clipped[-1]
+        def recording_privatize(*args, **kwargs):
+            clean, released = original_privatize(*args, **kwargs)
+            clipped.append(clean)
+            return clean, released
 
         monkeypatch.setattr(simulation, "aggregate_stack", recording_stack)
-        monkeypatch.setattr(simulation, "clip_pair", recording_clip)
+        monkeypatch.setattr(simulation, "privatize", recording_privatize)
         task = small_task()
         mech = MechanismParams(clip_b=0.5, clip_a=1.0, sigma_b=0.2, sigma_a=0.3)
         cfg = small_config(rounds=3, sampled_per_round=3)
